@@ -51,6 +51,7 @@ type jsonRun struct {
 	Columns   []string   `json:"columns"`
 	Rows      [][]string `json:"rows"`
 	Notes     []string   `json:"notes,omitempty"`
+	ShapeOK   *bool      `json:"shape_ok,omitempty"` // exp.Table.ShapeOK; absent where no shape is checked yet
 	ElapsedMS float64    `json:"elapsed_ms"`
 	// CommitStageMS breaks the run's registry commit time down by pipeline
 	// stage (validate, network, repair, journal, publish, total),
@@ -125,7 +126,7 @@ func main() {
 		if *jsonOut {
 			run := jsonRun{
 				Figure: name, Title: t.Title, Scale: cfg.Scale, Seed: cfg.Seed,
-				Columns: t.Columns, Rows: t.Rows, Notes: t.Notes,
+				Columns: t.Columns, Rows: t.Rows, Notes: t.Notes, ShapeOK: t.ShapeOK,
 				ElapsedMS:     float64(elapsed.Microseconds()) / 1000,
 				CommitStageMS: stageDelta(stagesBefore, contq.CommitStageSums(obs.Default())),
 			}

@@ -81,10 +81,7 @@ func (b *BFS) walk(v graph.NodeID, dir graph.Dir, bound int, fn func(w graph.Nod
 		return
 	}
 	b.ensure()
-	adj := b.g.Out
-	if dir == graph.Reverse {
-		adj = b.g.In
-	}
+	adj := b.adjacency(dir)
 	b.queue = b.queue[:0]
 	for _, c := range adj(v) {
 		if b.seen[c] != b.epoch {
@@ -96,6 +93,44 @@ func (b *BFS) walk(v graph.NodeID, dir graph.Dir, bound int, fn func(w graph.Nod
 			b.queue = append(b.queue, c)
 		}
 	}
+	b.expand(adj, bound, fn)
+}
+
+// MultiSource walks breadth-first from all of srcs at once, up to bound
+// hops in direction dir: fn sees every reached node exactly once, in
+// nondecreasing order of its hop distance to the nearest source, with the
+// sources themselves at distance 0 (duplicates in srcs are harmless). It is
+// the affected-area probe of the batch repair in incbsim: one walk from the
+// tails (heads) of a group of edge updates instead of one per update.
+func (b *BFS) MultiSource(srcs []graph.NodeID, dir graph.Dir, bound int, fn func(w graph.NodeID, d int) bool) {
+	if bound < 0 {
+		return
+	}
+	b.ensure()
+	b.queue = b.queue[:0]
+	for _, s := range srcs {
+		if b.seen[s] != b.epoch {
+			b.seen[s] = b.epoch
+			b.dist[s] = 0
+			if !fn(s, 0) {
+				return
+			}
+			b.queue = append(b.queue, s)
+		}
+	}
+	b.expand(b.adjacency(dir), bound, fn)
+}
+
+func (b *BFS) adjacency(dir graph.Dir) func(graph.NodeID) []graph.NodeID {
+	if dir == graph.Reverse {
+		return b.g.In
+	}
+	return b.g.Out
+}
+
+// expand runs the BFS loop over the seeded queue: every node within bound
+// not yet stamped with the current epoch is stamped and reported once.
+func (b *BFS) expand(adj func(graph.NodeID) []graph.NodeID, bound int, fn func(w graph.NodeID, d int) bool) {
 	for qi := 0; qi < len(b.queue); qi++ {
 		x := b.queue[qi]
 		nd := b.dist[x] + 1

@@ -214,3 +214,53 @@ func TestMatrixBytes(t *testing.T) {
 		t.Fatalf("NumNodes = %d", m.NumNodes())
 	}
 }
+
+// MultiSource must report exactly the nodes within bound of the nearest
+// source, once each, nearest first, with the distance the matrix gives —
+// in both directions, with duplicate sources, and it must stop when told.
+func TestBFSMultiSourceMatchesMatrixOnRandom(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		g := generator.RandomGraph(15, 30, 3, seed)
+		m := NewMatrix(g)
+		b := NewBFS(g)
+		srcs := []graph.NodeID{int(seed) % 15, int(3*seed+1) % 15, int(seed) % 15}
+		for _, dir := range []graph.Dir{graph.Forward, graph.Reverse} {
+			for bound := -1; bound <= 3; bound++ {
+				got := make(map[graph.NodeID]int)
+				last := 0
+				b.MultiSource(srcs, dir, bound, func(w graph.NodeID, d int) bool {
+					if _, dup := got[w]; dup {
+						t.Fatalf("seed %d: node %d reported twice", seed, w)
+					}
+					if d < last {
+						t.Fatalf("seed %d: distance %d reported after %d", seed, d, last)
+					}
+					got[w], last = d, d
+					return true
+				})
+				for w := 0; w < g.NumNodes(); w++ {
+					want := graph.Unreachable
+					for _, s := range srcs {
+						d := m.Dist(s, w)
+						if dir == graph.Reverse {
+							d = m.Dist(w, s)
+						}
+						want = min(want, d)
+					}
+					d, ok := got[w]
+					if ok != (want <= bound) || (ok && d != want) {
+						t.Fatalf("seed %d dir %v bound %d: node %d reported=%v at %d, nearest source is %d away", seed, dir, bound, w, ok, d, want)
+					}
+				}
+			}
+		}
+		calls := 0
+		b.MultiSource(srcs, graph.Forward, 3, func(graph.NodeID, int) bool {
+			calls++
+			return false
+		})
+		if calls != 1 {
+			t.Fatalf("seed %d: %d reports after the callback said stop, want 1", seed, calls)
+		}
+	}
+}

@@ -42,6 +42,10 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	// ShapeOK is the verdict of the figure's machine-checked expected shape
+	// (the paper's claim as a predicate over the measured rows); nil for a
+	// figure whose expected shape is still only prose in Notes.
+	ShapeOK *bool
 }
 
 // AddRow appends a formatted row.
@@ -98,6 +102,9 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
+	}
+	if t.ShapeOK != nil {
+		fmt.Fprintf(w, "  shape_ok: %t\n", *t.ShapeOK)
 	}
 	fmt.Fprintln(w)
 }

@@ -36,6 +36,11 @@ func TestEveryDriverProducesRows(t *testing.T) {
 				t.Errorf("%s: row width %d != %d columns", name, len(row), len(tab.Columns))
 			}
 		}
+		// The Fig. 19 panels check their expected shape by machine; the
+		// verdict itself is timing and belongs to the bench lane.
+		if checked := strings.HasPrefix(name, "Fig19"); checked != (tab.ShapeOK != nil) {
+			t.Errorf("%s: machine-checked shape present = %t, want %t", name, tab.ShapeOK != nil, checked)
+		}
 	}
 }
 
@@ -127,10 +132,12 @@ func TestTablePrinting(t *testing.T) {
 		Notes:   []string{"a note"},
 	}
 	tab.AddRow(1, "x")
+	ok := false
+	tab.ShapeOK = &ok
 	var buf bytes.Buffer
 	tab.Fprint(&buf)
 	out := buf.String()
-	for _, want := range []string{"== sample ==", "a", "bb", "note: a note"} {
+	for _, want := range []string{"== sample ==", "a", "bb", "note: a note", "shape_ok: false"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -7,6 +7,7 @@ import (
 	"gpm/internal/generator"
 	"gpm/internal/graph"
 	"gpm/internal/landmark"
+	"gpm/internal/pattern"
 )
 
 // Ablation: incremental bounded matching versus the matrix baseline versus
@@ -32,6 +33,7 @@ func BenchmarkIncBMatchBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	inv := invert(ups)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Batch(ups)
@@ -47,6 +49,7 @@ func BenchmarkIncBMatchLandmarkBacked(b *testing.B) {
 		b.Fatal(err)
 	}
 	inv := invert(ups)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Batch(ups)
@@ -62,6 +65,7 @@ func BenchmarkIncBMatchMatrixBaseline(b *testing.B) {
 		b.Fatal(err)
 	}
 	inv := invert(ups)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Batch(ups)
@@ -73,12 +77,80 @@ func BenchmarkBatchRecomputeMatchbs(b *testing.B) {
 	g, ups := benchSetup(b)
 	p := generator.DAGPattern(g, benchPattern(g), 3)
 	inv := invert(ups)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ApplyAll(ups) //nolint:errcheck
 		core.MatchMatrix(p, g)
 		g.ApplyAll(inv) //nolint:errcheck
 		core.MatchMatrix(p, g)
+	}
+}
+
+// The engine-batch shape of the repo benchmark (bench/gate.json): n=2000,
+// m=8000, 5 labels, the k=3 triangle, batches of 5 % of |E|.
+func batch5pctSetup(tb testing.TB) (*pattern.Pattern, *graph.Graph, []graph.Update) {
+	tb.Helper()
+	g := generator.Synthetic(2000, 8000, generator.DefaultSchema(5), 1)
+	p := pattern.New()
+	for _, l := range []string{"L1", "L2", "L3"} {
+		p.AddNode(pattern.Label(l))
+	}
+	for _, e := range [][3]int{{0, 1, 3}, {1, 2, 2}, {0, 2, 1}} {
+		if err := p.AddEdge(e[0], e[1], e[2]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p, g, generator.Updates(g, 200, 200, 2)
+}
+
+func BenchmarkIncBMatchBatch5pct(b *testing.B) {
+	p, g, ups := batch5pctSetup(b)
+	e, err := New(p, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inv := invert(ups)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Batch(ups)
+		e.Batch(inv)
+	}
+}
+
+func BenchmarkMatchbsRecompute5pct(b *testing.B) {
+	p, g, ups := batch5pctSetup(b)
+	inv := invert(ups)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.ApplyAll(ups) //nolint:errcheck
+		core.Match(p, g)
+		g.ApplyAll(inv) //nolint:errcheck
+		core.Match(p, g)
+	}
+}
+
+// TestBatchAllocations guards the per-batch repair's allocation budget: the
+// per-update sweeps it replaced allocated ~37 000 objects per 400-update
+// batch (a map per source per update); the repair keeps its state in reused
+// scratch, so a tenth of that for the two batches below is generous.
+func TestBatchAllocations(t *testing.T) {
+	p, g, ups := batch5pctSetup(t)
+	e, err := New(p, g, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := invert(ups)
+	e.Batch(ups) // size the scratch
+	e.Batch(inv)
+	allocs := testing.AllocsPerRun(5, func() {
+		e.Batch(ups)
+		e.Batch(inv)
+	})
+	if allocs > 3700 {
+		t.Fatalf("two 400-update batches allocate %.0f objects, want <= 3700", allocs)
 	}
 }
 

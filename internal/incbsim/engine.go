@@ -9,13 +9,30 @@
 // (the ss pairs of Table III). A graph update flips the within-bound status
 // of node pairs only inside the km-hop neighbourhood of the touched edge
 // (km = the maximum pattern bound), so the engine re-examines exactly that
-// affected area: support counters are adjusted for flipped ss pairs,
-// invalidations cascade as in incremental simulation, and new cs/cc pairs
-// seed a candidate-closure promotion.
+// affected area — and it does so once per batch, not once per update:
 //
-// Distance queries run against either a live bounded-BFS view or a
-// maintained landmark index (Section 6.2/6.4) — the engine keeps the index
-// exact by routing edge updates through it.
+//   - A batch is netted (same-edge cancellation) and split into a deletion
+//     phase and an insertion phase. As each update of a phase goes into the
+//     graph, a probe around its edge collects the affected sources: the
+//     matches and candidates that reach its tail with enough bound left to
+//     get from its head to a node their pattern edges care about. The
+//     resulting set S is complete (update.go gives the argument): a node
+//     outside it keeps every counter and gains no target.
+//   - Once the phase is in, every source of S is re-measured by a single
+//     bounded walk on the new graph, however many of the batch's updates
+//     reach it. A match's support counters are set to the recount; those
+//     that fell to zero cascade as in incremental simulation. A candidate is
+//     counted when it enters S and again at the end, over satisfying rather
+//     than matching targets, and seeds the candidate-closure promotion iff
+//     the count grew — the cs/cc pairs that gained a target, no more, so
+//     the promotion explores the closure a per-update sweep would.
+//
+// The unit operations are one-element batches of the same code. The cost of
+// a batch is the walks of its S, so it is bounded by a recompute's whatever
+// |ΔG| is: a source is walked once per phase, a candidate once more.
+//
+// Bounded walks run on a live BFS view of the graph; an attached landmark
+// index (Section 6.2/6.4) is kept exact by routing edge updates through it.
 package incbsim
 
 import (
@@ -31,13 +48,20 @@ import (
 	"gpm/internal/resultgraph"
 )
 
-// Stats tallies the affected area AFF touched by incremental maintenance.
+// Stats tallies the affected area AFF touched by incremental maintenance
+// since the engine was built (or since ResetStats). For a given update
+// history the tallies are the same on every run and for every worker count.
 type Stats struct {
 	Removals       int64
 	Promotions     int64
-	CounterUpdates int64
+	CounterUpdates int64 // within-bound flips applied to support counters
 	ClosureSize    int64
-	PairsExamined  int64 // node pairs whose within-bound status was re-checked
+	// PairsExamined counts the (source, node) pairs the repair's
+	// re-measurement walks visited. However many updates of a batch reach
+	// it, an affected source is walked once per phase, and in the insertion
+	// phase once more for each pattern node it is a candidate of (the count
+	// before, against the count after).
+	PairsExamined int64
 }
 
 // Total returns a scalar |AFF| measure.
@@ -78,8 +102,10 @@ type Engine struct {
 	bfs   *distance.BFS   // live bounded-BFS view of g (enumeration + fallback Dist)
 	lmIdx *landmark.Index // optional maintained landmark index for Dist
 
-	workers int             // parallelism of the insert/delete repair sweeps (0 = default)
-	parBFS  []*distance.BFS // per-worker BFS oracles for parallel sweeps
+	workers int             // parallelism of the repair's re-measurement (0 = default)
+	parBFS  []*distance.BFS // per-worker BFS oracles; worker 0 is bfs itself
+	maxOut  []int           // per pattern node: the largest bound over its out-edges (0 if none)
+	scratch scratch         // per-phase working state of the repair (update.go)
 	presat  rel.Relation    // injected sat sets (WithSat), nil to scan the graph
 
 	// Per-write change-set: armed by beginChanges, recorded by cascade and
@@ -106,9 +132,9 @@ func WithLandmarkIndex(ix *landmark.Index) Option {
 	return func(e *Engine) { e.lmIdx = ix }
 }
 
-// WithWorkers bounds the parallelism of the per-source BFS sweeps in the
-// deletion repair: 0 selects the default (par.DefaultWorkers), 1 keeps the
-// repair serial.
+// WithWorkers bounds the parallelism of the repair's per-source
+// re-measurement: 0 selects the default (par.DefaultWorkers), 1 keeps the
+// repair serial. Small affected sets are always re-measured inline.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -124,8 +150,8 @@ func WithSat(sat rel.Relation) Option {
 }
 
 // workerOracles returns w BFS oracles over the engine's graph, one per
-// worker, allocated lazily and reused across sweeps. Distinct from e.bfs so
-// parallel sweeps never share scratch with the serial paths.
+// worker, allocated lazily and reused across repairs. The first is e.bfs:
+// the serial paths never run while a fan-out is in flight.
 func (e *Engine) workerOracles(w int) []*distance.BFS {
 	for len(e.parBFS) < w {
 		e.parBFS = append(e.parBFS, distance.NewBFS(e.g))
@@ -160,6 +186,7 @@ func build(p *pattern.Pattern, g graph.Mutable, own *graph.Graph, ov *graph.Over
 		return nil, fmt.Errorf("incbsim: colored patterns are batch-only (use core.MatchColored)")
 	}
 	e := &Engine{p: p, g: g, own: own, ov: ov, edges: p.Edges(), km: p.MaxBound(), bfs: distance.NewBFS(g)}
+	e.parBFS = []*distance.BFS{e.bfs}
 	for _, o := range options {
 		o(e)
 	}
@@ -172,9 +199,15 @@ func build(p *pattern.Pattern, g graph.Mutable, own *graph.Graph, ov *graph.Over
 	np := p.NumNodes()
 	e.outEdges = make([][]int, np)
 	e.inEdges = make([][]int, np)
+	e.maxOut = make([]int, np)
 	for i, pe := range e.edges {
 		e.outEdges[pe.From] = append(e.outEdges[pe.From], i)
 		e.inEdges[pe.To] = append(e.inEdges[pe.To], i)
+		e.maxOut[pe.From] = max(e.maxOut[pe.From], pe.Bound)
+	}
+	e.scratch = scratch{
+		nearMatch: make([]int, len(e.edges)), nearSat: make([]int, len(e.edges)),
+		slackMatch: make([]int, np), slackCand: make([]int, np), role: make([]uint8, np),
 	}
 	if e.presat != nil {
 		if len(e.presat) != np {
@@ -193,6 +226,7 @@ func build(p *pattern.Pattern, g graph.Mutable, own *graph.Graph, ov *graph.Over
 		}
 	}
 	e.rebuild()
+	e.stats = Stats{} // the initial match is not incremental maintenance
 	return e, nil
 }
 

@@ -155,7 +155,7 @@ func (m *MatrixEngine) Batch(ups []graph.Update) {
 
 	// Global flip scan over ss pairs (the O(|Ep||V|²) cost that keeps this
 	// baseline from scaling).
-	touched := make(map[int]map[graph.NodeID]bool)
+	var touched []touch
 	for ei, pe := range e.edges {
 		bound := int32(inf32)
 		if pe.Bound != pattern.Unbounded {
@@ -171,7 +171,7 @@ func (m *MatrixEngine) Batch(ups []graph.Update) {
 				case oldIn && !newIn:
 					e.cnt[ei][v]--
 					e.stats.CounterUpdates++
-					markTouched(touched, ei, v)
+					touched = append(touched, touch{ei, v})
 				case !oldIn && newIn:
 					e.cnt[ei][v]++
 					e.stats.CounterUpdates++
@@ -182,7 +182,7 @@ func (m *MatrixEngine) Batch(ups []graph.Update) {
 	e.drainTouched(touched)
 
 	// Seeds: candidates that gained any within-bound satisfying target.
-	seeds := make(map[pair]bool)
+	var seeds []pair
 	for _, pe := range e.edges {
 		bound := int32(inf32)
 		if pe.Bound != pattern.Unbounded {
@@ -197,7 +197,7 @@ func (m *MatrixEngine) Batch(ups []graph.Update) {
 				oldIn := o >= 1 && o <= bound && o != inf32
 				newIn := nw >= 1 && nw <= bound && nw != inf32
 				if newIn && !oldIn {
-					seeds[pair{pe.From, v}] = true
+					seeds = append(seeds, pair{pe.From, v})
 					break
 				}
 			}

@@ -1,14 +1,44 @@
 package incbsim
 
-// Unit and batch updates. Touching edge (a, b) only changes distances of
-// pairs (v, w) whose (new or old) shortest path routes through it, so v
-// must reach a within km-1 hops and w must be within km-1 hops of b. The
-// sweep therefore needs just two shared bounded BFS runs (ancestors of a,
-// descendants of b) plus one old-graph bounded BFS per surviving source —
-// the affected-area confinement of Theorem 6.1(2). For insertions the new
-// distance is witnessed by d(v,a)+1+d(b,w) directly (no post-update BFS);
-// for deletions a post-update BFS runs only for sources that actually had
-// a tight pair through the deleted edge.
+// Unit and batch updates: one affected-area repair per phase of a batch
+// (all net deletions, then all net insertions), not one per update.
+//
+//  1. Probe. Before an update (a, b) goes into the graph, find the sources
+//     it can affect. The within-bound status of a pair (v, w) for a pattern
+//     edge of bound k changes only if a path of at most k hops from v to w
+//     runs through (a, b): v reaches a, and b reaches w, over edges that are
+//     in the graph at that moment. So two bounded walks suffice: forward
+//     from b, for dT, the hops to the nearest node each pattern edge counts
+//     as a target; backward from a, collecting every match or candidate v
+//     with dS(v) + 1 + dT <= k for one of its pattern edges. Whatever lies
+//     farther away provably keeps its counters and gains no target.
+//  2. Apply the update, and go on to the next. Probing against the graph as
+//     it stands is what makes the probes complete for a whole phase: a pair
+//     that is within bound before the phase and not after (or the reverse)
+//     flips at one particular update of the phase, and that update's probe
+//     sees the path through its edge with everything else of it in place.
+//  3. Re-measure. The sources the probes found form the affected set S of
+//     the phase, each source in it once however many updates reach it. When
+//     the phase is in, a single bounded walk from v recounts cnt[e][v] for
+//     all pattern edges leaving the pattern nodes v matches. A deletion
+//     phase feeds the counters that fell to drainTouched/cascade. In an
+//     insertion phase a candidate is also walked when it enters S, counting
+//     the satisfying (not just matching) targets in bound; it seeds the
+//     promotion iff the final walk counts more, which is exactly "gained a
+//     target it did not have". The early count is the pre-phase one: had an
+//     earlier update brought the candidate a target, that update's probe
+//     would have put it in S. So seeding is exact, and promote explores the
+//     closure a per-update sweep would.
+//
+// Whatever the batch size, a source is walked once per phase, plus once for
+// each pattern node it is a candidate of, and a phase of more than maxProbes
+// updates is probed in groups (one multi-source walk from the tails of a
+// group, one from its heads, the argument above with "group" for "update"):
+// a huge batch degrades to the cost of a recompute, not worse. The walks keep their state in the epoch-stamped
+// scratch of distance.BFS and in flat per-phase tables on the engine (no
+// per-source maps). Step 3 is the only one farmed out to the worker pool,
+// once per phase, and only when S is large enough to pay for the goroutines.
+// Unit Insert/Delete are this path with a one-element batch.
 
 import (
 	"gpm/internal/distance"
@@ -17,74 +47,58 @@ import (
 	"gpm/internal/rel"
 )
 
-// neighborhood captures one side of the affected area: node → nonempty-path
-// distance, with the anchor itself at distance 0.
-type neighborhood map[graph.NodeID]int
+// How one pattern edge takes part in the re-measurement of a source v.
+const (
+	skip      uint8 = iota // v has no stake in the edge this phase
+	matched                // v ∈ match(src(e)): recount cnt[e][v] over match(tgt(e))
+	candidate              // v ∈ candt(src(e)): count sat(tgt(e)) in bound, before and after
+	staked                 // candidate whose "before" count is still to be taken (probe only)
+)
 
-// ancestorsOf returns {v : dist(v, a) <= bound} with a ↦ 0.
-func (e *Engine) ancestorsOf(a graph.NodeID, bound int) neighborhood {
-	nb := neighborhood{a: 0}
-	if bound >= 1 {
-		e.bfs.AncNonempty(a, bound, func(w graph.NodeID, d int) bool {
-			if _, ok := nb[w]; !ok {
-				nb[w] = d
-			}
-			return true
-		})
-	}
-	return nb
+// fanoutGrain is the number of sources below which the re-measurement runs
+// inline: a walk costs a few microseconds and waking a parked worker tens of
+// them, so a few dozen walks cannot pay for the fan-out.
+const fanoutGrain = 64
+
+// maxProbes caps the number of affected-area probes of a phase. A probe of
+// one update pairs its tail with exactly its own head; a probe of several
+// pairs every tail with the best-placed head of the group, which can only
+// add sources. Up to maxProbes updates a phase is probed exactly, beyond
+// that in ever larger groups, so probing never costs more than a fixed
+// number of walks over the graph.
+const maxProbes = 256
+
+// source is one member of the affected set S.
+type source struct {
+	v       graph.NodeID
+	visited int64 // nodes its walks reached (Stats.PairsExamined)
 }
 
-// descendantsOf returns {w : dist(b, w) <= bound} with b ↦ 0.
-func (e *Engine) descendantsOf(b graph.NodeID, bound int) neighborhood {
-	nb := neighborhood{b: 0}
-	if bound >= 1 {
-		e.bfs.DescNonempty(b, bound, func(w graph.NodeID, d int) bool {
-			if _, ok := nb[w]; !ok {
-				nb[w] = d
-			}
-			return true
-		})
-	}
-	return nb
+// touch names a support counter that a repair decremented.
+type touch struct {
+	ei int
+	v  graph.NodeID
 }
 
-// descMapWith captures the nonempty-path distances from v within bound
-// over an explicit oracle, so parallel workers can use private scratch
-// space.
-func descMapWith(b *distance.BFS, v graph.NodeID, bound int) map[graph.NodeID]int {
-	m := make(map[graph.NodeID]int)
-	if bound >= 1 {
-		b.DescNonempty(v, bound, func(w graph.NodeID, d int) bool {
-			m[w] = d
-			return true
-		})
-	}
-	return m
-}
-
-// maxBoundFor returns the largest bound over pattern edges whose source
-// predicate v satisfies (0 if none): the radius of v's stake in the sweep.
-func (e *Engine) maxBoundFor(v graph.NodeID) int {
-	maxK := 0
-	for _, ei := range e.edgesBySat(v) {
-		if b := e.edges[ei].Bound; b > maxK {
-			maxK = b
-		}
-	}
-	return maxK
-}
-
-// edgesBySat lists the pattern-edge indices whose source predicate v
-// satisfies.
-func (e *Engine) edgesBySat(v graph.NodeID) []int {
-	var out []int
-	for ei, pe := range e.edges {
-		if e.sat[pe.From].Has(v) {
-			out = append(out, ei)
-		}
-	}
-	return out
+// scratch is the working state of one phase, kept on the engine so that a
+// steady stream of updates reuses it instead of allocating.
+type scratch struct {
+	phase []graph.Update
+	ends  []graph.NodeID // a probe's heads, then its tails
+	// Per pattern edge: hops from the nearest head to the nearest node of
+	// match(tgt(e)) / sat(tgt(e)), -1 when none lies within km-1 hops.
+	nearMatch, nearSat []int
+	// Per pattern node u: a matched (candidate) source of u is affected iff
+	// it reaches a tail within this many hops; -1 when none can be.
+	slackMatch, slackCand []int
+	role                  []uint8 // per pattern node, for the source at hand
+	srcs                  []source
+	at                    []int32 // per graph node: its index in srcs plus one, 0 outside S
+	fresh                 []int   // sources the probe at hand staked as candidates
+	mode                  []uint8 // len(srcs) × len(edges)
+	pre, post             []int32 // len(srcs) × len(edges): targets in bound before / after
+	touched               []touch
+	seeds                 []pair
 }
 
 // applyEdge routes a graph mutation through the landmark index when one is
@@ -100,358 +114,226 @@ func (e *Engine) applyEdge(up graph.Update) bool {
 	return changed
 }
 
-// insFlips collects one source's outcome of an insertion sweep: per-edge
-// counter increments and the pattern nodes it newly seeds for promotion.
-type insFlips struct {
-	v     graph.NodeID
-	incs  []eiCount
-	seeds []int // pattern nodes u such that (u, v) becomes a promotion seed
-}
-
-// eiCount is a per-pattern-edge counter adjustment.
-type eiCount struct {
-	ei int
-	n  int32
-}
-
-// insertSweep processes one edge insertion (a, b): it adjusts support
-// counters for ss pairs flipping within bound and records promotion seeds
-// for candidate sources gaining a target. The graph is mutated inside.
-//
-// The per-source scan (one lazy old-graph bounded BFS each) only reads
-// engine state that is stable during the sweep, so it is embarrassingly
-// parallel over sources and runs on the engine's worker pool, mirroring
-// the deletion repair; counter and seed mutations stay serial.
-func (e *Engine) insertSweep(a, b graph.NodeID, seeds map[pair]bool) bool {
-	if e.g.HasEdge(a, b) {
-		return false
+// repair runs one phase: ups are net updates of a single kind.
+func (e *Engine) repair(ups []graph.Update) {
+	if len(ups) == 0 {
+		return
 	}
-	// Both neighbourhoods are identical before and after the insertion (the
-	// edge leaves a and enters b), so compute them pre-insert.
-	km := e.km
-	anc := e.ancestorsOf(a, km-1)
-	desc := e.descendantsOf(b, km-1)
-	// Pre-filter b's neighbourhood per pattern edge: potential new targets
-	// for counters (matches of the target) and for seeds (satisfying nodes).
-	type wd struct {
-		w graph.NodeID
-		d int
+	s := &e.scratch
+	insert := ups[0].Op == graph.InsertEdge
+	ne := len(e.edges)
+
+	// Steps 1 and 2, group by group.
+	s.srcs, s.mode, s.pre = s.srcs[:0], s.mode[:0], s.pre[:0]
+	if n := e.g.NumNodes(); len(s.at) < n {
+		s.at = make([]int32, n)
 	}
-	descMatch := make([][]wd, len(e.edges))
-	descSat := make([][]wd, len(e.edges))
-	for ei, pe := range e.edges {
-		for w, dbw := range desc {
-			if dbw+1 > pe.Bound {
-				continue
-			}
-			if e.match[pe.To].Has(w) {
-				descMatch[ei] = append(descMatch[ei], wd{w, dbw})
-			}
-			if e.sat[pe.To].Has(w) {
-				descSat[ei] = append(descSat[ei], wd{w, dbw})
-			}
+	group := (len(ups) + maxProbes - 1) / maxProbes
+	for len(ups) > 0 {
+		k := min(group, len(ups))
+		e.probe(ups[:k], insert)
+		for _, up := range ups[:k] {
+			e.applyEdge(up)
 		}
+		ups = ups[k:]
+	}
+	for i := range s.srcs {
+		s.at[s.srcs[i].v] = 0
 	}
 
-	// collectIns gathers, for one source v at distance dva above a, the
-	// counter increments and promotion seeds the insertion causes. It reads
-	// seeds but never writes it (writes happen in the serial apply phase).
-	collectIns := func(bfs *distance.BFS, v graph.NodeID, dva int) (flips insFlips, examined int64) {
-		flips.v = v
-		// One old-graph snapshot around v tells which pairs were already
-		// within bound — computed lazily, only when v has in-budget targets.
-		var oldD map[graph.NodeID]int
-		snapshot := func(maxK int) map[graph.NodeID]int {
-			if oldD == nil {
-				oldD = descMapWith(bfs, v, maxK)
-				examined += int64(len(oldD))
-			}
-			return oldD
-		}
-		maxK := e.maxBoundFor(v)
-		if maxK == 0 || dva+1 > maxK {
-			return flips, examined
-		}
-		for ei, pe := range e.edges {
-			budget := pe.Bound - dva - 1
-			if budget < 0 {
-				continue
-			}
-			isMatchSrc := e.match[pe.From].Has(v)
-			isCand := !isMatchSrc && e.sat[pe.From].Has(v)
-			if isMatchSrc {
-				n := int32(0)
-				for _, t := range descMatch[ei] {
-					if t.d > budget {
-						continue
-					}
-					// New distance ≤ dva+1+dbw ≤ bound: the pair is now
-					// within bound. It flipped iff it was not before.
-					if od, ok := snapshot(maxK)[t.w]; ok && od <= pe.Bound {
-						continue
-					}
-					n++
-				}
-				if n > 0 {
-					flips.incs = append(flips.incs, eiCount{ei, n})
-				}
-			} else if isCand && seeds != nil {
-				if _, seeded := seeds[pair{pe.From, v}]; seeded {
+	// Step 3. Sources are independent and a walk only reads engine state, so
+	// a large S is spread over the worker pool, each worker writing the rows
+	// of its own sources; the outcome is settled serially, in source order.
+	if cap(s.post) < len(s.mode) {
+		s.post = make([]int32, len(s.mode))
+	}
+	s.post = s.post[:len(s.mode)]
+	workers := e.workers
+	if len(s.srcs) < fanoutGrain {
+		workers = 1
+	}
+	oracles := e.workerOracles(par.Resolve(workers, len(s.srcs)))
+	par.For(len(s.srcs), workers, func(worker, i int) {
+		e.tally(oracles[worker], i, s.post, 0)
+	})
+
+	s.touched, s.seeds = s.touched[:0], s.seeds[:0]
+	for i := range s.srcs {
+		v := s.srcs[i].v
+		e.stats.PairsExamined += s.srcs[i].visited
+		for ei, m := range s.mode[i*ne : (i+1)*ne] {
+			after := s.post[i*ne+ei]
+			switch m {
+			case matched:
+				before := e.cnt[ei][v]
+				if after == before {
 					continue
 				}
-				for _, t := range descSat[ei] {
-					if t.d > budget {
-						continue
-					}
-					if od, ok := snapshot(maxK)[t.w]; ok && od <= pe.Bound {
-						continue
-					}
-					flips.seeds = append(flips.seeds, pe.From)
-					break
+				e.cnt[ei][v] = after
+				if after < before {
+					e.stats.CounterUpdates += int64(before - after)
+					s.touched = append(s.touched, touch{ei, v})
+				} else {
+					e.stats.CounterUpdates += int64(after - before)
+				}
+			case candidate:
+				// Gained a target it did not have: a promotion seed (promote
+				// ignores the repeat when several edges of one node gain).
+				if after > s.pre[i*ne+ei] {
+					s.seeds = append(s.seeds, pair{e.edges[ei].From, v})
 				}
 			}
 		}
-		return flips, examined
 	}
-
-	var all []insFlips
-	w := par.Resolve(e.workers, len(anc))
-	if w == 1 {
-		for v, dva := range anc {
-			flips, ex := collectIns(e.bfs, v, dva)
-			e.stats.PairsExamined += ex
-			if len(flips.incs) > 0 || len(flips.seeds) > 0 {
-				all = append(all, flips)
-			}
-		}
+	if insert {
+		e.promote(s.seeds)
 	} else {
-		type srcEntry struct {
-			v   graph.NodeID
-			dva int
-		}
-		srcs := make([]srcEntry, 0, len(anc))
-		for v, dva := range anc {
-			srcs = append(srcs, srcEntry{v, dva})
-		}
-		results := make([]insFlips, len(srcs))
-		examined := make([]int64, w)
-		oracles := e.workerOracles(w)
-		par.For(len(srcs), w, func(worker, i int) {
-			flips, ex := collectIns(oracles[worker], srcs[i].v, srcs[i].dva)
-			results[i] = flips
-			examined[worker] += ex
-		})
-		for _, ex := range examined {
-			e.stats.PairsExamined += ex
-		}
-		for _, flips := range results {
-			if len(flips.incs) > 0 || len(flips.seeds) > 0 {
-				all = append(all, flips)
-			}
-		}
+		e.drainTouched(s.touched)
 	}
-	for _, flips := range all {
-		for _, inc := range flips.incs {
-			e.cnt[inc.ei][flips.v] += inc.n
-			e.stats.CounterUpdates += int64(inc.n)
-		}
-		for _, u := range flips.seeds {
-			seeds[pair{u, flips.v}] = true
-		}
-	}
-	return e.applyEdge(graph.Insert(a, b))
 }
 
-// candFlip is one (pattern edge, target node) pair whose within-bound
-// status may flip for a given source during a deletion sweep.
-type candFlip struct {
-	ei int
-	w  graph.NodeID
-}
+// probe adds to S the sources a group of updates affects, on the graph as
+// it stands just before the group goes in: those that reach one of the
+// group's tails within the slack the targets downstream of the group's
+// heads leave them. A source that an earlier probe found keeps its row and
+// adds the new stakes to it. A candidate is counted here, the first time it
+// gets a stake: had an earlier group of the phase brought it a target, that
+// group's probe would have staked it, so the count is still the pre-phase
+// one.
+func (e *Engine) probe(ups []graph.Update, insert bool) {
+	s := &e.scratch
+	ne := len(e.edges)
 
-// srcFlips pairs a surviving source with its tight candidate flips.
-type srcFlips struct {
-	v     graph.NodeID
-	flips []candFlip
-}
-
-// deleteSweep processes one edge deletion (a, b): pairs can only leave the
-// bound, and only pairs whose old shortest path was tight through (a, b)
-// qualify — everything else is pruned before any post-update BFS runs.
-// Both per-source BFS phases (the old-graph tightness probe and the
-// post-deletion re-measure) are embarrassingly parallel over sources and
-// run on the engine's worker pool; counter mutations stay serial.
-func (e *Engine) deleteSweep(a, b graph.NodeID, touched map[int]map[graph.NodeID]bool) bool {
-	if !e.g.HasEdge(a, b) {
-		return false
+	// Downstream of the heads: how close the nearest target of each pattern
+	// edge lies. The walk reports nodes nearest first, so the first hit is
+	// the minimum and the walk stops once every edge has both.
+	s.ends = s.ends[:0]
+	for _, up := range ups {
+		s.ends = append(s.ends, up.To)
 	}
-	km := e.km
-	anc := e.ancestorsOf(a, km-1)
-	desc := e.descendantsOf(b, km-1)
-	type wd struct {
-		w graph.NodeID
-		d int
+	open := 2 * ne
+	for ei := range e.edges {
+		s.nearMatch[ei], s.nearSat[ei] = -1, -1
 	}
-	descMatch := make([][]wd, len(e.edges))
-	for ei, pe := range e.edges {
-		for w, dbw := range desc {
-			if dbw+1 <= pe.Bound && e.match[pe.To].Has(w) {
-				descMatch[ei] = append(descMatch[ei], wd{w, dbw})
-			}
-		}
-	}
-
-	// collectTight gathers, for one source v at distance dva above a, the
-	// match pairs whose old distance was realized through (a, b). It only
-	// reads engine state that is stable during the sweep, so it is safe to
-	// run from parallel workers given a private BFS oracle.
-	collectTight := func(bfs *distance.BFS, v graph.NodeID, dva int) (flips []candFlip, examined int64) {
-		maxK := 0
+	e.bfs.MultiSource(s.ends, graph.Forward, e.km-1, func(w graph.NodeID, d int) bool {
 		for ei, pe := range e.edges {
-			if e.match[pe.From].Has(v) && len(descMatch[ei]) > 0 && pe.Bound > maxK {
-				maxK = pe.Bound
+			if s.nearSat[ei] < 0 && e.sat[pe.To].Has(w) {
+				s.nearSat[ei] = d
+				open--
+			}
+			if s.nearMatch[ei] < 0 && e.match[pe.To].Has(w) {
+				s.nearMatch[ei] = d
+				open--
 			}
 		}
-		if maxK == 0 || dva+1 > maxK {
-			return nil, 0
+		return open > 0
+	})
+	maxSlack := -1
+	for u := range s.slackMatch {
+		s.slackMatch[u], s.slackCand[u] = -1, -1
+		for _, ei := range e.outEdges[u] {
+			if d := s.nearMatch[ei]; d >= 0 {
+				s.slackMatch[u] = max(s.slackMatch[u], e.edges[ei].Bound-1-d)
+			}
+			// Only an insertion can promote, so only it looks at candidates.
+			if d := s.nearSat[ei]; insert && d >= 0 {
+				s.slackCand[u] = max(s.slackCand[u], e.edges[ei].Bound-1-d)
+			}
 		}
-		var oldD map[graph.NodeID]int
+		maxSlack = max(maxSlack, s.slackMatch[u], s.slackCand[u])
+	}
+
+	// Upstream of the tails: the sources within slack.
+	s.ends, s.fresh = s.ends[:0], s.fresh[:0]
+	for _, up := range ups {
+		s.ends = append(s.ends, up.From)
+	}
+	e.bfs.MultiSource(s.ends, graph.Reverse, maxSlack, func(v graph.NodeID, d int) bool {
+		stake := false
+		for u := range s.role {
+			switch {
+			case d <= s.slackMatch[u] && e.match[u].Has(v):
+				s.role[u], stake = matched, true
+			case d <= s.slackCand[u] && e.isCandidate(u, v):
+				s.role[u], stake = staked, true
+			default:
+				s.role[u] = skip
+			}
+		}
+		if !stake {
+			return true
+		}
+		i := int(s.at[v]) - 1
+		if i < 0 {
+			i = len(s.srcs)
+			s.at[v] = int32(i + 1)
+			s.srcs = append(s.srcs, source{v: v})
+			s.mode = append(s.mode, make([]uint8, ne)...) // all skip
+			s.pre = append(s.pre, make([]int32, ne)...)
+		}
+		isFresh := false
 		for ei, pe := range e.edges {
-			if !e.match[pe.From].Has(v) {
+			if r := s.role[pe.From]; r != skip && s.mode[i*ne+ei] == skip {
+				s.mode[i*ne+ei] = r
+				isFresh = isFresh || r == staked
+			}
+		}
+		if isFresh {
+			s.fresh = append(s.fresh, i)
+		}
+		return true
+	})
+	for _, i := range s.fresh {
+		e.tally(e.bfs, i, s.pre, staked)
+		for ei, m := range s.mode[i*ne : (i+1)*ne] {
+			if m == staked {
+				s.mode[i*ne+ei] = candidate
+			}
+		}
+	}
+}
+
+// tally walks forward from source i on the current graph and counts into
+// its row of out, per pattern edge it has a stake in (only those in mode
+// only, if nonzero), the targets within the edge's bound.
+func (e *Engine) tally(bfs *distance.BFS, i int, out []int32, only uint8) {
+	ne := len(e.edges)
+	src := &e.scratch.srcs[i]
+	mode, row := e.scratch.mode[i*ne:(i+1)*ne], out[i*ne:(i+1)*ne]
+	radius := 0
+	for ei, m := range mode {
+		if m != skip && (only == 0 || m == only) {
+			radius = max(radius, e.edges[ei].Bound)
+			row[ei] = 0
+		}
+	}
+	bfs.DescNonempty(src.v, radius, func(w graph.NodeID, d int) bool {
+		src.visited++
+		for ei, m := range mode {
+			pe := &e.edges[ei]
+			if m == skip || (only != 0 && m != only) || d > pe.Bound {
 				continue
 			}
-			budget := pe.Bound - dva - 1
-			if budget < 0 {
-				continue
+			targets := e.sat[pe.To]
+			if m == matched {
+				targets = e.match[pe.To]
 			}
-			for _, t := range descMatch[ei] {
-				if t.d > budget {
-					continue
-				}
-				if oldD == nil {
-					oldD = descMapWith(bfs, v, maxK)
-					examined += int64(len(oldD))
-				}
-				// The pair can change only if its old distance was realized
-				// through (a, b).
-				if od, ok := oldD[t.w]; ok && od == dva+1+t.d && od <= pe.Bound {
-					flips = append(flips, candFlip{ei, t.w})
-				}
+			if targets.Has(w) {
+				row[ei]++
 			}
 		}
-		return flips, examined
-	}
-
-	var tight []srcFlips
-	w := par.Resolve(e.workers, len(anc))
-	if w == 1 {
-		for v, dva := range anc {
-			flips, ex := collectTight(e.bfs, v, dva)
-			e.stats.PairsExamined += ex
-			if len(flips) > 0 {
-				tight = append(tight, srcFlips{v, flips})
-			}
-		}
-	} else {
-		type srcEntry struct {
-			v   graph.NodeID
-			dva int
-		}
-		srcs := make([]srcEntry, 0, len(anc))
-		for v, dva := range anc {
-			srcs = append(srcs, srcEntry{v, dva})
-		}
-		results := make([][]candFlip, len(srcs))
-		examined := make([]int64, w)
-		oracles := e.workerOracles(w)
-		par.For(len(srcs), w, func(worker, i int) {
-			flips, ex := collectTight(oracles[worker], srcs[i].v, srcs[i].dva)
-			results[i] = flips
-			examined[worker] += ex
-		})
-		for _, ex := range examined {
-			e.stats.PairsExamined += ex
-		}
-		for i, flips := range results {
-			if len(flips) > 0 {
-				tight = append(tight, srcFlips{srcs[i].v, flips})
-			}
-		}
-	}
-
-	if !e.applyEdge(graph.Delete(a, b)) {
-		return false
-	}
-
-	// Post-deletion: re-measure only the sources that had tight pairs. Each
-	// source needs one fresh bounded BFS on the new graph — the dominant
-	// cost of the repair, also farmed out to the workers.
-	remeasure := func(bfs *distance.BFS, sf srcFlips) (drops []candFlip, examined int64) {
-		maxK := 0
-		for _, f := range sf.flips {
-			if bnd := e.edges[f.ei].Bound; bnd > maxK {
-				maxK = bnd
-			}
-		}
-		newD := descMapWith(bfs, sf.v, maxK)
-		examined = int64(len(newD))
-		for _, f := range sf.flips {
-			pe := e.edges[f.ei]
-			if nd, ok := newD[f.w]; ok && nd <= pe.Bound {
-				continue // an alternative path survives
-			}
-			drops = append(drops, f)
-		}
-		return drops, examined
-	}
-
-	w = par.Resolve(e.workers, len(tight))
-	drops := make([][]candFlip, len(tight))
-	if w == 1 {
-		for i, sf := range tight {
-			d, ex := remeasure(e.bfs, sf)
-			drops[i] = d
-			e.stats.PairsExamined += ex
-		}
-	} else {
-		examined := make([]int64, w)
-		oracles := e.workerOracles(w)
-		par.For(len(tight), w, func(worker, i int) {
-			d, ex := remeasure(oracles[worker], tight[i])
-			drops[i] = d
-			examined[worker] += ex
-		})
-		for _, ex := range examined {
-			e.stats.PairsExamined += ex
-		}
-	}
-	for i, sf := range tight {
-		for _, f := range drops[i] {
-			e.cnt[f.ei][sf.v]--
-			e.stats.CounterUpdates++
-			markTouched(touched, f.ei, sf.v)
-		}
-	}
-	return true
+		return true
+	})
 }
 
-func markTouched(touched map[int]map[graph.NodeID]bool, ei int, v graph.NodeID) {
-	if touched[ei] == nil {
-		touched[ei] = make(map[graph.NodeID]bool)
-	}
-	touched[ei][v] = true
-}
-
-// drainTouched scans the counters recorded in touched and cascades zeros.
-func (e *Engine) drainTouched(touched map[int]map[graph.NodeID]bool) {
+// drainTouched scans the decremented counters and cascades the zeros.
+func (e *Engine) drainTouched(touched []touch) {
 	var queue []pair
-	for ei, nodes := range touched {
-		src := e.edges[ei].From
-		for v := range nodes {
-			if e.cnt[ei][v] == 0 && e.match[src].Has(v) {
-				e.match[src].Remove(v)
-				queue = append(queue, pair{src, v})
-			}
+	for _, t := range touched {
+		src := e.edges[t.ei].From
+		if e.cnt[t.ei][t.v] == 0 && e.match[src].Has(t.v) {
+			e.match[src].Remove(t.v)
+			queue = append(queue, pair{src, t.v})
 		}
 	}
 	e.cascade(queue)
@@ -467,20 +349,7 @@ func (e *Engine) Delete(v0, v1 graph.NodeID) bool {
 // DeleteDelta is Delete additionally reporting the visible match delta ΔM
 // of the update.
 func (e *Engine) DeleteDelta(v0, v1 graph.NodeID) (bool, rel.Delta) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.beginChanges()
-	ok := e.deleteLocked(v0, v1)
-	return ok, e.endChanges()
-}
-
-func (e *Engine) deleteLocked(v0, v1 graph.NodeID) bool {
-	touched := make(map[int]map[graph.NodeID]bool)
-	if !e.deleteSweep(v0, v1, touched) {
-		return false
-	}
-	e.drainTouched(touched)
-	return true
+	return e.unitDelta(graph.Delete(v0, v1))
 }
 
 // Insert adds edge (v0, v1), incrementally repairing the match
@@ -493,20 +362,16 @@ func (e *Engine) Insert(v0, v1 graph.NodeID) bool {
 // InsertDelta is Insert additionally reporting the visible match delta ΔM
 // of the update.
 func (e *Engine) InsertDelta(v0, v1 graph.NodeID) (bool, rel.Delta) {
+	return e.unitDelta(graph.Insert(v0, v1))
+}
+
+// unitDelta is a one-element batch; it reports whether up changed the graph.
+func (e *Engine) unitDelta(up graph.Update) (bool, rel.Delta) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.beginChanges()
-	ok := e.insertLocked(v0, v1)
+	ok := e.batchLocked([]graph.Update{up}) > 0
 	return ok, e.endChanges()
-}
-
-func (e *Engine) insertLocked(v0, v1 graph.NodeID) bool {
-	seeds := make(map[pair]bool)
-	if !e.insertSweep(v0, v1, seeds) {
-		return false
-	}
-	e.promote(seeds)
-	return true
 }
 
 // Batch applies a mixed update list (IncBMatch): same-edge cancellation,
@@ -526,22 +391,21 @@ func (e *Engine) BatchDelta(ups []graph.Update) rel.Delta {
 	return e.endChanges()
 }
 
-func (e *Engine) batchLocked(ups []graph.Update) {
+// batchLocked repairs the net effect of ups, one phase per update kind, and
+// returns the number of net updates.
+func (e *Engine) batchLocked(ups []graph.Update) int {
 	net := graph.NetUpdates(e.g, ups)
-	touched := make(map[int]map[graph.NodeID]bool)
-	for _, up := range net {
-		if up.Op == graph.DeleteEdge {
-			e.deleteSweep(up.From, up.To, touched)
+	for _, op := range [...]graph.Op{graph.DeleteEdge, graph.InsertEdge} {
+		phase := e.scratch.phase[:0]
+		for _, up := range net {
+			if up.Op == op {
+				phase = append(phase, up)
+			}
 		}
+		e.scratch.phase = phase
+		e.repair(phase)
 	}
-	e.drainTouched(touched)
-	seeds := make(map[pair]bool)
-	for _, up := range net {
-		if up.Op == graph.InsertEdge {
-			e.insertSweep(up.From, up.To, seeds)
-		}
-	}
-	e.promote(seeds)
+	return len(net)
 }
 
 // Apply is the naive baseline: unit updates one at a time.
@@ -555,12 +419,8 @@ func (e *Engine) ApplyDelta(ups []graph.Update) rel.Delta {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.beginChanges()
-	for _, up := range ups {
-		if up.Op == graph.InsertEdge {
-			e.insertLocked(up.From, up.To)
-		} else {
-			e.deleteLocked(up.From, up.To)
-		}
+	for i := range ups {
+		e.batchLocked(ups[i : i+1])
 	}
 	return e.endChanges()
 }
@@ -568,7 +428,7 @@ func (e *Engine) ApplyDelta(ups []graph.Update) rel.Delta {
 // promote runs the candidate-closure promotion over the pair graph: the
 // bounded-simulation analogue of incsim's propCS/propCC followed by a
 // greatest-fixpoint refinement.
-func (e *Engine) promote(seeds map[pair]bool) {
+func (e *Engine) promote(seeds []pair) {
 	closure := make(map[pair]bool)
 	var stack []pair
 	push := func(pr pair) {
@@ -577,7 +437,7 @@ func (e *Engine) promote(seeds map[pair]bool) {
 			stack = append(stack, pr)
 		}
 	}
-	for pr := range seeds {
+	for _, pr := range seeds {
 		if e.isCandidate(pr.u, pr.v) {
 			push(pr)
 		}
