@@ -1,13 +1,9 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
-	"strings"
 	"time"
 
 	"gpm"
@@ -43,7 +39,8 @@ type CommitStreamEvent struct {
 // the feed a follower replica applies. Events arrive on C in commit order
 // with consecutive sequence numbers. Like Stream, it survives disconnects
 // and server restarts by reconnecting with exponential backoff and
-// resuming via Last-Event-ID, deduplicating any overlap.
+// resuming via Last-Event-ID, deduplicating any overlap; the head frame
+// is delivered once, not per reconnect.
 //
 // C closes when the stream ends: context canceled, Close called, or a
 // terminal server answer. Err reports the cause; an error wrapping
@@ -52,25 +49,7 @@ type CommitStreamEvent struct {
 // this endpoint.
 type CommitStream struct {
 	C <-chan CommitStreamEvent
-
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	st *Stream // stats/err carrier shared with the Stream machinery
-}
-
-// Stats returns a snapshot of the stream's reconnect/delivery counters.
-func (s *CommitStream) Stats() StreamStats { return s.st.Stats() }
-
-// Err returns the terminal error after C closed (nil for a clean close
-// or cancellation).
-func (s *CommitStream) Err() error { return s.st.Err() }
-
-// Close tears the stream down: the connection drops, the goroutine exits
-// and C closes. Safe to call more than once.
-func (s *CommitStream) Close() {
-	s.cancel()
-	<-s.done
+	*sseStream[CommitStreamEvent]
 }
 
 // CommitStream opens a raw-ΔG subscription. With FromSeq(n) the commits
@@ -80,222 +59,39 @@ func (s *CommitStream) Close() {
 // fails here — check errors.Is(err, ErrCompacted) to distinguish the
 // re-bootstrap case.
 func (c *Client) CommitStream(ctx context.Context, options ...StreamOption) (*CommitStream, error) {
-	var o streamOpts
-	for _, opt := range options {
-		opt(&o)
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	st := &Stream{cancel: cancel, done: make(chan struct{})}
-	cs := &CommitStream{cancel: cancel, done: st.done, st: st}
-	ch := make(chan CommitStreamEvent)
-	cs.C = ch
-
-	cc := &commitConn{
-		c:       c,
-		st:      st,
-		lastSeq: o.fromSeq,
-		haveSeq: o.hasFrom,
-	}
-	st.stats.CurrentBackoff = c.backoffMin
-	resp, err := cc.connect(sctx)
-	if err != nil && cc.retryable(err) {
-		resp = nil // down server: ride through it in the retry loop
-	} else if err != nil {
-		cancel()
-		close(st.done)
-		return nil, terminalErr(err)
-	}
-	go cc.run(sctx, ch, resp)
-	return cs, nil
-}
-
-// commitConn is the reconnect state machine behind one CommitStream.
-type commitConn struct {
-	c        *Client
-	st       *Stream
-	lastSeq  uint64 // newest delivered (or resumed-from) sequence
-	haveSeq  bool   // lastSeq is meaningful: resume instead of tailing head
-	headSeen bool   // the opening head frame was delivered to the consumer
-}
-
-// retryable mirrors streamConn.retryable: transport failures and
-// transient server states reconnect; typed conditions — compacted above
-// all — are terminal, because reconnecting would hit the same answer.
-func (cc *commitConn) retryable(err error) bool {
-	var apiErr *APIError
-	if errors.As(err, &apiErr) {
-		return apiErr.Code == CodeClosed || apiErr.Status >= 500
-	}
-	return true
-}
-
-// connect opens one SSE request, resuming via Last-Event-ID when a
-// sequence is held.
-func (cc *commitConn) connect(ctx context.Context) (*http.Response, error) {
-	cc.st.recordAttempt()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cc.c.base+"/v1/commits/stream", nil)
+	s, err := openSSE(ctx, c, c.base+"/v1/commits/stream",
+		[2]string{"stream", "commits"}, options, decodeCommitFrame)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Accept", "text/event-stream")
-	if cc.haveSeq {
-		req.Header.Set("Last-Event-ID", fmt.Sprintf("%d", cc.lastSeq))
-	}
-	resp, err := cc.c.hc.Do(req)
-	if err != nil {
-		cc.st.recordDisconnect(false, err.Error())
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		err := apiError(resp)
-		cc.st.recordDisconnect(false, err.Error())
-		return nil, err
-	}
-	cc.st.recordConnect()
-	return resp, nil
+	return &CommitStream{C: s.ch, sseStream: s}, nil
 }
 
-// run is the delivery loop: read frames, deliver deduplicated events,
-// reconnect with exponential backoff on drops, stop on ctx or terminal
-// errors.
-func (cc *commitConn) run(ctx context.Context, ch chan<- CommitStreamEvent, resp *http.Response) {
-	defer close(cc.st.done)
-	defer close(ch)
-	backoff := cc.c.backoffMin
-	for {
-		if resp == nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(backoff):
-			}
-			var err error
-			resp, err = cc.connect(ctx)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				if !cc.retryable(err) {
-					cc.st.setErr(terminalErr(err))
-					return
-				}
-				resp = nil
-				if backoff *= 2; backoff > cc.c.backoffMax {
-					backoff = cc.c.backoffMax
-				}
-				cc.st.recordBackoff(backoff)
-				continue
-			}
-		}
-		delivered, err := cc.consume(ctx, ch, resp)
-		resp.Body.Close()
-		resp = nil
-		if ctx.Err() != nil {
-			return
-		}
-		if err != nil {
-			cc.st.recordDisconnect(true, err.Error())
-			cc.st.setErr(err)
-			return
-		}
-		cc.st.recordDisconnect(true, "connection dropped")
-		if delivered {
-			backoff = cc.c.backoffMin
-		} else if backoff *= 2; backoff > cc.c.backoffMax {
-			backoff = cc.c.backoffMax
-		}
-		cc.st.recordBackoff(backoff)
+// decodeCommitFrame decodes the server's head and commit documents — head
+// frames carry only seq.
+func decodeCommitFrame(event, data string) (f sseFrame[CommitStreamEvent], ok bool, err error) {
+	var doc struct {
+		Seq     uint64       `json:"seq"`
+		Updates []gpm.Update `json:"updates"`
+		Trace   string       `json:"trace"`
+		At      int64        `json:"at"` // publish time, UnixNano
 	}
-}
-
-// commitFrame mirrors the server's SSE data documents — head frames carry
-// only seq.
-type commitFrame struct {
-	Seq     uint64       `json:"seq"`
-	Updates []gpm.Update `json:"updates"`
-	Trace   string       `json:"trace"`
-	At      int64        `json:"at"` // publish time, UnixNano; 0 when absent
-}
-
-// consume reads SSE frames off one connection until it drops, delivering
-// typed events. A nil error is a plain connection drop.
-func (cc *commitConn) consume(ctx context.Context, ch chan<- CommitStreamEvent, resp *http.Response) (delivered bool, err error) {
-	stop := context.AfterFunc(ctx, func() { resp.Body.Close() })
-	defer stop()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var event, data string
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			if event == "" {
-				continue
-			}
-			ev, ok, perr := cc.parse(event, data)
-			event, data = "", ""
-			if perr != nil {
-				return delivered, perr
-			}
-			if !ok {
-				continue
-			}
-			cc.st.recordEvent(ev.Seq)
-			ds := cc.c.deliverSpan(ev.Trace, ev.At, "stream", "commits")
-			select {
-			case ch <- ev:
-				ds.End()
-				delivered = true
-			case <-ctx.Done():
-				return delivered, nil
-			}
-		}
-	}
-	if err := sc.Err(); err != nil && errors.Is(err, bufio.ErrTooLong) {
-		return delivered, fmt.Errorf("client: SSE frame exceeds the stream buffer: %w", err)
-	}
-	return delivered, nil
-}
-
-// parse turns one SSE frame into a CommitStreamEvent, updating the resume
-// cursor. The opening head frame is delivered once; the ones later
-// reconnects produce are cursor echoes and are dropped, like replayed
-// commit overlap.
-func (cc *commitConn) parse(event, data string) (ev CommitStreamEvent, ok bool, err error) {
 	switch CommitEventType(event) {
 	case EventHead:
-		var f commitFrame
-		if err := json.Unmarshal([]byte(data), &f); err != nil {
-			return ev, false, fmt.Errorf("client: bad head frame: %w", err)
-		}
-		if !cc.haveSeq {
-			cc.lastSeq, cc.haveSeq = f.Seq, true
-		}
-		if cc.headSeen {
-			return ev, false, nil
-		}
-		cc.headSeen = true
-		return CommitStreamEvent{Type: EventHead, Seq: f.Seq}, true, nil
+		f.kind = frameStart
 	case EventCommit:
-		var f commitFrame
-		if err := json.Unmarshal([]byte(data), &f); err != nil {
-			return ev, false, fmt.Errorf("client: bad commit frame: %w", err)
-		}
-		if cc.haveSeq && f.Seq <= cc.lastSeq {
-			return ev, false, nil // replayed overlap: drop
-		}
-		cc.lastSeq, cc.haveSeq = f.Seq, true
-		ev = CommitStreamEvent{Type: EventCommit, Seq: f.Seq, Updates: f.Updates, Trace: f.Trace}
-		if f.At != 0 {
-			ev.At = time.Unix(0, f.At)
-		}
-		return ev, true, nil
+		f.kind = frameCommit
 	default:
-		return ev, false, nil // unknown event types are ignored (forward compat)
+		return f, false, nil
 	}
+	if err := json.Unmarshal([]byte(data), &doc); err != nil {
+		return f, false, fmt.Errorf("client: bad %s frame: %w", event, err)
+	}
+	f.seq = doc.Seq
+	f.ev = CommitStreamEvent{Type: CommitEventType(event), Seq: doc.Seq}
+	if f.kind == frameCommit {
+		f.trace, f.at = doc.Trace, unixNano(doc.At)
+		f.ev.Updates, f.ev.Trace, f.ev.At = doc.Updates, f.trace, f.at
+	}
+	return f, true, nil
 }

@@ -1,15 +1,10 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
 	"net/url"
-	"strings"
-	"sync"
 	"time"
 
 	"gpm"
@@ -46,23 +41,6 @@ type MatchEvent struct {
 	At    time.Time
 }
 
-// StreamOption configures a Stream call.
-type StreamOption func(*streamOpts)
-
-type streamOpts struct {
-	fromSeq uint64
-	hasFrom bool
-}
-
-// FromSeq resumes the stream from commit sequence n: the caller already
-// holds the relation as of n, so no snapshot is sent and delivery starts
-// at n+1 (backfilled from the server's journal). If the server no longer
-// retains the range it falls back to a snapshot event — handle
-// EventSnapshot by rebasing.
-func FromSeq(n uint64) StreamOption {
-	return func(o *streamOpts) { o.fromSeq = n; o.hasFrom = true }
-}
-
 // Stream is a live match-delta subscription. Events arrive on C in
 // commit order with consecutive sequence numbers. The stream survives
 // disconnects and server restarts: it reconnects with exponential
@@ -76,108 +54,7 @@ func FromSeq(n uint64) StreamOption {
 // cause (nil after a plain Close or context cancellation).
 type Stream struct {
 	C <-chan MatchEvent
-
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu    sync.Mutex
-	err   error
-	stats StreamStats
-}
-
-// StreamStats is a point-in-time view of the stream's reconnect machinery
-// — how hard the stream is working to stay connected, invisible on C by
-// design. Read it via Stats.
-type StreamStats struct {
-	// Attempts counts connection attempts, including the initial connect
-	// and every reconnect try; Connects counts the ones that reached an
-	// open SSE stream.
-	Attempts uint64 `json:"attempts"`
-	Connects uint64 `json:"connects"`
-	// Disconnects counts open connections that later dropped (server
-	// restart, network). Attempts - Connects is the failed-try count.
-	Disconnects uint64 `json:"disconnects"`
-	// EventsDelivered counts events delivered on C (after dedup);
-	// LastSeq is the newest delivered sequence.
-	EventsDelivered uint64 `json:"events_delivered"`
-	LastSeq         uint64 `json:"last_seq"`
-	// Connected reports whether an SSE connection is open right now.
-	Connected bool `json:"connected"`
-	// CurrentBackoff is the delay before the next reconnect attempt while
-	// disconnected (the floor once a connection delivers again).
-	CurrentBackoff time.Duration `json:"current_backoff"`
-	// LastDisconnect is the cause of the most recent drop or failed
-	// attempt ("" while none has happened); LastDisconnectAt stamps it.
-	LastDisconnect   string    `json:"last_disconnect,omitempty"`
-	LastDisconnectAt time.Time `json:"last_disconnect_at,omitzero"`
-}
-
-// Stats returns a snapshot of the stream's reconnect/delivery counters.
-// Safe to call concurrently with delivery, before and after C closes.
-func (s *Stream) Stats() StreamStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-func (s *Stream) recordAttempt() {
-	s.mu.Lock()
-	s.stats.Attempts++
-	s.mu.Unlock()
-}
-
-func (s *Stream) recordConnect() {
-	s.mu.Lock()
-	s.stats.Connects++
-	s.stats.Connected = true
-	s.mu.Unlock()
-}
-
-func (s *Stream) recordDisconnect(wasOpen bool, cause string) {
-	s.mu.Lock()
-	if wasOpen {
-		s.stats.Disconnects++
-	}
-	s.stats.Connected = false
-	s.stats.LastDisconnect = cause
-	s.stats.LastDisconnectAt = time.Now()
-	s.mu.Unlock()
-}
-
-func (s *Stream) recordEvent(seq uint64) {
-	s.mu.Lock()
-	s.stats.EventsDelivered++
-	s.stats.LastSeq = seq
-	s.mu.Unlock()
-}
-
-func (s *Stream) recordBackoff(d time.Duration) {
-	s.mu.Lock()
-	s.stats.CurrentBackoff = d
-	s.mu.Unlock()
-}
-
-// Close tears the stream down: the connection drops, the goroutine
-// exits and C closes. Safe to call more than once.
-func (s *Stream) Close() {
-	s.cancel()
-	<-s.done
-}
-
-// Err returns the terminal error after C closed (nil for a clean close
-// or cancellation).
-func (s *Stream) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-func (s *Stream) setErr(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil {
-		s.err = err
-	}
+	*sseStream[MatchEvent]
 }
 
 // Stream opens a match-delta subscription for pattern id. The first
@@ -186,251 +63,43 @@ func (s *Stream) setErr(err error) {
 // than on C. Events then flow on the returned stream's C until ctx is
 // canceled, Close is called, or a terminal server condition ends it.
 func (c *Client) Stream(ctx context.Context, id string, options ...StreamOption) (*Stream, error) {
-	var o streamOpts
-	for _, opt := range options {
-		opt(&o)
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	st := &Stream{cancel: cancel, done: make(chan struct{})}
-	ch := make(chan MatchEvent)
-	st.C = ch
-
-	cs := &streamConn{
-		c:       c,
-		id:      id,
-		st:      st,
-		lastSeq: o.fromSeq,
-		haveSeq: o.hasFrom,
-	}
-	st.stats.CurrentBackoff = c.backoffMin
-	// Synchronous first connect: fail fast on anything that backoff-and-
-	// retry cannot fix.
-	resp, err := cs.connect(sctx)
-	if err != nil && cs.retryable(err) {
-		// A down server is not a setup error — the whole point of the
-		// reconnecting stream is to ride through it. Enter the retry loop.
-		resp = nil
-	} else if err != nil {
-		cancel()
-		close(st.done)
-		return nil, terminalErr(err)
-	}
-	go cs.run(sctx, st, ch, resp)
-	return st, nil
-}
-
-// streamConn is the reconnect state machine behind one Stream.
-type streamConn struct {
-	c       *Client
-	id      string
-	st      *Stream // owner, for the Stats counters
-	lastSeq uint64  // newest delivered (or resumed-from) sequence
-	haveSeq bool    // lastSeq is meaningful: resume instead of snapshotting
-}
-
-// retryable reports whether an error is worth a backoff-and-reconnect:
-// transport failures and explicitly transient server states are; typed
-// client errors (pattern gone, bad resume) are terminal.
-func (cs *streamConn) retryable(err error) bool {
-	var apiErr *APIError
-	if errors.As(err, &apiErr) {
-		// "closed" is a server shutting down — the restart we are designed
-		// to ride through. Everything else typed is terminal.
-		return apiErr.Code == CodeClosed || apiErr.Status >= 500
-	}
-	// Transport-level failure (connection refused/reset, EOF): retry.
-	return true
-}
-
-// connect opens one SSE request, resuming via Last-Event-ID when a
-// sequence is held.
-func (cs *streamConn) connect(ctx context.Context) (*http.Response, error) {
-	cs.st.recordAttempt()
-	u := cs.c.base + "/v1/patterns/" + url.PathEscape(cs.id) + "/stream"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	s, err := openSSE(ctx, c, c.base+"/v1/patterns/"+url.PathEscape(id)+"/stream",
+		[2]string{"pattern", id}, options, decodeMatchFrame)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Accept", "text/event-stream")
-	if cs.haveSeq {
-		req.Header.Set("Last-Event-ID", fmt.Sprintf("%d", cs.lastSeq))
-	}
-	resp, err := cs.c.hc.Do(req)
-	if err != nil {
-		cs.st.recordDisconnect(false, err.Error())
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		err := apiError(resp)
-		cs.st.recordDisconnect(false, err.Error())
-		return nil, err
-	}
-	cs.st.recordConnect()
-	return resp, nil
+	return &Stream{C: s.ch, sseStream: s}, nil
 }
 
-// run is the delivery loop: read frames, deliver deduplicated events,
-// reconnect with exponential backoff on drops, stop on ctx or terminal
-// errors.
-func (cs *streamConn) run(ctx context.Context, st *Stream, ch chan<- MatchEvent, resp *http.Response) {
-	defer close(st.done)
-	defer close(ch)
-	backoff := cs.c.backoffMin
-	for {
-		if resp == nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(backoff):
-			}
-			var err error
-			resp, err = cs.connect(ctx)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				if !cs.retryable(err) {
-					// Typed so consumers can switch on the cause — notably
-					// ErrCompacted, the re-sync-from-snapshot signal when no
-					// rebase is possible.
-					st.setErr(terminalErr(err))
-					return
-				}
-				resp = nil
-				if backoff *= 2; backoff > cs.c.backoffMax {
-					backoff = cs.c.backoffMax
-				}
-				st.recordBackoff(backoff)
-				continue
-			}
-		}
-		delivered, err := cs.consume(ctx, ch, resp)
-		resp.Body.Close()
-		resp = nil
-		if ctx.Err() != nil {
-			return
-		}
-		if err != nil {
-			// consume only errors on protocol violations (unparseable
-			// frames); reconnecting would hit the same wire. Terminal.
-			st.recordDisconnect(true, err.Error())
-			st.setErr(err)
-			return
-		}
-		st.recordDisconnect(true, "connection dropped")
-		// The connection dropped (server restart, network): reconnect,
-		// resuming after the last delivered sequence. A connection that
-		// delivered something resets the backoff.
-		if delivered {
-			backoff = cs.c.backoffMin
-		} else if backoff *= 2; backoff > cs.c.backoffMax {
-			backoff = cs.c.backoffMax
-		}
-		st.recordBackoff(backoff)
+// decodeMatchFrame decodes the server's snapshot and delta documents.
+func decodeMatchFrame(event, data string) (f sseFrame[MatchEvent], ok bool, err error) {
+	var doc struct {
+		ID      string     `json:"id"`
+		Seq     uint64     `json:"seq"`
+		Pairs   []gpm.Pair `json:"pairs"`
+		Added   []gpm.Pair `json:"added"`
+		Removed []gpm.Pair `json:"removed"`
+		Trace   string     `json:"trace"`
+		At      int64      `json:"at"` // publish time, UnixNano
 	}
-}
-
-// snapshotFrame and deltaFrame mirror the server's SSE data documents.
-type snapshotFrame struct {
-	ID    string     `json:"id"`
-	Seq   uint64     `json:"seq"`
-	Pairs []gpm.Pair `json:"pairs"`
-}
-
-type deltaFrame struct {
-	ID      string     `json:"id"`
-	Seq     uint64     `json:"seq"`
-	Added   []gpm.Pair `json:"added"`
-	Removed []gpm.Pair `json:"removed"`
-	Trace   string     `json:"trace"`
-	At      int64      `json:"at"` // publish time, UnixNano; 0 when absent
-}
-
-// consume reads SSE frames off one connection until it drops, delivering
-// typed events. It reports whether anything was delivered (for backoff
-// reset). A nil error is a plain connection drop.
-func (cs *streamConn) consume(ctx context.Context, ch chan<- MatchEvent, resp *http.Response) (delivered bool, err error) {
-	// A dropped connection must unblock the scanner even between frames:
-	// closing the body on ctx cancellation does that.
-	stop := context.AfterFunc(ctx, func() { resp.Body.Close() })
-	defer stop()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var event, data string
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			if event == "" {
-				continue
-			}
-			ev, ok, perr := cs.parse(event, data)
-			event, data = "", ""
-			if perr != nil {
-				return delivered, perr
-			}
-			if !ok {
-				continue // duplicate of an already-delivered sequence
-			}
-			// Counted before the handoff so a consumer that just received
-			// the event already sees it in Stats; at most one in-flight
-			// event is over-counted if the stream closes mid-send.
-			cs.st.recordEvent(ev.Seq)
-			// The delivery span ends once the consumer has the event, so
-			// its duration is the end-to-end event age at this client.
-			ds := cs.c.deliverSpan(ev.Trace, ev.At, "pattern", ev.Pattern)
-			select {
-			case ch <- ev:
-				ds.End()
-				delivered = true
-			case <-ctx.Done():
-				return delivered, nil
-			}
-		}
-	}
-	if err := sc.Err(); err != nil && errors.Is(err, bufio.ErrTooLong) {
-		// Deterministic: the server would resend the same oversized frame
-		// on every reconnect, so retrying loops forever. Terminal.
-		return delivered, fmt.Errorf("client: SSE frame exceeds the stream buffer: %w", err)
-	}
-	return delivered, nil // drop (EOF or close); the caller decides retry
-}
-
-// parse turns one SSE frame into a MatchEvent, updating the resume
-// cursor. ok is false for frames the consumer already saw (the dedup
-// that makes reconnect overlap invisible).
-func (cs *streamConn) parse(event, data string) (ev MatchEvent, ok bool, err error) {
 	switch EventType(event) {
 	case EventSnapshot:
-		var f snapshotFrame
-		if err := json.Unmarshal([]byte(data), &f); err != nil {
-			return ev, false, fmt.Errorf("client: bad snapshot frame: %w", err)
-		}
-		// A snapshot is always delivered: on first connect it is the
-		// starting state, on reconnect it is the server's rebase signal
-		// (journal compacted past our cursor).
-		cs.lastSeq, cs.haveSeq = f.Seq, true
-		return MatchEvent{Type: EventSnapshot, Pattern: f.ID, Seq: f.Seq, Pairs: f.Pairs}, true, nil
+		f.kind = frameRebase
 	case EventDelta:
-		var f deltaFrame
-		if err := json.Unmarshal([]byte(data), &f); err != nil {
-			return ev, false, fmt.Errorf("client: bad delta frame: %w", err)
-		}
-		if cs.haveSeq && f.Seq <= cs.lastSeq {
-			return ev, false, nil // replayed overlap: drop
-		}
-		cs.lastSeq, cs.haveSeq = f.Seq, true
-		ev = MatchEvent{Type: EventDelta, Pattern: f.ID, Seq: f.Seq, Added: f.Added, Removed: f.Removed, Trace: f.Trace}
-		if f.At != 0 {
-			ev.At = time.Unix(0, f.At)
-		}
-		return ev, true, nil
+		f.kind = frameCommit
 	default:
-		return ev, false, nil // unknown event types are ignored (forward compat)
+		return f, false, nil
 	}
+	if err := json.Unmarshal([]byte(data), &doc); err != nil {
+		return f, false, fmt.Errorf("client: bad %s frame: %w", event, err)
+	}
+	f.seq = doc.Seq
+	f.ev = MatchEvent{Type: EventType(event), Pattern: doc.ID, Seq: doc.Seq}
+	if f.kind == frameRebase {
+		f.ev.Pairs = doc.Pairs
+		return f, true, nil
+	}
+	f.trace, f.at = doc.Trace, unixNano(doc.At)
+	f.ev.Added, f.ev.Removed, f.ev.Trace, f.ev.At = doc.Added, doc.Removed, f.trace, f.at
+	return f, true, nil
 }

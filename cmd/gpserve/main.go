@@ -2,9 +2,8 @@
 // a data graph, register standing patterns, POST edge-update batches, and
 // stream per-pattern match deltas to any number of subscribers via
 // Server-Sent Events. The wire API is versioned under /v1 (see
-// internal/serve for the endpoint table); the original unversioned paths
-// remain as deprecated aliases. Programs should use the typed SDK in
-// gpm/client instead of raw HTTP.
+// internal/serve for the endpoint table). Programs should use the typed
+// SDK in gpm/client instead of raw HTTP.
 //
 // Usage:
 //

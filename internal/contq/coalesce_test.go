@@ -241,7 +241,7 @@ func TestPanickingEngineIsEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg.mu.Lock()
-	reg.pats["bad"] = &registration{id: "bad", kind: KindSim, m: panicMatcher{}, subs: make(map[*Subscription]struct{})}
+	reg.pats["bad"] = &registration{id: "bad", kind: KindSim, m: panicMatcher{}}
 	reg.mu.Unlock()
 	badSub, err := reg.Subscribe("bad")
 	if err != nil {
@@ -302,9 +302,7 @@ func TestPanickingPublishDoesNotWedgeWriter(t *testing.T) {
 	if err := reg.Register("q", testPattern(g, KindSim, seed), KindSim); err != nil {
 		t.Fatal(err)
 	}
-	reg.mu.Lock()
-	reg.pats["q"].subs[nil] = struct{}{}
-	reg.mu.Unlock()
+	reg.pats["q"].subs.attach(nil)
 
 	func() {
 		defer func() {
@@ -333,9 +331,7 @@ func TestPanickingPublishDoesNotWedgeWriter(t *testing.T) {
 	}
 
 	// The writer must be fully usable once the faulty subscriber is gone.
-	reg.mu.Lock()
-	delete(reg.pats["q"].subs, nil)
-	reg.mu.Unlock()
+	reg.pats["q"].subs.detach(nil)
 	if _, err := reg.Apply(ups[3:4]); err != nil {
 		t.Fatalf("registry wedged after panic: %v", err)
 	}

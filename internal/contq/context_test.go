@@ -54,7 +54,7 @@ func TestApplyContextWithdrawsQueuedBatch(t *testing.T) {
 	reg := New(g)
 	bm := &blockMatcher{entered: make(chan struct{}), unblock: make(chan struct{})}
 	reg.mu.Lock()
-	reg.pats["slow"] = &registration{id: "slow", kind: KindSim, m: bm, subs: make(map[*Subscription]struct{})}
+	reg.pats["slow"] = &registration{id: "slow", kind: KindSim, m: bm}
 	reg.mu.Unlock()
 
 	ups := generator.Updates(g, 4, 0, seed+7)
@@ -139,7 +139,7 @@ func TestSubscribeContextCanceled(t *testing.T) {
 	}
 	// The failed resume must not leave a zombie subscriber attached.
 	reg.mu.RLock()
-	n := reg.pats["q"].numSubs()
+	n := reg.pats["q"].subs.len()
 	reg.mu.RUnlock()
 	if n != 0 {
 		t.Fatalf("%d subscribers left behind by canceled subscribes", n)

@@ -138,28 +138,7 @@ type registration struct {
 	m      matcher
 	regSeq uint64 // commit seq current when the pattern was registered
 
-	mu   sync.Mutex
-	subs map[*Subscription]struct{}
-}
-
-func (r *registration) publish(ev Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for s := range r.subs {
-		s.push(ev)
-	}
-}
-
-func (r *registration) detach(s *Subscription) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.subs, s)
-}
-
-func (r *registration) numSubs() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.subs)
+	subs feed[Event] // the pattern's ΔM subscribers
 }
 
 // Registry owns the canonical graph and the set of standing patterns.
@@ -204,12 +183,10 @@ type Registry struct {
 	queue    []*applyReq
 	draining bool
 
-	// Commit subscribers: raw-ΔG tails (SubscribeCommits, the feed behind
-	// GET /v1/commits/stream and follower replication). Published inside
-	// the writer's critical section, guarded by their own lock so attach/
-	// detach never contends with readers.
-	cmu   sync.Mutex
-	csubs map[*CommitSub]struct{}
+	// Commit subscribers: raw-ΔG tails (SubscribeCommitsContext, the feed
+	// behind GET /v1/commits/stream and follower replication). Published
+	// inside the writer's critical section.
+	csubs feed[CommitEvent]
 
 	// Telemetry: met holds the commit pipeline's instruments (per-stage
 	// histograms, queue-wait, subscription gauges), registered in obsReg —
@@ -311,7 +288,7 @@ func WithoutNetwork() Option {
 // snapshot of g so crash recovery can replay commits over the starting
 // state.
 func New(g *graph.Graph, options ...Option) *Registry {
-	r := &Registry{g: g, pats: make(map[string]*registration), csubs: make(map[*CommitSub]struct{}), engineW: 1}
+	r := &Registry{g: g, pats: make(map[string]*registration), engineW: 1}
 	for _, o := range options {
 		o(r)
 	}
@@ -393,7 +370,7 @@ func (r *Registry) Register(id string, p *pattern.Pattern, kind Kind) error {
 			return fmt.Errorf("contq: journaling pattern %q: %w", id, err)
 		}
 	}
-	reg := &registration{id: id, p: p, kind: kind, m: m, regSeq: seq, subs: make(map[*Subscription]struct{})}
+	reg := &registration{id: id, p: p, kind: kind, m: m, regSeq: seq}
 	r.mu.Lock()
 	r.pats[id] = reg
 	r.mu.Unlock()
@@ -419,16 +396,7 @@ func (r *Registry) Unregister(id string) bool {
 		r.journal.AppendUnregister(seq, id) //nolint:errcheck // see above
 	}
 	reg.m.release()
-	reg.mu.Lock()
-	subs := make([]*Subscription, 0, len(reg.subs))
-	for s := range reg.subs {
-		subs = append(subs, s)
-	}
-	reg.subs = make(map[*Subscription]struct{})
-	reg.mu.Unlock()
-	for _, s := range subs {
-		s.close()
-	}
+	reg.subs.closeAll()
 	return true
 }
 
@@ -626,7 +594,6 @@ func (r *Registry) commit(batch []*applyReq) {
 	// wait for it is the callers' queue-wait, observed per request below),
 	// and each pipeline stage is stamped as it completes.
 	start := time.Now()
-	var ct CommitTiming
 	for _, req := range batch {
 		if !req.enq.IsZero() {
 			r.met.queueWait.ObserveDuration(start.Sub(req.enq))
@@ -657,10 +624,9 @@ func (r *Registry) commit(batch []*applyReq) {
 		return
 	}
 	effective := graph.NetUpdates(r.g, combined)
-	ct.Validate = time.Since(start)
+	ct := CommitTiming{Validate: time.Since(start), Batches: len(valid), Updates: len(effective)}
 	r.met.validate.ObserveDuration(ct.Validate)
 	r.met.drainUps.Observe(float64(len(effective)))
-	ct.Batches, ct.Updates = len(valid), len(effective)
 
 	// The commit span continues the first traced caller's trace; every
 	// other traced caller coalesced into this drain becomes a span link,
@@ -692,10 +658,14 @@ func (r *Registry) commit(batch []*applyReq) {
 	// assigned — before journaling and publishing — so a failure (or panic)
 	// in any later step surfaces as "committed at seq N but X failed",
 	// never as the seq-0 signal that means the batch was rejected.
-	_, jerr, err := r.commitEffective(effective, len(valid), len(combined), &ct, start, cspan, func(seq uint64) {
-		for _, req := range valid {
-			req.seq = seq
-		}
+	_, jerr, err := r.commitEffectiveLocked(effectiveCommit{
+		effective: effective, applies: len(valid), submitted: len(combined),
+		ct: ct, start: start, span: cspan,
+		committed: func(seq uint64) {
+			for _, req := range valid {
+				req.seq = seq
+			}
+		},
 	})
 	if err != nil {
 		// No seq was assigned: callers see seq 0 with the error.
@@ -711,27 +681,41 @@ func (r *Registry) commit(batch []*applyReq) {
 	}
 }
 
-// commitEffective runs the committed half of the pipeline for one net
-// effective batch, under writeMu: shared-network repair, engine fan-out,
-// canonical graph mutation, sequence assignment, journaling, publishes
-// (pattern deltas and raw-ΔG commit subscribers) and evictions. Both the
-// coalescing writer (commit) and the replication path (ApplyReplicated)
-// funnel through here, so leader and follower commits are byte-for-byte
-// the same pipeline.
+// effectiveCommit is one net effective batch on its way through
+// commitEffectiveLocked, with what its caller already knows about it.
+type effectiveCommit struct {
+	effective []graph.Update
+	// applies and submitted are the caller-side counts for Stats: Apply
+	// calls admitted, unit updates before coalescing.
+	applies, submitted int
+	// ct arrives with Validate, Batches and Updates filled in; start is
+	// the commit clock's zero (writer lock acquired).
+	ct    CommitTiming
+	start time.Time
+	// span is the commit's span (nil when unsampled). The pipeline owns it
+	// from here: it hangs one child span per stage off it, stamps the
+	// sequence, threads its traceparent onto the journal record and every
+	// published event, and ends it.
+	span *trace.Span
+	// committed, if non-nil, runs the instant the sequence is assigned —
+	// before journaling and publishing — so callers can record the seq
+	// even if a later step panics.
+	committed func(seq uint64)
+}
+
+// commitEffectiveLocked runs the committed half of the pipeline for one
+// net effective batch, under writeMu: shared-network repair, engine
+// fan-out, canonical graph mutation, sequence assignment, journaling,
+// publishes (pattern deltas and raw-ΔG commit subscribers) and evictions.
+// Both the coalescing writer (commit) and the replication path
+// (ApplyReplicated) funnel through here, so leader and follower commits
+// are byte-for-byte the same pipeline.
 //
-// applies and submitted are the caller-side counts for Stats (Apply calls
-// admitted, unit updates before coalescing). committed, if non-nil, runs
-// the instant the sequence is assigned — before journaling and publishing
-// — so callers can record the seq even if a later step panics. The
-// returned jerr is a journal append failure — the commit still stands in
-// memory and was published; err means the commit did not happen (the
+// The returned jerr is a journal append failure — the commit still stands
+// in memory and was published; err means the commit did not happen (the
 // canonical graph rejected the batch) and no sequence was consumed.
-//
-// cspan is the commit's span (nil when unsampled); commitEffective owns
-// it from here: it hangs one child span per stage off it, stamps the
-// sequence, threads its traceparent onto the journal record and every
-// published event, and ends it.
-func (r *Registry) commitEffective(effective []graph.Update, applies, submitted int, ct *CommitTiming, start time.Time, cspan *trace.Span, committed func(seq uint64)) (seq uint64, jerr, err error) {
+func (r *Registry) commitEffectiveLocked(c effectiveCommit) (seq uint64, jerr, err error) {
+	effective, ct, start, cspan := c.effective, &c.ct, c.start, c.span
 	cspan.SetAttr("effective_updates", len(effective))
 	if ct.Validate > 0 {
 		// Validation ran in the caller before the span existed; backdate
@@ -824,14 +808,14 @@ func (r *Registry) commitEffective(effective []graph.Update, applies, submitted 
 	r.seq++
 	seq = r.seq
 	r.commits++
-	r.applies += uint64(applies)
-	r.upsSubmitted += uint64(submitted)
+	r.applies += uint64(c.applies)
+	r.upsSubmitted += uint64(c.submitted)
 	r.upsApplied += uint64(len(effective))
 	r.mu.Unlock()
 	cspan.SetSeq(seq)
 	tp := cspan.Traceparent()
-	if committed != nil {
-		committed(seq)
+	if c.committed != nil {
+		c.committed(seq)
 	}
 	// The graph (and head) moved on: drop the resume-clone cache so no
 	// later resume reuses a stale copy (also frees its memory).
@@ -862,12 +846,12 @@ func (r *Registry) commitEffective(effective []graph.Update, applies, submitted 
 	}
 	pubStart := time.Now()
 	pspan := r.tracer.StartSpanAt(cspan.Context(), "stage.publish", pubStart)
-	r.publishCommit(CommitEvent{Seq: seq, Updates: effective, At: pubStart, Trace: tp})
+	r.csubs.publish(CommitEvent{Seq: seq, Updates: effective, At: pubStart, Trace: tp})
 	for i, reg := range regs {
 		if repairErr[i] != nil {
 			continue
 		}
-		reg.publish(Event{Pattern: reg.id, Seq: seq, Delta: deltas[i], At: pubStart, Trace: tp})
+		reg.subs.publish(Event{Pattern: reg.id, Seq: seq, Delta: deltas[i], At: pubStart, Trace: tp})
 	}
 	ct.Publish = time.Since(pubStart)
 	r.met.publish.ObserveDuration(ct.Publish)
@@ -887,7 +871,7 @@ func (r *Registry) commitEffective(effective []graph.Update, applies, submitted 
 	ct.Trace = tp
 	r.met.total.ObserveDuration(ct.Total)
 	r.met.commits.Inc()
-	r.met.applies.Add(uint64(applies))
+	r.met.applies.Add(uint64(c.applies))
 	cspan.End()
 	if r.commitObs != nil {
 		r.commitObs(*ct)
@@ -918,16 +902,7 @@ func (r *Registry) evictLocked(reg *registration, seq uint64) {
 		r.journal.AppendUnregister(seq, reg.id) //nolint:errcheck // recorded in journal.Stats
 	}
 	reg.m.release()
-	reg.mu.Lock()
-	subs := make([]*Subscription, 0, len(reg.subs))
-	for s := range reg.subs {
-		subs = append(subs, s)
-	}
-	reg.subs = make(map[*Subscription]struct{})
-	reg.mu.Unlock()
-	for _, s := range subs {
-		s.close()
-	}
+	reg.subs.closeAll()
 }
 
 // patternDefs serializes the registered patterns for a journal snapshot.
@@ -1024,11 +999,7 @@ func (r *Registry) SubscribeContext(ctx context.Context, id string, options ...S
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotRegistered, id)
 	}
-	s := newSubscription(id, reg.m.result(), seq, reg, r.met, false)
-	reg.mu.Lock()
-	reg.subs[s] = struct{}{}
-	reg.mu.Unlock()
-	return s, nil
+	return r.newSubscription(reg, reg.m.result(), seq, false), nil
 }
 
 // Kind reports the engine kind backing pattern id — the resolved kind,
@@ -1070,7 +1041,7 @@ func (r *Registry) Patterns() []Info {
 			Kind:        reg.kind,
 			Nodes:       reg.p.NumNodes(),
 			Edges:       reg.p.NumEdges(),
-			Subscribers: reg.numSubs(),
+			Subscribers: reg.subs.len(),
 			ResultSize:  reg.m.result().Size(),
 		})
 	}
@@ -1198,20 +1169,11 @@ func (r *Registry) Close() {
 	}
 	r.writeMu.Unlock()
 	// Safe without writeMu: closed is set, so no commit can publish again.
-	r.closeCommitSubs()
+	r.csubs.closeAll()
 	for _, reg := range pats {
 		// Safe without writeMu: closed is set, so no commit, Register or
 		// Unregister can touch these matchers again.
 		reg.m.release()
-		reg.mu.Lock()
-		subs := make([]*Subscription, 0, len(reg.subs))
-		for s := range reg.subs {
-			subs = append(subs, s)
-		}
-		reg.subs = make(map[*Subscription]struct{})
-		reg.mu.Unlock()
-		for _, s := range subs {
-			s.close()
-		}
+		reg.subs.closeAll()
 	}
 }

@@ -1,6 +1,7 @@
 package contq
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -138,5 +139,30 @@ func TestStatsTimingsIsolated(t *testing.T) {
 	}
 	if got := a.Stats().Timings.TotalMS.Count; got != 1 {
 		t.Fatalf("first registry timings count = %d, want 1", got)
+	}
+}
+
+// TestCommitSubMailboxHighWater: a commit tail nobody reads — a stalled
+// follower — shows up in the mailbox high-water gauge, like a stalled ΔM
+// subscriber does.
+func TestCommitSubMailboxHighWater(t *testing.T) {
+	seed := int64(5)
+	g := generator.Synthetic(30, 90, generator.DefaultSchema(2), seed)
+	reg := New(g, WithMetrics(obs.NewRegistry()))
+	defer reg.Close()
+	sub, err := reg.SubscribeCommitsContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	const commits = 32
+	for i := 0; i < commits; i++ {
+		if _, err := reg.Apply(nil); err != nil { // empty batches still commit
+			t.Fatal(err)
+		}
+	}
+	// The pump may hold the one event it is offering on C.
+	if hw := reg.Stats().Timings.MailboxHighWater; hw < commits-1 || hw > commits {
+		t.Fatalf("mailbox high-water = %d after %d unread commits, want %d (or one less)", hw, commits, commits)
 	}
 }

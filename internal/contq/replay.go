@@ -44,6 +44,34 @@ func (r *Registry) Replay(fromSeq uint64) ([]journal.Commit, error) {
 	return r.journal.Commits(fromSeq)
 }
 
+// journalRange returns exactly the journaled commits with sequence in
+// (from, head], from < head, or an error wrapping journal.ErrCompacted
+// when the journal does not hold all of them — compacted past from, or
+// stopped behind head after a failed append: a silently truncated range
+// would let a subscriber believe it is caught up while commits are
+// missing. Commits that landed after head are trimmed: the caller's
+// paused mailbox already holds them as live events.
+func (r *Registry) journalRange(ctx context.Context, from, head uint64) ([]journal.Commit, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err // before the scan: a cold one reads disk segments
+	}
+	recs, err := r.journal.Commits(from)
+	if err != nil {
+		return nil, fmt.Errorf("contq: journal tail from %d: %w", from, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for len(recs) > 0 && recs[len(recs)-1].Seq > head {
+		recs = recs[:len(recs)-1]
+	}
+	if n := uint64(len(recs)); n != head-from || recs[0].Seq != from+1 || recs[n-1].Seq != head {
+		return nil, fmt.Errorf("contq: journal (head %d) does not hold (%d, %d]: %w",
+			r.journal.HeadSeq(), from, head, journal.ErrCompacted)
+	}
+	return recs, nil
+}
+
 // subscribeFrom implements Subscribe(id, FromSeq(from)): attach a live
 // subscription at the current head, then backfill the deltas for
 // (from, head] by replaying the journaled net batches through a fresh
@@ -76,10 +104,7 @@ func (r *Registry) subscribeFrom(ctx context.Context, id string, from uint64) (*
 	}
 	if from == head {
 		// Nothing missed: a live subscription without a snapshot.
-		s := newSubscription(id, nil, head, reg, r.met, false)
-		reg.mu.Lock()
-		reg.subs[s] = struct{}{}
-		reg.mu.Unlock()
+		s := r.newSubscription(reg, nil, head, false)
 		r.writeMu.Unlock()
 		return s, nil
 	}
@@ -100,43 +125,22 @@ func (r *Registry) subscribeFrom(ctx context.Context, id string, from uint64) (*
 	// cold resume that misses the memory ring reads disk segments, and
 	// that must not stall every writer behind one reconnecting client.
 	shared := r.resumeClone(head)
-	s := newSubscription(id, nil, from, reg, r.met, true)
-	reg.mu.Lock()
-	reg.subs[s] = struct{}{}
-	reg.mu.Unlock()
+	s := r.newSubscription(reg, nil, from, true)
 	r.writeMu.Unlock()
 	base := shared.Clone() // private: backfill rewinds and replays in place
 
-	fail := func(err error) (*Subscription, error) {
-		reg.detach(s)
-		s.close()
-		s.start() // closes C for any racing reader
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	recs, err := r.journal.Commits(from)
+	recs, err := r.journalRange(ctx, from, head)
 	if err != nil {
-		return fail(fmt.Errorf("contq: replay from %d: %w", from, err))
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	// Commits that landed after head are already queued in the paused
-	// mailbox as live events; backfill must stop exactly at head.
-	for len(recs) > 0 && recs[len(recs)-1].Seq > head {
-		recs = recs[:len(recs)-1]
-	}
-	if uint64(len(recs)) != head-from || recs[0].Seq != from+1 || recs[len(recs)-1].Seq != head {
-		return fail(fmt.Errorf("contq: journal gap replaying (%d, %d]: %w", from, head, journal.ErrCompacted))
+		s.Cancel()
+		return nil, err
 	}
 	events, err := r.backfill(ctx, reg, base, recs)
 	if err != nil {
-		return fail(err)
+		s.Cancel()
+		return nil, err
 	}
-	s.prepend(events)
-	s.start()
+	s.mb.prepend(events)
+	s.mb.start()
 	return s, nil
 }
 

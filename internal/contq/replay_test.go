@@ -403,7 +403,7 @@ func TestReplayCommitContainsEnginePanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg.mu.Lock()
-	reg.pats["bad"] = &registration{id: "bad", kind: KindSim, m: panicMatcher{}, subs: make(map[*Subscription]struct{})}
+	reg.pats["bad"] = &registration{id: "bad", kind: KindSim, m: panicMatcher{}}
 	reg.mu.Unlock()
 
 	ups := generator.Updates(g, 3, 0, 2)

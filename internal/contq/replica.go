@@ -123,19 +123,19 @@ func (r *Registry) ApplyReplicatedTrace(seq uint64, ups []graph.Update, tracepar
 		return fmt.Errorf("%w: commit %d against head %d", ErrReplicaGap, seq, head)
 	}
 	start := time.Now()
-	var ct CommitTiming
 	if err := r.validate(ups); err != nil {
 		return fmt.Errorf("contq: replica diverged from leader at seq %d: %w", seq, err)
 	}
-	ct.Validate = time.Since(start)
+	ct := CommitTiming{Validate: time.Since(start), Batches: 1, Updates: len(ups)}
 	r.met.validate.ObserveDuration(ct.Validate)
-	ct.Batches, ct.Updates = 1, len(ups)
 	var cspan *trace.Span
 	if sc, ok := trace.Parse(traceparent); ok {
 		cspan = r.tracer.StartSpanAt(sc, "replica.apply", start)
 		cspan.SetAttr("updates", len(ups))
 	}
-	_, jerr, err := r.commitEffective(ups, 1, len(ups), &ct, start, cspan, nil)
+	_, jerr, err := r.commitEffectiveLocked(effectiveCommit{
+		effective: ups, applies: 1, submitted: len(ups), ct: ct, start: start, span: cspan,
+	})
 	if err != nil {
 		return fmt.Errorf("contq: replica diverged from leader at seq %d: %w", seq, err)
 	}

@@ -1,6 +1,7 @@
 package contq
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestReplicaLockstep(t *testing.T) {
 	}
 
 	// Tail the leader's commit stream and replay it on the follower.
-	sub, err := leader.SubscribeCommits()
+	sub, err := leader.SubscribeCommitsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestSubscribeCommitsBackfill(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sub, err := reg.SubscribeCommits(FromSeq(2))
+	sub, err := reg.SubscribeCommitsContext(context.Background(), FromSeq(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +167,13 @@ func TestSubscribeCommitsErrors(t *testing.T) {
 
 	bare := New(g.Clone())
 	defer bare.Close()
-	if _, err := bare.SubscribeCommits(FromSeq(5)); !errors.Is(err, ErrSeqFuture) {
+	if _, err := bare.SubscribeCommitsContext(context.Background(), FromSeq(5)); !errors.Is(err, ErrSeqFuture) {
 		t.Fatalf("future seq: got %v, want ErrSeqFuture", err)
 	}
 	if _, err := bare.Apply(ups[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bare.SubscribeCommits(FromSeq(0)); !errors.Is(err, ErrNoJournal) {
+	if _, err := bare.SubscribeCommitsContext(context.Background(), FromSeq(0)); !errors.Is(err, ErrNoJournal) {
 		t.Fatalf("journal-less backfill: got %v, want ErrNoJournal", err)
 	}
 
@@ -183,7 +184,7 @@ func TestSubscribeCommitsErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ringed.SubscribeCommits(FromSeq(1)); !errors.Is(err, journal.ErrCompacted) {
+	if _, err := ringed.SubscribeCommitsContext(context.Background(), FromSeq(1)); !errors.Is(err, journal.ErrCompacted) {
 		t.Fatalf("compacted backfill: got %v, want journal.ErrCompacted", err)
 	}
 }
@@ -193,7 +194,7 @@ func TestSubscribeCommitsErrors(t *testing.T) {
 func TestCommitSubCloseOnRegistryClose(t *testing.T) {
 	g := generator.Synthetic(10, 20, generator.DefaultSchema(2), 9)
 	reg := New(g)
-	sub, err := reg.SubscribeCommits()
+	sub, err := reg.SubscribeCommitsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package contq
 
-import (
-	"sync"
-
-	"gpm/internal/rel"
-)
+import "gpm/internal/rel"
 
 // Subscription is one subscriber's view of a pattern's match-delta stream.
 // Snapshot is the result at subscription time and Seq the commit it
@@ -22,134 +18,17 @@ type Subscription struct {
 	Seq      uint64
 	Pattern  string
 
-	reg  *registration
-	met  *metrics
-	done chan struct{}
-	out  chan Event
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []Event
-	closed  bool
-	started bool
+	mb *mailbox[Event]
 }
 
-// newSubscription builds a subscription. A paused subscription collects
-// events in its mailbox but does not deliver until start — the window in
-// which a FromSeq resume backfills missed deltas ahead of the live feed.
-func newSubscription(id string, snapshot rel.Relation, seq uint64, reg *registration, met *metrics, paused bool) *Subscription {
-	s := &Subscription{
-		Snapshot: snapshot,
-		Seq:      seq,
-		Pattern:  id,
-		reg:      reg,
-		met:      met,
-		done:     make(chan struct{}),
-		out:      make(chan Event),
-	}
-	s.C = s.out
-	s.cond = sync.NewCond(&s.mu)
-	if met != nil {
-		met.subsActive.Add(1)
-	}
-	if !paused {
-		s.start()
-	}
-	return s
-}
-
-// start launches the delivery pump (idempotent). Starting a subscription
-// that was cancelled while paused just closes C.
-func (s *Subscription) start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	if s.closed {
-		s.mu.Unlock()
-		close(s.out)
-		return
-	}
-	s.mu.Unlock()
-	go s.pump(s.out)
-}
-
-// prepend queues events ahead of everything already in the mailbox; only
-// valid before start (the pump may already have taken the queue's head
-// otherwise).
-func (s *Subscription) prepend(evs []Event) {
-	s.mu.Lock()
-	if !s.closed && len(evs) > 0 {
-		s.queue = append(append(make([]Event, 0, len(evs)+len(s.queue)), evs...), s.queue...)
-	}
-	s.mu.Unlock()
-}
-
-// push enqueues one event; called by the registry's publisher. Never
-// blocks beyond the mailbox lock.
-func (s *Subscription) push(ev Event) {
-	s.mu.Lock()
-	if !s.closed {
-		s.queue = append(s.queue, ev)
-		if s.met != nil {
-			s.met.mailboxHW.SetMax(int64(len(s.queue)))
-		}
-		s.cond.Signal()
-	}
-	s.mu.Unlock()
-}
-
-// pump drains the mailbox to the consumer channel in order, ending (and
-// closing the channel) on cancellation.
-func (s *Subscription) pump(out chan<- Event) {
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			s.mu.Unlock()
-			close(out)
-			return
-		}
-		ev := s.queue[0]
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-		select {
-		case out <- ev:
-		case <-s.done:
-			close(out)
-			return
-		}
-	}
+// newSubscription attaches a subscription to reg's delta feed (see
+// newMailbox for paused and the locking contract).
+func (r *Registry) newSubscription(reg *registration, snapshot rel.Relation, seq uint64, paused bool) *Subscription {
+	mb := newMailbox(&reg.subs, r.met.subsActive, r.met.mailboxHW, paused)
+	return &Subscription{C: mb.out, Snapshot: snapshot, Seq: seq, Pattern: reg.id, mb: mb}
 }
 
 // Cancel detaches the subscription: the registry stops delivering to it,
 // queued-but-unread events are discarded, and C closes. Safe to call more
 // than once and concurrently with delivery.
-func (s *Subscription) Cancel() {
-	if s.reg != nil {
-		s.reg.detach(s)
-	}
-	s.close()
-}
-
-// close shuts the mailbox down without detaching (used by Unregister and
-// Close, which already removed the subscription from the registration).
-func (s *Subscription) close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.queue = nil
-	close(s.done)
-	s.cond.Signal()
-	s.mu.Unlock()
-	if s.met != nil {
-		s.met.subsActive.Add(-1)
-	}
-}
+func (s *Subscription) Cancel() { s.mb.cancel() }

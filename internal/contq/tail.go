@@ -3,11 +3,9 @@ package contq
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"gpm/internal/graph"
-	"gpm/internal/journal"
 )
 
 // This file is the raw-ΔG tail subscription: the commit-level analogue of
@@ -42,167 +40,24 @@ type CommitSub struct {
 	// on C carries Seq+1.
 	Seq uint64
 
-	r    *Registry
-	done chan struct{}
-	out  chan CommitEvent
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []CommitEvent
-	closed  bool
-	started bool
-}
-
-// newCommitSub builds a commit subscription; a paused one collects events
-// in its mailbox but does not deliver until start — the window in which a
-// FromSeq tail backfills the missed commits ahead of the live feed.
-func newCommitSub(r *Registry, seq uint64, paused bool) *CommitSub {
-	s := &CommitSub{Seq: seq, r: r, done: make(chan struct{}), out: make(chan CommitEvent)}
-	s.C = s.out
-	s.cond = sync.NewCond(&s.mu)
-	if r.met != nil {
-		r.met.csubsActive.Add(1)
-	}
-	if !paused {
-		s.start()
-	}
-	return s
-}
-
-// start launches the delivery pump (idempotent). Starting a subscription
-// that was cancelled while paused just closes C.
-func (s *CommitSub) start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	if s.closed {
-		s.mu.Unlock()
-		close(s.out)
-		return
-	}
-	s.mu.Unlock()
-	go s.pump()
-}
-
-// prepend queues events ahead of everything already in the mailbox; only
-// valid before start.
-func (s *CommitSub) prepend(evs []CommitEvent) {
-	s.mu.Lock()
-	if !s.closed && len(evs) > 0 {
-		s.queue = append(append(make([]CommitEvent, 0, len(evs)+len(s.queue)), evs...), s.queue...)
-	}
-	s.mu.Unlock()
-}
-
-// push enqueues one event; called by the registry's publisher under the
-// commit-subscriber lock. Never blocks beyond the mailbox lock.
-func (s *CommitSub) push(ev CommitEvent) {
-	s.mu.Lock()
-	if !s.closed {
-		s.queue = append(s.queue, ev)
-		s.cond.Signal()
-	}
-	s.mu.Unlock()
-}
-
-// pump drains the mailbox to the consumer channel in order, ending (and
-// closing the channel) on cancellation.
-func (s *CommitSub) pump() {
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			s.mu.Unlock()
-			close(s.out)
-			return
-		}
-		ev := s.queue[0]
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-		select {
-		case s.out <- ev:
-		case <-s.done:
-			close(s.out)
-			return
-		}
-	}
+	mb *mailbox[CommitEvent]
 }
 
 // Cancel detaches the subscription: the registry stops delivering to it,
 // queued-but-unread events are discarded, and C closes. Safe to call more
 // than once and concurrently with delivery.
-func (s *CommitSub) Cancel() {
-	s.r.detachCommitSub(s)
-	s.close()
-	s.start() // closes C when the pump never ran (cancelled while paused)
-}
+func (s *CommitSub) Cancel() { s.mb.cancel() }
 
-// close shuts the mailbox down without detaching.
-func (s *CommitSub) close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.queue = nil
-	close(s.done)
-	s.cond.Signal()
-	s.mu.Unlock()
-	if s.r.met != nil {
-		s.r.met.csubsActive.Add(-1)
-	}
-}
-
-func (r *Registry) detachCommitSub(s *CommitSub) {
-	r.cmu.Lock()
-	delete(r.csubs, s)
-	r.cmu.Unlock()
-}
-
-// publishCommit fans one committed batch out to every commit subscriber's
-// mailbox. Called inside the writer's critical section, so subscribers
-// observe the same total commit order the journal records.
-func (r *Registry) publishCommit(ev CommitEvent) {
-	r.cmu.Lock()
-	for s := range r.csubs {
-		s.push(ev)
-	}
-	r.cmu.Unlock()
-}
-
-// closeCommitSubs ends every commit subscription (registry shutdown).
-func (r *Registry) closeCommitSubs() {
-	r.cmu.Lock()
-	subs := r.csubs
-	r.csubs = make(map[*CommitSub]struct{})
-	r.cmu.Unlock()
-	for s := range subs {
-		s.close()
-		s.start() // closes C when the pump never ran
-	}
-}
-
-// SubscribeCommits opens a raw-ΔG subscription to the commit stream. By
-// default it starts at the current head (live tail only); with FromSeq(n)
-// the commits in (n, head] are backfilled from the journal first, so the
-// subscriber sees one seq-contiguous stream. Fails with ErrSeqFuture when
-// n is ahead of the head, ErrNoJournal when backfill is requested on a
-// journal-less registry, and an error wrapping journal.ErrCompacted when
-// the journal no longer retains the range — the subscriber must re-sync
-// from a snapshot (Export) instead.
-func (r *Registry) SubscribeCommits(options ...SubscribeOption) (*CommitSub, error) {
-	return r.SubscribeCommitsContext(context.Background(), options...) //gpmvet:ignore legacy non-ctx API: this wrapper is the documented detachment point
-}
-
-// SubscribeCommitsContext is SubscribeCommits with cancellation: the
-// journal backfill — the potentially slow part — stops and the call fails
-// with ctx's error as soon as ctx is done.
+// SubscribeCommitsContext opens a raw-ΔG subscription to the commit
+// stream. By default it starts at the current head (live tail only); with
+// FromSeq(n) the commits in (n, head] are backfilled from the journal
+// first, so the subscriber sees one seq-contiguous stream. Fails with
+// ErrSeqFuture when n is ahead of the head, ErrNoJournal when backfill is
+// requested on a journal-less registry, and an error wrapping
+// journal.ErrCompacted when the journal no longer retains the range — the
+// subscriber must re-sync from a snapshot (Export) instead. The journal
+// backfill — the potentially slow part — stops and the call fails with
+// ctx's error as soon as ctx is done.
 func (r *Registry) SubscribeCommitsContext(ctx context.Context, options ...SubscribeOption) (*CommitSub, error) {
 	var o subscribeOpts
 	for _, opt := range options {
@@ -216,9 +71,7 @@ func (r *Registry) SubscribeCommitsContext(ctx context.Context, options ...Subsc
 		r.writeMu.Unlock()
 		return nil, ErrClosed
 	}
-	r.mu.RLock()
-	head := r.seq
-	r.mu.RUnlock()
+	head := r.Seq()
 	from := head
 	if o.hasFrom {
 		from = o.fromSeq
@@ -227,54 +80,28 @@ func (r *Registry) SubscribeCommitsContext(ctx context.Context, options ...Subsc
 		r.writeMu.Unlock()
 		return nil, fmt.Errorf("%w: %d > %d", ErrSeqFuture, from, head)
 	}
-	if from < head {
-		if r.journal == nil {
-			r.writeMu.Unlock()
-			return nil, ErrNoJournal
-		}
-		// Under writeMu no commit is mid-append, so a journal head behind
-		// the registry head is a real stop (failed append): error loudly
-		// rather than hand out a silently truncated tail.
-		if jhead := r.journal.HeadSeq(); jhead < head {
-			r.writeMu.Unlock()
-			return nil, fmt.Errorf("contq: journal stopped at seq %d behind head %d: %w",
-				jhead, head, journal.ErrCompacted)
-		}
+	if from < head && r.journal == nil {
+		r.writeMu.Unlock()
+		return nil, ErrNoJournal
 	}
 	// Attach under writeMu so the mailbox sees every commit > head; the
 	// backfill below fills (from, head] ahead of it.
-	s := newCommitSub(r, from, from != head)
-	r.cmu.Lock()
-	r.csubs[s] = struct{}{}
-	r.cmu.Unlock()
+	mb := newMailbox(&r.csubs, r.met.csubsActive, r.met.mailboxHW, from != head)
 	r.writeMu.Unlock()
+	s := &CommitSub{C: mb.out, Seq: from, mb: mb}
 	if from == head {
 		return s, nil
 	}
-	fail := func(err error) (*CommitSub, error) {
-		s.Cancel()
-		return nil, err
-	}
-	recs, err := r.journal.Commits(from)
+	recs, err := r.journalRange(ctx, from, head)
 	if err != nil {
-		return fail(fmt.Errorf("contq: commit tail from %d: %w", from, err))
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	// Commits that landed after head are already queued in the paused
-	// mailbox as live events; backfill must stop exactly at head.
-	for len(recs) > 0 && recs[len(recs)-1].Seq > head {
-		recs = recs[:len(recs)-1]
-	}
-	if uint64(len(recs)) != head-from || recs[0].Seq != from+1 || recs[len(recs)-1].Seq != head {
-		return fail(fmt.Errorf("contq: journal gap tailing (%d, %d]: %w", from, head, journal.ErrCompacted))
+		mb.cancel()
+		return nil, err
 	}
 	evs := make([]CommitEvent, 0, len(recs))
 	for _, rec := range recs {
 		evs = append(evs, CommitEvent{Seq: rec.Seq, Updates: rec.Updates, Trace: rec.Trace})
 	}
-	s.prepend(evs)
-	s.start()
+	mb.prepend(evs)
+	mb.start()
 	return s, nil
 }

@@ -49,7 +49,7 @@ func TestCommitTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Cancel()
-	csub, err := r.SubscribeCommits()
+	csub, err := r.SubscribeCommitsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestUntracedApplyStaysUntraced(t *testing.T) {
 	g := generator.Synthetic(20, 60, generator.DefaultSchema(3), seed)
 	r := New(g, WithJournal(journal.New()), WithMetrics(obs.NewRegistry()))
 	defer r.Close()
-	csub, err := r.SubscribeCommits()
+	csub, err := r.SubscribeCommitsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestReplicatedTraceContinuity(t *testing.T) {
 	}
 	defer follower.Close()
 
-	csub, err := leader.SubscribeCommits()
+	csub, err := leader.SubscribeCommitsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestStatusConsistency(t *testing.T) {
 		wantCode     string
 		wantAllow    string
 	}{
-		// Wrong method on every route, both API versions.
+		// Wrong method on every route.
 		{"graph wrong method", "DELETE", "/v1/graph", "", 405, CodeMethodNotAllowed, "GET, POST"},
 		{"patterns wrong method", "POST", "/v1/patterns", "", 405, CodeMethodNotAllowed, "GET"},
 		{"pattern wrong method", "POST", "/v1/patterns/q", "", 405, CodeMethodNotAllowed, "DELETE, GET, PUT"},
@@ -56,7 +56,6 @@ func TestStatusConsistency(t *testing.T) {
 		{"stats wrong method", "PUT", "/v1/stats", "", 405, CodeMethodNotAllowed, "GET"},
 		{"healthz wrong method", "POST", "/v1/healthz", "", 405, CodeMethodNotAllowed, "GET"},
 		{"readyz wrong method", "POST", "/v1/readyz", "", 405, CodeMethodNotAllowed, "GET"},
-		{"legacy wrong method", "DELETE", "/graph", "", 405, CodeMethodNotAllowed, "GET, POST"},
 
 		// Unknown pattern id: 404 with not_found on every id-taking route.
 		{"result unknown id", "GET", "/v1/patterns/none/result", "", 404, CodeNotFound, ""},
@@ -120,74 +119,30 @@ func TestStatusConsistency(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases: every unversioned route still works, carries the
-// Deprecation header and a successor-version Link; /v1 routes carry
-// neither.
-func TestLegacyAliases(t *testing.T) {
+// TestUnversionedPathsNotFound: the API lives under /v1 only — the paths
+// the pre-/v1 server answered get the same 404 envelope as any unknown
+// route, on every method.
+func TestUnversionedPathsNotFound(t *testing.T) {
 	_, ts, client := loadedServer(t)
-	if code, _ := do(t, client, "POST", ts.URL+"/updates", "insert 0 1"); code != http.StatusOK {
-		t.Fatal("legacy updates failed")
-	}
-
-	legacy := []struct{ method, path string }{
+	for _, c := range []struct{ method, path string }{
 		{"GET", "/graph"},
+		{"DELETE", "/graph"},
 		{"GET", "/patterns"},
 		{"GET", "/patterns/q/result"},
+		{"GET", "/patterns/q/stream"},
 		{"GET", "/commits"},
 		{"GET", "/stats"},
 		{"POST", "/updates"},
-	}
-	for _, c := range legacy {
-		body := ""
-		if c.method == "POST" {
-			body = "delete 0 1\ninsert 0 1"
-		}
-		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s %s: status %d", c.method, c.path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("%s %s: missing Deprecation header", c.method, c.path)
-		}
-		wantLink := `</v1` + c.path + `>; rel="successor-version"`
-		if resp.Header.Get("Link") != wantLink {
-			t.Fatalf("%s %s: Link %q, want %q", c.method, c.path, resp.Header.Get("Link"), wantLink)
+		{"GET", "/healthz"},
+		{"GET", "/metricz"},
+	} {
+		code, body := do(t, client, c.method, ts.URL+c.path, "insert 0 1")
+		if code != http.StatusNotFound || body["code"] != CodeNotFound || body["message"] == "" {
+			t.Fatalf("%s %s: status %d body %v, want the 404 %s envelope", c.method, c.path, code, body, CodeNotFound)
 		}
 	}
-
-	// Canonical routes are not deprecated.
-	resp, err := client.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route carries a Deprecation header")
-	}
-
-	// The legacy SSE stream also resumes (the PR 4 contract): it is the
-	// same handler behind the alias.
-	resp, err = client.Get(ts.URL + "/patterns/q/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" || resp.Header.Get("Content-Type") != "text/event-stream" {
-		t.Fatalf("legacy stream: Deprecation %q, Content-Type %q",
-			resp.Header.Get("Deprecation"), resp.Header.Get("Content-Type"))
-	}
-
-	// healthz/readyz are v1-only: no deprecated alias exists.
-	if code, _ := do(t, client, "GET", ts.URL+"/healthz", ""); code != http.StatusNotFound {
-		t.Fatal("/healthz must not exist unversioned")
+	if _, info := do(t, client, "GET", ts.URL+"/v1/graph", ""); info["seq"] != float64(0) {
+		t.Fatalf("an unversioned POST /updates committed: %v", info)
 	}
 }
 

@@ -141,7 +141,6 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 		{"PUT", "/v1/patterns/p?kind=sim", "node 0 true"},
 		{"DELETE", "/v1/patterns/p", ""},
 		{"POST", "/v1/updates", "insert 0 1"},
-		{"POST", "/updates", "insert 0 1"}, // deprecated alias guards too
 	} {
 		code, body := do(t, client, c.method, ts.URL+c.path, c.body)
 		if code != http.StatusForbidden || body["code"] != CodeReadOnly {

@@ -46,15 +46,22 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal("register failed")
 	}
 
-	// A live stream so delivery-side series get observations too.
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/patterns/q/stream", nil)
-	resp, err := client.Do(req)
+	// A live stream of each kind, so delivery-side series get
+	// observations too.
+	resp, err := client.Get(ts.URL + "/v1/patterns/q/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	readSSE(t, sc, 1) // snapshot
+	cresp, err := client.Get(ts.URL + "/v1/commits/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cresp.Body.Close()
+	csc := bufio.NewScanner(cresp.Body)
+	readSSE(t, csc, 1) // head
 
 	const commits = 3
 	for i := 0; i < commits; i++ {
@@ -66,6 +73,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 	readSSE(t, sc, 2*commits)
+	readSSE(t, csc, 2*commits)
 
 	// Surface 1: /v1/stats carries the timings block.
 	code, stats := do(t, client, "GET", ts.URL+"/v1/stats", "")
@@ -123,27 +131,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The stream consumed 6 deltas; the age series must have seen them.
+	// The streams consumed 6 deltas and 6 commits; the age series must
+	// have seen both kinds.
 	age := mreg.Histogram("gpm_sse_event_age_ms", "", nil).Snapshot()
-	if age.Count != 2*commits {
-		t.Fatalf("sse event age count = %d, want %d", age.Count, 2*commits)
-	}
-}
-
-// TestMetriczIsV1Only ensures the scrape endpoint exists only under /v1 —
-// no deprecated unversioned alias to keep alive forever.
-func TestMetriczIsV1Only(t *testing.T) {
-	srv := New()
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-	resp, err := ts.Client().Get(ts.URL + "/metricz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unversioned /metricz answered %d, want 404", resp.StatusCode)
+	if age.Count != 4*commits {
+		t.Fatalf("sse event age count = %d, want %d", age.Count, 4*commits)
 	}
 }
 

@@ -22,7 +22,7 @@ func postUpdates(t *testing.T, client *http.Client, url string, ups []graph.Upda
 	if err := graph.WriteUpdates(&buf, ups); err != nil {
 		t.Fatal(err)
 	}
-	code, body := do(t, client, "POST", url+"/updates", buf.String())
+	code, body := do(t, client, "POST", url+"/v1/updates", buf.String())
 	if code != http.StatusOK {
 		t.Fatalf("updates: code %d body %v", code, body)
 	}
@@ -32,7 +32,7 @@ func postUpdates(t *testing.T, client *http.Client, url string, ups []graph.Upda
 // openStream opens an SSE stream, optionally resuming via Last-Event-ID.
 func openStream(t *testing.T, client *http.Client, url, id string, lastEventID string) (*http.Response, *bufio.Scanner) {
 	t.Helper()
-	req, err := http.NewRequest("GET", url+"/patterns/"+id+"/stream", nil)
+	req, err := http.NewRequest("GET", url+"/v1/patterns/"+id+"/stream", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,10 @@ func TestStreamResumeAfterDisconnect(t *testing.T) {
 	client := ts.Client()
 
 	g, gtext := testGraphText(t, 11)
-	if code, _ := do(t, client, "POST", ts.URL+"/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/patterns/watch?kind=sim", testPatternText(t, g, 1, 11)); code != http.StatusCreated {
+	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/watch?kind=sim", testPatternText(t, g, 1, 11)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 
@@ -124,7 +124,7 @@ func TestStreamResumeAfterDisconnect(t *testing.T) {
 		last = seq
 	}
 	// The resumed accumulation equals the live result.
-	_, body := do(t, client, "GET", ts.URL+"/patterns/watch/result", "")
+	_, body := do(t, client, "GET", ts.URL+"/v1/patterns/watch/result", "")
 	if !acc.Equal(pairsOf(t, body["pairs"], np)) {
 		t.Fatal("snapshot + pre-disconnect deltas + resumed deltas diverge from /result")
 	}
@@ -133,7 +133,7 @@ func TestStreamResumeAfterDisconnect(t *testing.T) {
 	if seq := applyFrame(t, readSSE(t, sc2, 1)[0], acc, np); seq != last+1 {
 		t.Fatalf("post-resume live delta has seq %d, want %d", seq, last+1)
 	}
-	_, body = do(t, client, "GET", ts.URL+"/patterns/watch/result", "")
+	_, body = do(t, client, "GET", ts.URL+"/v1/patterns/watch/result", "")
 	if !acc.Equal(pairsOf(t, body["pairs"], np)) {
 		t.Fatal("post-resume accumulation diverges from /result")
 	}
@@ -150,10 +150,10 @@ func TestResumeHeaderBeatsQuery(t *testing.T) {
 	client := ts.Client()
 
 	g, gtext := testGraphText(t, 43)
-	if code, _ := do(t, client, "POST", ts.URL+"/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/patterns/q?kind=sim", testPatternText(t, g, 1, 43)); code != http.StatusCreated {
+	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 43)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 	ups := generator.Updates(g, 30, 30, 47)
@@ -161,7 +161,7 @@ func TestResumeHeaderBeatsQuery(t *testing.T) {
 		postUpdates(t, client, ts.URL, ups[i*10:(i+1)*10])
 	}
 	// Stale ?from=0 on the URL, current Last-Event-ID: 2 in the header.
-	req, err := http.NewRequest("GET", ts.URL+"/patterns/q/stream?from=0", nil)
+	req, err := http.NewRequest("GET", ts.URL+"/v1/patterns/q/stream?from=0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +193,10 @@ func TestStreamResumeFallbackToSnapshot(t *testing.T) {
 	client := ts.Client()
 
 	g, gtext := testGraphText(t, 17)
-	if code, _ := do(t, client, "POST", ts.URL+"/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/patterns/q?kind=sim", testPatternText(t, g, 1, 17)); code != http.StatusCreated {
+	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 17)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 	ups := generator.Updates(g, 30, 30, 19)
@@ -210,7 +210,7 @@ func TestStreamResumeFallbackToSnapshot(t *testing.T) {
 		t.Fatalf("fallback event %q, want snapshot", frame.event)
 	}
 	const np = 3
-	_, body := do(t, client, "GET", ts.URL+"/patterns/q/result", "")
+	_, body := do(t, client, "GET", ts.URL+"/v1/patterns/q/result", "")
 	if !pairsOf(t, frame.data["pairs"], np).Equal(pairsOf(t, body["pairs"], np)) {
 		t.Fatal("fallback snapshot diverges from /result")
 	}
@@ -228,15 +228,15 @@ func TestResumeAtHeadSendsHeadersImmediately(t *testing.T) {
 	client := ts.Client()
 
 	g, gtext := testGraphText(t, 53)
-	if code, _ := do(t, client, "POST", ts.URL+"/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/patterns/q?kind=sim", testPatternText(t, g, 1, 53)); code != http.StatusCreated {
+	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 53)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 	head := postUpdates(t, client, ts.URL, generator.Updates(g, 10, 10, 53))
 
-	req, err := http.NewRequest("GET", ts.URL+"/patterns/q/stream", nil)
+	req, err := http.NewRequest("GET", ts.URL+"/v1/patterns/q/stream", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestJournalFailureSurfaces(t *testing.T) {
 	client := ts.Client()
 
 	g, gtext := testGraphText(t, 59)
-	if code, _ := do(t, client, "POST", ts.URL+"/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	ups := generator.Updates(g, 20, 20, 59)
@@ -286,7 +286,7 @@ func TestJournalFailureSurfaces(t *testing.T) {
 	if err := srv.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
-	code, body := do(t, client, "POST", ts.URL+"/updates", updatesText(t, ups[10:20]))
+	code, body := do(t, client, "POST", ts.URL+"/v1/updates", updatesText(t, ups[10:20]))
 	if code != http.StatusInternalServerError {
 		t.Fatalf("journaled-commit failure: code %d body %v (must be 500, not 4xx)", code, body)
 	}
@@ -294,16 +294,16 @@ func TestJournalFailureSurfaces(t *testing.T) {
 		t.Fatalf("500 body must carry the assigned seq and the journal_failed envelope: %v", body)
 	}
 	// The commit stands in memory: head advanced.
-	_, info := do(t, client, "GET", ts.URL+"/graph", "")
+	_, info := do(t, client, "GET", ts.URL+"/v1/graph", "")
 	if info["seq"].(float64) != 2 {
 		t.Fatalf("graph seq %v, want 2", info["seq"])
 	}
 	// The raw tail is no longer complete: 410, not a silent truncation.
-	if code, _ := do(t, client, "GET", ts.URL+"/commits", ""); code != http.StatusGone {
+	if code, _ := do(t, client, "GET", ts.URL+"/v1/commits", ""); code != http.StatusGone {
 		t.Fatalf("/commits with stopped journal: code %d, want 410", code)
 	}
 	// A malformed batch is still a plain 400 with no seq.
-	code, body = do(t, client, "POST", ts.URL+"/updates", "insert 0 999999\n")
+	code, body = do(t, client, "POST", ts.URL+"/v1/updates", "insert 0 999999\n")
 	if code != http.StatusBadRequest || body["seq"] != nil {
 		t.Fatalf("validation failure: code %d body %v", code, body)
 	}
@@ -329,14 +329,14 @@ func TestCommitsEndpoint(t *testing.T) {
 	client := ts.Client()
 
 	g, gtext := testGraphText(t, 23)
-	if code, _ := do(t, client, "POST", ts.URL+"/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	ups := generator.Updates(g, 20, 20, 29)
 	seq1 := postUpdates(t, client, ts.URL, ups[:10])
 	postUpdates(t, client, ts.URL, ups[10:])
 
-	code, body := do(t, client, "GET", ts.URL+"/commits", "")
+	code, body := do(t, client, "GET", ts.URL+"/v1/commits", "")
 	if code != http.StatusOK {
 		t.Fatalf("/commits: code %d", code)
 	}
@@ -356,14 +356,14 @@ func TestCommitsEndpoint(t *testing.T) {
 		t.Fatalf("update op %q", op)
 	}
 
-	code, body = do(t, client, "GET", ts.URL+"/commits?from=1", "")
+	code, body = do(t, client, "GET", ts.URL+"/v1/commits?from=1", "")
 	if code != http.StatusOK || len(body["commits"].([]any)) != 1 {
 		t.Fatalf("/commits?from=1: code %d body %v", code, body)
 	}
-	if code, _ := do(t, client, "GET", ts.URL+"/commits?from=99", ""); code != http.StatusBadRequest {
+	if code, _ := do(t, client, "GET", ts.URL+"/v1/commits?from=99", ""); code != http.StatusBadRequest {
 		t.Fatalf("future from: code %d", code)
 	}
-	if code, _ := do(t, client, "GET", ts.URL+"/commits?from=bogus", ""); code != http.StatusBadRequest {
+	if code, _ := do(t, client, "GET", ts.URL+"/v1/commits?from=bogus", ""); code != http.StatusBadRequest {
 		t.Fatalf("bad from: code %d", code)
 	}
 
@@ -376,13 +376,13 @@ func TestCommitsEndpoint(t *testing.T) {
 	defer ts2.Close()
 	defer srv2.Close()
 	g2, gtext2 := testGraphText(t, 31)
-	if code, _ := do(t, ts2.Client(), "POST", ts2.URL+"/graph", gtext2); code != http.StatusOK {
+	if code, _ := do(t, ts2.Client(), "POST", ts2.URL+"/v1/graph", gtext2); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	ups2 := generator.Updates(g2, 20, 20, 31)
 	postUpdates(t, ts2.Client(), ts2.URL, ups2[:10])
 	postUpdates(t, ts2.Client(), ts2.URL, ups2[10:])
-	if code, _ := do(t, ts2.Client(), "GET", ts2.URL+"/commits", ""); code != http.StatusGone {
+	if code, _ := do(t, ts2.Client(), "GET", ts2.URL+"/v1/commits", ""); code != http.StatusGone {
 		t.Fatalf("compacted /commits: code %d", code)
 	}
 }
@@ -397,12 +397,12 @@ func TestStatsIncludeJournal(t *testing.T) {
 	client := ts.Client()
 
 	g, gtext := testGraphText(t, 37)
-	if code, _ := do(t, client, "POST", ts.URL+"/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	postUpdates(t, client, ts.URL, generator.Updates(g, 10, 10, 37))
 
-	_, stats := do(t, client, "GET", ts.URL+"/stats", "")
+	_, stats := do(t, client, "GET", ts.URL+"/v1/stats", "")
 	jn, ok := stats["journal"].(map[string]any)
 	if !ok {
 		t.Fatalf("stats have no journal section: %v", stats)
@@ -435,7 +435,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	client := ts.Client()
 
 	g, gtext := testGraphText(t, 41)
-	if code, _ := do(t, client, "POST", ts.URL+"/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	for id, kind := range map[string]string{"s": "sim", "b": "bsim", "i": "iso"} {
@@ -443,7 +443,7 @@ func TestServerRestartRecovery(t *testing.T) {
 		if kind == "bsim" {
 			k = 2
 		}
-		if code, _ := do(t, client, "PUT", ts.URL+"/patterns/"+id+"?kind="+kind, testPatternText(t, g, k, 41)); code != http.StatusCreated {
+		if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/"+id+"?kind="+kind, testPatternText(t, g, k, 41)); code != http.StatusCreated {
 			t.Fatalf("register %s failed", id)
 		}
 	}
@@ -466,7 +466,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	preSeq := uint64(3)
 	want := map[string]rel.Relation{}
 	for _, id := range []string{"s", "b", "i"} {
-		_, body := do(t, client, "GET", ts.URL+"/patterns/"+id+"/result", "")
+		_, body := do(t, client, "GET", ts.URL+"/v1/patterns/"+id+"/result", "")
 		want[id] = pairsOf(t, body["pairs"], np)
 	}
 
@@ -493,7 +493,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	defer srv2.Close()
 	client2 := ts2.Client()
 
-	code, body := do(t, client2, "GET", ts2.URL+"/graph", "")
+	code, body := do(t, client2, "GET", ts2.URL+"/v1/graph", "")
 	if code != http.StatusOK || uint64(body["seq"].(float64)) != preSeq {
 		t.Fatalf("recovered /graph: code %d body %v", code, body)
 	}
@@ -501,7 +501,7 @@ func TestServerRestartRecovery(t *testing.T) {
 		t.Fatalf("recovered %v patterns, want 3", body["patterns"])
 	}
 	for id, w := range want {
-		_, body := do(t, client2, "GET", ts2.URL+"/patterns/"+id+"/result", "")
+		_, body := do(t, client2, "GET", ts2.URL+"/v1/patterns/"+id+"/result", "")
 		if !w.Equal(pairsOf(t, body["pairs"], np)) {
 			t.Fatalf("pattern %q result diverges after restart", id)
 		}
@@ -521,7 +521,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	if seq := applyFrame(t, readSSE(t, sc2, 1)[0], acc, np); seq != newSeq {
 		t.Fatalf("post-restart delta seq %d, want %d", seq, newSeq)
 	}
-	_, body = do(t, client2, "GET", ts2.URL+"/patterns/s/result", "")
+	_, body = do(t, client2, "GET", ts2.URL+"/v1/patterns/s/result", "")
 	if !acc.Equal(pairsOf(t, body["pairs"], np)) {
 		t.Fatal("cross-restart accumulation diverges from /result")
 	}

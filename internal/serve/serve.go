@@ -29,11 +29,6 @@
 // {"code", "message", "seq"?} with a stable machine-readable code (see
 // wire.go).
 //
-// The original unversioned routes remain as deprecated aliases of their
-// /v1 successors: same handlers, plus a "Deprecation: true" header and a
-// Link header naming the successor. New consumers should use /v1 (or the
-// typed client package, which does).
-//
 // Streams resume: every SSE frame carries its commit sequence as the SSE
 // id, so a dropped client reconnects with the standard Last-Event-ID
 // header (or ?from=N) and receives exactly the deltas it missed — no
@@ -51,6 +46,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"gpm/internal/contq"
 	"gpm/internal/graph"
@@ -157,16 +153,14 @@ func (s *Server) SetStatsExtra(fn func() any) {
 	s.mu.Unlock()
 }
 
-// initMux builds the route table: every route once under /v1 (the
-// canonical surface) and once at its original unversioned path as a
-// deprecated alias. A known path with the wrong method gets a 405
-// envelope with an Allow header; an unknown path a 404 envelope.
+// initMux builds the route table, every route under /v1. A known path
+// with the wrong method gets a 405 envelope with an Allow header; an
+// unknown path a 404 envelope.
 func (s *Server) initMux() {
 	mux := http.NewServeMux()
 	routes := []struct {
 		path    string
 		methods map[string]http.HandlerFunc
-		v1Only  bool
 	}{
 		{path: "/graph", methods: map[string]http.HandlerFunc{"POST": s.writable(s.loadGraph), "GET": s.graphInfo}},
 		{path: "/patterns", methods: map[string]http.HandlerFunc{"GET": s.listPatterns}},
@@ -176,26 +170,19 @@ func (s *Server) initMux() {
 		{path: "/patterns/{id}/stream", methods: map[string]http.HandlerFunc{"GET": s.stream}},
 		{path: "/updates", methods: map[string]http.HandlerFunc{"POST": s.writable(s.updates)}},
 		{path: "/commits", methods: map[string]http.HandlerFunc{"GET": s.commits}},
-		{path: "/commits/stream", methods: map[string]http.HandlerFunc{"GET": s.commitStream}, v1Only: true},
-		{path: "/snapshot", methods: map[string]http.HandlerFunc{"GET": s.snapshot}, v1Only: true},
+		{path: "/commits/stream", methods: map[string]http.HandlerFunc{"GET": s.commitStream}},
+		{path: "/snapshot", methods: map[string]http.HandlerFunc{"GET": s.snapshot}},
 		{path: "/stats", methods: map[string]http.HandlerFunc{"GET": s.stats}},
-		{path: "/metricz", methods: map[string]http.HandlerFunc{"GET": s.metricz}, v1Only: true},
-		{path: "/tracez", methods: map[string]http.HandlerFunc{"GET": s.tracez}, v1Only: true},
-		{path: "/healthz", methods: map[string]http.HandlerFunc{"GET": s.healthz}, v1Only: true},
-		{path: "/readyz", methods: map[string]http.HandlerFunc{"GET": s.readyz}, v1Only: true},
+		{path: "/metricz", methods: map[string]http.HandlerFunc{"GET": s.metricz}},
+		{path: "/tracez", methods: map[string]http.HandlerFunc{"GET": s.tracez}},
+		{path: "/healthz", methods: map[string]http.HandlerFunc{"GET": s.healthz}},
+		{path: "/readyz", methods: map[string]http.HandlerFunc{"GET": s.readyz}},
 	}
 	for _, rt := range routes {
 		for m, h := range rt.methods {
 			mux.HandleFunc(m+" /v1"+rt.path, h)
 		}
 		mux.HandleFunc("/v1"+rt.path, methodNotAllowed(rt.methods))
-		if rt.v1Only {
-			continue
-		}
-		for m, h := range rt.methods {
-			mux.HandleFunc(m+" "+rt.path, deprecated(h))
-		}
-		mux.HandleFunc(rt.path, deprecated(methodNotAllowed(rt.methods)))
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, CodeNotFound, fmt.Errorf("no route %s", r.URL.Path))
@@ -220,17 +207,6 @@ func (s *Server) writable(h http.HandlerFunc) http.HandlerFunc {
 			body.TraceID = sc.TraceID.String()
 		}
 		writeJSON(w, http.StatusForbidden, body)
-	}
-}
-
-// deprecated marks a legacy unversioned route: the same handler, plus the
-// RFC 8594-style Deprecation header and a Link to the /v1 successor, so
-// clients can migrate mechanically.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
 	}
 }
 
@@ -500,38 +476,121 @@ func (s *Server) updates(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"seq": seq, "updates": len(ups)})
 }
 
-// sseEvent writes one SSE frame — with its commit sequence as the SSE id,
-// so clients can resume via Last-Event-ID — and flushes it.
-func sseEvent(w http.ResponseWriter, f http.Flusher, event string, seq uint64, v any) error {
-	data, err := json.Marshal(v)
+// streamFrame is one rendered stream event: the SSE event name, the commit
+// sequence sent as the SSE id (so clients resume via Last-Event-ID) and the
+// JSON data document. at and trace are the producing commit's publish
+// timestamp and traceparent (zero for opening frames and backfilled
+// events); deliver adds them to doc. span is the attribute naming the
+// stream on the sse.deliver span.
+type streamFrame struct {
+	event string
+	seq   uint64
+	doc   map[string]any
+	at    time.Time
+	trace string
+	span  [2]string
+}
+
+// write sends the frame and flushes it.
+func (f streamFrame) write(w http.ResponseWriter, fl http.Flusher) error {
+	data, err := json.Marshal(f.doc)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", event, seq, data); err != nil {
+	if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", f.event, f.seq, data); err != nil {
 		return err
 	}
-	f.Flush()
+	fl.Flush()
 	return nil
 }
 
-// resumeSeq extracts the client's resume point. The standard
-// Last-Event-ID header wins over ?from=N: an EventSource opened with
-// ?from= keeps the stale query parameter on every auto-reconnect but
-// sends the up-to-date header, and honoring the query would replay
-// already-delivered deltas. ok reports whether a resume was requested.
-func resumeSeq(r *http.Request) (seq uint64, ok bool, err error) {
+// sseRequest checks what every stream route needs before it subscribes —
+// a flushable connection and a well-formed resume point — answering the
+// error envelope itself when ok is false.
+//
+// The standard Last-Event-ID header wins over ?from=N: an EventSource
+// opened with ?from= keeps the stale query parameter on every
+// auto-reconnect but sends the up-to-date header, and honoring the query
+// would replay already-delivered events. resume reports whether a resume
+// was requested.
+func sseRequest(w http.ResponseWriter, r *http.Request) (fl http.Flusher, from uint64, resume, ok bool) {
+	fl, ok = w.(http.Flusher)
+	if !ok {
+		writeError(w, r, http.StatusInternalServerError, CodeInternal, fmt.Errorf("streaming unsupported"))
+		return nil, 0, false, false
+	}
 	raw := r.Header.Get("Last-Event-ID")
 	if raw == "" {
 		raw = r.URL.Query().Get("from")
 	}
 	if raw == "" {
-		return 0, false, nil
+		return fl, 0, false, true
 	}
-	seq, err = strconv.ParseUint(raw, 10, 64)
+	from, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		return 0, false, fmt.Errorf("bad resume seq %q: %w", raw, err)
+		writeError(w, r, http.StatusBadRequest, CodeInvalidSeq, fmt.Errorf("bad resume seq %q: %w", raw, err))
+		return nil, 0, false, false
 	}
-	return seq, true, nil
+	return fl, from, true, true
+}
+
+// deliver is the SSE delivery loop behind both stream routes: response
+// headers, the optional opening frame, then one frame per event off the
+// subscription channel until the client goes away (the request context
+// is honored end to end) or the channel closes — pattern unregistered,
+// registry swapped out, or server closing.
+func deliver[E any](w http.ResponseWriter, r *http.Request, fl http.Flusher, reg *contq.Registry,
+	opening *streamFrame, events <-chan E, render func(E) streamFrame) {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	// Push the headers out now: a resumed ΔM stream sends no opening
+	// frame, and without this flush a reconnecting client would sit in
+	// CONNECTING until the next commit produced its first event.
+	fl.Flush()
+	if opening != nil {
+		if err := opening.write(w, fl); err != nil {
+			return
+		}
+	}
+	// Event age at delivery: publish timestamp → this handler draining it,
+	// the lag a slow consumer (or a deep mailbox) adds on top of commit
+	// latency. Backfilled events carry no timestamp and are skipped.
+	eventAge := reg.Metrics().Histogram("gpm_sse_event_age_ms",
+		"Age of a stream event when the SSE handler delivers it, publish to write, in milliseconds.", nil)
+	tr := reg.Tracer()
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case ev, ok := <-events:
+			if !ok {
+				return
+			}
+			f := render(ev)
+			if f.trace != "" {
+				f.doc["trace"] = f.trace
+			}
+			// The delivery span hangs the SSE write off the commit span that
+			// produced the event: its start is the publish timestamp, so its
+			// duration IS the event's age at delivery. Backfilled events
+			// (zero at) are historical and get no span.
+			var ds *trace.Span
+			if !f.at.IsZero() {
+				eventAge.ObserveSince(f.at)
+				f.doc["at"] = f.at.UnixNano()
+				if sc, ok := trace.Parse(f.trace); ok {
+					ds = tr.StartSpanAt(sc, "sse.deliver", f.at)
+					ds.SetAttr(f.span[0], f.span[1])
+				}
+			}
+			err := f.write(w, fl)
+			ds.End()
+			if err != nil {
+				return
+			}
+		}
+	}
 }
 
 // stream serves the match-delta subscription over SSE: one "snapshot"
@@ -544,35 +603,27 @@ func resumeSeq(r *http.Request) (seq uint64, ok bool, err error) {
 // the missed deltas backfilled from the registry's journal. When the
 // journal no longer retains the range (compacted, or the seq is ahead of
 // a recovered head), the server falls back to the snapshot path — the
-// client detects this by receiving a "snapshot" event and rebases.
-//
-// The request context is honored end to end: a canceled client tears the
-// subscription down even while the resume backfill is still replaying.
+// client detects this by receiving a "snapshot" event and rebases. A
+// canceled client tears the subscription down even while the resume
+// backfill is still replaying.
 func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
+	fl, from, resume, ok := sseRequest(w, r)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, CodeInternal, fmt.Errorf("streaming unsupported"))
 		return
 	}
 	id := r.PathValue("id")
-	from, resume, err := resumeSeq(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidSeq, err)
-		return
-	}
 	ctx := r.Context()
 	reg := s.registry()
-	var sub *contq.Subscription
+	var opts []contq.SubscribeOption
 	if resume {
-		sub, err = reg.SubscribeContext(ctx, id, contq.FromSeq(from))
-		if err != nil && !errors.Is(err, contq.ErrNotRegistered) &&
-			!errors.Is(err, contq.ErrClosed) && ctx.Err() == nil {
-			// Unresumable (journal compacted, seq ahead of a recovered
-			// head): fall back to a fresh snapshot subscription.
-			resume = false
-			sub, err = reg.SubscribeContext(ctx, id)
-		}
-	} else {
+		opts = append(opts, contq.FromSeq(from))
+	}
+	sub, err := reg.SubscribeContext(ctx, id, opts...)
+	if resume && err != nil && !errors.Is(err, contq.ErrNotRegistered) &&
+		!errors.Is(err, contq.ErrClosed) && ctx.Err() == nil {
+		// Unresumable (journal compacted, seq ahead of a recovered
+		// head): fall back to a fresh snapshot subscription.
+		resume = false
 		sub, err = reg.SubscribeContext(ctx, id)
 	}
 	if err != nil {
@@ -581,65 +632,19 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sub.Cancel()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	// Push the headers out now: a resumed stream sends no snapshot frame,
-	// and without this flush a reconnecting client would sit in
-	// CONNECTING until the next commit produced its first event.
-	flusher.Flush()
+	var opening *streamFrame
 	if !resume {
-		snap := map[string]any{
+		opening = &streamFrame{event: "snapshot", seq: sub.Seq, doc: map[string]any{
 			"id": id, "seq": sub.Seq, "size": sub.Snapshot.Size(), "pairs": pairsOrEmpty(sub.Snapshot.Pairs()),
-		}
-		if err := sseEvent(w, flusher, "snapshot", sub.Seq, snap); err != nil {
-			return
-		}
+		}}
 	}
-	// Event age at delivery: publish timestamp → this handler draining it,
-	// the lag a slow consumer (or a deep mailbox) adds on top of commit
-	// latency. Backfilled events carry no timestamp and are skipped.
-	eventAge := reg.Metrics().Histogram("gpm_sse_event_age_ms",
-		"Age of a match-delta event when the SSE handler delivers it, publish to write, in milliseconds.", nil)
-	tr := reg.Tracer()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-sub.C:
-			if !ok {
-				return // pattern unregistered or server closing
-			}
-			if !ev.At.IsZero() {
-				eventAge.ObserveSince(ev.At)
-			}
-			frame := map[string]any{
+	deliver(w, r, fl, reg, opening, sub.C, func(ev contq.Event) streamFrame {
+		return streamFrame{event: "delta", seq: ev.Seq, at: ev.At, trace: ev.Trace, span: [2]string{"pattern", ev.Pattern},
+			doc: map[string]any{
 				"id": ev.Pattern, "seq": ev.Seq,
 				"added": pairsOrEmpty(ev.Delta.Added), "removed": pairsOrEmpty(ev.Delta.Removed),
-			}
-			if ev.Trace != "" {
-				frame["trace"] = ev.Trace
-			}
-			if !ev.At.IsZero() {
-				frame["at"] = ev.At.UnixNano()
-			}
-			// The delivery span hangs the SSE write off the commit span that
-			// produced the event: its start is the publish timestamp, so its
-			// duration IS the event's age at delivery. Backfilled events
-			// (zero At) are historical and get no span.
-			var ds *trace.Span
-			if sc, ok := trace.Parse(ev.Trace); ok && !ev.At.IsZero() {
-				ds = tr.StartSpanAt(sc, "sse.deliver", ev.At)
-				ds.SetAttr("pattern", ev.Pattern)
-			}
-			err := sseEvent(w, flusher, "delta", ev.Seq, frame)
-			ds.End()
-			if err != nil {
-				return
-			}
-		}
-	}
+			}}
+	})
 }
 
 // commits serves the raw ΔG tail: every committed net update batch with
@@ -712,65 +717,28 @@ func (s *Server) patternDef(w http.ResponseWriter, r *http.Request) {
 // answers 410 compacted before any frame is written — the signal to
 // re-bootstrap from /v1/snapshot.
 func (s *Server) commitStream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
+	fl, from, resume, ok := sseRequest(w, r)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, CodeInternal, fmt.Errorf("streaming unsupported"))
 		return
 	}
-	from, resume, err := resumeSeq(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidSeq, err)
-		return
-	}
-	ctx := r.Context()
 	reg := s.registry()
 	var opts []contq.SubscribeOption
 	if resume {
 		opts = append(opts, contq.FromSeq(from))
 	}
-	sub, err := reg.SubscribeCommitsContext(ctx, opts...)
+	sub, err := reg.SubscribeCommitsContext(r.Context(), opts...)
 	if err != nil {
 		status, code := classify(err, http.StatusInternalServerError, CodeInternal)
 		writeError(w, r, status, code, err)
 		return
 	}
 	defer sub.Cancel()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	// The head frame tells a fresh consumer where the stream starts (its
+	// The head frame tells a fresh consumer where the stream starts: its
 	// id seeds Last-Event-ID, so even an eventless disconnect resumes
-	// correctly) and doubles as the connection flush.
-	if err := sseEvent(w, flusher, "head", sub.Seq, map[string]any{"seq": sub.Seq}); err != nil {
-		return
-	}
-	tr := reg.Tracer()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-sub.C:
-			if !ok {
-				return // registry swapped out or server closing
-			}
-			frame := map[string]any{"seq": ev.Seq, "updates": updatesOrEmpty(ev.Updates)}
-			if ev.Trace != "" {
-				frame["trace"] = ev.Trace
-			}
-			if !ev.At.IsZero() {
-				frame["at"] = ev.At.UnixNano()
-			}
-			var ds *trace.Span
-			if sc, ok := trace.Parse(ev.Trace); ok && !ev.At.IsZero() {
-				ds = tr.StartSpanAt(sc, "sse.deliver", ev.At)
-				ds.SetAttr("stream", "commits")
-			}
-			err := sseEvent(w, flusher, "commit", ev.Seq, frame)
-			ds.End()
-			if err != nil {
-				return
-			}
-		}
-	}
+	// correctly.
+	head := &streamFrame{event: "head", seq: sub.Seq, doc: map[string]any{"seq": sub.Seq}}
+	deliver(w, r, fl, reg, head, sub.C, func(ev contq.CommitEvent) streamFrame {
+		return streamFrame{event: "commit", seq: ev.Seq, at: ev.At, trace: ev.Trace, span: [2]string{"stream", "commits"},
+			doc: map[string]any{"seq": ev.Seq, "updates": updatesOrEmpty(ev.Updates)}}
+	})
 }

@@ -8,9 +8,9 @@
 //   - no context.Background()/context.TODO() calls: these packages sit
 //     on request paths, where minting a fresh root context detaches the
 //     work from its caller's cancellation and trace. The deliberate
-//     exceptions — the non-ctx legacy wrappers Subscribe and
-//     SubscribeCommits — carry //gpmvet:ignore with the reason, so every
-//     detachment is visible and counted.
+//     exception — the non-ctx wrapper Subscribe — carries
+//     //gpmvet:ignore with the reason, so every detachment is visible
+//     and counted.
 //
 // The analyzer is syntactic: it cannot prove a received ctx reaches
 // every blocking callee. It closes the common leak (a fresh Background

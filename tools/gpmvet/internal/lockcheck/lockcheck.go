@@ -4,10 +4,10 @@
 // call to a *Locked function from a caller that (a) is not itself
 // *Locked, (b) has not lexically acquired a mutex rooted at the same
 // receiver before the call (and still holds it — a non-deferred Unlock
-// clears the held state), and (c) is not on the allowlist of
-// commit-path internals that run under a lock taken by their caller
-// (contq.commitEffective and friends, configured via -lockcheck.allow
-// or the repo's .gpmvet.json).
+// clears the held state), and (c) is not on the allowlist of functions
+// that run under a lock taken by their caller (pkg.func names given via
+// -lockcheck.allow or a .gpmvet.json; the repo's own list is empty —
+// such functions are named ...Locked instead).
 //
 // The check is lexical, not interprocedural: a closure that captures a
 // *Locked call and escapes the critical section will not be caught.

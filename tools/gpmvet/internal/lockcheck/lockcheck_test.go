@@ -8,9 +8,8 @@ import (
 	"gpmvet/internal/lockcheck"
 )
 
-// TestLockcheck runs the main fixture with the allowlist configured
-// the way .gpmvet.json configures it for the real tree: commitInner
-// stands in for contq.commitEffective.
+// TestLockcheck runs the main fixture with commitInner on the allowlist,
+// the way a .gpmvet.json would configure it.
 func TestLockcheck(t *testing.T) {
 	if err := lockcheck.Analyzer.Flags.Set("allow", "a.commitInner"); err != nil {
 		t.Fatal(err)

@@ -57,8 +57,8 @@ func (r *R) BumpDeferred() {
 	defer r.bumpLocked() // want "call to bumpLocked without holding r's mutex"
 }
 
-// commitInner mirrors contq.commitEffective: it runs under a lock its
-// caller takes, and is allowlisted by the test via -lockcheck.allow.
+// commitInner runs under a lock its caller takes, and is allowlisted by
+// the test via -lockcheck.allow.
 func (r *R) commitInner() {
 	r.bumpLocked()
 	r.snapshotLocked()

@@ -21,7 +21,7 @@
 // Per-analyzer flags are exposed as -<analyzer>.<flag> and may also be
 // set in a .gpmvet.json at the repo root:
 //
-//	{"lockcheck": {"allow": "contq.commitEffective"}}
+//	{"lockcheck": {"allow": "pkg.coordinator"}}
 //
 // Command-line flags win over the config file.
 package main
@@ -262,7 +262,7 @@ func runVettool(fs *flag.FlagSet, configPath string, jsonOut bool, cfgPath strin
 		return 2
 	}
 	// The *.cfg document carries no package name, and allowlists match
-	// on it ("contq.commitEffective") — take it from the source itself
+	// on it ("pkg.coordinator") — take it from the source itself
 	// so both invocation modes agree.
 	if len(files) > 0 {
 		pkg.Name = files[0].Name.Name

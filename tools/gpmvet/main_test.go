@@ -127,7 +127,7 @@ var _ = strings.TrimSpace
 // line overrides them.
 func TestConfigPrecedence(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		".gpmvet.json": `{"lockcheck": {"allow": "contq.commitEffective"}}`,
+		".gpmvet.json": `{"lockcheck": {"allow": "pkg.coordinator"}}`,
 	})
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var cliAllow string
@@ -146,7 +146,7 @@ func TestConfigPrecedence(t *testing.T) {
 
 	applyConfig(fs, "", root)
 	got := lookupAnalyzerFlag(t, "lockcheck", "allow")
-	if got != "contq.commitEffective" {
+	if got != "pkg.coordinator" {
 		t.Fatalf("allow after config = %q, want the config value", got)
 	}
 
