@@ -29,6 +29,7 @@ func benchFigure(b *testing.B, driver func(exp.Config) exp.Table) {
 	b.Helper()
 	cfg := benchCfg()
 	var rows int
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := driver(cfg)
 		rows = len(t.Rows)
@@ -77,6 +78,7 @@ func BenchmarkTable1_UnboundednessWitnesses(b *testing.B) { benchFigure(b, exp.T
 // `gpbench -all` path.
 func BenchmarkAllFigures(b *testing.B) {
 	cfg := benchCfg()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		exp.All(cfg, io.Discard)
 	}
@@ -104,6 +106,7 @@ func benchGraph() *graph.Graph {
 
 func benchNewMatrix(b *testing.B, workers int) {
 	g := benchGraph()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		distance.NewMatrixWorkers(g, workers)
@@ -117,6 +120,7 @@ func BenchmarkNewMatrixWorkersMax(b *testing.B) { benchNewMatrix(b, 0) }
 
 func benchLandmarkNew(b *testing.B, workers int) {
 	g := benchGraph()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		landmark.NewWorkers(g, workers)
@@ -130,6 +134,7 @@ func benchIncBSimDeletes(b *testing.B, workers int) {
 	base := generator.Synthetic(3000, 12000, generator.DefaultSchema(4), 42)
 	p := generator.EmbeddedPattern(base, generator.PatternParams{Nodes: 4, Edges: 4, Preds: 1, K: 2}, 42)
 	dels := generator.Updates(base, 0, 200, 43)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -285,7 +285,8 @@ func NewIncBSimEngineWithLandmarks(p *Pattern, g *Graph) (*IncBSimEngine, error)
 // of it: register standing patterns with Register, commit edge updates
 // with Apply, and receive per-pattern match deltas through Subscribe.
 // Every engine reads the ONE canonical graph through a private update
-// overlay (per-pattern memory is O(pattern-state), not a graph replica),
+// overlay (per-pattern memory is pattern state plus O(|V|) words of flat
+// per-node scratch, not a graph replica),
 // and the single writer coalesces concurrently queued Apply batches into
 // one commit with edge-level insert/delete cancellation; readers and
 // subscribers never block behind it. cmd/gpserve exposes the same

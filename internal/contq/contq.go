@@ -15,8 +15,9 @@
 // a private graph.Overlay — an O(|ΔG|-per-batch) diff over the shared base
 // that absorbs the repair's own mutations and is discarded when the
 // registry commits the batch to the canonical graph. Per-pattern memory is
-// therefore O(pattern-state): the engine's match/candidate/counter
-// structures, not O(|G|) replicas (the shared-host-graph organisation of
+// therefore the engine's match/candidate/counter structures plus its flat
+// per-node arrays (O(|V|) words: BFS stamps, incbsim's membership bits),
+// not O(|V|+|E|) replicas (the shared-host-graph organisation of
 // RETE-style incremental query engines).
 //
 // Batch coalescing: Apply enqueues the caller's batch and the first

@@ -28,26 +28,38 @@ func (r *Registry) Replay(fromSeq uint64) ([]journal.Commit, error) {
 	if r.journal == nil {
 		return nil, ErrNoJournal
 	}
-	// Under writeMu no commit is mid-append, so a journal head behind the
-	// registry head is a real stop (failed append), not a transient.
+	// Under writeMu no commit is mid-append: every seq up to head has been
+	// through the journal, so one missing below is a real stop (failed
+	// append), not a transient.
 	r.writeMu.Lock()
 	head := r.Seq()
-	jhead := r.journal.HeadSeq()
 	r.writeMu.Unlock()
 	if fromSeq > head {
 		return nil, fmt.Errorf("%w: %d > %d", ErrSeqFuture, fromSeq, head)
 	}
-	if jhead < head {
-		return nil, fmt.Errorf("contq: journal stopped at seq %d behind head %d: %w",
-			jhead, head, journal.ErrCompacted)
+	return r.commitsThrough(fromSeq, head)
+}
+
+// commitsThrough returns the journaled commits after from, which must
+// include every sequence number of (from, head], or an error wrapping
+// journal.ErrCompacted when the journal does not hold all of those —
+// compacted past from, or stopped behind head after a failed append. head
+// must have been read under writeMu.
+func (r *Registry) commitsThrough(from, head uint64) ([]journal.Commit, error) {
+	recs, err := r.journal.Commits(from)
+	if err != nil {
+		return nil, fmt.Errorf("contq: journal tail from %d: %w", from, err)
 	}
-	return r.journal.Commits(fromSeq)
+	if n := head - from; n > 0 && (uint64(len(recs)) < n || recs[0].Seq != from+1 || recs[n-1].Seq != head) {
+		return nil, fmt.Errorf("contq: journal (head %d) does not hold (%d, %d]: %w",
+			r.journal.HeadSeq(), from, head, journal.ErrCompacted)
+	}
+	return recs, nil
 }
 
 // journalRange returns exactly the journaled commits with sequence in
-// (from, head], from < head, or an error wrapping journal.ErrCompacted
-// when the journal does not hold all of them — compacted past from, or
-// stopped behind head after a failed append: a silently truncated range
+// (from, head], or an error wrapping journal.ErrCompacted when the journal
+// does not hold all of them (commitsThrough): a silently truncated range
 // would let a subscriber believe it is caught up while commits are
 // missing. Commits that landed after head are trimmed: the caller's
 // paused mailbox already holds them as live events.
@@ -55,21 +67,14 @@ func (r *Registry) journalRange(ctx context.Context, from, head uint64) ([]journ
 	if err := ctx.Err(); err != nil {
 		return nil, err // before the scan: a cold one reads disk segments
 	}
-	recs, err := r.journal.Commits(from)
+	recs, err := r.commitsThrough(from, head)
 	if err != nil {
-		return nil, fmt.Errorf("contq: journal tail from %d: %w", from, err)
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for len(recs) > 0 && recs[len(recs)-1].Seq > head {
-		recs = recs[:len(recs)-1]
-	}
-	if n := uint64(len(recs)); n != head-from || recs[0].Seq != from+1 || recs[n-1].Seq != head {
-		return nil, fmt.Errorf("contq: journal (head %d) does not hold (%d, %d]: %w",
-			r.journal.HeadSeq(), from, head, journal.ErrCompacted)
-	}
-	return recs, nil
+	return recs[:head-from], nil
 }
 
 // subscribeFrom implements Subscribe(id, FromSeq(from)): attach a live

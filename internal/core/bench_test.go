@@ -15,6 +15,7 @@ func benchOracle(b *testing.B, build func() distance.Oracle) {
 	g := generator.YouTube(0.02, 1)
 	p := generator.Pattern(g, generator.PatternParams{Nodes: 4, Edges: 6, Preds: 2, K: 3}, 7)
 	oracle := build()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Match(p, g, WithOracle(oracle))
@@ -42,6 +43,7 @@ func BenchmarkMatchBoundK(b *testing.B) {
 	for _, k := range []int{1, 2, 4} {
 		p := generator.Pattern(g, generator.PatternParams{Nodes: 4, Edges: 5, Preds: 2, K: k}, 7)
 		b.Run(map[int]string{1: "k=1", 2: "k=2", 4: "k=4"}[k], func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				MatchBFS(p, g)
 			}
@@ -54,11 +56,13 @@ func BenchmarkMatchVsNaive(b *testing.B) {
 	g := generator.RandomGraph(60, 150, 3, 1)
 	p := generator.RandomPattern(4, 5, 3, 3, 2)
 	b.Run("Match", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			MatchBFS(p, g)
 		}
 	})
 	b.Run("NaiveBounded", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			NaiveBounded(p, g)
 		}

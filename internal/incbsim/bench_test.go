@@ -1,6 +1,7 @@
 package incbsim
 
 import (
+	"slices"
 	"testing"
 
 	"gpm/internal/core"
@@ -134,23 +135,34 @@ func BenchmarkMatchbsRecompute5pct(b *testing.B) {
 
 // TestBatchAllocations guards the per-batch repair's allocation budget: the
 // per-update sweeps it replaced allocated ~37 000 objects per 400-update
-// batch (a map per source per update); the repair keeps its state in reused
-// scratch, so a tenth of that for the two batches below is generous.
+// batch (a map per source per update); the repair, its cascade and its
+// promotion keep their state in reused scratch, so what is left is the
+// change-set, the netted batch and the reported delta. The second case cuts
+// 200 edges and puts them back, so that its insertion phase has a closure to
+// promote.
 func TestBatchAllocations(t *testing.T) {
-	p, g, ups := batch5pctSetup(t)
-	e, err := New(p, g, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv := invert(ups)
-	e.Batch(ups) // size the scratch
-	e.Batch(inv)
-	allocs := testing.AllocsPerRun(5, func() {
-		e.Batch(ups)
+	for _, restore := range []bool{false, true} {
+		p, g, ups := batch5pctSetup(t)
+		if restore {
+			ups = slices.DeleteFunc(ups, func(up graph.Update) bool { return up.Op == graph.InsertEdge })
+		}
+		e, err := New(p, g, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := invert(ups)
+		e.Batch(ups) // size the scratch
 		e.Batch(inv)
-	})
-	if allocs > 3700 {
-		t.Fatalf("two 400-update batches allocate %.0f objects, want <= 3700", allocs)
+		if st := e.Stats(); restore && (st.Promotions == 0 || st.Promotions != st.Removals) {
+			t.Fatalf("cut and restore: %d removals, %d promotions", st.Removals, st.Promotions)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			e.Batch(ups)
+			e.Batch(inv)
+		})
+		if allocs > 200 { // 50 and 32 when written
+			t.Fatalf("restore=%v: a %d-update batch and its inverse allocate %.0f objects, want <= 200", restore, len(ups), allocs)
+		}
 	}
 }
 

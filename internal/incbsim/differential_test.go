@@ -39,7 +39,15 @@ func TestDifferentialBatchRepair(t *testing.T) {
 		seeds = []int64{*differentialSeed}
 	}
 	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { differential(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { differential(t, seed, false) })
+	}
+}
+
+// TestDifferentialWidePattern is the same oracle over patterns of more than
+// 64 nodes, whose membership planes take two words per graph node.
+func TestDifferentialWidePattern(t *testing.T) {
+	for seed := int64(201); seed <= 204; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { differential(t, seed, true) })
 	}
 }
 
@@ -47,7 +55,7 @@ func TestDifferentialBatchRepair(t *testing.T) {
 // than maxProbes updates per phase, so that probing in groups is held to the
 // oracle too (without the landmark engine: its invariant check is O(|V|²)
 // walks).
-func differential(t *testing.T, seed int64) {
+func differential(t *testing.T, seed int64, wide bool) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 20 + rng.Intn(40)
 	m := n * (2 + rng.Intn(3))
@@ -56,7 +64,7 @@ func differential(t *testing.T, seed int64) {
 		n, m = 20*n, 120*n
 	}
 	truth := generator.RandomGraph(n, m, 3, seed)
-	p := randomBPattern(rng, seed%2 == 0)
+	p := randomBPattern(rng, seed%2 == 0, wide)
 
 	type subject struct {
 		name string
@@ -76,6 +84,9 @@ func differential(t *testing.T, seed int64) {
 	lm, err := New(p, lg, WithLandmarkIndex(landmark.New(lg)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wide && owned.stride < 2 {
+		t.Fatalf("seed %d: a pattern of %d nodes, stride %d", seed, p.NumNodes(), owned.stride)
 	}
 	subjects := []subject{{"owned", owned, nil}, {"shared", shared, base}, {"landmark", lm, nil}}
 	if large {
@@ -134,16 +145,21 @@ func differential(t *testing.T, seed int64) {
 
 // randomBPattern draws a b-pattern of 2–4 nodes over RandomGraph's alphabet
 // with bounds 1, 2, 3 and *; a DAG pattern only has edges from lower to
-// higher node numbers, a cyclic one may have any, self-loops included.
-func randomBPattern(rng *rand.Rand, dag bool) *pattern.Pattern {
+// higher node numbers, a cyclic one may have any, self-loops included. A
+// wide pattern has 63 isolated nodes in front of those, so that its edges
+// run between node 63 and nodes 64 and up, across the word boundary.
+func randomBPattern(rng *rand.Rand, dag, wide bool) *pattern.Pattern {
 	bounds := []int{1, 2, 3, pattern.Unbounded}
 	p := pattern.New()
-	nodes := 2 + rng.Intn(3)
-	for i := 0; i < nodes; i++ {
+	first, nodes := 0, 2+rng.Intn(3)
+	if wide {
+		first = 63
+	}
+	for i := 0; i < first+nodes; i++ {
 		p.AddNode(pattern.Label(string(rune('a' + rng.Intn(3)))))
 	}
 	for tries, edges := 0, 1+rng.Intn(nodes+1); p.NumEdges() < edges && tries < 100; tries++ {
-		u, v := rng.Intn(nodes), rng.Intn(nodes)
+		u, v := first+rng.Intn(nodes), first+rng.Intn(nodes)
 		if dag && u >= v {
 			continue
 		}

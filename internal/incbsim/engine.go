@@ -95,6 +95,15 @@ type Engine struct {
 
 	sat   rel.Relation
 	match rel.Relation
+	// member is the node-major membership table every build and repair path
+	// asks instead of probing the sets above: per graph node, stride words
+	// of match bits, stride of sat bits and stride of promote's tentative
+	// bits, bit u of a plane standing for pattern node u. Node ids are dense
+	// (graph.View), so a membership test is an array load. match and member
+	// are written together by setMatch/clearMatch and by nothing else; the
+	// sets stay for what they are good at, enumeration and the ChangeSet.
+	member []uint64
+	stride int // ⌈|Vp|/64⌉ words per plane
 	// cnt[e][v]: for v ∈ match(src(e)), the number of w ∈ match(tgt(e))
 	// within bound(e) of v by a nonempty path.
 	cnt []map[graph.NodeID]int32
@@ -102,11 +111,11 @@ type Engine struct {
 	bfs   *distance.BFS   // live bounded-BFS view of g (enumeration + fallback Dist)
 	lmIdx *landmark.Index // optional maintained landmark index for Dist
 
-	workers int             // parallelism of the repair's re-measurement (0 = default)
-	parBFS  []*distance.BFS // per-worker BFS oracles; worker 0 is bfs itself
-	maxOut  []int           // per pattern node: the largest bound over its out-edges (0 if none)
-	scratch scratch         // per-phase working state of the repair (update.go)
-	presat  rel.Relation    // injected sat sets (WithSat), nil to scan the graph
+	workers int          // parallelism of the repair's re-measurement (0 = default)
+	walkers []*walker    // per-worker state of the re-measurement walks; worker 0 walks on bfs itself
+	maxOut  []int        // per pattern node: the largest bound over its out-edges (0 if none)
+	scratch scratch      // per-phase working state of the repair (update.go)
+	presat  rel.Relation // injected sat sets (WithSat), nil to scan the graph
 
 	// Per-write change-set: armed by beginChanges, recorded by cascade and
 	// promote, converted to a user-visible ΔM by endChanges. Nil outside a
@@ -149,14 +158,14 @@ func WithSat(sat rel.Relation) Option {
 	return func(e *Engine) { e.presat = sat }
 }
 
-// workerOracles returns w BFS oracles over the engine's graph, one per
-// worker, allocated lazily and reused across repairs. The first is e.bfs:
-// the serial paths never run while a fan-out is in flight.
-func (e *Engine) workerOracles(w int) []*distance.BFS {
-	for len(e.parBFS) < w {
-		e.parBFS = append(e.parBFS, distance.NewBFS(e.g))
+// workerWalkers returns w walkers over the engine's graph, one per worker,
+// allocated lazily and reused across repairs. The first walks on e.bfs: the
+// serial paths never run while a fan-out is in flight.
+func (e *Engine) workerWalkers(w int) []*walker {
+	for len(e.walkers) < w {
+		e.walkers = append(e.walkers, &walker{bfs: distance.NewBFS(e.g)})
 	}
-	return e.parBFS[:w]
+	return e.walkers[:w]
 }
 
 // New builds an engine for b-pattern p over graph g, computing the initial
@@ -166,8 +175,13 @@ func New(p *pattern.Pattern, g *graph.Graph, options ...Option) (*Engine, error)
 }
 
 // NewShared builds an engine that reads base through a private update
-// overlay instead of owning a graph replica: per-pattern memory is the
-// engine's auxiliary structures only, O(pattern-state) instead of O(|G|).
+// overlay instead of owning a graph replica: no adjacency is copied, and
+// per-pattern memory is the engine's auxiliary structures only. Those are
+// the pattern state (match sets, support counters) plus a few flat arrays
+// indexed by graph node, O(|V|) words whatever the match: the membership
+// table (24·stride bytes per node, stride = ⌈|Vp|/64⌉: three planes of
+// stride words), scratch.at (4 bytes) and the stamps of each worker's BFS
+// (12 bytes) — against the O(|V|+|E|) of a replica.
 //
 // Contract: every write call repairs the match against base ⊕ updates and
 // then discards the overlay, so the caller must commit exactly those
@@ -186,7 +200,7 @@ func build(p *pattern.Pattern, g graph.Mutable, own *graph.Graph, ov *graph.Over
 		return nil, fmt.Errorf("incbsim: colored patterns are batch-only (use core.MatchColored)")
 	}
 	e := &Engine{p: p, g: g, own: own, ov: ov, edges: p.Edges(), km: p.MaxBound(), bfs: distance.NewBFS(g)}
-	e.parBFS = []*distance.BFS{e.bfs}
+	e.walkers = []*walker{{bfs: e.bfs}}
 	for _, o := range options {
 		o(e)
 	}
@@ -205,10 +219,12 @@ func build(p *pattern.Pattern, g graph.Mutable, own *graph.Graph, ov *graph.Over
 		e.inEdges[pe.To] = append(e.inEdges[pe.To], i)
 		e.maxOut[pe.From] = max(e.maxOut[pe.From], pe.Bound)
 	}
+	e.stride = (np + 63) / 64
 	e.scratch = scratch{
 		nearMatch: make([]int, len(e.edges)), nearSat: make([]int, len(e.edges)),
 		slackMatch: make([]int, np), slackCand: make([]int, np), role: make([]uint8, np),
 	}
+	e.sizeTables()
 	if e.presat != nil {
 		if len(e.presat) != np {
 			return nil, fmt.Errorf("incbsim: WithSat: %d sets for %d pattern nodes", len(e.presat), np)
@@ -244,21 +260,80 @@ func (e *Engine) within(v, w graph.NodeID, bound int) bool {
 	return pattern.WithinBound(e.dist(v, w), bound)
 }
 
-// rebuild recomputes match() and all counters from scratch.
+// The planes of a node's row in the membership table.
+const (
+	matchPlane = iota
+	satPlane
+	tentPlane // promote's tentative matches; all zero outside promote
+	planes
+)
+
+// sizeTables sizes the per-graph-node tables — the membership table and
+// scratch.at — for the graph as it stands. Nodes are append-only, so the
+// tables only grow; an owned graph may have gained nodes since the last
+// write, and those match nothing until a rebuild.
+func (e *Engine) sizeTables() {
+	n := e.g.NumNodes()
+	if len(e.scratch.at) < n {
+		e.scratch.at = make([]int32, n) // all zero between phases: nothing to carry over
+	}
+	if w := n * planes * e.stride; len(e.member) < w {
+		e.member = extend(e.member, w-len(e.member))
+	}
+}
+
+// has reports whether bit u of the given plane is set in node v's row of
+// the membership table: the match plane, the sat plane, the tentative plane,
+// stride words each.
+func (e *Engine) has(plane, u int, v graph.NodeID) bool {
+	return e.member[(v*planes+plane)*e.stride+u>>6]&(1<<(u&63)) != 0
+}
+
+func (e *Engine) setBit(plane, u int, v graph.NodeID) {
+	e.member[(v*planes+plane)*e.stride+u>>6] |= 1 << (u & 63)
+}
+
+func (e *Engine) clearBit(plane, u int, v graph.NodeID) {
+	e.member[(v*planes+plane)*e.stride+u>>6] &^= 1 << (u & 63)
+}
+
+func (e *Engine) isMatch(u int, v graph.NodeID) bool { return e.has(matchPlane, u, v) }
+
+func (e *Engine) isCandidate(u int, v graph.NodeID) bool {
+	return e.has(satPlane, u, v) && !e.has(matchPlane, u, v)
+}
+
+// setMatch and clearMatch are the only writers of match and of its plane
+// in the membership table, so the two cannot drift.
+func (e *Engine) setMatch(u int, v graph.NodeID) {
+	e.match[u].Add(v)
+	e.setBit(matchPlane, u, v)
+}
+
+func (e *Engine) clearMatch(u int, v graph.NodeID) {
+	e.match[u].Remove(v)
+	e.clearBit(matchPlane, u, v)
+}
+
+// rebuild computes match(), the membership table (all zero so far) and all
+// counters from sat.
 func (e *Engine) rebuild() {
 	np := e.p.NumNodes()
 	e.match = make(rel.Relation, np)
 	for u := 0; u < np; u++ {
-		e.match[u] = e.sat[u].Clone()
+		e.match[u] = make(rel.Set, e.sat[u].Len())
+		for v := range e.sat[u] {
+			e.setBit(satPlane, u, v)
+			e.setMatch(u, v)
+		}
 	}
 	e.cnt = make([]map[graph.NodeID]int32, len(e.edges))
 	for i, pe := range e.edges {
 		e.cnt[i] = make(map[graph.NodeID]int32, e.match[pe.From].Len())
-		tgt := e.match[pe.To]
 		for v := range e.match[pe.From] {
 			c := int32(0)
 			e.bfs.DescNonempty(v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if tgt.Has(w) {
+				if e.isMatch(pe.To, w) {
 					c++
 				}
 				return true
@@ -266,16 +341,16 @@ func (e *Engine) rebuild() {
 			e.cnt[i][v] = c
 		}
 	}
-	var queue []pair
+	queue := e.scratch.queue[:0]
 	for i, pe := range e.edges {
 		for v, c := range e.cnt[i] {
-			if c == 0 && e.match[pe.From].Has(v) {
-				e.match[pe.From].Remove(v)
+			if c == 0 && e.isMatch(pe.From, v) {
+				e.clearMatch(pe.From, v)
 				queue = append(queue, pair{pe.From, v})
 			}
 		}
 	}
-	e.cascade(queue)
+	e.scratch.queue = e.cascade(queue)
 }
 
 type pair struct {
@@ -306,8 +381,9 @@ func (e *Engine) endChanges() rel.Delta {
 }
 
 // cascade propagates match removals: each removal decrements the support
-// counters of match ancestors within the relevant bounds.
-func (e *Engine) cascade(queue []pair) {
+// counters of match ancestors within the relevant bounds. It returns the
+// drained queue for reuse.
+func (e *Engine) cascade(queue []pair) []pair {
 	for len(queue) > 0 {
 		rm := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -318,21 +394,21 @@ func (e *Engine) cascade(queue []pair) {
 		}
 		for _, ei := range e.inEdges[rm.u] {
 			pe := e.edges[ei]
-			src := e.match[pe.From]
 			e.bfs.AncNonempty(rm.v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if !src.Has(w) {
+				if !e.isMatch(pe.From, w) {
 					return true
 				}
 				e.cnt[ei][w]--
 				e.stats.CounterUpdates++
 				if e.cnt[ei][w] == 0 {
-					src.Remove(w)
+					e.clearMatch(pe.From, w)
 					queue = append(queue, pair{pe.From, w})
 				}
 				return true
 			})
 		}
 	}
+	return queue
 }
 
 // Pattern returns the engine's pattern.
@@ -371,22 +447,27 @@ func (e *Engine) ResetStats() {
 // The returned sets are live: do not use them while writers may run.
 func (e *Engine) MatchSets() rel.Relation { return e.match }
 
-// IsMatch reports whether (u, v) is in the match structure.
+// IsMatch reports whether (u, v) is in the match structure; a node the
+// engine has not seen matches nothing.
 func (e *Engine) IsMatch(u int, v graph.NodeID) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.match[u].Has(v)
+	return e.inTable(u, v) && e.isMatch(u, v)
 }
 
-// IsCandidate reports whether v ∈ candt(u).
+// IsCandidate reports whether v ∈ candt(u); a node the engine has not seen
+// is no candidate.
 func (e *Engine) IsCandidate(u int, v graph.NodeID) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.isCandidate(u, v)
+	return e.inTable(u, v) && e.isCandidate(u, v)
 }
 
-func (e *Engine) isCandidate(u int, v graph.NodeID) bool {
-	return e.sat[u].Has(v) && !e.match[u].Has(v)
+// inTable reports whether the membership table has a bit for (u, v). Only
+// the exported readers need to ask: every node the build and repair paths
+// visit comes out of the graph the table is sized for.
+func (e *Engine) inTable(u int, v graph.NodeID) bool {
+	return u >= 0 && u < len(e.match) && v >= 0 && v < len(e.member)/(planes*e.stride)
 }
 
 // Result returns Mksim(P, G) under the totality convention.
@@ -426,14 +507,33 @@ func (e *Engine) ResultGraph() *resultgraph.Graph {
 	return resultgraph.FromBounded(e.p, e.g, e.result(), distance.NewBFS(e.g))
 }
 
-// checkInvariants recounts every support counter (test hook).
+// checkInvariants recounts every support counter and holds the membership
+// table to the sets it mirrors (test hook).
 func (e *Engine) checkInvariants() error {
+	for v := 0; v < e.g.NumNodes(); v++ {
+		for u := range e.match {
+			if got, want := e.isMatch(u, v), e.match[u].Has(v); got != want {
+				return fmt.Errorf("match bit (%d,%d) = %v, set has it: %v", u, v, got, want)
+			}
+			if got, want := e.has(satPlane, u, v), e.sat[u].Has(v); got != want {
+				return fmt.Errorf("sat bit (%d,%d) = %v, set has it: %v", u, v, got, want)
+			}
+			if e.isMatch(u, v) && !e.has(satPlane, u, v) {
+				return fmt.Errorf("match pair (%d,%d) does not satisfy its predicate", u, v)
+			}
+			if e.has(tentPlane, u, v) {
+				return fmt.Errorf("tentative bit (%d,%d) left set", u, v)
+			}
+		}
+		if e.scratch.at[v] != 0 {
+			return fmt.Errorf("scratch.at[%d] = %d between writes", v, e.scratch.at[v])
+		}
+	}
 	for i, pe := range e.edges {
 		for v := range e.match[pe.From] {
 			c := int32(0)
-			tgt := e.match[pe.To]
 			e.bfs.DescNonempty(v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if tgt.Has(w) {
+				if e.isMatch(pe.To, w) {
 					c++
 				}
 				return true

@@ -258,6 +258,52 @@ func TestNoOpUpdates(t *testing.T) {
 	}
 }
 
+// A node id outside [0, |V|) matches nothing and is nobody's candidate: the
+// exported readers must say so, not index past the membership table.
+func TestMembershipOutsideTheGraph(t *testing.T) {
+	g := generator.RandomGraph(14, 26, 3, 1)
+	p := generator.RandomPattern(4, 5, 3, 3, 101)
+	e := mustEngine(t, p, g)
+	for _, v := range []graph.NodeID{-1, g.NumNodes(), g.NumNodes() + 1000} {
+		for u := 0; u < p.NumNodes(); u++ {
+			if e.IsMatch(u, v) || e.IsCandidate(u, v) {
+				t.Fatalf("node %d of a %d-node graph: IsMatch(%d)=%v IsCandidate(%d)=%v", v, g.NumNodes(), u, e.IsMatch(u, v), u, e.IsCandidate(u, v))
+			}
+		}
+	}
+	for _, u := range []int{-1, p.NumNodes(), 64} {
+		if e.IsMatch(u, 0) || e.IsCandidate(u, 0) {
+			t.Fatalf("pattern node %d of %d: reported as matched or candidate", u, p.NumNodes())
+		}
+	}
+}
+
+// An owned graph may gain nodes between writes. The engine sized its
+// per-node tables at build, so the next repair must grow them before its
+// walks run through the new nodes.
+func TestGraphGainsNodesBetweenWrites(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		g := generator.RandomGraph(14, 26, 3, seed)
+		p := generator.RandomPattern(4, 5, 3, 3, seed+100)
+		e := mustEngine(t, p, g)
+		n := g.NumNodes()
+		// The new node satisfies no predicate: it only carries paths.
+		hub := g.AddNode(graph.Tuple{"label": graph.String("none")})
+		if e.IsMatch(0, hub) || e.IsCandidate(0, hub) {
+			t.Fatal("a node added after the build is matched or a candidate")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var ups []graph.Update
+		for i := 0; i < 6; i++ {
+			ups = append(ups, graph.Insert(rng.Intn(n), hub), graph.Insert(hub, rng.Intn(n)))
+		}
+		e.Batch(ups)
+		assertMatchesBatch(t, e, "after routing paths through a new node")
+		e.Batch(invert(ups))
+		assertMatchesBatch(t, e, "after cutting them again")
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	p, g, _, ups := fixtures.FriendFeed()
 	e := mustEngine(t, p, g)

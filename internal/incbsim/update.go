@@ -41,6 +41,8 @@ package incbsim
 // Unit Insert/Delete are this path with a one-element batch.
 
 import (
+	"slices"
+
 	"gpm/internal/distance"
 	"gpm/internal/graph"
 	"gpm/internal/par"
@@ -93,12 +95,25 @@ type scratch struct {
 	slackMatch, slackCand []int
 	role                  []uint8 // per pattern node, for the source at hand
 	srcs                  []source
-	at                    []int32 // per graph node: its index in srcs plus one, 0 outside S
-	fresh                 []int   // sources the probe at hand staked as candidates
-	mode                  []uint8 // len(srcs) × len(edges)
-	pre, post             []int32 // len(srcs) × len(edges): targets in bound before / after
-	touched               []touch
-	seeds                 []pair
+	// Per graph node: its index in srcs plus one, 0 outside S. All zero
+	// again once the probes of a phase are done, and promote then borrows it
+	// to number the nodes of its closure.
+	at        []int32
+	fresh     []int   // sources the probe at hand staked as candidates
+	mode      []uint8 // len(srcs) × len(edges)
+	pre, post []int32 // len(srcs) × len(edges): targets in bound before / after
+	touched   []touch
+	seeds     []pair
+	queue     []pair  // removal worklist of cascade and of promote's refinement
+	closure   []pair  // promote: the candidate closure, in discovery order
+	tcnt      []int32 // promote: closure nodes × len(edges), tentative support counters
+}
+
+// extend appends n zero values to s.
+func extend[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
 }
 
 // applyEdge routes a graph mutation through the landmark index when one is
@@ -125,9 +140,7 @@ func (e *Engine) repair(ups []graph.Update) {
 
 	// Steps 1 and 2, group by group.
 	s.srcs, s.mode, s.pre = s.srcs[:0], s.mode[:0], s.pre[:0]
-	if n := e.g.NumNodes(); len(s.at) < n {
-		s.at = make([]int32, n)
-	}
+	e.sizeTables()
 	group := (len(ups) + maxProbes - 1) / maxProbes
 	for len(ups) > 0 {
 		k := min(group, len(ups))
@@ -152,9 +165,9 @@ func (e *Engine) repair(ups []graph.Update) {
 	if len(s.srcs) < fanoutGrain {
 		workers = 1
 	}
-	oracles := e.workerOracles(par.Resolve(workers, len(s.srcs)))
+	walkers := e.workerWalkers(par.Resolve(workers, len(s.srcs)))
 	par.For(len(s.srcs), workers, func(worker, i int) {
-		e.tally(oracles[worker], i, s.post, 0)
+		e.tally(walkers[worker], i, s.post, 0)
 	})
 
 	s.touched, s.seeds = s.touched[:0], s.seeds[:0]
@@ -217,11 +230,11 @@ func (e *Engine) probe(ups []graph.Update, insert bool) {
 	}
 	e.bfs.MultiSource(s.ends, graph.Forward, e.km-1, func(w graph.NodeID, d int) bool {
 		for ei, pe := range e.edges {
-			if s.nearSat[ei] < 0 && e.sat[pe.To].Has(w) {
+			if s.nearSat[ei] < 0 && e.has(satPlane, pe.To, w) {
 				s.nearSat[ei] = d
 				open--
 			}
-			if s.nearMatch[ei] < 0 && e.match[pe.To].Has(w) {
+			if s.nearMatch[ei] < 0 && e.isMatch(pe.To, w) {
 				s.nearMatch[ei] = d
 				open--
 			}
@@ -252,7 +265,7 @@ func (e *Engine) probe(ups []graph.Update, insert bool) {
 		stake := false
 		for u := range s.role {
 			switch {
-			case d <= s.slackMatch[u] && e.match[u].Has(v):
+			case d <= s.slackMatch[u] && e.isMatch(u, v):
 				s.role[u], stake = matched, true
 			case d <= s.slackCand[u] && e.isCandidate(u, v):
 				s.role[u], stake = staked, true
@@ -268,8 +281,8 @@ func (e *Engine) probe(ups []graph.Update, insert bool) {
 			i = len(s.srcs)
 			s.at[v] = int32(i + 1)
 			s.srcs = append(s.srcs, source{v: v})
-			s.mode = append(s.mode, make([]uint8, ne)...) // all skip
-			s.pre = append(s.pre, make([]int32, ne)...)
+			s.mode = extend(s.mode, ne) // all skip
+			s.pre = extend(s.pre, ne)
 		}
 		isFresh := false
 		for ei, pe := range e.edges {
@@ -284,7 +297,7 @@ func (e *Engine) probe(ups []graph.Update, insert bool) {
 		return true
 	})
 	for _, i := range s.fresh {
-		e.tally(e.bfs, i, s.pre, staked)
+		e.tally(e.walkers[0], i, s.pre, staked)
 		for ei, m := range s.mode[i*ne : (i+1)*ne] {
 			if m == staked {
 				s.mode[i*ne+ei] = candidate
@@ -293,50 +306,85 @@ func (e *Engine) probe(ups []graph.Update, insert bool) {
 	}
 }
 
+// walker is the state of one worker's re-measurement walks.
+type walker struct {
+	bfs *distance.BFS
+	// The walk at hand: what it counts, and want, the target bits of all
+	// its stakes laid out like the match and sat planes of a table row.
+	stakes []stake
+	want   []uint64
+}
+
+// stake is one pattern edge a walk counts targets for.
+type stake struct {
+	ei    int    // the pattern edge
+	bound int    // its bound: targets farther away do not count
+	word  int    // where a node's row says whether it is a target: which word,
+	mask  uint64 // and which bit
+	n     int32  // targets counted so far
+}
+
 // tally walks forward from source i on the current graph and counts into
 // its row of out, per pattern edge it has a stake in (only those in mode
-// only, if nonzero), the targets within the edge's bound.
-func (e *Engine) tally(bfs *distance.BFS, i int, out []int32, only uint8) {
-	ne := len(e.edges)
+// only, if nonzero), the targets within the edge's bound: matches of the
+// edge's target node for a matched stake, satisfying nodes for a candidate
+// one. A visited node that is nobody's target is dismissed with an AND per
+// word of the walk's want mask.
+func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
+	ne, stride := len(e.edges), e.stride
 	src := &e.scratch.srcs[i]
-	mode, row := e.scratch.mode[i*ne:(i+1)*ne], out[i*ne:(i+1)*ne]
+	wk.stakes = wk.stakes[:0]
+	wk.want = extend(wk.want[:0], 2*stride)
 	radius := 0
-	for ei, m := range mode {
-		if m != skip && (only == 0 || m == only) {
-			radius = max(radius, e.edges[ei].Bound)
-			row[ei] = 0
+	for ei, m := range e.scratch.mode[i*ne : (i+1)*ne] {
+		if m == skip || (only != 0 && m != only) {
+			continue
 		}
+		pe := &e.edges[ei]
+		radius = max(radius, pe.Bound)
+		plane := satPlane
+		if m == matched {
+			plane = matchPlane
+		}
+		st := stake{ei: ei, bound: pe.Bound, word: plane*stride + pe.To>>6, mask: 1 << (pe.To & 63)}
+		wk.want[st.word] |= st.mask
+		wk.stakes = append(wk.stakes, st)
 	}
-	bfs.DescNonempty(src.v, radius, func(w graph.NodeID, d int) bool {
-		src.visited++
-		for ei, m := range mode {
-			pe := &e.edges[ei]
-			if m == skip || (only != 0 && m != only) || d > pe.Bound {
-				continue
-			}
-			targets := e.sat[pe.To]
-			if m == matched {
-				targets = e.match[pe.To]
-			}
-			if targets.Has(w) {
-				row[ei]++
+	member, span, stakes, want, visited := e.member, planes*stride, wk.stakes, wk.want, int64(0)
+	wk.bfs.DescNonempty(src.v, radius, func(w graph.NodeID, d int) bool {
+		visited++
+		bits := member[w*span:][:len(want)]
+		hit := uint64(0)
+		for j, m := range want {
+			hit |= bits[j] & m
+		}
+		if hit == 0 {
+			return true
+		}
+		for k := range stakes {
+			if st := &stakes[k]; d <= st.bound && bits[st.word]&st.mask != 0 {
+				st.n++
 			}
 		}
 		return true
 	})
+	src.visited += visited
+	for _, st := range stakes {
+		out[i*ne+st.ei] = st.n
+	}
 }
 
 // drainTouched scans the decremented counters and cascades the zeros.
 func (e *Engine) drainTouched(touched []touch) {
-	var queue []pair
+	queue := e.scratch.queue[:0]
 	for _, t := range touched {
 		src := e.edges[t.ei].From
-		if e.cnt[t.ei][t.v] == 0 && e.match[src].Has(t.v) {
-			e.match[src].Remove(t.v)
+		if e.cnt[t.ei][t.v] == 0 && e.isMatch(src, t.v) {
+			e.clearMatch(src, t.v)
 			queue = append(queue, pair{src, t.v})
 		}
 	}
-	e.cascade(queue)
+	e.scratch.queue = e.cascade(queue)
 }
 
 // Delete removes edge (v0, v1), incrementally repairing the match
@@ -427,69 +475,65 @@ func (e *Engine) ApplyDelta(ups []graph.Update) rel.Delta {
 
 // promote runs the candidate-closure promotion over the pair graph: the
 // bounded-simulation analogue of incsim's propCS/propCC followed by a
-// greatest-fixpoint refinement.
+// greatest-fixpoint refinement. Its working sets are dense and reused: the
+// tentative plane of the membership table says which candidate pairs are
+// (still) assumed to match, scratch.closure lists them, and the support
+// counters of a closure node live in its row of scratch.tcnt, found through
+// scratch.at.
 func (e *Engine) promote(seeds []pair) {
-	closure := make(map[pair]bool)
-	var stack []pair
-	push := func(pr pair) {
-		if !closure[pr] {
-			closure[pr] = true
-			stack = append(stack, pr)
+	s := &e.scratch
+	ne := len(e.edges)
+	s.closure, s.tcnt = s.closure[:0], s.tcnt[:0]
+	push := func(u int, v graph.NodeID) {
+		if !e.isCandidate(u, v) || e.has(tentPlane, u, v) {
+			return
+		}
+		e.setBit(tentPlane, u, v)
+		s.closure = append(s.closure, pair{u, v})
+		if s.at[v] == 0 {
+			s.tcnt = extend(s.tcnt, ne)
+			s.at[v] = int32(len(s.tcnt) / ne)
 		}
 	}
 	for _, pr := range seeds {
-		if e.isCandidate(pr.u, pr.v) {
-			push(pr)
-		}
+		push(pr.u, pr.v)
 	}
-	for len(stack) > 0 {
-		pr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for i := 0; i < len(s.closure); i++ { // the closure grows as it is explored
+		pr := s.closure[i]
 		e.stats.ClosureSize++
 		for _, ei := range e.inEdges[pr.u] {
 			pe := e.edges[ei]
 			e.bfs.AncNonempty(pr.v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if e.isCandidate(pe.From, w) {
-					push(pair{pe.From, w})
-				}
+				push(pe.From, w)
 				return true
 			})
 		}
 	}
-	if len(closure) == 0 {
+	if len(s.closure) == 0 {
 		return
 	}
+	tcnt := func(ei int, v graph.NodeID) *int32 { return &s.tcnt[(int(s.at[v])-1)*ne+ei] }
 
-	np := e.p.NumNodes()
-	tentative := make([]map[graph.NodeID]bool, np)
-	for u := range tentative {
-		tentative[u] = make(map[graph.NodeID]bool)
-	}
-	for pr := range closure {
-		tentative[pr.u][pr.v] = true
-	}
-	tcnt := make(map[int]map[graph.NodeID]int32, len(e.edges))
-	for pr := range closure {
+	// Count each tentative pair's support among matches and tentative
+	// matches, then refine: a pair with an unsupported edge is withdrawn,
+	// which may leave its ancestors unsupported in turn.
+	for _, pr := range s.closure {
 		for _, ei := range e.outEdges[pr.u] {
 			pe := e.edges[ei]
-			c := int32(0)
+			c := tcnt(ei, pr.v)
 			e.bfs.DescNonempty(pr.v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if e.match[pe.To].Has(w) || tentative[pe.To][w] {
-					c++
+				if e.isMatch(pe.To, w) || e.has(tentPlane, pe.To, w) {
+					*c++
 				}
 				return true
 			})
-			if tcnt[ei] == nil {
-				tcnt[ei] = make(map[graph.NodeID]int32)
-			}
-			tcnt[ei][pr.v] = c
 		}
 	}
-	var queue []pair
-	for pr := range closure {
+	queue := s.queue[:0]
+	for _, pr := range s.closure {
 		for _, ei := range e.outEdges[pr.u] {
-			if tcnt[ei][pr.v] == 0 && tentative[pr.u][pr.v] {
-				delete(tentative[pr.u], pr.v)
+			if *tcnt(ei, pr.v) == 0 && e.has(tentPlane, pr.u, pr.v) {
+				e.clearBit(tentPlane, pr.u, pr.v)
 				queue = append(queue, pr)
 			}
 		}
@@ -500,34 +544,39 @@ func (e *Engine) promote(seeds []pair) {
 		for _, ei := range e.inEdges[rm.u] {
 			pe := e.edges[ei]
 			e.bfs.AncNonempty(rm.v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if !tentative[pe.From][w] {
+				if !e.has(tentPlane, pe.From, w) {
 					return true
 				}
-				tcnt[ei][w]--
-				if tcnt[ei][w] == 0 {
-					delete(tentative[pe.From], w)
+				c := tcnt(ei, w)
+				*c--
+				if *c == 0 {
+					e.clearBit(tentPlane, pe.From, w)
 					queue = append(queue, pair{pe.From, w})
 				}
 				return true
 			})
 		}
 	}
+	s.queue = queue
 
-	var newPairs []pair
-	for u := range tentative {
-		for v := range tentative[u] {
-			e.match[u].Add(v)
+	// What is still tentative is promoted. The tentative bits stay up until
+	// the counters are settled: they tell the new matches from the old.
+	promoted := s.closure[:0]
+	for _, pr := range s.closure {
+		s.at[pr.v] = 0
+		if e.has(tentPlane, pr.u, pr.v) {
+			e.setMatch(pr.u, pr.v)
 			e.stats.Promotions++
-			e.cs.NoteAdded(u, v)
-			newPairs = append(newPairs, pair{u, v})
+			e.cs.NoteAdded(pr.u, pr.v)
+			promoted = append(promoted, pr)
 		}
 	}
-	for _, pr := range newPairs {
+	for _, pr := range promoted {
 		for _, ei := range e.outEdges[pr.u] {
 			pe := e.edges[ei]
 			c := int32(0)
 			e.bfs.DescNonempty(pr.v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if e.match[pe.To].Has(w) {
+				if e.isMatch(pe.To, w) {
 					c++
 				}
 				return true
@@ -538,12 +587,15 @@ func (e *Engine) promote(seeds []pair) {
 		for _, ei := range e.inEdges[pr.u] {
 			pe := e.edges[ei]
 			e.bfs.AncNonempty(pr.v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if e.match[pe.From].Has(w) && !tentative[pe.From][w] {
+				if e.isMatch(pe.From, w) && !e.has(tentPlane, pe.From, w) {
 					e.cnt[ei][w]++
 					e.stats.CounterUpdates++
 				}
 				return true
 			})
 		}
+	}
+	for _, pr := range promoted {
+		e.clearBit(tentPlane, pr.u, pr.v)
 	}
 }

@@ -26,6 +26,7 @@ func benchSetup(b *testing.B) (*graph.Graph, *Engine, []graph.Update) {
 func BenchmarkBatchIncMatch(b *testing.B) {
 	_, e, ups := benchSetup(b)
 	inverse := invert(ups)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Batch(ups)
@@ -36,6 +37,7 @@ func BenchmarkBatchIncMatch(b *testing.B) {
 func BenchmarkNaiveIncMatchn(b *testing.B) {
 	_, e, ups := benchSetup(b)
 	inverse := invert(ups)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Apply(ups)
@@ -47,6 +49,7 @@ func BenchmarkBatchRecomputeMatchs(b *testing.B) {
 	g, e, ups := benchSetup(b)
 	inverse := invert(ups)
 	p := e.Pattern()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ApplyAll(ups) //nolint:errcheck
@@ -61,6 +64,7 @@ func BenchmarkUnitDelete(b *testing.B) {
 	// Pick an existing edge and toggle it.
 	var u, v graph.NodeID = -1, -1
 	e.Graph().Edges(func(a, c graph.NodeID) bool { u, v = a, c; return false })
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Delete(u, v)
@@ -70,6 +74,7 @@ func BenchmarkUnitDelete(b *testing.B) {
 
 func BenchmarkMinDeltaReduction(b *testing.B) {
 	_, e, ups := benchSetup(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.MinDelta(ups)

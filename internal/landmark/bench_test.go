@@ -16,6 +16,7 @@ func benchGraph() *graph.Graph {
 
 func BenchmarkBuild(b *testing.B) {
 	g := benchGraph()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		New(g)
@@ -27,6 +28,7 @@ func BenchmarkInsLMUnit(b *testing.B) {
 	ix := New(g)
 	ups := generator.Updates(g, 1, 0, 2)
 	up := ups[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Insert(up.From, up.To)
@@ -42,6 +44,7 @@ func BenchmarkIncLMBatch(b *testing.B) {
 	for i, u := range ups {
 		inv[len(ups)-1-i] = u.Inverse()
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Batch(ups)
@@ -53,6 +56,7 @@ func BenchmarkQueryLandmark(b *testing.B) {
 	g := benchGraph()
 	ix := New(g)
 	n := g.NumNodes()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Dist(i%n, (i*31)%n)
@@ -63,6 +67,7 @@ func BenchmarkQueryBFSBaseline(b *testing.B) {
 	g := benchGraph()
 	n := g.NumNodes()
 	dist := make([]int, n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.BFSFrom(i%n, graph.Forward, dist)
