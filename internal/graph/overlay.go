@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Overlay is a Mutable view over a shared read-only base: edge insertions
 // and deletions land in a private diff of size O(|ΔG|) while every read
@@ -10,6 +13,13 @@ import "fmt"
 // not own: the engine writes into its overlay during the repair, and once
 // the owner commits the same updates to the base, Reset discards the diff.
 //
+// The diff is a sparse set over the dense node ids: slot[v] indexes a row
+// of touched holding v's adjusted adjacency, and is believed only when
+// that row names v back — so Reset is a truncate, and a read of an
+// untouched node costs an array load and a compare before it falls through
+// to the base. The slot array (4 bytes per node) is allocated on the first
+// write: an overlay that is never written to holds no per-node memory.
+//
 // Contract with the base owner: after every repair call that mutated the
 // overlay, the owner must apply exactly those effective updates to the
 // base before the next repair (contq's Registry commits the batch right
@@ -18,49 +28,75 @@ import "fmt"
 // the overlay or the base.
 type Overlay struct {
 	base    View
-	added   map[[2]NodeID]struct{}
-	removed map[[2]NodeID]struct{}
-	// unlabeled records base edges removed at some point in this
+	slot    []int32      // node → index into touched; valid iff touched[slot[v]].v == v
+	touched []overlayRow // rows beyond len keep their out/in arrays for the next generation
+	pending int          // base edges removed + non-base edges added
+	dm      int          // NumEdges delta
+	// unlabeled records labelled base edges removed at some point in this
 	// generation: like Graph.RemoveEdge, removal drops the label, so a
-	// re-added edge comes back unlabeled even though reads otherwise fall
-	// through to the base.
+	// re-added edge comes back unlabeled even though its label still sits
+	// in the base. Nil until the first such removal.
 	unlabeled map[[2]NodeID]struct{}
-	// out/in memoize the adjusted adjacency of nodes the diff touches;
-	// untouched nodes read straight through to the base. Slices are built
-	// once per touched node (copy of the base slice) and patched in place.
-	out map[NodeID][]NodeID
-	in  map[NodeID][]NodeID
-	dm  int // NumEdges delta
+}
+
+// overlayRow is the adjusted adjacency of one node the diff touches. Each
+// direction is materialized (a copy of the base slice) the first time an
+// update needs it and patched in place from then on.
+type overlayRow struct {
+	v             NodeID
+	out, in       []NodeID
+	hasOut, hasIn bool
 }
 
 // NewOverlay returns an empty overlay over base.
-func NewOverlay(base View) *Overlay {
-	return &Overlay{
-		base:      base,
-		added:     make(map[[2]NodeID]struct{}),
-		removed:   make(map[[2]NodeID]struct{}),
-		unlabeled: make(map[[2]NodeID]struct{}),
-		out:       make(map[NodeID][]NodeID),
-		in:        make(map[NodeID][]NodeID),
-	}
-}
+func NewOverlay(base View) *Overlay { return &Overlay{base: base} }
 
 // Base returns the view the overlay reads through.
 func (o *Overlay) Base() View { return o.base }
 
 // Pending returns the number of edge changes the diff currently holds.
-func (o *Overlay) Pending() int { return len(o.added) + len(o.removed) }
+func (o *Overlay) Pending() int { return o.pending }
 
 // Reset discards the diff: the overlay becomes a transparent view of the
 // base again. Call it after the base owner has committed the updates the
 // overlay absorbed.
 func (o *Overlay) Reset() {
-	clear(o.added)
-	clear(o.removed)
-	clear(o.unlabeled)
-	clear(o.out)
-	clear(o.in)
-	o.dm = 0
+	o.touched = o.touched[:0]
+	o.pending, o.dm = 0, 0
+	if len(o.unlabeled) > 0 {
+		clear(o.unlabeled)
+	}
+}
+
+// row returns the diff row of v, nil when the diff does not touch v.
+func (o *Overlay) row(v NodeID) *overlayRow {
+	if uint(v) < uint(len(o.slot)) {
+		if i := int(o.slot[v]); i < len(o.touched) && o.touched[i].v == v {
+			return &o.touched[i]
+		}
+	}
+	return nil
+}
+
+// touch returns the diff row of v, claiming a recycled one on first touch.
+// The pointer is good until the next touch.
+func (o *Overlay) touch(v NodeID) *overlayRow {
+	if r := o.row(v); r != nil {
+		return r
+	}
+	if v >= len(o.slot) { // first write, or the base appended nodes since
+		o.slot = append(o.slot, make([]int32, o.base.NumNodes()-len(o.slot))...)
+	}
+	i := len(o.touched)
+	if i < cap(o.touched) {
+		o.touched = o.touched[:i+1]
+		r := &o.touched[i] // recycled: empty it, keeping the arrays (no pointer is stored)
+		r.v, r.out, r.in, r.hasOut, r.hasIn = v, r.out[:0], r.in[:0], false, false
+	} else {
+		o.touched = append(o.touched, overlayRow{v: v})
+	}
+	o.slot[v] = int32(i)
+	return &o.touched[i]
 }
 
 // NumNodes returns |V| (nodes are append-only and owned by the base).
@@ -75,14 +111,12 @@ func (o *Overlay) HasNode(v NodeID) bool { return o.base.HasNode(v) }
 // Attrs returns the attribute tuple of node v.
 func (o *Overlay) Attrs(v NodeID) Tuple { return o.base.Attrs(v) }
 
-// HasEdge reports whether (u, v) is present in base ⊕ diff.
+// HasEdge reports whether (u, v) is present in base ⊕ diff. Every update
+// of an edge leaving u materializes u's out-row, so the row decides when
+// it exists and the base decides otherwise.
 func (o *Overlay) HasEdge(u, v NodeID) bool {
-	key := [2]NodeID{u, v}
-	if _, ok := o.added[key]; ok {
-		return true
-	}
-	if _, ok := o.removed[key]; ok {
-		return false
+	if r := o.row(u); r != nil && r.hasOut {
+		return slices.Contains(r.out, v)
 	}
 	return o.base.HasEdge(u, v)
 }
@@ -92,45 +126,20 @@ func (o *Overlay) HasEdge(u, v NodeID) bool {
 // later re-added — masks the base's label, mirroring Graph.RemoveEdge
 // dropping labels.
 func (o *Overlay) EdgeLabel(u, v NodeID) string {
-	key := [2]NodeID{u, v}
-	if _, ok := o.added[key]; ok {
-		return ""
-	}
-	if _, ok := o.removed[key]; ok {
-		return ""
-	}
-	if _, ok := o.unlabeled[key]; ok {
-		return ""
+	if len(o.unlabeled) > 0 {
+		if _, masked := o.unlabeled[[2]NodeID{u, v}]; masked {
+			return ""
+		}
 	}
 	return o.base.EdgeLabel(u, v)
-}
-
-// outFor returns the memoized out-adjacency of v, materializing it from
-// the base on first touch.
-func (o *Overlay) outFor(v NodeID) []NodeID {
-	if s, ok := o.out[v]; ok {
-		return s
-	}
-	s := append([]NodeID(nil), o.base.Out(v)...)
-	o.out[v] = s
-	return s
-}
-
-func (o *Overlay) inFor(v NodeID) []NodeID {
-	if s, ok := o.in[v]; ok {
-		return s
-	}
-	s := append([]NodeID(nil), o.base.In(v)...)
-	o.in[v] = s
-	return s
 }
 
 // Out returns the out-neighbours of v in base ⊕ diff. The slice is owned
 // by the overlay (or the base when v is untouched): do not mutate or
 // retain it across updates.
 func (o *Overlay) Out(v NodeID) []NodeID {
-	if s, ok := o.out[v]; ok {
-		return s
+	if r := o.row(v); r != nil && r.hasOut {
+		return r.out
 	}
 	return o.base.Out(v)
 }
@@ -138,8 +147,8 @@ func (o *Overlay) Out(v NodeID) []NodeID {
 // In returns the in-neighbours of v in base ⊕ diff. Same ownership rules
 // as Out.
 func (o *Overlay) In(v NodeID) []NodeID {
-	if s, ok := o.in[v]; ok {
-		return s
+	if r := o.row(v); r != nil && r.hasIn {
+		return r.in
 	}
 	return o.base.In(v)
 }
@@ -153,22 +162,51 @@ func (o *Overlay) InDegree(v NodeID) int { return len(o.In(v)) }
 // Degree returns in-degree + out-degree of v.
 func (o *Overlay) Degree(v NodeID) int { return len(o.Out(v)) + len(o.In(v)) }
 
+// state reports whether (u, v) is present in base ⊕ diff and in the base
+// itself, with a single probe of the base.
+func (o *Overlay) state(u, v NodeID) (present, inBase bool) {
+	inBase = o.base.HasEdge(u, v)
+	if r := o.row(u); r != nil && r.hasOut {
+		return slices.Contains(r.out, v), inBase
+	}
+	return inBase, inBase
+}
+
+// outRow and inRow return the row of v with that direction materialized.
+func (o *Overlay) outRow(v NodeID) *overlayRow {
+	r := o.touch(v)
+	if !r.hasOut {
+		r.out, r.hasOut = append(r.out, o.base.Out(v)...), true
+	}
+	return r
+}
+
+func (o *Overlay) inRow(v NodeID) *overlayRow {
+	r := o.touch(v)
+	if !r.hasIn {
+		r.in, r.hasIn = append(r.in, o.base.In(v)...), true
+	}
+	return r
+}
+
 // AddEdge inserts (u, v) into the diff, mirroring Graph.AddEdge semantics.
 func (o *Overlay) AddEdge(u, v NodeID) (added bool, err error) {
 	if !o.HasNode(u) || !o.HasNode(v) {
 		return false, fmt.Errorf("graph: overlay AddEdge(%d, %d): node out of range [0, %d)", u, v, o.NumNodes())
 	}
-	if o.HasEdge(u, v) {
+	present, inBase := o.state(u, v)
+	if present {
 		return false, nil
 	}
-	key := [2]NodeID{u, v}
-	if _, wasRemoved := o.removed[key]; wasRemoved {
-		delete(o.removed, key)
+	if inBase {
+		o.pending-- // undoes this generation's removal
 	} else {
-		o.added[key] = struct{}{}
+		o.pending++
 	}
-	o.out[u] = append(o.outFor(u), v)
-	o.in[v] = append(o.inFor(v), u)
+	r := o.outRow(u)
+	r.out = append(r.out, v)
+	r = o.inRow(v)
+	r.in = append(r.in, u)
 	o.dm++
 	return true, nil
 }
@@ -176,18 +214,25 @@ func (o *Overlay) AddEdge(u, v NodeID) (added bool, err error) {
 // RemoveEdge deletes (u, v) from the diff, reporting whether it existed in
 // base ⊕ diff.
 func (o *Overlay) RemoveEdge(u, v NodeID) bool {
-	if !o.HasEdge(u, v) {
+	present, inBase := o.state(u, v)
+	if !present {
 		return false
 	}
-	key := [2]NodeID{u, v}
-	if _, wasAdded := o.added[key]; wasAdded {
-		delete(o.added, key)
+	if !inBase {
+		o.pending-- // undoes this generation's insertion
 	} else {
-		o.removed[key] = struct{}{}
-		o.unlabeled[key] = struct{}{}
+		o.pending++
+		if o.base.EdgeLabel(u, v) != "" {
+			if o.unlabeled == nil {
+				o.unlabeled = make(map[[2]NodeID]struct{})
+			}
+			o.unlabeled[[2]NodeID{u, v}] = struct{}{}
+		}
 	}
-	o.out[u] = removeOne(o.outFor(u), v)
-	o.in[v] = removeOne(o.inFor(v), u)
+	r := o.outRow(u)
+	r.out = removeOne(r.out, v)
+	r = o.inRow(v)
+	r.in = removeOne(r.in, u)
 	o.dm--
 	return true
 }

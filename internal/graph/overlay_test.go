@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -57,57 +58,180 @@ func assertSameView(t *testing.T, got, want View) {
 	}
 }
 
-// TestOverlayEquivalence drives an overlay and a mutable clone with the
-// same random update stream and checks every View observation agrees, then
-// that Reset restores transparency over the (unchanged) base.
+// TestOverlayEquivalence is a seeded differential of the overlay against a
+// mirror *Graph, over many generations of the shared-engine protocol: random
+// AddEdge/RemoveEdge/Apply calls land in the overlay and the mirror, every
+// View observation agreeing after each one; then the overlay is Reset and
+// the owner commits the same updates to the base, appends nodes and relabels
+// an edge before the next generation.
 func TestOverlayEquivalence(t *testing.T) {
-	const n = 12
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		base := New()
-		for i := 0; i < n; i++ {
-			base.AddNode(nil)
-		}
-		for i := 0; i < 3*n; i++ {
-			base.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		base.SetEdgeLabel(base.EdgeList()[0][0], base.EdgeList()[0][1], "seedlabel")
-		frozen := base.Clone() // the base must never change under overlay writes
+	for seed := int64(1); seed <= 24; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { overlayDifferential(t, seed) })
+	}
+}
 
-		ov := NewOverlay(base)
-		mirror := base.Clone()
-		for i := 0; i < 6*n; i++ {
+func overlayDifferential(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 6 + rng.Intn(12)
+	base := New()
+	for i := 0; i < n; i++ {
+		base.AddNode(nil)
+	}
+	for i := 0; i < 3*n; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if rng.Intn(3) == 0 {
+			base.AddLabeledEdge(u, v, "l") //nolint:errcheck // endpoints exist
+		} else {
+			base.AddEdge(u, v) //nolint:errcheck // endpoints exist
+		}
+	}
+	ov := NewOverlay(base)
+	for gen := 0; gen < 12; gen++ {
+		n = base.NumNodes()
+		frozen, mirror := base.Clone(), base.Clone()
+		var ups []Update
+		for i, ops := 0, rng.Intn(2*n); i < ops; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
-			if rng.Intn(2) == 0 {
-				a1, err1 := ov.AddEdge(u, v)
-				a2, err2 := mirror.AddEdge(u, v)
-				if a1 != a2 || (err1 == nil) != (err2 == nil) {
-					t.Fatalf("AddEdge(%d,%d) outcome diverged", u, v)
-				}
-			} else {
-				if ov.RemoveEdge(u, v) != mirror.RemoveEdge(u, v) {
-					t.Fatalf("RemoveEdge(%d,%d) outcome diverged", u, v)
-				}
+			if out := mirror.Out(u); len(out) > 0 && rng.Intn(2) == 0 {
+				v = out[rng.Intn(len(out))] // aim at an existing edge
+			} else if len(ups) > 0 && rng.Intn(3) == 0 {
+				prev := ups[rng.Intn(len(ups))] // or at one this generation already changed
+				u, v = prev.From, prev.To
+			}
+			up := Update{Op: Op(rng.Intn(2)), From: u, To: v}
+			var got, want bool
+			switch {
+			case rng.Intn(3) == 0:
+				got, _ = ov.Apply(up)
+				want, _ = mirror.Apply(up)
+			case up.Op == InsertEdge:
+				got, _ = ov.AddEdge(u, v)
+				want, _ = mirror.AddEdge(u, v)
+			default:
+				got, want = ov.RemoveEdge(u, v), mirror.RemoveEdge(u, v)
+			}
+			if got != want {
+				t.Fatalf("gen %d: %v changed=%v, mirror says %v", gen, up, got, want)
+			}
+			ups = append(ups, up)
+			assertSameView(t, ov, mirror)
+			if got, want := ov.Pending(), edgeDiff(mirror, base); got != want {
+				t.Fatalf("gen %d after %v: Pending = %d, want |mirror Δ base| = %d", gen, up, got, want)
 			}
 		}
-		// Overlay-added edges are unlabeled; mirror labels stay only on
-		// surviving base edges, which the overlay reads through — compare
-		// everything except labels of edges the overlay re-added.
-		if got, want := ov.NumEdges(), mirror.NumEdges(); got != want {
-			t.Fatalf("seed %d: NumEdges %d != %d", seed, got, want)
-		}
-		for v := 0; v < n; v++ {
-			if !equalAdj(ov.Out(v), mirror.Out(v)) || !equalAdj(ov.In(v), mirror.In(v)) {
-				t.Fatalf("seed %d: adjacency of %d diverged", seed, v)
-			}
+		if _, err := ov.AddEdge(0, n); err == nil {
+			t.Fatalf("gen %d: AddEdge to node %d of %d must fail", gen, n, n)
 		}
 		assertSameView(t, base, frozen) // writes never leak into the base
 
 		ov.Reset()
 		if ov.Pending() != 0 {
-			t.Fatalf("Pending after Reset = %d", ov.Pending())
+			t.Fatalf("gen %d: Pending after Reset = %d", gen, ov.Pending())
+		}
+		if _, err := base.ApplyAll(ups); err != nil {
+			t.Fatal(err)
+		}
+		assertSameView(t, base, mirror)
+		for i := rng.Intn(3); i > 0; i-- {
+			base.AddNode(nil)
+		}
+		if es := base.EdgeList(); len(es) > 0 {
+			e := es[rng.Intn(len(es))]
+			base.SetEdgeLabel(e[0], e[1], "l") //nolint:errcheck // edge exists
 		}
 		assertSameView(t, ov, base)
+	}
+}
+
+// edgeDiff counts the edges exactly one of a and b has.
+func edgeDiff(a, b *Graph) int {
+	d := 0
+	a.Edges(func(u, v NodeID) bool {
+		if !b.HasEdge(u, v) {
+			d++
+		}
+		return true
+	})
+	b.Edges(func(u, v NodeID) bool {
+		if !a.HasEdge(u, v) {
+			d++
+		}
+		return true
+	})
+	return d
+}
+
+// overlayWorkload returns a random base and a generation of k updates over
+// it, half deletions of existing edges and half insertions of new ones.
+func overlayWorkload(n, m, k int) (*Graph, []Update) {
+	rng := rand.New(rand.NewSource(1))
+	g := NewWithCapacity(n, m)
+	for i := 0; i < n; i++ {
+		g.AddNode(nil)
+	}
+	for g.NumEdges() < m {
+		g.AddEdge(rng.Intn(n), rng.Intn(n)) //nolint:errcheck // endpoints exist
+	}
+	es := g.EdgeList()
+	rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	ups := make([]Update, 0, k)
+	for _, e := range es[:k/2] {
+		ups = append(ups, Delete(e[0], e[1]))
+	}
+	for len(ups) < k {
+		if u, v := rng.Intn(n), rng.Intn(n); !g.HasEdge(u, v) {
+			ups = append(ups, Insert(u, v))
+		}
+	}
+	return g, ups
+}
+
+// TestOverlayAllocations pins the overlay's memory model: an overlay that
+// is only read holds no per-node array (P shared engines are not P slot
+// arrays until each has absorbed a write), and once its rows are warm a
+// generation of writes and its Reset allocate nothing.
+func TestOverlayAllocations(t *testing.T) {
+	g, ups := overlayWorkload(2000, 8000, 16)
+	ov := NewOverlay(g)
+	for v := 0; v < g.NumNodes(); v++ {
+		if len(ov.Out(v)) != g.OutDegree(v) || ov.InDegree(v) != g.InDegree(v) || ov.HasEdge(v, v) != g.HasEdge(v, v) {
+			t.Fatalf("unwritten overlay disagrees with its base at node %d", v)
+		}
+	}
+	if ov.slot != nil || ov.touched != nil || ov.unlabeled != nil {
+		t.Fatal("an overlay that was never written to holds per-node state")
+	}
+	generation := func() {
+		for _, up := range ups {
+			if changed, err := ov.Apply(up); err != nil || !changed {
+				t.Fatalf("%v: changed=%v err=%v", up, changed, err)
+			}
+		}
+		if ov.Pending() != len(ups) {
+			t.Fatalf("Pending = %d after %d effective updates", ov.Pending(), len(ups))
+		}
+		ov.Reset()
+	}
+	generation() // warm the rows
+	if allocs := testing.AllocsPerRun(10, generation); allocs != 0 {
+		t.Fatalf("a warmed-up generation of %d updates + Reset allocates %.0f objects, want 0", len(ups), allocs)
+	}
+}
+
+func BenchmarkOverlayGeneration(b *testing.B) {
+	for _, k := range []int{16, 400} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			g, ups := overlayWorkload(2000, 8000, k)
+			ov := NewOverlay(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, up := range ups {
+					ov.Apply(up) //nolint:errcheck // ops are valid by construction
+				}
+				ov.Reset()
+			}
+		})
 	}
 }
 

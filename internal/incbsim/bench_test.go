@@ -120,6 +120,29 @@ func BenchmarkIncBMatchBatch5pct(b *testing.B) {
 	}
 }
 
+// BenchmarkIncBMatchBatch5pctShared is the same batch on a shared engine:
+// the overlay absorbs it, and the base commit the NewShared contract asks
+// of the owner runs off the clock — so the gap to the owned twin is what
+// the overlay costs.
+func BenchmarkIncBMatchBatch5pctShared(b *testing.B) {
+	p, g, ups := batch5pctSetup(b)
+	e, err := NewShared(p, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inv := invert(ups)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, batch := range [][]graph.Update{ups, inv} {
+			e.Batch(batch)
+			b.StopTimer()
+			g.ApplyAll(batch) //nolint:errcheck
+			b.StartTimer()
+		}
+	}
+}
+
 func BenchmarkMatchbsRecompute5pct(b *testing.B) {
 	p, g, ups := batch5pctSetup(b)
 	inv := invert(ups)

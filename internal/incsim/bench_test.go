@@ -34,6 +34,29 @@ func BenchmarkBatchIncMatch(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchIncMatchShared is BenchmarkBatchIncMatch on a shared engine:
+// the overlay absorbs each batch, and the base commit the NewShared contract
+// asks of the owner runs off the clock — so the gap to the owned twin is
+// what the overlay costs.
+func BenchmarkBatchIncMatchShared(b *testing.B) {
+	g, owned, ups := benchSetup(b)
+	e, err := NewShared(owned.Pattern(), g) // owned is dropped: g is the shared base from here on
+	if err != nil {
+		b.Fatal(err)
+	}
+	inverse := invert(ups)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, batch := range [][]graph.Update{ups, inverse} {
+			e.Batch(batch)
+			b.StopTimer()
+			g.ApplyAll(batch) //nolint:errcheck
+			b.StartTimer()
+		}
+	}
+}
+
 func BenchmarkNaiveIncMatchn(b *testing.B) {
 	_, e, ups := benchSetup(b)
 	inverse := invert(ups)

@@ -23,6 +23,7 @@ type Engine struct {
 	g          graph.Mutable
 	ov         *graph.Overlay // the private overlay (nil in owned mode)
 	pedges     []pattern.Edge
+	search     *search // the anchored searches' order and scratch, reused across inserts
 	embeddings map[string]Embedding
 	// edgeUse[dataEdge] = embedding keys with some pattern edge mapped to it.
 	edgeUse map[[2]graph.NodeID]map[string]bool
@@ -51,6 +52,7 @@ func buildEngine(p *pattern.Pattern, g graph.Mutable, ov *graph.Overlay) *Engine
 		g:          g,
 		ov:         ov,
 		pedges:     p.Edges(),
+		search:     newSearch(p, g, 0),
 		embeddings: make(map[string]Embedding),
 		edgeUse:    make(map[[2]graph.NodeID]map[string]bool),
 	}
@@ -145,9 +147,7 @@ func (e *Engine) InsertDelta(v0, v1 graph.NodeID) (bool, []Embedding) {
 		if (pe.From == pe.To) != (v0 == v1) {
 			continue
 		}
-		s := newSearch(e.p, e.g, 0)
-		s.run(map[int]graph.NodeID{pe.From: v0, pe.To: v1})
-		for _, em := range s.found {
+		for _, em := range e.search.runAnchored(pe, v0, v1) {
 			if e.add(em) {
 				newEms = append(newEms, em)
 			}

@@ -30,7 +30,7 @@ func (em Embedding) Key() string {
 // unlimited). The pattern must be normal; bounds are ignored.
 func Enumerate(p *pattern.Pattern, g graph.View, limit int) []Embedding {
 	s := newSearch(p, g, limit)
-	s.run(nil)
+	s.extend(0)
 	return s.found
 }
 
@@ -52,7 +52,8 @@ type search struct {
 	g     graph.View
 	limit int
 	order []int // pattern nodes in search order
-	// anchor: pattern-node → fixed data node (used by incremental search).
+	// anchor: pattern-node → fixed data node (runAnchored's pin; nil in a
+	// one-shot enumeration).
 	anchor map[int]graph.NodeID
 
 	mapped  []graph.NodeID // pattern node → data node or -1
@@ -111,11 +112,19 @@ func searchOrder(p *pattern.Pattern) []int {
 	return order
 }
 
-// run explores the search tree. anchor (optional) pre-commits some pattern
-// nodes to data nodes.
-func (s *search) run(anchor map[int]graph.NodeID) {
-	s.anchor = anchor
+// runAnchored re-runs a long-lived search with pattern edge pe pinned to
+// the data edge (v0, v1), reusing the search order and scratch. The
+// returned slice is overwritten by the next run.
+func (s *search) runAnchored(pe pattern.Edge, v0, v1 graph.NodeID) []Embedding {
+	if s.anchor == nil {
+		s.anchor = make(map[int]graph.NodeID, 2)
+	}
+	clear(s.anchor)
+	clear(s.used) // backtracking leaves false entries behind
+	s.anchor[pe.From], s.anchor[pe.To] = v0, v1
+	s.found = s.found[:0]
 	s.extend(0)
+	return s.found
 }
 
 func (s *search) done() bool {

@@ -198,32 +198,21 @@ func (ix *Index) repair(dist []int32, dir graph.Dir, tail, head graph.NodeID) {
 // first, then deletions and insertions through the unit algorithms. It
 // returns the number of updates that survived cancellation.
 func (ix *Index) Batch(ups []graph.Update) int {
-	final := make(map[[2]graph.NodeID]graph.Op, len(ups))
-	order := make([][2]graph.NodeID, 0, len(ups))
-	for _, up := range ups {
-		key := [2]graph.NodeID{up.From, up.To}
-		if _, seen := final[key]; !seen {
-			order = append(order, key)
-		}
-		final[key] = up.Op
-	}
-	applied := 0
+	net := graph.NetUpdates(ix.g, ups)
 	// Deletions first: they can only lengthen distances, so the insertion
 	// relaxations that follow start from conservative values and remain
 	// exact.
-	for _, key := range order {
-		if final[key] == graph.DeleteEdge && ix.g.HasEdge(key[0], key[1]) {
-			ix.Delete(key[0], key[1])
-			applied++
+	for _, up := range net {
+		if up.Op == graph.DeleteEdge {
+			ix.Delete(up.From, up.To)
 		}
 	}
-	for _, key := range order {
-		if final[key] == graph.InsertEdge && !ix.g.HasEdge(key[0], key[1]) {
-			ix.Insert(key[0], key[1])
-			applied++
+	for _, up := range net {
+		if up.Op == graph.InsertEdge {
+			ix.Insert(up.From, up.To)
 		}
 	}
-	return applied
+	return len(net)
 }
 
 // Rebuild recomputes the landmark vector and all distance vectors from
