@@ -68,7 +68,8 @@ import (
 
 // SetWorkers bounds the parallelism of the library's parallel hot paths —
 // the distance-matrix and landmark-index builds, Match's candidate-set
-// scans and the incremental engines' deletion-repair sweeps. Passing 0
+// scans and the per-source re-measurement of the incremental simulation
+// engines' batch repair (IncSimEngine and IncBSimEngine run one). Passing 0
 // restores the default (GOMAXPROCS); 1 makes every hot path serial. The
 // setting is process-wide.
 func SetWorkers(n int) { par.SetDefaultWorkers(n) }

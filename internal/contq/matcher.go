@@ -38,18 +38,19 @@ type matcher interface {
 func newMatcher(kind Kind, p *pattern.Pattern, base graph.View, workers int) (matcher, error) {
 	switch kind {
 	case KindSim:
+		// A sim engine only rejects patterns that do not fit the kind; the
+		// engine it builds is the repair core a bsim pattern gets.
 		eng, err := incsim.NewShared(p, base, incsim.WithWorkers(workers))
 		if err != nil {
-			// A sim engine only rejects patterns that do not fit the kind.
 			return nil, fmt.Errorf("%w: %w", ErrBadKind, err)
 		}
-		return simMatcher{eng}, nil
+		return coreMatcher{eng.Engine}, nil
 	case KindBSim:
 		eng, err := incbsim.NewShared(p, base, incbsim.WithWorkers(workers))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadKind, err)
 		}
-		return bsimMatcher{eng}, nil
+		return coreMatcher{eng}, nil
 	case KindIso:
 		if !p.IsNormal() {
 			return nil, fmt.Errorf("%w: iso patterns must be normal", ErrBadKind)
@@ -63,28 +64,16 @@ func newMatcher(kind Kind, p *pattern.Pattern, base graph.View, workers int) (ma
 	}
 }
 
-// simMatcher backs a normal pattern with incremental graph simulation.
-type simMatcher struct{ eng *incsim.Engine }
+// coreMatcher backs a normal pattern (incremental graph simulation) or a
+// b-pattern (incremental bounded simulation) with the repair core the two
+// share.
+type coreMatcher struct{ eng *incbsim.Engine }
 
-func (m simMatcher) apply(ups []graph.Update) rel.Delta {
-	_, d := m.eng.BatchDelta(ups)
-	return d
-}
+func (m coreMatcher) apply(ups []graph.Update) rel.Delta { return m.eng.BatchDelta(ups) }
 
-func (m simMatcher) result() rel.Relation { return m.eng.Result() }
+func (m coreMatcher) result() rel.Relation { return m.eng.Result() }
 
-func (m simMatcher) release() {}
-
-// bsimMatcher backs a b-pattern with incremental bounded simulation.
-type bsimMatcher struct{ eng *incbsim.Engine }
-
-func (m bsimMatcher) apply(ups []graph.Update) rel.Delta {
-	return m.eng.BatchDelta(ups)
-}
-
-func (m bsimMatcher) result() rel.Relation { return m.eng.Result() }
-
-func (m bsimMatcher) release() {}
+func (m coreMatcher) release() {}
 
 // isoMatcher backs a normal pattern with incremental subgraph isomorphism.
 // The relation view is the union of embeddings projected to (u, v) pairs,

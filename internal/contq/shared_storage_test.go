@@ -24,12 +24,7 @@ func TestRegistrySharesCanonicalStorage(t *testing.T) {
 	for id, r := range reg.pats {
 		var base graph.View
 		switch m := r.m.(type) {
-		case simMatcher:
-			if m.eng.Graph() != nil {
-				t.Fatalf("%s: engine owns a graph replica", id)
-			}
-			base = m.eng.SharedBase()
-		case bsimMatcher:
+		case coreMatcher:
 			if m.eng.Graph() != nil {
 				t.Fatalf("%s: engine owns a graph replica", id)
 			}

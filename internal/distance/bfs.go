@@ -1,6 +1,10 @@
 package distance
 
-import "gpm/internal/graph"
+import (
+	"slices"
+
+	"gpm/internal/graph"
+)
 
 // BFS is the zero-index oracle: every query runs a (bounded) breadth-first
 // search over the live graph. It is the only oracle that needs no
@@ -8,7 +12,9 @@ import "gpm/internal/graph"
 // uses "Match with BFS" for its large-graph scalability runs (Fig. 17(c,d)).
 type BFS struct {
 	g graph.View
-	// scratch buffers reused across queries to avoid per-query allocation.
+	// scratch buffers reused across queries to avoid per-query allocation;
+	// dist and seen, one entry per node, are allocated by the first walk
+	// that goes farther than one hop.
 	dist  []int
 	seen  []int32
 	epoch int32
@@ -80,8 +86,20 @@ func (b *BFS) walk(v graph.NodeID, dir graph.Dir, bound int, fn func(w graph.Nod
 	if bound < 1 {
 		return
 	}
-	b.ensure()
 	adj := b.adjacency(dir)
+	if bound == 1 {
+		// A walk of radius 1 is the adjacency list itself: a row holds no
+		// repeats, so there is nothing to stamp, and an oracle that only ever
+		// walks one hop (every bound of its pattern is 1) never allocates the
+		// per-node dist and seen arrays.
+		for _, c := range adj(v) {
+			if !fn(c, 1) {
+				return
+			}
+		}
+		return
+	}
+	b.ensure()
 	b.queue = b.queue[:0]
 	for _, c := range adj(v) {
 		if b.seen[c] != b.epoch {
@@ -104,6 +122,18 @@ func (b *BFS) walk(v graph.NodeID, dir graph.Dir, bound int, fn func(w graph.Nod
 // tails (heads) of a group of edge updates instead of one per update.
 func (b *BFS) MultiSource(srcs []graph.NodeID, dir graph.Dir, bound int, fn func(w graph.NodeID, d int) bool) {
 	if bound < 0 {
+		return
+	}
+	if bound == 0 {
+		// Radius 0 reaches the sources and nothing else; sorting them drops
+		// the duplicates without the per-node stamp arrays (see walk).
+		b.queue = append(b.queue[:0], srcs...)
+		slices.Sort(b.queue)
+		for _, s := range slices.Compact(b.queue) {
+			if !fn(s, 0) {
+				return
+			}
+		}
 		return
 	}
 	b.ensure()

@@ -36,9 +36,9 @@ func TestEveryDriverProducesRows(t *testing.T) {
 				t.Errorf("%s: row width %d != %d columns", name, len(row), len(tab.Columns))
 			}
 		}
-		// The Fig. 19 panels check their expected shape by machine; the
-		// verdict itself is timing and belongs to the bench lane.
-		if checked := strings.HasPrefix(name, "Fig19"); checked != (tab.ShapeOK != nil) {
+		// The Fig. 18 and Fig. 19 panels check their expected shape by
+		// machine; the verdict itself is timing and belongs to the bench lane.
+		if checked := strings.HasPrefix(name, "Fig18") || strings.HasPrefix(name, "Fig19"); checked != (tab.ShapeOK != nil) {
 			t.Errorf("%s: machine-checked shape present = %t, want %t", name, tab.ShapeOK != nil, checked)
 		}
 	}

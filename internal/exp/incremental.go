@@ -6,6 +6,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gpm/internal/core"
@@ -72,6 +73,7 @@ func figIncSim(cfg Config, title string, g *graph.Graph, deltas []int) Table {
 		Columns: []string{"|ΔG|", "Matchs", "IncMatchn", "IncMatch", "HORNSAT"},
 	}
 	p := generator.Pattern(g, generator.PatternParams{Nodes: 4, Edges: 5, Preds: 2, K: 1}, cfg.Seed+11)
+	shapeOK := true
 	for _, d := range deltas {
 		var ups []graph.Update
 		if d >= 0 {
@@ -85,7 +87,26 @@ func figIncSim(cfg Config, title string, g *graph.Graph, deltas []int) Table {
 		for _, up := range ups[:len(ups)/4] {
 			ups = append(ups, up.Inverse())
 		}
-		dBatch, dNaive, dInc, dHorn, hornRan := simContenders(cfg, g, p, ups)
+		// Each cell is the median of simRepeats measurements, every one from
+		// a fresh copy of the same (graph, match) state: the rows are a few
+		// hundred microseconds at bench scale and single shots of them flap.
+		// HORNSAT, the slow contender, is measured in the first only.
+		var batch, naive, inc []time.Duration
+		var dHorn time.Duration
+		hornRan := false
+		for r := 0; r < simRepeats; r++ {
+			once := cfg
+			once.SkipSlowBaselines = cfg.SkipSlowBaselines || r > 0
+			dBatch, dNaive, dInc, dH, ran := simContenders(once, g, p, ups)
+			batch, naive, inc = append(batch, dBatch), append(naive, dNaive), append(inc, dInc)
+			if ran {
+				dHorn, hornRan = dH, true
+			}
+		}
+		dBatch, dNaive, dInc := median(batch), median(naive), median(inc)
+		if dInc > dNaive || (4*len(ups) <= g.NumEdges() && dInc > dBatch) {
+			shapeOK = false
+		}
 		horn := "skipped"
 		if hornRan {
 			horn = fmtDuration(dHorn)
@@ -93,9 +114,19 @@ func figIncSim(cfg Config, title string, g *graph.Graph, deltas []int) Table {
 		t.AddRow(len(ups), dBatch, dNaive, dInc, horn)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("graph: %d nodes, %d edges", g.NumNodes(), g.NumEdges()),
-		"expected shape: IncMatch < IncMatchn < HORNSAT; IncMatch beats Matchs for small ΔG (≲30%)")
+		fmt.Sprintf("graph: %d nodes, %d edges; each cell the median of %d runs", g.NumNodes(), g.NumEdges(), simRepeats),
+		"expected shape: IncMatch < IncMatchn < HORNSAT; IncMatch beats Matchs for small ΔG (≲30%) (shape_ok: IncMatch ≤ IncMatchn on every row, IncMatch ≤ Matchs on every row with |ΔG| ≤ 25% |E|)")
+	t.ShapeOK = &shapeOK
 	return t
+}
+
+// simRepeats is the number of measurements behind each cell of Fig. 18.
+const simRepeats = 5
+
+// median returns the middle value of ds, which it sorts.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // Fig18a: incremental simulation, edge insertions on synthetic data

@@ -15,7 +15,7 @@
 //   - predicate leaves hold sat(pred) = {v : pred holds on v's attributes}.
 //     Only edge updates exist (node ids and attributes are append-only
 //     elsewhere and immutable here), so these sets are computed once and
-//     shared read-only by every engine via incsim/incbsim WithSat.
+//     shared read-only by every engine via incbsim's WithSat.
 //   - single-edge nodes run a 2-node (or self-loop) incremental engine for
 //     the sub-pattern src --bound--> dst. Their match state doubles as the
 //     network's update-relevance filter (see Apply).
@@ -76,28 +76,6 @@ type Stats struct {
 	RepairsSaved int64 `json:"repairs_saved"`
 }
 
-// engine adapts incsim/incbsim to the network's needs.
-type engine interface {
-	batch(ups []graph.Update) rel.Delta
-	result() rel.Relation
-	matchSets() rel.Relation
-}
-
-type simEng struct{ e *incsim.Engine }
-
-func (s simEng) batch(ups []graph.Update) rel.Delta {
-	_, d := s.e.BatchDelta(ups)
-	return d
-}
-func (s simEng) result() rel.Relation    { return s.e.Result() }
-func (s simEng) matchSets() rel.Relation { return s.e.MatchSets() }
-
-type bsimEng struct{ e *incbsim.Engine }
-
-func (b bsimEng) batch(ups []graph.Update) rel.Delta { return b.e.BatchDelta(ups) }
-func (b bsimEng) result() rel.Relation               { return b.e.Result() }
-func (b bsimEng) matchSets() rel.Relation            { return b.e.MatchSets() }
-
 // predNode is a shared vertex-predicate leaf.
 type predNode struct {
 	key string
@@ -112,7 +90,7 @@ type edgeNode struct {
 	bound    int
 	selfLoop bool
 	src, dst *predNode
-	eng      engine
+	eng      *incbsim.Engine
 	// broken marks an edge node whose repair panicked: its match state is
 	// unusable for relevance filtering, so it reports every later update
 	// as relevant (the sound over-approximation) and is never repaired
@@ -128,8 +106,10 @@ type edgeNode struct {
 // repair of this commit: the deletion filter reads pre-state match sets.
 //
 // Soundness, for bound-1 nodes: an insert (v,w) can only create matches
-// when v satisfies the source predicate and w the target one — exactly the
-// filter the sim engine's own batch path applies before touching state. A
+// when v satisfies the source predicate and w the target one — the repair
+// core's own probe finds no candidate to stake around any other insertion
+// (at bound 1 its slack is 0: the tail must itself be a candidate of the
+// source role and the head itself satisfy the target role). A
 // delete (v,w) can only destroy matches when v currently matches the
 // node's source role and w its target role; any join's whole-pattern match
 // for the corresponding pattern edge is a subset of this node's 2-node
@@ -145,7 +125,7 @@ func (e *edgeNode) relevantTo(ups []graph.Update) bool {
 	if e.broken || e.bound != 1 {
 		return true
 	}
-	m := e.eng.matchSets()
+	m := e.eng.MatchSets()
 	mSrc, mDst := m[0], m[len(m)-1]
 	for _, up := range ups {
 		if up.Op == graph.InsertEdge {
@@ -166,7 +146,7 @@ type joinNode struct {
 	ref   int
 	preds []*predNode // distinct predicate leaves (refcounted once each)
 	edges []*edgeNode // distinct single-edge nodes (refcounted once each)
-	eng   engine
+	eng   *incbsim.Engine
 	// lastDelta is the canonical-space ΔM of the most recent Apply; each
 	// handle remaps it into its own pattern's node numbering.
 	lastDelta rel.Delta
@@ -341,10 +321,9 @@ func (n *Network) buildJoin(kind string, d *pattern.Decomposition) (*joinNode, e
 }
 
 // buildEdgeNode constructs the 2-node (or self-loop) sub-pattern engine
-// for one single-edge node. Bound-1 nodes use the sim engine; bounded-path
-// nodes need distance maintenance and use the bsim engine. Either way the
-// node is shared across both join kinds: on a single edge with bound 1,
-// bounded simulation and plain simulation coincide.
+// for one single-edge node, whatever its bound. The node is shared across
+// both join kinds: on a single edge with bound 1, bounded simulation and
+// plain simulation coincide.
 func (n *Network) buildEdgeNode(ed pattern.EdgeNode, predByKey map[string]*predNode) (*edgeNode, error) {
 	src := predByKey[ed.SrcPred]
 	dst := predByKey[ed.DstPred]
@@ -364,11 +343,7 @@ func (n *Network) buildEdgeNode(ed pattern.EdgeNode, predByKey map[string]*predN
 		}
 		sat = rel.Relation{src.sat, dst.sat}
 	}
-	kind := KindBSim
-	if ed.Bound == 1 {
-		kind = KindSim
-	}
-	eng, err := n.newEngine(kind, sub, sat)
+	eng, err := n.newEngine(KindBSim, sub, sat)
 	if err != nil {
 		return nil, fmt.Errorf("gdn: edge node %q: %w", ed.Key, err)
 	}
@@ -387,21 +362,20 @@ func (p *predNode) pred() pattern.Predicate {
 	return pred
 }
 
-func (n *Network) newEngine(kind string, p *pattern.Pattern, sat rel.Relation) (engine, error) {
-	switch kind {
-	case KindSim:
-		e, err := incsim.NewShared(p, n.base, incsim.WithWorkers(n.workers), incsim.WithSat(sat))
-		if err != nil {
-			return nil, err
-		}
-		return simEng{e}, nil
-	default:
-		e, err := incbsim.NewShared(p, n.base, incbsim.WithWorkers(n.workers), incbsim.WithSat(sat))
-		if err != nil {
-			return nil, err
-		}
-		return bsimEng{e}, nil
+// newEngine builds the engine of an edge node or a join tip: whatever the
+// kind, the one repair core over the shared base and the shared sat sets.
+// For a sim join incsim's constructor is the kind-fit validator (it rejects
+// a non-normal pattern); the engine it returns is that same core.
+func (n *Network) newEngine(kind string, p *pattern.Pattern, sat rel.Relation) (*incbsim.Engine, error) {
+	opts := []incbsim.Option{incbsim.WithWorkers(n.workers), incbsim.WithSat(sat)}
+	if kind != KindSim {
+		return incbsim.NewShared(p, n.base, opts...)
 	}
+	e, err := incsim.NewShared(p, n.base, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return e.Engine, nil
 }
 
 // Apply repairs the network for one commit: ups is the commit's effective
@@ -452,7 +426,7 @@ func (n *Network) Apply(ups []graph.Update) {
 				e.broken = true
 			}
 		}()
-		e.eng.batch(ups)
+		e.eng.Batch(ups)
 	})
 
 	// Pass 3 — repair the relevant join tips in parallel; skipped joins
@@ -477,7 +451,7 @@ func (n *Network) Apply(ups []graph.Update) {
 				j.broken = true
 			}
 		}()
-		j.lastDelta = j.eng.batch(ups)
+		j.lastDelta = j.eng.BatchDelta(ups)
 	})
 
 	n.mu.Lock()
@@ -544,7 +518,7 @@ func (h *Handle) Delta() rel.Delta {
 // numbering. The relation shares its sets with the join engine's snapshot:
 // treat it as immutable, exactly like the engines' own Result().
 func (h *Handle) Result() rel.Relation {
-	r := h.join.eng.result()
+	r := h.join.eng.Result()
 	if h.identity {
 		return r
 	}

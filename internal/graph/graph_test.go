@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -316,6 +317,32 @@ func TestApplyAllReportsEffectiveUpdates(t *testing.T) {
 	}
 	if len(eff) != 2 {
 		t.Fatalf("effective updates = %v, want 2 entries", eff)
+	}
+}
+
+// NetUpdates keeps the last operation per edge, drops what restates the
+// graph, and drops an insertion that names a node the graph does not have:
+// every update it returns applies.
+func TestNetUpdates(t *testing.T) {
+	g := New()
+	for i := 0; i < 3; i++ {
+		g.AddNode(nil)
+	}
+	g.AddEdge(0, 1)
+	ups := []Update{
+		Insert(0, 1),               // restates
+		Delete(1, 2),               // restates
+		Insert(1, 2), Delete(1, 2), // cancels
+		Delete(0, 1), Insert(0, 1), Delete(0, 1), // nets to one deletion
+		Insert(2, 0),
+		Insert(2, 3), Insert(-1, 0), Delete(3, 2), // no such node
+	}
+	net := NetUpdates(g, ups)
+	if want := []Update{Delete(0, 1), Insert(2, 0)}; !slices.Equal(net, want) {
+		t.Fatalf("NetUpdates = %v, want %v", net, want)
+	}
+	if eff, err := g.ApplyAll(net); err != nil || len(eff) != len(net) {
+		t.Fatalf("ApplyAll(net) = %v, %v: a net update did not apply", eff, err)
 	}
 }
 

@@ -73,7 +73,9 @@ func (g *Graph) ApplyAll(us []Update) ([]Update, error) {
 // operations restating the graph's current state vanish — so an insert
 // and a delete of the same edge inside one list annihilate entirely. This
 // is the cancellation step of the paper's minDelta reduction; the
-// incremental engines and the continuous-query writer both use it.
+// incremental engines and the continuous-query writer both use it. An
+// insertion between nodes g does not have cannot take effect and vanishes
+// too, so whatever is left applies.
 func NetUpdates(g View, ups []Update) []Update {
 	final := make(map[[2]NodeID]Op, len(ups))
 	order := make([][2]NodeID, 0, len(ups))
@@ -85,10 +87,14 @@ func NetUpdates(g View, ups []Update) []Update {
 		final[key] = up.Op
 	}
 	net := make([]Update, 0, len(order))
+	n := uint(g.NumNodes())
 	for _, key := range order {
 		op := final[key]
 		if (op == InsertEdge) == g.HasEdge(key[0], key[1]) {
 			continue // restates current state: cancelled
+		}
+		if uint(key[0]) >= n || uint(key[1]) >= n {
+			continue // an insertion (no edge to delete has such an end) that cannot apply
 		}
 		net = append(net, Update{Op: op, From: key[0], To: key[1]})
 	}

@@ -46,8 +46,12 @@ var (
 )
 
 // CloneView materializes any View into an owned *Graph (attribute tuples
-// and label strings are shared structurally, as in Clone).
+// and label strings are shared structurally, as in Clone). A *Graph takes
+// its bulk structural Clone; any other view pays an edge-by-edge rebuild.
 func CloneView(v View) *Graph {
+	if g, ok := v.(*Graph); ok {
+		return g.Clone()
+	}
 	n := v.NumNodes()
 	g := NewWithCapacity(n, v.NumEdges())
 	for i := 0; i < n; i++ {

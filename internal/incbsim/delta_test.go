@@ -109,7 +109,7 @@ func TestParallelInsertSweepEquivalence(t *testing.T) {
 			if !serial.Result().Equal(parallel.Result()) {
 				t.Fatalf("seed %d: after %v parallel result differs from serial", seed, up)
 			}
-			if err := parallel.checkInvariants(); err != nil {
+			if err := parallel.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d: after %v: %v", seed, up, err)
 			}
 		}

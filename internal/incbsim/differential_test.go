@@ -129,7 +129,7 @@ func differential(t *testing.T, seed int64, wide bool) {
 				if !got.Equal(want) {
 					t.Fatalf("%s: incremental=%v batch=%v", where, got, want)
 				}
-				if err := s.e.checkInvariants(); err != nil {
+				if err := s.e.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
 				if !s.e.match.Equal(fresh.match) {

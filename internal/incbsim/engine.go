@@ -33,6 +33,11 @@
 //
 // Bounded walks run on a live BFS view of the graph; an attached landmark
 // index (Section 6.2/6.4) is kept exact by routing edge updates through it.
+//
+// This is also the repair core of incremental simulation: simulation is
+// bounded simulation with every bound 1, and package incsim builds its
+// engine on this one. On such a pattern every walk has radius 1, which
+// distance.BFS answers from the adjacency list alone.
 package incbsim
 
 import (
@@ -64,9 +69,21 @@ type Stats struct {
 	PairsExamined int64
 }
 
-// Total returns a scalar |AFF| measure.
+// Total returns a scalar |AFF| measure: the sum of all five tallies, the
+// fields ResetStats zeroes.
 func (s Stats) Total() int64 {
 	return s.Removals + s.Promotions + s.CounterUpdates + s.ClosureSize + s.PairsExamined
+}
+
+// minus returns the tallies accumulated since an earlier reading t.
+func (s Stats) minus(t Stats) Stats {
+	return Stats{
+		Removals:       s.Removals - t.Removals,
+		Promotions:     s.Promotions - t.Promotions,
+		CounterUpdates: s.CounterUpdates - t.CounterUpdates,
+		ClosureSize:    s.ClosureSize - t.ClosureSize,
+		PairsExamined:  s.PairsExamined - t.PairsExamined,
+	}
 }
 
 // Engine maintains the maximum bounded-simulation match of a b-pattern
@@ -96,14 +113,17 @@ type Engine struct {
 	sat   rel.Relation
 	match rel.Relation
 	// member is the node-major membership table every build and repair path
-	// asks instead of probing the sets above: per graph node, stride words
-	// of match bits, stride of sat bits and stride of promote's tentative
-	// bits, bit u of a plane standing for pattern node u. Node ids are dense
-	// (graph.View), so a membership test is an array load. match and member
-	// are written together by setMatch/clearMatch and by nothing else; the
-	// sets stay for what they are good at, enumeration and the ChangeSet.
+	// asks instead of probing the sets above: per graph node a row of stride
+	// words holding |Vp| match bits, then |Vp| sat bits, then |Vp| bits of
+	// promote's tentative matches, bit u of a plane standing for pattern
+	// node u — packed, so a pattern of up to 21 nodes costs a node one
+	// word. Node ids are dense (graph.View), so a membership test is an
+	// array load. match and member are written together by
+	// setMatch/clearMatch and by nothing else; the sets stay for what they
+	// are good at, enumeration and the ChangeSet.
 	member []uint64
-	stride int // ⌈|Vp|/64⌉ words per plane
+	np     int // |Vp|, the bits of a plane
+	stride int // ⌈3·|Vp|/64⌉ words per row
 	// cnt[e][v]: for v ∈ match(src(e)), the number of w ∈ match(tgt(e))
 	// within bound(e) of v by a nonempty path.
 	cnt []map[graph.NodeID]int32
@@ -179,9 +199,10 @@ func New(p *pattern.Pattern, g *graph.Graph, options ...Option) (*Engine, error)
 // per-pattern memory is the engine's auxiliary structures only. Those are
 // the pattern state (match sets, support counters) plus a few flat arrays
 // indexed by graph node, O(|V|) words whatever the match: the membership
-// table (24·stride bytes per node, stride = ⌈|Vp|/64⌉: three planes of
-// stride words), scratch.at (4 bytes) and the stamps of each worker's BFS
-// (12 bytes) — against the O(|V|+|E|) of a replica.
+// table (8·⌈3·|Vp|/64⌉ bytes per node: three planes of |Vp| bits, so 8
+// bytes up to 21 pattern nodes), scratch.at (4 bytes) and, unless every
+// bound of p is 1, the stamps of each worker's BFS (12 bytes) — against the
+// O(|V|+|E|) of a replica.
 //
 // Contract: every write call repairs the match against base ⊕ updates and
 // then discards the overlay, so the caller must commit exactly those
@@ -219,7 +240,7 @@ func build(p *pattern.Pattern, g graph.Mutable, own *graph.Graph, ov *graph.Over
 		e.inEdges[pe.To] = append(e.inEdges[pe.To], i)
 		e.maxOut[pe.From] = max(e.maxOut[pe.From], pe.Bound)
 	}
-	e.stride = (np + 63) / 64
+	e.np, e.stride = np, (planes*np+63)/64
 	e.scratch = scratch{
 		nearMatch: make([]int, len(e.edges)), nearSat: make([]int, len(e.edges)),
 		slackMatch: make([]int, np), slackCand: make([]int, np), role: make([]uint8, np),
@@ -277,24 +298,33 @@ func (e *Engine) sizeTables() {
 	if len(e.scratch.at) < n {
 		e.scratch.at = make([]int32, n) // all zero between phases: nothing to carry over
 	}
-	if w := n * planes * e.stride; len(e.member) < w {
+	if w := n * e.stride; len(e.member) < w {
 		e.member = extend(e.member, w-len(e.member))
 	}
 }
 
-// has reports whether bit u of the given plane is set in node v's row of
-// the membership table: the match plane, the sat plane, the tentative plane,
-// stride words each.
+// bit places pattern node u's bit of the given plane in a row of the
+// membership table: the match plane, the sat plane, the tentative plane, np
+// bits each, one after the other.
+func (e *Engine) bit(plane, u int) (word int, mask uint64) {
+	b := plane*e.np + u
+	return b >> 6, 1 << (b & 63)
+}
+
+// has reports whether bit u of the given plane is set in node v's row.
 func (e *Engine) has(plane, u int, v graph.NodeID) bool {
-	return e.member[(v*planes+plane)*e.stride+u>>6]&(1<<(u&63)) != 0
+	w, m := e.bit(plane, u)
+	return e.member[v*e.stride+w]&m != 0
 }
 
 func (e *Engine) setBit(plane, u int, v graph.NodeID) {
-	e.member[(v*planes+plane)*e.stride+u>>6] |= 1 << (u & 63)
+	w, m := e.bit(plane, u)
+	e.member[v*e.stride+w] |= m
 }
 
 func (e *Engine) clearBit(plane, u int, v graph.NodeID) {
-	e.member[(v*planes+plane)*e.stride+u>>6] &^= 1 << (u & 63)
+	w, m := e.bit(plane, u)
+	e.member[v*e.stride+w] &^= m
 }
 
 func (e *Engine) isMatch(u int, v graph.NodeID) bool { return e.has(matchPlane, u, v) }
@@ -447,6 +477,20 @@ func (e *Engine) ResetStats() {
 // The returned sets are live: do not use them while writers may run.
 func (e *Engine) MatchSets() rel.Relation { return e.match }
 
+// SatSets exposes sat(u), the nodes satisfying each pattern node's predicate
+// (read-only). Edge updates never change them.
+func (e *Engine) SatSets() rel.Relation { return e.sat }
+
+// ReadGraph runs fn under the read lock on the graph the match is
+// maintained over: the owned graph, or the shared base seen through the
+// engine's overlay. No write runs meanwhile, so MatchSets is stable too; fn
+// must not call the engine's locking methods.
+func (e *Engine) ReadGraph(fn func(g graph.View)) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	fn(e.g)
+}
+
 // IsMatch reports whether (u, v) is in the match structure; a node the
 // engine has not seen matches nothing.
 func (e *Engine) IsMatch(u int, v graph.NodeID) bool {
@@ -467,7 +511,7 @@ func (e *Engine) IsCandidate(u int, v graph.NodeID) bool {
 // the exported readers need to ask: every node the build and repair paths
 // visit comes out of the graph the table is sized for.
 func (e *Engine) inTable(u int, v graph.NodeID) bool {
-	return u >= 0 && u < len(e.match) && v >= 0 && v < len(e.member)/(planes*e.stride)
+	return u >= 0 && u < len(e.match) && v >= 0 && v < len(e.member)/e.stride
 }
 
 // Result returns Mksim(P, G) under the totality convention.
@@ -504,12 +548,16 @@ func (e *Engine) result() rel.Relation {
 func (e *Engine) ResultGraph() *resultgraph.Graph {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.km == 1 {
+		// Within bound 1 means adjacent: no distances to ask for.
+		return resultgraph.FromSimulation(e.p, e.g, e.result())
+	}
 	return resultgraph.FromBounded(e.p, e.g, e.result(), distance.NewBFS(e.g))
 }
 
-// checkInvariants recounts every support counter and holds the membership
-// table to the sets it mirrors (test hook).
-func (e *Engine) checkInvariants() error {
+// CheckInvariants recounts every support counter and holds the membership
+// table to the sets it mirrors (test hook; not safe beside a writer).
+func (e *Engine) CheckInvariants() error {
 	for v := 0; v < e.g.NumNodes(); v++ {
 		for u := range e.match {
 			if got, want := e.isMatch(u, v), e.match[u].Has(v); got != want {

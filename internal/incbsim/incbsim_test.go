@@ -27,7 +27,7 @@ func assertMatchesBatch(t *testing.T, e *Engine, context string) {
 	if got := e.Result(); !got.Equal(want) {
 		t.Fatalf("%s: incremental=%v batch=%v", context, got, want)
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("%s: invariant violated: %v", context, err)
 	}
 }
@@ -199,7 +199,7 @@ func TestMatrixEngineEqualsBatch(t *testing.T) {
 		if got := m.Result(); !got.Equal(want) {
 			t.Fatalf("trial %d: matrix=%v batch=%v", trial, got, want)
 		}
-		if err := m.e.checkInvariants(); err != nil {
+		if err := m.e.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

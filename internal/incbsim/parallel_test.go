@@ -37,7 +37,7 @@ func TestParallelDeleteRepairEquivalence(t *testing.T) {
 			if !serial.Result().Equal(parallel.Result()) {
 				t.Fatalf("seed %d: after %v parallel result differs from serial", seed, up)
 			}
-			if err := parallel.checkInvariants(); err != nil {
+			if err := parallel.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d: after %v: %v", seed, up, err)
 			}
 		}

@@ -310,7 +310,8 @@ func (e *Engine) probe(ups []graph.Update, insert bool) {
 type walker struct {
 	bfs *distance.BFS
 	// The walk at hand: what it counts, and want, the target bits of all
-	// its stakes laid out like the match and sat planes of a table row.
+	// its stakes laid out like the words of a table row that hold the match
+	// and sat planes.
 	stakes []stake
 	want   []uint64
 }
@@ -331,10 +332,10 @@ type stake struct {
 // one. A visited node that is nobody's target is dismissed with an AND per
 // word of the walk's want mask.
 func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
-	ne, stride := len(e.edges), e.stride
+	ne := len(e.edges)
 	src := &e.scratch.srcs[i]
 	wk.stakes = wk.stakes[:0]
-	wk.want = extend(wk.want[:0], 2*stride)
+	wk.want = extend(wk.want[:0], (2*e.np+63)/64)
 	radius := 0
 	for ei, m := range e.scratch.mode[i*ne : (i+1)*ne] {
 		if m == skip || (only != 0 && m != only) {
@@ -346,11 +347,12 @@ func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
 		if m == matched {
 			plane = matchPlane
 		}
-		st := stake{ei: ei, bound: pe.Bound, word: plane*stride + pe.To>>6, mask: 1 << (pe.To & 63)}
+		st := stake{ei: ei, bound: pe.Bound}
+		st.word, st.mask = e.bit(plane, pe.To)
 		wk.want[st.word] |= st.mask
 		wk.stakes = append(wk.stakes, st)
 	}
-	member, span, stakes, want, visited := e.member, planes*stride, wk.stakes, wk.want, int64(0)
+	member, span, stakes, want, visited := e.member, e.stride, wk.stakes, wk.want, int64(0)
 	wk.bfs.DescNonempty(src.v, radius, func(w graph.NodeID, d int) bool {
 		visited++
 		bits := member[w*span:][:len(want)]
@@ -418,7 +420,7 @@ func (e *Engine) unitDelta(up graph.Update) (bool, rel.Delta) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.beginChanges()
-	ok := e.batchLocked([]graph.Update{up}) > 0
+	ok := e.batchLocked([]graph.Update{up}, nil) > 0
 	return ok, e.endChanges()
 }
 
@@ -432,17 +434,32 @@ func (e *Engine) Batch(ups []graph.Update) {
 // BatchDelta is Batch additionally reporting the visible match delta ΔM of
 // the whole batch (with intra-batch remove/add cancellation).
 func (e *Engine) BatchDelta(ups []graph.Update) rel.Delta {
+	d, _ := e.BatchNet(ups, nil)
+	return d
+}
+
+// BatchNet is BatchDelta for a caller that reports on the batch as well as
+// applying it: it also returns the write's own share of Stats, and inspect,
+// if not nil, is handed the batch's net update list — same-edge cancellation
+// done, nothing applied yet — under the write lock, where MatchSets still
+// holds the pre-batch match. inspect must not keep the list or call the
+// engine's locking methods.
+func (e *Engine) BatchNet(ups []graph.Update, inspect func(net []graph.Update)) (rel.Delta, Stats) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	before := e.stats
 	e.beginChanges()
-	e.batchLocked(ups)
-	return e.endChanges()
+	e.batchLocked(ups, inspect)
+	return e.endChanges(), e.stats.minus(before)
 }
 
 // batchLocked repairs the net effect of ups, one phase per update kind, and
 // returns the number of net updates.
-func (e *Engine) batchLocked(ups []graph.Update) int {
+func (e *Engine) batchLocked(ups []graph.Update, inspect func(net []graph.Update)) int {
 	net := graph.NetUpdates(e.g, ups)
+	if inspect != nil {
+		inspect(net)
+	}
 	for _, op := range [...]graph.Op{graph.DeleteEdge, graph.InsertEdge} {
 		phase := e.scratch.phase[:0]
 		for _, up := range net {
@@ -468,7 +485,7 @@ func (e *Engine) ApplyDelta(ups []graph.Update) rel.Delta {
 	defer e.mu.Unlock()
 	e.beginChanges()
 	for i := range ups {
-		e.batchLocked(ups[i : i+1])
+		e.batchLocked(ups[i:i+1], nil)
 	}
 	return e.endChanges()
 }

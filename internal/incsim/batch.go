@@ -1,15 +1,14 @@
 package incsim
 
-// IncMatch (Fig. 10): batch updates. The algorithm first reduces ΔG with
-// minDelta — same-edge insert/delete cancellation, relevance filtering
-// against match()/candt(), and topological-rank redundancy elimination
-// (Lemma 5.1) — then handles all deletions simultaneously (one counter
-// sweep + one cascade) and all insertions simultaneously (one promotion
-// closure), rather than one update at a time.
+// IncMatch (Fig. 10): batch updates. The core nets ΔG (same-edge
+// insert/delete cancellation) and repairs all deletions together, then all
+// insertions together. The rest of minDelta is here: relevance filtering
+// against match()/candt() and topological-rank redundancy elimination
+// (Lemma 5.1). Both only report — the core's probe finds nothing to repair
+// around an update they would drop, so the repair does not need them.
 
 import (
 	"gpm/internal/graph"
-	"gpm/internal/par"
 	"gpm/internal/rel"
 )
 
@@ -18,7 +17,7 @@ import (
 type BatchResult struct {
 	Original  int // updates submitted
 	Effective int // after same-edge cancellation against the graph state
-	Relevant  int // after relevance + rank filtering (updates actually processed)
+	Relevant  int // after relevance filtering (MinDelta: and rank filtering)
 	Removed   int // match pairs removed
 	Added     int // match pairs added
 }
@@ -33,178 +32,64 @@ func (e *Engine) Batch(ups []graph.Update) BatchResult {
 // BatchDelta is Batch additionally reporting the visible match delta ΔM of
 // the whole batch (with intra-batch remove/add cancellation).
 func (e *Engine) BatchDelta(ups []graph.Update) (BatchResult, rel.Delta) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.beginChanges()
-	res := e.batchLocked(ups)
-	return res, e.endChanges()
-}
-
-func (e *Engine) batchLocked(ups []graph.Update) BatchResult {
 	res := BatchResult{Original: len(ups)}
-	before := int(e.stats.Removals)
-	beforeAdd := int(e.stats.Promotions)
-
-	net := graph.NetUpdates(e.g, ups)
-	res.Effective = len(net)
 	// The hot path uses the cancellation + relevance reductions only; the
 	// topological-rank filter (Lemma 5.1) costs an O(|G|) pass, which pays
-	// off for reporting (MinDelta) but not inside the repair loop.
-
-	// Apply everything to the graph first so cascades and closures see the
-	// final adjacency.
-	var relevant []graph.Update
-	for _, up := range net {
-		if up.Op == graph.InsertEdge {
-			if _, err := e.g.AddEdge(up.From, up.To); err != nil {
-				continue
-			}
-		} else {
-			e.g.RemoveEdge(up.From, up.To)
-		}
-		if e.isRelevant(up, nil) {
-			relevant = append(relevant, up)
-		}
-	}
-	res.Relevant = len(relevant)
-
-	// Counter sweep: all deletions and ss insertions adjust support counters
-	// in one pass, so an insert and a delete hitting the same (pattern edge,
-	// source) pair cancel without triggering a spurious removal cascade.
-	// The scan phase only reads match(), so it fans out across the worker
-	// pool; the counter mutations are applied serially from the per-worker
-	// op lists (map writes may not race even on distinct keys).
-	var queue []pair
-	touched := make(map[int]map[graph.NodeID]bool)
-	type cop struct {
-		ei int
-		v  graph.NodeID
-		d  int32
-	}
-	w := par.Resolve(e.workers, len(relevant))
-	ops := make([][]cop, w)
-	par.For(len(relevant), w, func(worker, i int) {
-		up := relevant[i]
-		for ei, pe := range e.edges {
-			if !e.match[pe.From].Has(up.From) || !e.match[pe.To].Has(up.To) {
-				continue
-			}
-			d := int32(1)
-			if up.Op == graph.DeleteEdge {
-				d = -1
-			}
-			ops[worker] = append(ops[worker], cop{ei, up.From, d})
-		}
+	// off for reporting (MinDelta) but not here.
+	d, st := e.BatchNet(ups, func(net []graph.Update) {
+		res.Effective = len(net)
+		res.Relevant = e.relevant(net, nil)
 	})
-	for _, list := range ops {
-		for _, o := range list {
-			e.cnt[o.ei][o.v] += o.d
-			e.stats.CounterUpdates++
-			if touched[o.ei] == nil {
-				touched[o.ei] = make(map[graph.NodeID]bool)
-			}
-			touched[o.ei][o.v] = true
-		}
-	}
-	for ei, nodes := range touched {
-		src := e.edges[ei].From
-		for v := range nodes {
-			if e.cnt[ei][v] == 0 && e.match[src].Has(v) {
-				e.match[src].Remove(v)
-				queue = append(queue, pair{src, v})
-			}
-		}
-	}
-	e.cascade(queue)
-
-	// Promotion: seed from all inserted edges at once, against the
-	// post-cascade candidate sets.
-	var seeds []pair
-	seen := make(map[pair]bool)
-	for _, up := range relevant {
-		if up.Op != graph.InsertEdge {
-			continue
-		}
-		for _, pe := range e.edges {
-			pr := pair{pe.From, up.From}
-			if !seen[pr] && e.isCandidate(pe.From, up.From) && e.sat[pe.To].Has(up.To) {
-				seen[pr] = true
-				seeds = append(seeds, pr)
-			}
-		}
-	}
-	if len(seeds) > 0 {
-		e.promote(seeds)
-	}
-
-	res.Removed = int(e.stats.Removals) - before
-	res.Added = int(e.stats.Promotions) - beforeAdd
-	return res
+	res.Removed, res.Added = int(st.Removals), int(st.Promotions)
+	return res, d
 }
 
-// Apply is the naive IncMatchn baseline: it processes the batch one unit
-// update at a time through IncMatch⁺/IncMatch⁻, with no minDelta reduction.
-func (e *Engine) Apply(ups []graph.Update) {
-	e.ApplyDelta(ups)
-}
-
-// ApplyDelta is Apply additionally reporting the visible match delta ΔM of
-// the whole batch.
-func (e *Engine) ApplyDelta(ups []graph.Update) rel.Delta {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.beginChanges()
-	for _, up := range ups {
-		if up.Op == graph.InsertEdge {
-			e.insertLocked(up.From, up.To)
-		} else {
-			e.deleteLocked(up.From, up.To)
-		}
-	}
-	return e.endChanges()
-}
-
-// relevanceRanks computes the topological ranks used by the Lemma 5.1
-// filter: pattern-node ranks over P and data-node ranks over G ⊕ ΔG (the
-// full graph bounds the candidate-induced GI from above, which keeps the
-// filter sound). Returns nil when the pattern has an infinite-rank node
-// everywhere (no filtering power).
+// rankInfo holds the topological ranks used by the Lemma 5.1 filter:
+// pattern-node ranks over P and data-node ranks over G ⊕ ΔG (the full graph
+// bounds the candidate-induced GI from above, which keeps the filter
+// sound).
 type rankInfo struct {
 	pat  []int
 	data []int
 }
 
-func (e *Engine) relevanceRanks(net []graph.Update) *rankInfo {
-	// Rank filtering needs the post-update graph; simulate it on a clone of
-	// the adjacency (cheap relative to a batch run, O(|G| + |ΔG|)). Owned
-	// engines take the bulk structural Clone; only shared engines pay the
-	// generic per-edge materialization of their overlay view.
-	var g2 *graph.Graph
-	if e.own != nil {
-		g2 = e.own.Clone()
-	} else {
-		g2 = graph.CloneView(e.g)
-	}
+// relevanceRanks ranks the post-update graph, simulated on a clone of g
+// (cheap relative to a batch run, O(|G| + |ΔG|)).
+func (e *Engine) relevanceRanks(g graph.View, net []graph.Update) *rankInfo {
+	g2 := graph.CloneView(g)
 	for _, up := range net {
 		g2.Apply(up) //nolint:errcheck // net updates are in-range
 	}
-	return &rankInfo{pat: e.p.AsGraph().TopologicalRanks(), data: g2.TopologicalRanks()}
+	return &rankInfo{pat: e.Pattern().AsGraph().TopologicalRanks(), data: g2.TopologicalRanks()}
 }
 
-// isRelevant reports whether an update can possibly change the match or the
-// auxiliary counters (the filtering of minDelta, lines 1-6 of Fig. 10, plus
-// the rank rule of Lemma 5.1).
+// relevant counts the updates of net that can possibly change the match or
+// the auxiliary counters. It reads the live match sets, so the caller must
+// hold the core's lock (BatchNet's inspect, ReadGraph).
+func (e *Engine) relevant(net []graph.Update, ranks *rankInfo) int {
+	n := 0
+	for _, up := range net {
+		if e.isRelevant(up, ranks) {
+			n++
+		}
+	}
+	return n
+}
+
+// isRelevant is the filtering of minDelta, lines 1-6 of Fig. 10, plus the
+// rank rule of Lemma 5.1 when ranks is not nil.
 func (e *Engine) isRelevant(up graph.Update, ranks *rankInfo) bool {
+	match, sat := e.MatchSets(), e.SatSets()
 	for _, pe := range e.edges {
 		if up.Op == graph.DeleteEdge {
 			// Only ss deletions matter (Prop. 5.1).
-			if e.match[pe.From].Has(up.From) && e.match[pe.To].Has(up.To) {
+			if match[pe.From].Has(up.From) && match[pe.To].Has(up.To) {
 				return true
 			}
 			continue
 		}
 		// Insertions: endpoints must satisfy the pattern edge's predicates…
-		if !e.sat[pe.From].Has(up.From) || !e.sat[pe.To].Has(up.To) {
+		if !sat[pe.From].Has(up.From) || !sat[pe.To].Has(up.To) {
 			continue
 		}
 		// …and by Lemma 5.1 a node whose rank is below the pattern node's
@@ -233,16 +118,11 @@ func rankLE(ru, rv int) bool {
 // cancellation and relevance/rank filtering (Fig. 20(a)). The engine and
 // graph are left untouched.
 func (e *Engine) MinDelta(ups []graph.Update) BatchResult {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	res := BatchResult{Original: len(ups)}
-	net := graph.NetUpdates(e.g, ups)
-	res.Effective = len(net)
-	ranks := e.relevanceRanks(net)
-	for _, up := range net {
-		if e.isRelevant(up, ranks) {
-			res.Relevant++
-		}
-	}
+	e.ReadGraph(func(g graph.View) {
+		net := graph.NetUpdates(g, ups)
+		res.Effective = len(net)
+		res.Relevant = e.relevant(net, e.relevanceRanks(g, net))
+	})
 	return res
 }

@@ -1,121 +1,93 @@
 // Package incsim implements incremental graph simulation (Section 5): the
-// unit-update algorithms IncMatch⁻ (edge deletion, Fig. 8) and IncMatch⁺ /
-// IncMatch⁺dag (edge insertion, Fig. 9), and the batch algorithm IncMatch
-// with the minDelta update reduction (Fig. 10).
+// unit-update algorithms IncMatch⁻ (edge deletion, Fig. 8) and IncMatch⁺
+// (edge insertion, Fig. 9), and the batch algorithm IncMatch with the
+// minDelta update reduction (Fig. 10).
 //
-// The Engine maintains the paper's auxiliary structures: match(u) — the
-// per-pattern-node maximum simulation sets — and candt(u), nodes satisfying
-// the predicate of u but not currently matching (sat(u) \ match(u)),
-// together with per-pattern-edge support counters (how many children of a
-// match support each pattern edge). The affected area AFF is exactly the
-// set of match()/candt()/counter entries an update touches, and the engine
-// tallies it in Stats.
+// By Proposition 6.1 simulation is bounded simulation with every bound 1,
+// so the package has no repair code of its own: Engine is a constructor
+// over the repair core of package incbsim, which it embeds. What is
+// implemented by delegation: match(u) — the per-pattern-node maximum
+// simulation sets, kept as the greatest relation per node even when some
+// pattern node has no match, the "partial matches" of Example 4.3 —
+// candt(u) = sat(u) \ match(u), the support counters, the deletion cascade,
+// the candidate-closure promotion, the ΔM change-set, the cached Result
+// snapshot, the locking, and Stats. On a normal pattern every walk of the
+// core has radius 1, that is, it reads one adjacency list. What this
+// package adds is what Section 5 has and Section 6 has not: the
+// normal-pattern check, BatchResult, and the relevance and rank filters of
+// minDelta (batch.go).
 //
-// Internally match(u) holds the greatest simulation relation per node even
-// when some pattern node has no match — that is the "partial matches"
-// auxiliary information the paper's semi-boundedness analysis relies on
-// (Example 4.3). Result() applies the totality convention: if any pattern
-// node is unmatched the user-visible match is the empty relation.
+// Three things the merge gave up:
+//
+//   - IncMatch⁺dag (InsertDAG) is gone. On a DAG pattern the core's
+//     promotion closure has no SCC to iterate, which is the same work.
+//   - Fig. 10's one-sweep cancellation (Example 5.5) is not reproduced. A
+//     batch is repaired as a deletion phase, then an insertion phase, so a
+//     delete and an insert that swap one support remove the pair and promote
+//     it again: BatchResult.Removed and Added count both, while the visible
+//     ΔM cancels in the change-set and is empty.
+//   - An engine's resident state is O(|V|) words, not O(|match|): the core's
+//     membership table (8 bytes per graph node up to 21 pattern nodes) and
+//     scratch.at (4 bytes per node). It needs no BFS stamps: see
+//     distance.BFS.
 package incsim
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"gpm/internal/graph"
+	"gpm/internal/incbsim"
 	"gpm/internal/pattern"
 	"gpm/internal/rel"
-	"gpm/internal/resultgraph"
 )
 
-// Stats tallies the affected area AFF touched by incremental maintenance.
-type Stats struct {
-	Removals       int64 // match pairs invalidated
-	Promotions     int64 // candidate pairs promoted to matches
-	CounterUpdates int64 // support counter adjustments
-	ClosureSize    int64 // candidate pairs examined by insertion closures
-}
-
-// Total returns a scalar |AFF| measure.
-func (s Stats) Total() int64 {
-	return s.Removals + s.Promotions + s.CounterUpdates + s.ClosureSize
-}
+// Stats tallies the affected area AFF touched by incremental maintenance;
+// they are the core's tallies. Total — the scalar |AFF| that bench/ sums
+// into incsim.aff_per_update — adds all five fields, PairsExamined (the
+// nodes the repair's radius-1 walks visited) included, and ResetStats
+// zeroes those same five.
+type Stats = incbsim.Stats
 
 // Engine maintains the maximum simulation of a normal pattern over a
-// mutable data graph. The engine owns the graph: all edge updates must go
-// through the engine's methods so the auxiliary structures stay consistent.
-//
-// The engine is safe for concurrent use: writers (Insert/InsertDAG/Delete/
-// Batch/Apply) are serialized by an internal mutex, and readers (Result,
-// ResultGraph, IsMatch, IsCandidate, Stats, MinDelta) may run concurrently
-// with each other and block only while a writer is applying an update.
+// mutable data graph: the repair core of incbsim on a pattern whose bounds
+// are all 1. The engine owns the graph (or, after NewShared, an overlay on
+// it): all edge updates must go through the engine's methods. It is safe
+// for concurrent use, as the core is: writers are serialized, readers run
+// beside each other and block only while a write is in progress.
 type Engine struct {
-	mu sync.RWMutex
-	p  *pattern.Pattern
-	// g is the graph every algorithm reads and writes. In owned mode it is
-	// the *graph.Graph passed to New; in shared mode (NewShared) it is a
-	// private overlay over a base View the engine does not own, so repairs
-	// see their own mutations while the base stays untouched.
-	g        graph.Mutable
-	own      *graph.Graph   // the owned graph (nil in shared mode)
-	ov       *graph.Overlay // the private overlay (nil in owned mode)
-	edges    []pattern.Edge
-	outEdges [][]int // pattern-edge indices by source pattern node
-	inEdges  [][]int // pattern-edge indices by target pattern node
-
-	sat   rel.Relation // sat(u): nodes satisfying fV(u); static under edge updates
-	match rel.Relation // match(u): greatest simulation per pattern node
-	// cnt[e][v]: for v ∈ match(src(e)), the number of children of v in
-	// match(tgt(e)) — the support that keeps v alive for pattern edge e.
-	cnt []map[graph.NodeID]int32
-
-	workers int          // parallelism of the batch counter sweep (0 = default)
-	presat  rel.Relation // injected sat sets (WithSat), nil to scan the graph
-
-	// Per-write change-set: armed by beginChanges, recorded by cascade and
-	// the promotion paths, converted to a user-visible ΔM by endChanges.
-	// Nil outside a write (and during the initial rebuild).
-	cs *rel.ChangeSet
-
-	// snap caches the user-visible Result() snapshot between writes; any
-	// write that changes match() invalidates it, so repeated reads are
-	// allocation-free and never block behind each other.
-	snap atomic.Pointer[rel.Relation]
-
-	stats Stats
+	*incbsim.Engine
+	edges []pattern.Edge
 }
 
 // Option configures the engine.
-type Option func(*Engine)
+type Option = incbsim.Option
 
-// WithWorkers bounds the parallelism of the batch counter sweep: 0 selects
-// the default (par.DefaultWorkers), 1 keeps the sweep serial.
-func WithWorkers(n int) Option {
-	return func(e *Engine) { e.workers = n }
-}
+// WithWorkers bounds the parallelism of the repair's per-source
+// re-measurement: 0 selects the default (par.DefaultWorkers), 1 keeps the
+// repair serial.
+func WithWorkers(n int) Option { return incbsim.WithWorkers(n) }
 
 // WithSat injects precomputed satisfaction sets instead of scanning the
 // graph at build time: sat[u] must equal {v : fV(u) holds on v's attributes}
 // over the engine's graph, with len(sat) == the pattern's node count. The
 // engine reads the given sets but never mutates them, so one sat relation
-// may be shared across many engines — the shared evaluation network injects
-// each predicate node's set into every engine that uses the predicate.
-func WithSat(sat rel.Relation) Option {
-	return func(e *Engine) { e.presat = sat }
-}
+// may be shared across many engines.
+func WithSat(sat rel.Relation) Option { return incbsim.WithSat(sat) }
 
 // New builds an engine for pattern p over graph g, computing the initial
 // maximum simulation with the batch algorithm. The pattern must be normal
 // (every bound 1); a non-normal pattern is rejected since incremental
 // simulation is defined on normal patterns (use incbsim for b-patterns).
 func New(p *pattern.Pattern, g *graph.Graph, options ...Option) (*Engine, error) {
-	return build(p, g, g, nil, options)
+	if err := fits(p); err != nil {
+		return nil, err
+	}
+	return wrap(incbsim.New(p, g, options...))
 }
 
 // NewShared builds an engine that reads base through a private update
 // overlay instead of owning a graph replica: per-pattern memory is the
-// engine's auxiliary structures only, O(pattern-state) instead of O(|G|).
+// engine's auxiliary structures only (see incbsim.NewShared), not O(|G|).
 //
 // Contract: every write call (Insert/Delete/Batch/Apply and their *Delta
 // forms) repairs the match against base ⊕ updates and then discards the
@@ -123,257 +95,25 @@ func New(p *pattern.Pattern, g *graph.Graph, options ...Option) (*Engine, error)
 // the base before the next write — contq's Registry applies the batch to
 // the canonical graph right after the engine fan-out returns.
 func NewShared(p *pattern.Pattern, base graph.View, options ...Option) (*Engine, error) {
-	ov := graph.NewOverlay(base)
-	return build(p, ov, nil, ov, options)
+	if err := fits(p); err != nil {
+		return nil, err
+	}
+	return wrap(incbsim.NewShared(p, base, options...))
 }
 
-func build(p *pattern.Pattern, g graph.Mutable, own *graph.Graph, ov *graph.Overlay, options []Option) (*Engine, error) {
+func fits(p *pattern.Pattern) error {
 	if !p.IsNormal() {
-		return nil, fmt.Errorf("incsim: pattern is not normal; bounded patterns need incbsim")
+		return fmt.Errorf("incsim: pattern is not normal; bounded patterns need incbsim")
 	}
 	if p.HasColors() {
-		return nil, fmt.Errorf("incsim: colored patterns are batch-only (use core.MatchColored)")
-	}
-	e := &Engine{p: p, g: g, own: own, ov: ov, edges: p.Edges()}
-	for _, o := range options {
-		o(e)
-	}
-	np := p.NumNodes()
-	e.outEdges = make([][]int, np)
-	e.inEdges = make([][]int, np)
-	for i, pe := range e.edges {
-		e.outEdges[pe.From] = append(e.outEdges[pe.From], i)
-		e.inEdges[pe.To] = append(e.inEdges[pe.To], i)
-	}
-	if e.presat != nil {
-		if len(e.presat) != np {
-			return nil, fmt.Errorf("incsim: WithSat: %d sets for %d pattern nodes", len(e.presat), np)
-		}
-		e.sat = e.presat
-	} else {
-		e.sat = rel.NewRelation(np)
-		for u := 0; u < np; u++ {
-			pred := p.Pred(u)
-			for v := 0; v < g.NumNodes(); v++ {
-				if pred.Eval(g.Attrs(v)) {
-					e.sat[u].Add(v)
-				}
-			}
-		}
-	}
-	e.rebuild()
-	return e, nil
-}
-
-// rebuild recomputes match() and all counters from scratch (batch
-// computation of the per-node greatest simulation).
-func (e *Engine) rebuild() {
-	np := e.p.NumNodes()
-	e.match = make(rel.Relation, np)
-	for u := 0; u < np; u++ {
-		e.match[u] = e.sat[u].Clone()
-	}
-	e.cnt = make([]map[graph.NodeID]int32, len(e.edges))
-	var queue []pair
-	for i, pe := range e.edges {
-		e.cnt[i] = make(map[graph.NodeID]int32, e.match[pe.From].Len())
-		for v := range e.match[pe.From] {
-			c := int32(0)
-			for _, w := range e.g.Out(v) {
-				if e.match[pe.To].Has(w) {
-					c++
-				}
-			}
-			e.cnt[i][v] = c
-		}
-	}
-	for i, pe := range e.edges {
-		for v, c := range e.cnt[i] {
-			if c == 0 && e.match[pe.From].Has(v) {
-				e.match[pe.From].Remove(v)
-				queue = append(queue, pair{pe.From, v})
-			}
-		}
-	}
-	e.cascade(queue)
-}
-
-// pair is a (pattern node, data node) entry.
-type pair struct {
-	u int
-	v graph.NodeID
-}
-
-// beginChanges arms the per-write change-set: until endChanges, every
-// match() mutation is recorded (with add/remove cancellation) so the write
-// can report its visible ΔM. Callers must hold the write lock.
-func (e *Engine) beginChanges() { e.cs = rel.NewChangeSet(e.match) }
-
-// endChanges disarms the change-set and converts it to the user-visible
-// delta under the totality convention. A visible change invalidates the
-// cached Result() snapshot. In shared mode it also discards the write's
-// overlay diff: the repair is done, and the base owner commits the same
-// updates before the next write (the NewShared contract).
-func (e *Engine) endChanges() rel.Delta {
-	d := e.cs.End(e.match)
-	e.cs = nil
-	if !d.Empty() {
-		e.snap.Store(nil)
-	}
-	if e.ov != nil {
-		e.ov.Reset()
-	}
-	return d
-}
-
-// cascade propagates a queue of match removals (the worklist of IncMatch⁻):
-// each removal decrements the support counters of its match parents, and
-// counters hitting zero enqueue further removals. Runs in O(|AFF|).
-func (e *Engine) cascade(queue []pair) {
-	for len(queue) > 0 {
-		rm := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		e.stats.Removals++
-		e.cs.NoteRemoved(rm.u, rm.v)
-		// Drop the removed pair's own stale counters.
-		for _, ei := range e.outEdges[rm.u] {
-			delete(e.cnt[ei], rm.v)
-		}
-		for _, ei := range e.inEdges[rm.u] {
-			src := e.edges[ei].From
-			for _, w := range e.g.In(rm.v) {
-				if !e.match[src].Has(w) {
-					continue
-				}
-				e.cnt[ei][w]--
-				e.stats.CounterUpdates++
-				if e.cnt[ei][w] == 0 {
-					e.match[src].Remove(w)
-					queue = append(queue, pair{src, w})
-				}
-			}
-		}
-	}
-}
-
-// Pattern returns the engine's pattern.
-func (e *Engine) Pattern() *pattern.Pattern { return e.p }
-
-// Graph returns the engine's owned data graph, nil for a shared engine
-// (NewShared). Callers must not mutate it directly; use Insert/Delete/
-// Batch.
-func (e *Engine) Graph() *graph.Graph { return e.own }
-
-// SharedBase returns the base view a shared engine reads through, nil for
-// an owned engine. It exists so owners (and tests) can assert that storage
-// really is shared rather than cloned.
-func (e *Engine) SharedBase() graph.View {
-	if e.ov == nil {
-		return nil
-	}
-	return e.ov.Base()
-}
-
-// Stats returns the cumulative affected-area statistics.
-func (e *Engine) Stats() Stats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.stats
-}
-
-// ResetStats clears the cumulative statistics.
-func (e *Engine) ResetStats() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats = Stats{}
-}
-
-// MatchSets exposes the internal per-node greatest simulation sets (the
-// match() auxiliary structure). The caller must not mutate them; the sets
-// are live, so do not use them while writers may run.
-func (e *Engine) MatchSets() rel.Relation { return e.match }
-
-// IsMatch reports whether (u, v) is in the current match() structure.
-func (e *Engine) IsMatch(u int, v graph.NodeID) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.match[u].Has(v)
-}
-
-// IsCandidate reports whether v ∈ candt(u): it satisfies fV(u) but does not
-// currently match u.
-func (e *Engine) IsCandidate(u int, v graph.NodeID) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.isCandidate(u, v)
-}
-
-func (e *Engine) isCandidate(u int, v graph.NodeID) bool {
-	return e.sat[u].Has(v) && !e.match[u].Has(v)
-}
-
-// Result returns the maximum simulation Msim(P, G) under the totality
-// convention: empty when some pattern node has no match.
-//
-// The returned relation is a shared immutable snapshot: callers must not
-// mutate it. The snapshot is cached until the next write invalidates it,
-// so repeated reads between updates are allocation-free and the fast path
-// takes no lock at all.
-func (e *Engine) Result() rel.Relation {
-	if p := e.snap.Load(); p != nil {
-		return *p
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if p := e.snap.Load(); p != nil {
-		return *p
-	}
-	r := e.result()
-	e.snap.Store(&r)
-	return r
-}
-
-func (e *Engine) result() rel.Relation {
-	for _, s := range e.match {
-		if s.Len() == 0 {
-			return rel.NewRelation(len(e.match))
-		}
-	}
-	return e.match.Clone()
-}
-
-// ResultGraph builds the result graph Gr of the current match.
-func (e *Engine) ResultGraph() *resultgraph.Graph {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return resultgraph.FromSimulation(e.p, e.g, e.result())
-}
-
-// checkInvariants verifies internal consistency (used by tests): counters
-// equal recounts, match ⊆ sat, and every match pair has support.
-func (e *Engine) checkInvariants() error {
-	for u := range e.match {
-		for v := range e.match[u] {
-			if !e.sat[u].Has(v) {
-				return fmt.Errorf("match(%d) contains %d not in sat", u, v)
-			}
-		}
-	}
-	for i, pe := range e.edges {
-		for v := range e.match[pe.From] {
-			c := int32(0)
-			for _, w := range e.g.Out(v) {
-				if e.match[pe.To].Has(w) {
-					c++
-				}
-			}
-			if e.cnt[i][v] != c {
-				return fmt.Errorf("cnt[%d][%d] = %d, recount = %d", i, v, e.cnt[i][v], c)
-			}
-			if c == 0 {
-				return fmt.Errorf("match pair (%d,%d) has no support for edge %d", pe.From, v, i)
-			}
-		}
+		return fmt.Errorf("incsim: colored patterns are batch-only (use core.MatchColored)")
 	}
 	return nil
+}
+
+func wrap(core *incbsim.Engine, err error) (*Engine, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{Engine: core, edges: core.Pattern().Edges()}, nil
 }

@@ -192,34 +192,20 @@ func TestUnitUpdatesMatchBatchRandomized(t *testing.T) {
 	}
 }
 
-func TestInsertDAGMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		g := generator.RandomGraph(14, 20, 3, int64(trial)+50)
-		p := generator.DAGPattern(g, generator.PatternParams{Nodes: 4, Edges: 5, Preds: 1, K: 1}, int64(trial)+400)
-		e := mustEngine(t, p, g)
-		n := g.NumNodes()
-		for step := 0; step < 30; step++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if _, err := e.InsertDAG(u, v); err != nil {
-				t.Fatalf("InsertDAG: %v", err)
-			}
-			assertMatchesBatch(t, e, "dag insertion step")
-		}
+func TestUpdatesNamingUnknownNodesChangeNothing(t *testing.T) {
+	g := generator.RandomGraph(15, 30, 3, 1)
+	e := mustEngine(t, generator.RandomPattern(4, 5, 3, 1, 101), g)
+	before := e.Result()
+	if e.Insert(3, 99) || e.Delete(99, 3) || e.Insert(-1, 2) {
+		t.Fatal("a unit update naming an unknown node reported a change")
 	}
-}
-
-func TestInsertDAGRejectsCyclicPattern(t *testing.T) {
-	p := pattern.New()
-	a := p.AddNode(pattern.Label("a"))
-	p.AddEdge(a, a, 1)
-	g := graph.New()
-	g.AddNode(graph.NewTuple("label", `"a"`))
-	g.AddNode(graph.NewTuple("label", `"a"`))
-	e := mustEngine(t, p, g)
-	if _, err := e.InsertDAG(0, 1); err == nil {
-		t.Fatal("want error for cyclic pattern")
+	if res := e.Batch([]graph.Update{graph.Insert(99, 1), graph.Delete(1, 99)}); res.Effective != 0 {
+		t.Fatalf("a batch naming unknown nodes: %+v, want nothing effective", res)
 	}
+	if !e.Result().Equal(before) {
+		t.Fatal("updates naming unknown nodes changed the match")
+	}
+	assertMatchesBatch(t, e, "after updates naming unknown nodes")
 }
 
 func TestSimWitnessUnboundedJump(t *testing.T) {
@@ -280,7 +266,9 @@ func TestBatchCancellation(t *testing.T) {
 func TestBatchMixedInsertDeleteSameSupport(t *testing.T) {
 	// The minDelta cancellation case of Example 5.5: deleting one support
 	// edge while inserting another for the same (pattern edge, source) must
-	// keep the match stable, with no removal/re-promotion churn.
+	// keep the match stable. The repair removes the pair in its deletion
+	// phase and promotes it again in its insertion phase; what must cancel
+	// is the visible ΔM.
 	p := pattern.New()
 	a := p.AddNode(pattern.Label("a"))
 	b := p.AddNode(pattern.Label("b"))
@@ -294,10 +282,10 @@ func TestBatchMixedInsertDeleteSameSupport(t *testing.T) {
 
 	e := mustEngine(t, p, g)
 	e.ResetStats()
-	res := e.Batch([]graph.Update{graph.Delete(ga, gb1), graph.Insert(ga, gb2)})
+	_, d := e.BatchDelta([]graph.Update{graph.Delete(ga, gb1), graph.Insert(ga, gb2)})
 	assertMatchesBatch(t, e, "after swap batch")
-	if res.Removed != 0 || res.Added != 0 {
-		t.Fatalf("swap batch churned the match: %+v", res)
+	if !d.Empty() {
+		t.Fatalf("swap batch churned the visible match: %+v", d)
 	}
 	if !e.IsMatch(a, ga) {
 		t.Fatal("ga should remain a match")
