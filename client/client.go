@@ -257,7 +257,7 @@ type Result struct {
 
 // Commit is one committed net update batch of the raw ΔG tail. Trace is
 // the commit span's W3C traceparent ("" when the commit was unsampled) —
-// what a follower hands to ApplyReplicatedTrace so one trace spans nodes.
+// what a follower hands to ApplyReplicated so one trace spans nodes.
 type Commit struct {
 	Seq     uint64       `json:"seq"`
 	Updates []gpm.Update `json:"updates"`

@@ -25,7 +25,7 @@ const (
 // CommitStreamEvent is one typed commit-stream event. Trace is the
 // commit span's W3C traceparent and At its publish timestamp (both zero
 // for head frames, unsampled commits, and backfilled events) — a
-// follower passes Trace to ApplyReplicatedTrace so the leader's trace
+// follower passes Trace to ApplyReplicated so the leader's trace
 // continues across the topology.
 type CommitStreamEvent struct {
 	Type    CommitEventType

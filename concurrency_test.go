@@ -96,12 +96,16 @@ func TestIncBSimEngineConcurrentReaders(t *testing.T) {
 }
 
 // TestIncBSimEngineConcurrentReadersWithLandmarks exercises the same
-// read/write interleaving when distance queries go through a maintained
-// landmark index.
+// read/write interleaving while the writer also maintains a landmark index
+// over its own copy of the graph — the engine carries none — and then holds
+// the two to each other: a Match through the maintained index must be the
+// engine's result.
 func TestIncBSimEngineConcurrentReadersWithLandmarks(t *testing.T) {
 	g := generator.Synthetic(60, 240, generator.DefaultSchema(3), 3)
 	p := generator.EmbeddedPattern(g, generator.PatternParams{Nodes: 3, Edges: 3, Preds: 1, K: 2}, 3)
-	eng, err := gpm.NewIncBSimEngineWithLandmarks(p, g)
+	lg := g.Clone()
+	ix := gpm.NewLandmarkIndex(lg)
+	eng, err := gpm.NewIncBSimEngine(p, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +120,15 @@ func TestIncBSimEngineConcurrentReadersWithLandmarks(t *testing.T) {
 	for _, up := range ups {
 		if up.Op == graph.InsertEdge {
 			eng.Insert(up.From, up.To)
+			ix.Insert(up.From, up.To)
 		} else {
 			eng.Delete(up.From, up.To)
+			ix.Delete(up.From, up.To)
 		}
 	}
 	stop.Store(true)
 	join()
+	if want := gpm.MatchWithOracle(p, lg, ix); !eng.Result().Equal(want) {
+		t.Fatalf("engine result %v, Match over the maintained landmark index %v", eng.Result(), want)
+	}
 }

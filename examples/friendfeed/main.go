@@ -48,8 +48,9 @@ func main() {
 		g.AddEdge(e[0], e[1])
 	}
 
-	// The engine maintains the match and a landmark-backed distance index.
-	eng, err := gpm.NewIncBSimEngineWithLandmarks(p, g)
+	// The engine maintains the match; unlike the paper's IncBMatch it keeps no
+	// landmark index and measures distances by bounded walks.
+	eng, err := gpm.NewIncBSimEngine(p, g)
 	if err != nil {
 		log.Fatal(err)
 	}

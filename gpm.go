@@ -16,9 +16,12 @@
 //   - EnumerateIsomorphic: VF2-style subgraph isomorphism;
 //   - IncSimEngine / IncBSimEngine: the incremental engines of Sections 5
 //     and 6, maintaining matches under unit and batch edge updates in time
-//     proportional to the affected area;
+//     proportional to the affected area (IncBSimEngine measures distances
+//     by bounded walks over the affected area, not through a landmark
+//     index);
 //   - LandmarkIndex: the landmark + distance-vector structure of Section 6
-//     with incremental maintenance (InsLM / DelLM / IncLM).
+//     with incremental maintenance (InsLM / DelLM / IncLM), a standalone
+//     distance oracle for Match.
 //
 // A minimal session:
 //
@@ -276,12 +279,6 @@ func NewIncSimEngine(p *Pattern, g *Graph) (*IncSimEngine, error) { return incsi
 // (IncBMatch of Section 6) for a b-pattern. The engine owns g.
 func NewIncBSimEngine(p *Pattern, g *Graph) (*IncBSimEngine, error) { return incbsim.New(p, g) }
 
-// NewIncBSimEngineWithLandmarks builds the incremental bounded-simulation
-// engine backed by a maintained landmark index built over g.
-func NewIncBSimEngineWithLandmarks(p *Pattern, g *Graph) (*IncBSimEngine, error) {
-	return incbsim.New(p, g, incbsim.WithLandmarkIndex(landmark.New(g)))
-}
-
 // NewRegistry builds a continuous-query registry over g, taking ownership
 // of it: register standing patterns with Register, commit edge updates
 // with Apply, and receive per-pattern match deltas through Subscribe.
@@ -317,9 +314,10 @@ func WithCommitObserver(fn func(CommitTiming)) RegistryOption {
 
 // RecoverRegistry rebuilds a registry from a durable journal: the latest
 // snapshot's graph and standing patterns are loaded, the record tail is
-// replayed through the incremental engines, and the journal stays
-// attached for new commits. The recovered registry serves results at the
-// journal's head sequence.
+// folded into them (commits into the graph, registrations into the
+// pattern set), each surviving pattern's engine is built once over the
+// graph at the head, and the journal stays attached for new commits. The
+// recovered registry serves results at the journal's head sequence.
 func RecoverRegistry(j *Journal) (*Registry, error) { return contq.Recover(j) }
 
 // OpenJournal opens (or creates) a durable commit journal in dir:

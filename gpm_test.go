@@ -60,7 +60,7 @@ func TestFacadeIncrementalEngines(t *testing.T) {
 		t.Fatal("match should collapse after deleting the only edge")
 	}
 
-	beng, err := gpm.NewIncBSimEngineWithLandmarks(p, g.Clone())
+	beng, err := gpm.NewIncBSimEngine(p, g.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

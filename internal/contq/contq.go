@@ -142,6 +142,16 @@ type registration struct {
 	subs feed[Event] // the pattern's ΔM subscribers
 }
 
+// def is the registration's portable form: the document a journal record or
+// snapshot stores, GET /v1/patterns/{id} serves and RegisterDef takes back.
+func (reg *registration) def() (journal.PatternDef, error) {
+	var text bytes.Buffer
+	if err := reg.p.Write(&text); err != nil {
+		return journal.PatternDef{}, fmt.Errorf("contq: serializing pattern %q: %w", reg.id, err)
+	}
+	return journal.PatternDef{ID: reg.id, Kind: string(reg.kind), Def: text.Bytes(), RegSeq: reg.regSeq}, nil
+}
+
 // Registry owns the canonical graph and the set of standing patterns.
 // Construct with New; the Registry takes ownership of the graph (apply
 // updates only through Apply).
@@ -360,18 +370,18 @@ func (r *Registry) Register(id string, p *pattern.Pattern, kind Kind) error {
 	// Journal the registration (with the resolved kind) before installing
 	// it, so a pattern is never live without being recoverable. On failure
 	// the matcher must give back any network state it acquired.
+	reg := &registration{id: id, p: p, kind: kind, m: m, regSeq: seq}
 	if r.journal != nil {
-		var def bytes.Buffer
-		if err := p.Write(&def); err != nil {
+		pd, err := reg.def()
+		if err != nil {
 			m.release()
-			return fmt.Errorf("contq: serializing pattern %q: %w", id, err)
+			return err
 		}
-		if err := r.journal.AppendRegister(seq, id, string(kind), def.Bytes()); err != nil {
+		if err := r.journal.AppendRegister(pd.RegSeq, pd.ID, pd.Kind, pd.Def); err != nil {
 			m.release()
 			return fmt.Errorf("contq: journaling pattern %q: %w", id, err)
 		}
 	}
-	reg := &registration{id: id, p: p, kind: kind, m: m, regSeq: seq}
 	r.mu.Lock()
 	r.pats[id] = reg
 	r.mu.Unlock()
@@ -908,19 +918,12 @@ func (r *Registry) evictLocked(reg *registration, seq uint64) {
 
 // patternDefs serializes the registered patterns for a journal snapshot.
 func (r *Registry) patternDefs() []journal.PatternDef {
-	r.mu.RLock()
-	regs := make([]*registration, 0, len(r.pats))
-	for _, reg := range r.pats {
-		regs = append(regs, reg)
-	}
-	r.mu.RUnlock()
+	regs := r.snapshotRegs()
 	defs := make([]journal.PatternDef, 0, len(regs))
 	for _, reg := range regs {
-		var def bytes.Buffer
-		if err := reg.p.Write(&def); err != nil {
-			continue // unserializable patterns were rejected at Register
+		if pd, err := reg.def(); err == nil { // unserializable patterns were rejected at Register
+			defs = append(defs, pd)
 		}
-		defs = append(defs, journal.PatternDef{ID: reg.id, Kind: string(reg.kind), Def: def.Bytes(), RegSeq: reg.regSeq})
 	}
 	return defs
 }
@@ -1029,12 +1032,7 @@ func (r *Registry) Result(id string) (rel.Relation, bool) {
 
 // Patterns lists the registered patterns.
 func (r *Registry) Patterns() []Info {
-	r.mu.RLock()
-	regs := make([]*registration, 0, len(r.pats))
-	for _, reg := range r.pats {
-		regs = append(regs, reg)
-	}
-	r.mu.RUnlock()
+	regs := r.snapshotRegs()
 	infos := make([]Info, 0, len(regs))
 	for _, reg := range regs {
 		infos = append(infos, Info{

@@ -15,11 +15,13 @@ import (
 	"gpm/internal/simulation"
 )
 
-// A failing case of TestRegistryDifferentialUnderCoalescing names its seed;
-// replay it with `go test ./internal/contq -run TestRegistryDifferentialUnderCoalescing -contq.seed N`
-// (the interleaving of the writers is the scheduler's, so a replay draws the
-// same graph, patterns and batches but not necessarily the same commits).
-var coalescingSeed = flag.Int64("contq.seed", 0, "run TestRegistryDifferentialUnderCoalescing on this one seed")
+// A failing case of TestRegistryDifferentialUnderCoalescing or of
+// TestRecoverEqualsLive names its seed; replay it with
+// `go test ./internal/contq -run TestRegistryDifferentialUnderCoalescing -contq.seed N`
+// (under coalescing the interleaving of the writers is the scheduler's, so a
+// replay draws the same graph, patterns and batches but not necessarily the
+// same commits).
+var differentialSeed = flag.Int64("contq.seed", 0, "run the seeded differential tests on this one seed")
 
 // TestRegistryDifferentialUnderCoalescing holds the whole write path —
 // queueing, coalescing, netting, the evaluation network's relevance filter
@@ -36,8 +38,8 @@ func TestRegistryDifferentialUnderCoalescing(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	if *coalescingSeed != 0 {
-		seeds = []int64{*coalescingSeed}
+	if *differentialSeed != 0 {
+		seeds = []int64{*differentialSeed}
 	}
 	var coalesced uint64
 	for _, seed := range seeds {

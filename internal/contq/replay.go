@@ -1,14 +1,12 @@
 package contq
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"slices"
 
 	"gpm/internal/graph"
 	"gpm/internal/journal"
-	"gpm/internal/par"
-	"gpm/internal/pattern"
 )
 
 // This file is the replay side of the journal integration: serving raw ΔG
@@ -167,6 +165,14 @@ func (r *Registry) resumeClone(head uint64) *graph.Graph {
 // matcher, collecting one event per commit. It stops early with ctx's
 // error when the caller gives up (the replay can span thousands of
 // commits; an abandoned resume must not keep burning a core).
+//
+// Unlike Recover, which has no reader for the increments and builds engines
+// once at the head, a resume is asked for exactly the intermediate ΔM of
+// every commit in the range, so an engine has to repair through them. It is
+// a private one: the evaluation network's nodes stand at the head over the
+// canonical graph and are read by every live pattern, while this engine
+// starts from a graph the registry is no longer at and is thrown away when
+// the last event is collected.
 func (r *Registry) backfill(ctx context.Context, reg *registration, base *graph.Graph, recs []journal.Commit) ([]Event, error) {
 	for i := len(recs) - 1; i >= 0; i-- {
 		ups := recs[i].Updates
@@ -200,114 +206,55 @@ func (r *Registry) backfill(ctx context.Context, reg *registration, base *graph.
 }
 
 // Recover rebuilds a registry from a durable journal: load the latest
-// snapshot (graph + standing patterns at a past seq), replay the record
-// tail — commits through the engines' *Delta paths, registrations and
-// unregistrations in order — and attach the journal for future appends.
-// The recovered registry serves results at the journal's head sequence
-// and accepts new commits from there.
+// snapshot (graph + standing patterns at a past seq), fold the record tail
+// into it — commits into the graph, registrations and unregistrations into
+// the pattern list, in order — and hand the state at the head to NewAt, the
+// constructor a follower bootstraps with. No engine exists before the head
+// and none repairs during the replay: nobody can have subscribed yet, so no
+// one reads the intermediate ΔM, and the maximum match at the head is
+// unique however it is reached. The recovered registry serves results at
+// the journal's head sequence and accepts new commits from there.
+//
+// A pattern therefore comes back iff its last journaled record is a
+// registration. One whose engine panicked before the crash stays out: the
+// eviction was journaled as an unregistration. If that record was lost with
+// the crash, the pattern is rebuilt from scratch over the head graph rather
+// than driven into the same panic by the same batch.
 //
 // Do not pass WithJournal in options; the journal argument is attached
-// once replay completes (so replayed records are not re-appended).
+// once the registry is built (so recovered records are not re-appended).
 func Recover(j *journal.Journal, options ...Option) (*Registry, error) {
 	snap, tail := j.RecoveredState()
 	g := graph.New()
 	var seq uint64
 	var pats []journal.PatternDef
 	if snap != nil {
-		g, seq, pats = snap.Graph, snap.Seq, snap.Patterns
-	}
-	r := New(g, options...)
-	r.seq = seq
-	for _, pd := range pats {
-		// The snapshot preserves the original registration seq, so resumes
+		// The snapshot preserves each original registration seq, so resumes
 		// reaching back before the snapshot (into journal history the
 		// compactor retained) are not wrongly rejected after a restart.
-		if err := r.recoverPattern(pd.ID, pd.Kind, pd.Def, pd.RegSeq); err != nil {
-			return nil, err
-		}
+		g, seq, pats = snap.Graph, snap.Seq, snap.Patterns
+	}
+	drop := func(id string) {
+		pats = slices.DeleteFunc(pats, func(pd journal.PatternDef) bool { return pd.ID == id })
 	}
 	for _, rec := range tail {
 		switch rec.Type {
 		case journal.RecCommit:
-			if err := r.replayCommit(rec.Seq, rec.Updates); err != nil {
-				return nil, err
+			if _, err := g.ApplyAll(rec.Updates); err != nil {
+				return nil, fmt.Errorf("contq: replaying commit %d: %w", rec.Seq, err)
 			}
+			seq = rec.Seq
 		case journal.RecRegister:
-			if err := r.recoverPattern(rec.ID, rec.Kind, rec.Def, rec.Seq); err != nil {
-				return nil, err
-			}
+			drop(rec.ID)
+			pats = append(pats, journal.PatternDef{ID: rec.ID, Kind: rec.Kind, Def: rec.Def, RegSeq: rec.Seq})
 		case journal.RecUnregister:
-			r.Unregister(rec.ID)
+			drop(rec.ID)
 		}
+	}
+	r, err := NewAt(g, seq, pats, options...)
+	if err != nil {
+		return nil, err
 	}
 	r.journal = j
 	return r, nil
-}
-
-// recoverPattern re-registers a journaled pattern definition.
-func (r *Registry) recoverPattern(id, kind string, def []byte, regSeq uint64) error {
-	p, err := pattern.Parse(bytes.NewReader(def))
-	if err != nil {
-		return fmt.Errorf("contq: recovering pattern %q: %w", id, err)
-	}
-	if err := r.Register(id, p, Kind(kind)); err != nil {
-		return fmt.Errorf("contq: recovering pattern %q: %w", id, err)
-	}
-	r.mu.Lock()
-	r.pats[id].regSeq = regSeq
-	r.mu.Unlock()
-	return nil
-}
-
-// replayCommit re-applies one journaled commit during recovery: fan the
-// net batch out to the engines, mutate the canonical graph once, and set
-// the sequence — the live commit path minus callers, journaling and
-// subscribers (none exist yet). Engine panics are contained exactly as
-// on the live path (the pattern is evicted, recovery continues): the
-// journal may hold the very batch that made an engine panic before the
-// crash, and replaying it must not turn into a permanent startup crash
-// loop.
-func (r *Registry) replayCommit(seq uint64, ups []graph.Update) error {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	// The shared evaluation network repairs once per replayed commit, just
-	// like the live path; network-backed matchers below then read their
-	// cached deltas (and panic, hence evict, if their shared join broke).
-	if r.net != nil && len(ups) > 0 {
-		r.net.Apply(ups)
-	}
-	regs := r.snapshotRegs()
-	repairErr := make([]error, len(regs))
-	if len(ups) > 0 {
-		par.For(len(regs), r.workers, func(_, i int) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					repairErr[i] = fmt.Errorf("contq: pattern %q replay panicked: %v", regs[i].id, rec)
-				}
-			}()
-			regs[i].m.apply(ups)
-		})
-	}
-	r.mu.Lock()
-	if len(ups) > 0 {
-		if _, err := r.g.ApplyAll(ups); err != nil {
-			r.mu.Unlock()
-			return fmt.Errorf("contq: replaying commit %d: %w", seq, err)
-		}
-	}
-	r.seq = seq
-	// A replayed commit counts as one apply whose updates were already
-	// net (no coalescing visible), keeping Stats' Applies-Commits and
-	// Submitted-Applied differences from underflowing after Recover.
-	r.commits++
-	r.applies++
-	r.upsSubmitted += uint64(len(ups))
-	r.upsApplied += uint64(len(ups))
-	r.mu.Unlock()
-	for i, reg := range regs {
-		if repairErr[i] != nil {
-			r.evictLocked(reg, seq)
-		}
-	}
-	return nil
 }

@@ -392,36 +392,6 @@ func TestRecoverAfterSnapshotAndUnregister(t *testing.T) {
 	}
 }
 
-// TestReplayCommitContainsEnginePanic: recovery replays may carry the
-// very batch that made an engine panic before the crash; replayCommit
-// must evict that pattern and keep going — same semantics as the live
-// commit path — instead of turning recovery into a crash loop.
-func TestReplayCommitContainsEnginePanic(t *testing.T) {
-	g := generator.Synthetic(30, 90, generator.DefaultSchema(3), 1)
-	reg := New(g)
-	if err := reg.Register("good", testPattern(g, KindSim, 1), KindSim); err != nil {
-		t.Fatal(err)
-	}
-	reg.mu.Lock()
-	reg.pats["bad"] = &registration{id: "bad", kind: KindSim, m: panicMatcher{}}
-	reg.mu.Unlock()
-
-	ups := generator.Updates(g, 3, 0, 2)
-	if err := reg.replayCommit(1, ups); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Seq() != 1 {
-		t.Fatalf("replayed seq %d, want 1", reg.Seq())
-	}
-	if _, ok := reg.Result("bad"); ok {
-		t.Fatal("panicking pattern must be evicted during replay")
-	}
-	if _, ok := reg.Result("good"); !ok {
-		t.Fatal("surviving pattern lost during replay")
-	}
-	reg.Close()
-}
-
 // TestRecoverTornJournalTail is the contq half of the crash-recovery
 // satellite: recovery over a journal whose final record was torn stops at
 // the last valid seq and accepts new commits from there.

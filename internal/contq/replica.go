@@ -9,6 +9,7 @@ import (
 	"gpm/internal/graph"
 	"gpm/internal/journal"
 	"gpm/internal/obs/trace"
+	"gpm/internal/pattern"
 )
 
 // This file is the replica side of follower mode (internal/follow): a
@@ -37,7 +38,7 @@ func NewAt(g *graph.Graph, seq uint64, pats []journal.PatternDef, options ...Opt
 	r.seq = seq
 	r.mu.Unlock()
 	for _, pd := range pats {
-		if err := r.recoverPattern(pd.ID, pd.Kind, pd.Def, pd.RegSeq); err != nil {
+		if err := r.RegisterDef(pd); err != nil {
 			return nil, err
 		}
 	}
@@ -62,7 +63,7 @@ func (r *Registry) Export() (*graph.Graph, uint64, []journal.PatternDef) {
 // PatternDef returns one registered pattern's portable definition — id,
 // resolved kind, serialized pattern text and registration sequence — the
 // document GET /v1/patterns/{id} serves and a follower's reconciler feeds
-// to recoverPattern. ok is false when id is not registered.
+// to RegisterDef. ok is false when id is not registered.
 func (r *Registry) PatternDef(id string) (journal.PatternDef, bool) {
 	r.mu.RLock()
 	reg, ok := r.pats[id]
@@ -70,19 +71,26 @@ func (r *Registry) PatternDef(id string) (journal.PatternDef, bool) {
 	if !ok {
 		return journal.PatternDef{}, false
 	}
-	var def bytes.Buffer
-	if err := reg.p.Write(&def); err != nil {
-		return journal.PatternDef{}, false // unserializable patterns were rejected at Register
-	}
-	return journal.PatternDef{ID: reg.id, Kind: string(reg.kind), Def: def.Bytes(), RegSeq: reg.regSeq}, true
+	pd, err := reg.def()
+	return pd, err == nil // unserializable patterns were rejected at Register
 }
 
 // RegisterDef registers a pattern from its portable definition (the
-// PatternDef wire document) at an explicit registration sequence — how a
-// follower's reconciler mirrors a leader-side Register it learned about
-// after the fact.
+// PatternDef wire document) at an explicit registration sequence — how
+// NewAt installs a snapshot's patterns and how a follower's reconciler
+// mirrors a leader-side Register it learned about after the fact.
 func (r *Registry) RegisterDef(pd journal.PatternDef) error {
-	return r.recoverPattern(pd.ID, pd.Kind, pd.Def, pd.RegSeq)
+	p, err := pattern.Parse(bytes.NewReader(pd.Def))
+	if err != nil {
+		return fmt.Errorf("contq: recovering pattern %q: %w", pd.ID, err)
+	}
+	if err := r.Register(pd.ID, p, Kind(pd.Kind)); err != nil {
+		return fmt.Errorf("contq: recovering pattern %q: %w", pd.ID, err)
+	}
+	r.mu.Lock()
+	r.pats[pd.ID].regSeq = pd.RegSeq
+	r.mu.Unlock()
+	return nil
 }
 
 // ApplyReplicated applies one leader commit at exactly the given sequence
@@ -99,18 +107,14 @@ func (r *Registry) RegisterDef(pd journal.PatternDef) error {
 // return means the commit stands and is published; a journal append
 // failure is returned but the commit still stands in memory, exactly as on
 // the leader's write path.
-func (r *Registry) ApplyReplicated(seq uint64, ups []graph.Update) error {
-	return r.ApplyReplicatedTrace(seq, ups, "")
-}
-
-// ApplyReplicatedTrace is ApplyReplicated carrying the leader commit
-// span's W3C traceparent (from the commit-stream frame or journal
-// record). When the replica's tracer samples, the replicated commit's
-// span tree parents onto the leader's commit span, so a single trace ID
-// links leader ingest, leader commit, and the follower's apply — "" (or
-// a tracer that is off) replicates untraced, byte-for-byte the same
-// pipeline.
-func (r *Registry) ApplyReplicatedTrace(seq uint64, ups []graph.Update, traceparent string) error {
+//
+// traceparent is the leader commit span's W3C traceparent (from the
+// commit-stream frame or journal record). When the replica's tracer
+// samples, the replicated commit's span tree parents onto the leader's
+// commit span, so a single trace ID links leader ingest, leader commit, and
+// the follower's apply — "" (or a tracer that is off) replicates untraced,
+// byte-for-byte the same pipeline.
+func (r *Registry) ApplyReplicated(seq uint64, ups []graph.Update, traceparent string) error {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
 	if r.closed {

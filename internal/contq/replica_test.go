@@ -58,7 +58,7 @@ func TestReplicaLockstep(t *testing.T) {
 	head := leader.Seq()
 	for follower.Seq() < head {
 		ev := <-sub.C
-		if err := follower.ApplyReplicated(ev.Seq, ev.Updates); err != nil {
+		if err := follower.ApplyReplicated(ev.Seq, ev.Updates, ""); err != nil {
 			t.Fatalf("ApplyReplicated(%d): %v", ev.Seq, err)
 		}
 	}
@@ -97,13 +97,13 @@ func TestApplyReplicatedSeqGap(t *testing.T) {
 	ups := generator.Updates(g, 3, 0, seed)
 	reg := New(g)
 	defer reg.Close()
-	if err := reg.ApplyReplicated(2, ups[:1]); !errors.Is(err, ErrReplicaGap) {
+	if err := reg.ApplyReplicated(2, ups[:1], ""); !errors.Is(err, ErrReplicaGap) {
 		t.Fatalf("seq 2 against head 0: got %v, want ErrReplicaGap", err)
 	}
-	if err := reg.ApplyReplicated(1, ups[:1]); err != nil {
+	if err := reg.ApplyReplicated(1, ups[:1], ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.ApplyReplicated(1, ups[1:2]); !errors.Is(err, ErrReplicaGap) {
+	if err := reg.ApplyReplicated(1, ups[1:2], ""); !errors.Is(err, ErrReplicaGap) {
 		t.Fatalf("replayed seq 1: got %v, want ErrReplicaGap", err)
 	}
 	if got := reg.Seq(); got != 1 {
@@ -117,7 +117,7 @@ func TestApplyReplicatedEmptyCommit(t *testing.T) {
 	g := generator.Synthetic(10, 20, generator.DefaultSchema(2), 7)
 	reg := New(g)
 	defer reg.Close()
-	if err := reg.ApplyReplicated(1, nil); err != nil {
+	if err := reg.ApplyReplicated(1, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Seq(); got != 1 {

@@ -6,46 +6,80 @@ import (
 
 	"gpm/internal/generator"
 	"gpm/internal/graph"
+	"gpm/internal/pattern"
 )
 
 // TestRegistrySharesCanonicalStorage asserts the tentpole structurally:
 // every registered engine reads through the registry's ONE canonical
-// graph and owns no replica.
+// graph and owns no replica, with the evaluation network and without it.
 func TestRegistrySharesCanonicalStorage(t *testing.T) {
 	seed := int64(1)
-	g := generator.Synthetic(60, 240, generator.DefaultSchema(3), seed)
-	reg := New(g)
-	for id, kind := range map[string]Kind{"sim": KindSim, "bsim": KindBSim, "iso": KindIso} {
-		if err := reg.Register(id, testPattern(g, kind, seed), kind); err != nil {
+	for _, options := range [][]Option{nil, {WithoutNetwork()}} {
+		g := generator.Synthetic(60, 240, generator.DefaultSchema(3), seed)
+		reg := New(g, options...)
+		for id, kind := range map[string]Kind{"sim": KindSim, "bsim": KindBSim} {
+			if err := reg.Register(id, testPattern(g, kind, seed), kind); err != nil {
+				t.Fatal(err)
+			}
+		}
+		canon := graph.View(reg.g)
+		for id, r := range reg.pats {
+			var base graph.View
+			switch m := r.m.(type) {
+			case coreMatcher:
+				m.eng.ReadGraph(func(g graph.View) {
+					if ov, ok := g.(*graph.Overlay); ok {
+						base = ov.Base()
+					}
+				})
+			case netMatcher:
+				base = reg.net.Base()
+			default:
+				t.Fatalf("%s: unknown matcher type %T", id, r.m)
+			}
+			if base != canon {
+				t.Fatalf("%s: engine does not read the canonical graph through an overlay", id)
+			}
+		}
+		// The shared storage must keep serving correct updates.
+		ups := generator.Updates(g, 20, 20, seed+5)
+		if _, err := reg.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		reg.Close()
+	}
+}
+
+// TestIsoEngineReadsCanonicalStorage: an iso engine hands out no view of
+// its graph, so its sharing is shown by behaviour. An edge put into the
+// canonical graph behind the registry's back is one only a reader of that
+// graph can know of; the embedding the next commit completes runs over it.
+func TestIsoEngineReadsCanonicalStorage(t *testing.T) {
+	g := graph.New()
+	p := pattern.New()
+	for _, l := range []string{"A", "B", "C"} {
+		g.AddNode(graph.NewTuple("label", `"`+l+`"`))
+		p.AddNode(pattern.Label(l))
+	}
+	for u := 0; u < 2; u++ {
+		if err := p.AddEdge(u, u+1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	canon := graph.View(reg.g)
-	for id, r := range reg.pats {
-		var base graph.View
-		switch m := r.m.(type) {
-		case coreMatcher:
-			if m.eng.Graph() != nil {
-				t.Fatalf("%s: engine owns a graph replica", id)
-			}
-			base = m.eng.SharedBase()
-		case *isoMatcher:
-			base = m.eng.SharedBase()
-		case netMatcher:
-			base = reg.net.Base()
-		default:
-			t.Fatalf("%s: unknown matcher type %T", id, r.m)
-		}
-		if base != canon {
-			t.Fatalf("%s: engine base is not the canonical graph", id)
-		}
-	}
-	// The shared storage must keep serving correct updates.
-	ups := generator.Updates(g, 20, 20, seed+5)
-	if _, err := reg.Apply(ups); err != nil {
+	reg := New(g)
+	defer reg.Close()
+	if err := reg.Register("path", p, KindIso); err != nil {
 		t.Fatal(err)
 	}
-	reg.Close()
+	if _, err := reg.g.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Apply([]graph.Update{graph.Insert(1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := reg.Result("path"); res.Size() != 3 {
+		t.Fatalf("result %v: the engine did not see the canonical graph's edge (0, 1)", res)
+	}
 }
 
 // heapInUse forces two GCs and reports live heap bytes.

@@ -19,7 +19,7 @@ import (
 // publish timestamp (zero for backfilled events, which are historical by
 // definition). Trace is the W3C traceparent of the commit span that
 // produced the batch ("" when unsampled) — the thread a follower's
-// ApplyReplicatedTrace continues, so one trace spans the topology.
+// ApplyReplicated continues, so one trace spans the topology.
 type CommitEvent struct {
 	Seq     uint64
 	Updates []graph.Update

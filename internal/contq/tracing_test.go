@@ -160,8 +160,8 @@ func TestReplicatedTraceContinuity(t *testing.T) {
 	want := root.Context().TraceID.String()
 
 	ev := <-csub.C
-	if err := follower.ApplyReplicatedTrace(ev.Seq, ev.Updates, ev.Trace); err != nil {
-		t.Fatalf("ApplyReplicatedTrace: %v", err)
+	if err := follower.ApplyReplicated(ev.Seq, ev.Updates, ev.Trace); err != nil {
+		t.Fatalf("ApplyReplicated: %v", err)
 	}
 	snap, ok := ftr.BySeq(seq)
 	if !ok {
@@ -174,7 +174,7 @@ func TestReplicatedTraceContinuity(t *testing.T) {
 		t.Fatalf("follower trace missing replica spans (have %v)", names)
 	}
 	// An untraced replicated commit must not fabricate a trace.
-	if err := follower.ApplyReplicated(seq+1, nil); err != nil {
+	if err := follower.ApplyReplicated(seq+1, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ftr.BySeq(seq + 1); ok {

@@ -357,7 +357,7 @@ func (f *Follower) catchUp(ctx context.Context, reg *contq.Registry) error {
 		return fmt.Errorf("catch-up tail from %d: %w", from, err)
 	}
 	for _, c := range tail.Commits {
-		if err := reg.ApplyReplicatedTrace(c.Seq, c.Updates, c.Trace); err != nil {
+		if err := reg.ApplyReplicated(c.Seq, c.Updates, c.Trace); err != nil {
 			return fmt.Errorf("catch-up apply at %d: %w", c.Seq, err)
 		}
 	}
@@ -421,7 +421,7 @@ func (f *Follower) tail(ctx context.Context) error {
 			case client.EventCommit:
 				// The frame's traceparent continues the leader commit's
 				// trace through this replica's apply pipeline.
-				if err := reg.ApplyReplicatedTrace(ev.Seq, ev.Updates, ev.Trace); err != nil {
+				if err := reg.ApplyReplicated(ev.Seq, ev.Updates, ev.Trace); err != nil {
 					if needsResync(err) {
 						return errResync
 					}

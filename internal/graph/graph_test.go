@@ -144,23 +144,6 @@ func TestBFSWithinRespectsBound(t *testing.T) {
 	}
 }
 
-func TestDistAndReachableWithin(t *testing.T) {
-	g := buildTriangle(t)
-	if d := g.Dist(0, 2); d != 2 {
-		t.Fatalf("Dist(0,2) = %d, want 2", d)
-	}
-	if d := g.Dist(0, 0); d != 0 {
-		t.Fatalf("Dist(0,0) = %d, want 0", d)
-	}
-	// Nonempty-path semantics: the cycle back to 0 has length 3.
-	if g.ReachableWithin(0, 0, 2) {
-		t.Fatal("ReachableWithin(0,0,2) = true, want false (cycle is length 3)")
-	}
-	if !g.ReachableWithin(0, 0, 3) {
-		t.Fatal("ReachableWithin(0,0,3) = false, want true")
-	}
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	g := buildTriangle(t)
 	c := g.Clone()

@@ -75,53 +75,3 @@ func (g *Graph) BFSWithin(src NodeID, d Dir, bound int, fn func(v NodeID, dist i
 		}
 	}
 }
-
-// Dist returns the hop distance from u to v, or Unreachable. It runs a BFS
-// bounded by the target — convenient for tests and small graphs; algorithms
-// use the distance oracles in internal/distance instead.
-func (g *Graph) Dist(u, v NodeID) int {
-	if u == v {
-		return 0
-	}
-	found := Unreachable
-	g.BFSWithin(u, Forward, Unreachable, func(w NodeID, d int) bool {
-		if w == v {
-			found = d
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// ReachableWithin reports whether v is reachable from u by a path of length
-// at least 1 and at most bound (use Unreachable for "any length"). Note the
-// nonempty-path semantics of the paper: an edge (u, u) requirement maps to a
-// cycle through u, not to the trivial empty path.
-func (g *Graph) ReachableWithin(u, v NodeID, bound int) bool {
-	if bound < 1 {
-		return false
-	}
-	ok := false
-	dist := map[NodeID]int{u: 0}
-	queue := []NodeID{u}
-	for len(queue) > 0 && !ok {
-		x := queue[0]
-		queue = queue[1:]
-		nd := dist[x] + 1
-		if nd > bound {
-			continue
-		}
-		for _, w := range g.adj(Forward, x) {
-			if w == v {
-				ok = true
-				break
-			}
-			if _, seen := dist[w]; !seen {
-				dist[w] = nd
-				queue = append(queue, w)
-			}
-		}
-	}
-	return ok
-}

@@ -7,13 +7,11 @@ import (
 	"gpm/internal/core"
 	"gpm/internal/generator"
 	"gpm/internal/graph"
-	"gpm/internal/landmark"
 	"gpm/internal/pattern"
 )
 
 // Ablation: incremental bounded matching versus the matrix baseline versus
-// batch recomputation, plus the landmark-backed variant — the Fig. 19
-// design space at micro scale.
+// batch recomputation — the Fig. 19 design space at micro scale.
 
 func benchSetup(b *testing.B) (*graph.Graph, []graph.Update) {
 	b.Helper()
@@ -30,22 +28,6 @@ func BenchmarkIncBMatchBatch(b *testing.B) {
 	g, ups := benchSetup(b)
 	p := generator.DAGPattern(g, benchPattern(g), 3)
 	e, err := New(p, g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inv := invert(ups)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Batch(ups)
-		e.Batch(inv)
-	}
-}
-
-func BenchmarkIncBMatchLandmarkBacked(b *testing.B) {
-	g, ups := benchSetup(b)
-	p := generator.DAGPattern(g, benchPattern(g), 3)
-	e, err := New(p, g, WithLandmarkIndex(landmark.New(g)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"gpm/internal/core"
 	"gpm/internal/generator"
 	"gpm/internal/graph"
-	"gpm/internal/landmark"
 	"gpm/internal/pattern"
 	"gpm/internal/rel"
 )
@@ -23,8 +22,8 @@ var differentialSeed = flag.Int64("incbsim.seed", 0, "run TestDifferentialBatchR
 // TestDifferentialBatchRepair holds the per-batch repair to the from-scratch
 // oracle: random graphs × random b-patterns (DAG and cyclic, bounds 1, 2, 3
 // and *) × mixed batches of 1, 8, 5 % and 25 % of |E| with duplicate and
-// self-cancelling updates, on an owned engine, a shared one (overlay reset by
-// the write, base committed between batches) and a landmark-backed one.
+// self-cancelling updates, on an owned engine and a shared one (overlay reset
+// by the write, base committed between batches).
 // After every batch each engine's Result must equal core.Match, its
 // counters must recount, its internal match must be the one a fresh engine
 // builds (the visible result hides a missed promotion while some pattern
@@ -53,8 +52,7 @@ func TestDifferentialWidePattern(t *testing.T) {
 
 // Every eighth seed draws a graph large enough that a 25 % batch has more
 // than maxProbes updates per phase, so that probing in groups is held to the
-// oracle too (without the landmark engine: its invariant check is O(|V|²)
-// walks).
+// oracle too.
 func differential(t *testing.T, seed int64, wide bool) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 20 + rng.Intn(40)
@@ -80,18 +78,10 @@ func differential(t *testing.T, seed int64, wide bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg := truth.Clone()
-	lm, err := New(p, lg, WithLandmarkIndex(landmark.New(lg)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if wide && owned.stride < 2 {
 		t.Fatalf("seed %d: a pattern of %d nodes, stride %d", seed, p.NumNodes(), owned.stride)
 	}
-	subjects := []subject{{"owned", owned, nil}, {"shared", shared, base}, {"landmark", lm, nil}}
-	if large {
-		subjects = subjects[:2]
-	}
+	subjects := []subject{{"owned", owned, nil}, {"shared", shared, base}}
 
 	for round := 0; round < 2; round++ {
 		quarter := max(1, truth.NumEdges()/4)

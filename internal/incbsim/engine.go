@@ -31,8 +31,21 @@
 // a batch is the walks of its S, so it is bounded by a recompute's whatever
 // |ΔG| is: a source is walked once per phase, a candidate once more.
 //
-// Bounded walks run on a live BFS view of the graph; an attached landmark
-// index (Section 6.2/6.4) is kept exact by routing edge updates through it.
+// Bounded walks run on a live BFS view of the graph. This is the deviation
+// from Section 6.3: the paper's IncBMatch asks a maintained landmark index
+// (Section 6.2/6.4) for distances; since the repair re-measures a source with
+// one bounded walk, nothing here asks for a single-pair distance, and package
+// landmark is a standalone maintained oracle (core.Match, Fig. 20) that no
+// engine carries.
+//
+// Two constructors, one engine. New is handed the *graph.Graph it mutates;
+// NewShared is handed an overlay over a base it must not touch. The engine
+// sees a graph.Mutable either way, and the whole difference is which one the
+// constructor passed in and whether endChanges has an overlay to reset.
+// Routing New through an overlay over a private base as well would write
+// every update twice (once into the overlay, once into the base when the
+// write ends) and delete no code: the engine has no owned-mode branch left to
+// remove.
 //
 // This is also the repair core of incremental simulation: simulation is
 // bounded simulation with every bound 1, and package incsim builds its
@@ -47,7 +60,6 @@ import (
 
 	"gpm/internal/distance"
 	"gpm/internal/graph"
-	"gpm/internal/landmark"
 	"gpm/internal/pattern"
 	"gpm/internal/rel"
 	"gpm/internal/resultgraph"
@@ -103,8 +115,7 @@ type Engine struct {
 	// repair's interleaved old-state probes and mutations stay private
 	// while the base is untouched.
 	g        graph.Mutable
-	own      *graph.Graph   // the owned graph (nil in shared mode)
-	ov       *graph.Overlay // the private overlay (nil in owned mode)
+	ov       *graph.Overlay // g again when it is the private overlay (nil in owned mode)
 	edges    []pattern.Edge
 	outEdges [][]int
 	inEdges  [][]int
@@ -128,8 +139,7 @@ type Engine struct {
 	// within bound(e) of v by a nonempty path.
 	cnt []map[graph.NodeID]int32
 
-	bfs   *distance.BFS   // live bounded-BFS view of g (enumeration + fallback Dist)
-	lmIdx *landmark.Index // optional maintained landmark index for Dist
+	bfs *distance.BFS // live bounded-BFS view of g
 
 	workers int          // parallelism of the repair's re-measurement (0 = default)
 	walkers []*walker    // per-worker state of the re-measurement walks; worker 0 walks on bfs itself
@@ -152,14 +162,6 @@ type Engine struct {
 
 // Option configures the engine.
 type Option func(*Engine)
-
-// WithLandmarkIndex makes the engine maintain and query a landmark +
-// distance-vector index (Section 6.2) instead of answering single-pair
-// distance queries by BFS. The index must have been built over the same
-// graph passed to New.
-func WithLandmarkIndex(ix *landmark.Index) Option {
-	return func(e *Engine) { e.lmIdx = ix }
-}
 
 // WithWorkers bounds the parallelism of the repair's per-source
 // re-measurement: 0 selects the default (par.DefaultWorkers), 1 keeps the
@@ -191,7 +193,7 @@ func (e *Engine) workerWalkers(w int) []*walker {
 // New builds an engine for b-pattern p over graph g, computing the initial
 // match with the batch Match algorithm's refinement.
 func New(p *pattern.Pattern, g *graph.Graph, options ...Option) (*Engine, error) {
-	return build(p, g, g, nil, options)
+	return build(p, g, nil, options)
 }
 
 // NewShared builds an engine that reads base through a private update
@@ -206,30 +208,23 @@ func New(p *pattern.Pattern, g *graph.Graph, options ...Option) (*Engine, error)
 //
 // Contract: every write call repairs the match against base ⊕ updates and
 // then discards the overlay, so the caller must commit exactly those
-// effective updates to the base before the next write. A landmark index
-// cannot be attached in shared mode (it maintains owned storage).
+// effective updates to the base before the next write.
 func NewShared(p *pattern.Pattern, base graph.View, options ...Option) (*Engine, error) {
 	ov := graph.NewOverlay(base)
-	return build(p, ov, nil, ov, options)
+	return build(p, ov, ov, options)
 }
 
-func build(p *pattern.Pattern, g graph.Mutable, own *graph.Graph, ov *graph.Overlay, options []Option) (*Engine, error) {
+func build(p *pattern.Pattern, g graph.Mutable, ov *graph.Overlay, options []Option) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if p.HasColors() {
 		return nil, fmt.Errorf("incbsim: colored patterns are batch-only (use core.MatchColored)")
 	}
-	e := &Engine{p: p, g: g, own: own, ov: ov, edges: p.Edges(), km: p.MaxBound(), bfs: distance.NewBFS(g)}
+	e := &Engine{p: p, g: g, ov: ov, edges: p.Edges(), km: p.MaxBound(), bfs: distance.NewBFS(g)}
 	e.walkers = []*walker{{bfs: e.bfs}}
 	for _, o := range options {
 		o(e)
-	}
-	if e.lmIdx != nil && own == nil {
-		return nil, fmt.Errorf("incbsim: landmark index requires an owned graph (not NewShared)")
-	}
-	if e.lmIdx != nil && e.lmIdx.Graph() != own {
-		return nil, fmt.Errorf("incbsim: landmark index built over a different graph")
 	}
 	np := p.NumNodes()
 	e.outEdges = make([][]int, np)
@@ -265,20 +260,6 @@ func build(p *pattern.Pattern, g graph.Mutable, own *graph.Graph, ov *graph.Over
 	e.rebuild()
 	e.stats = Stats{} // the initial match is not incremental maintenance
 	return e, nil
-}
-
-// dist returns the exact nonempty-path distance from u to v on the current
-// graph, through the landmark index when present.
-func (e *Engine) dist(u, v graph.NodeID) int {
-	if e.lmIdx != nil {
-		return distance.NonemptyDist(e.lmIdx, e.g, u, v)
-	}
-	return distance.NonemptyDist(e.bfs, e.g, u, v)
-}
-
-// within reports whether w lies within bound of v by a nonempty path.
-func (e *Engine) within(v, w graph.NodeID, bound int) bool {
-	return pattern.WithinBound(e.dist(v, w), bound)
 }
 
 // The planes of a node's row in the membership table.
@@ -444,21 +425,6 @@ func (e *Engine) cascade(queue []pair) []pair {
 // Pattern returns the engine's pattern.
 func (e *Engine) Pattern() *pattern.Pattern { return e.p }
 
-// Graph returns the engine's owned data graph, nil for a shared engine
-// (NewShared). Do not mutate it directly; the returned pointer is live, so
-// traversing it while a writer runs is racy — use the engine's methods
-// instead.
-func (e *Engine) Graph() *graph.Graph { return e.own }
-
-// SharedBase returns the base view a shared engine reads through, nil for
-// an owned engine.
-func (e *Engine) SharedBase() graph.View {
-	if e.ov == nil {
-		return nil
-	}
-	return e.ov.Base()
-}
-
 // Stats returns cumulative affected-area statistics.
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
@@ -591,15 +557,6 @@ func (e *Engine) CheckInvariants() error {
 			}
 			if c == 0 {
 				return fmt.Errorf("match pair (%d,%d) unsupported for edge %d", pe.From, v, i)
-			}
-		}
-	}
-	if e.lmIdx != nil {
-		for u := 0; u < e.g.NumNodes(); u++ {
-			for v := 0; v < e.g.NumNodes(); v++ {
-				if e.lmIdx.Dist(u, v) != e.bfs.Dist(u, v) {
-					return fmt.Errorf("landmark Dist(%d,%d)=%d, BFS=%d", u, v, e.lmIdx.Dist(u, v), e.bfs.Dist(u, v))
-				}
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"gpm/internal/fixtures"
 	"gpm/internal/generator"
 	"gpm/internal/graph"
-	"gpm/internal/landmark"
 	"gpm/internal/pattern"
 )
 
@@ -23,7 +22,7 @@ func mustEngine(t *testing.T, p *pattern.Pattern, g *graph.Graph, opts ...Option
 
 func assertMatchesBatch(t *testing.T, e *Engine, context string) {
 	t.Helper()
-	want := core.Match(e.Pattern(), e.Graph())
+	want := core.Match(e.Pattern(), e.g.(*graph.Graph)) // owned engines only
 	if got := e.Result(); !got.Equal(want) {
 		t.Fatalf("%s: incremental=%v batch=%v", context, got, want)
 	}
@@ -149,39 +148,6 @@ func TestApplyNaiveEqualsBatch(t *testing.T) {
 		if !eN.Result().Equal(eB.Result()) {
 			t.Fatalf("trial %d: naive=%v batch=%v", trial, eN.Result(), eB.Result())
 		}
-	}
-}
-
-func TestWithLandmarkIndexStaysExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 6; trial++ {
-		g := generator.RandomGraph(12, 20, 3, int64(trial)+80)
-		ix := landmark.New(g)
-		p := generator.RandomPattern(3, 4, 3, 3, int64(trial)+700)
-		e := mustEngine(t, p, g, WithLandmarkIndex(ix))
-		n := g.NumNodes()
-		for step := 0; step < 15; step++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			if rng.Intn(2) == 0 {
-				e.Insert(u, v)
-			} else {
-				e.Delete(u, v)
-			}
-			assertMatchesBatch(t, e, "landmark-backed step")
-		}
-	}
-}
-
-func TestLandmarkIndexGraphMismatch(t *testing.T) {
-	g := generator.RandomGraph(8, 12, 2, 1)
-	other := generator.RandomGraph(8, 12, 2, 2)
-	ix := landmark.New(other)
-	p := generator.RandomPattern(3, 3, 2, 2, 3)
-	if _, err := New(p, g, WithLandmarkIndex(ix)); err == nil {
-		t.Fatal("want error for index over a different graph")
 	}
 }
 

@@ -58,9 +58,6 @@ func (m *MatrixEngine) Result() rel.Relation { return m.e.Result() }
 // Stats returns the inner engine's statistics.
 func (m *MatrixEngine) Stats() Stats { return m.e.Stats() }
 
-// Graph returns the data graph (do not mutate directly).
-func (m *MatrixEngine) Graph() *graph.Graph { return m.g }
-
 // Bytes reports the matrix footprint.
 func (m *MatrixEngine) Bytes() int64 { return int64(len(m.dist)) * 4 }
 
@@ -107,7 +104,7 @@ func (m *MatrixEngine) Batch(ups []graph.Update) {
 	}
 	hasDelete := false
 	for _, up := range net {
-		e.applyEdge(up)
+		e.g.Apply(up) //nolint:errcheck // net updates: endpoints exist
 		if up.Op == graph.DeleteEdge {
 			hasDelete = true
 		}

@@ -7,7 +7,6 @@ import (
 	"gpm/internal/core"
 	"gpm/internal/generator"
 	"gpm/internal/graph"
-	"gpm/internal/landmark"
 )
 
 // TestSharedEngineMatchesOwned drives an owned engine and a shared engine
@@ -29,10 +28,7 @@ func TestSharedEngineMatchesOwned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shared.Graph() != nil {
-			t.Fatal("shared engine must not own a graph")
-		}
-		if shared.SharedBase() != graph.View(base) {
+		if shared.ov == nil || shared.ov.Base() != graph.View(base) {
 			t.Fatal("shared engine must read through the base it was given")
 		}
 		if !owned.Result().Equal(shared.Result()) {
@@ -91,15 +87,5 @@ func TestSharedEngineUnitUpdates(t *testing.T) {
 		if want := core.Match(p, base); !shared.Result().Equal(want) {
 			t.Fatalf("seed %d: final result diverges from batch recomputation", seed)
 		}
-	}
-}
-
-// TestSharedRejectsLandmarkIndex: the landmark index maintains owned
-// storage, so it cannot back a shared engine.
-func TestSharedRejectsLandmarkIndex(t *testing.T) {
-	g := generator.Synthetic(20, 60, generator.DefaultSchema(2), 1)
-	p := generator.Pattern(g, generator.PatternParams{Nodes: 2, Edges: 1, Preds: 1, K: 2}, 1)
-	if _, err := NewShared(p, g, WithLandmarkIndex(landmark.New(g))); err == nil {
-		t.Fatal("NewShared must reject a landmark index")
 	}
 }

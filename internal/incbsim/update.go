@@ -116,19 +116,6 @@ func extend[T any](s []T, n int) []T {
 	return s
 }
 
-// applyEdge routes a graph mutation through the landmark index when one is
-// attached, keeping it exact.
-func (e *Engine) applyEdge(up graph.Update) bool {
-	if e.lmIdx != nil {
-		if up.Op == graph.InsertEdge {
-			return e.lmIdx.Insert(up.From, up.To)
-		}
-		return e.lmIdx.Delete(up.From, up.To)
-	}
-	changed, _ := e.g.Apply(up)
-	return changed
-}
-
 // repair runs one phase: ups are net updates of a single kind.
 func (e *Engine) repair(ups []graph.Update) {
 	if len(ups) == 0 {
@@ -146,7 +133,7 @@ func (e *Engine) repair(ups []graph.Update) {
 		k := min(group, len(ups))
 		e.probe(ups[:k], insert)
 		for _, up := range ups[:k] {
-			e.applyEdge(up)
+			e.g.Apply(up) //nolint:errcheck // net updates: endpoints exist
 		}
 		ups = ups[k:]
 	}

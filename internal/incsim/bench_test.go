@@ -83,10 +83,10 @@ func BenchmarkBatchRecomputeMatchs(b *testing.B) {
 }
 
 func BenchmarkUnitDelete(b *testing.B) {
-	_, e, _ := benchSetup(b)
+	g, e, _ := benchSetup(b)
 	// Pick an existing edge and toggle it.
 	var u, v graph.NodeID = -1, -1
-	e.Graph().Edges(func(a, c graph.NodeID) bool { u, v = a, c; return false })
+	g.Edges(func(a, c graph.NodeID) bool { u, v = a, c; return false })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,6 +8,7 @@ import (
 	"gpm/internal/generator"
 	"gpm/internal/graph"
 	"gpm/internal/pattern"
+	"gpm/internal/rel"
 	"gpm/internal/simulation"
 )
 
@@ -25,7 +26,8 @@ func mustEngine(t *testing.T, p *pattern.Pattern, g *graph.Graph) *Engine {
 // and the internal invariants.
 func assertMatchesBatch(t *testing.T, e *Engine, context string) {
 	t.Helper()
-	want := simulation.Maximum(e.Pattern(), e.Graph())
+	var want rel.Relation
+	e.ReadGraph(func(g graph.View) { want = simulation.Maximum(e.Pattern(), g.(*graph.Graph)) }) // owned engines only
 	if got := e.Result(); !got.Equal(want) {
 		t.Fatalf("%s: incremental=%v batch=%v", context, got, want)
 	}

@@ -71,15 +71,6 @@ func (e *Engine) Commit() {
 	}
 }
 
-// SharedBase returns the base view a shared engine reads through, nil for
-// an owned engine.
-func (e *Engine) SharedBase() graph.View {
-	if e.ov == nil {
-		return nil
-	}
-	return e.ov.Base()
-}
-
 func (e *Engine) add(em Embedding) bool {
 	key := em.Key()
 	if _, ok := e.embeddings[key]; ok {

@@ -28,7 +28,7 @@ func TestSharedEngineMatchesOwned(t *testing.T) {
 		base := g.Clone()
 		owned := NewEngine(p, g.Clone())
 		shared := NewEngineShared(p, base)
-		if shared.SharedBase() != graph.View(base) {
+		if shared.ov.Base() != graph.View(base) {
 			t.Fatal("shared engine must read through the base it was given")
 		}
 		if owned.Count() != shared.Count() {

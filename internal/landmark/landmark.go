@@ -24,8 +24,10 @@ import (
 const unreachable32 = int32(1) << 30
 
 // Index is a maintained landmark + distance-vector structure over a graph.
-// All graph mutations must go through Insert/Delete/Batch so the vectors
-// stay exact.
+// All edge updates must go through Insert/Delete/Batch so the vectors stay
+// exact. Nodes are appended to the graph directly; the index takes them in
+// at its next Insert, Delete or Batch, and must not be asked about them
+// before.
 type Index struct {
 	g    *graph.Graph
 	lms  []graph.NodeID // the landmark vector

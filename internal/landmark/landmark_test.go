@@ -152,6 +152,43 @@ func TestInsertionCoversNewEdge(t *testing.T) {
 	}
 }
 
+// TestIndexGraphGainsNodes: nodes are appended to the graph directly, so the
+// index must take them in when the next edge update arrives, whichever of
+// Insert, Delete and Batch brings it.
+func TestIndexGraphGainsNodes(t *testing.T) {
+	g := graph.New()
+	a := g.AddNode(nil)
+	b := g.AddNode(nil)
+	if _, err := g.AddEdge(a, b); err != nil {
+		t.Fatal(err)
+	}
+	ix := New(g)
+	c := g.AddNode(nil)
+	if !ix.Insert(b, c) {
+		t.Fatal("Insert(b, c) onto a node gained after New: not applied")
+	}
+	if d := ix.Dist(a, c); d != 2 {
+		t.Fatalf("Dist(a,c) = %d, want 2", d)
+	}
+	d := g.AddNode(nil)
+	if !ix.Delete(a, b) {
+		t.Fatal("Delete(a, b): not applied")
+	}
+	if err := ix.verify(); err != nil {
+		t.Fatalf("after a deletion with an isolated new node: %v", err)
+	}
+	e := g.AddNode(nil)
+	if n := ix.Batch([]graph.Update{graph.Insert(c, d), graph.Insert(e, a), graph.Insert(a, b)}); n != 3 {
+		t.Fatalf("Batch kept %d updates, want 3", n)
+	}
+	if got := ix.Dist(e, d); got != 4 {
+		t.Fatalf("Dist(e,d) = %d, want 4", got)
+	}
+	if err := ix.verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDeleteKeepsLandmarks(t *testing.T) {
 	// Proposition 6.2: deletions never force landmark changes.
 	g := generator.RandomGraph(12, 24, 2, 21)

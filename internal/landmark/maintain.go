@@ -17,10 +17,24 @@ import (
 	"gpm/internal/graph"
 )
 
+// grow takes in the nodes the graph gained since the index last looked:
+// nodes are append-only and a new one has no edges yet, so it is no landmark
+// and unreachable from and to every landmark.
+func (ix *Index) grow() {
+	for n := ix.g.NumNodes(); len(ix.isLM) < n; {
+		ix.isLM = append(ix.isLM, false)
+		for i := range ix.lms {
+			ix.distTo[i] = append(ix.distTo[i], unreachable32)
+			ix.distFrom[i] = append(ix.distFrom[i], unreachable32)
+		}
+	}
+}
+
 // Insert applies the edge insertion (v0, v1) to the graph and incrementally
 // maintains the landmark and distance vectors (InsLM). It reports whether
 // the edge was new.
 func (ix *Index) Insert(v0, v1 graph.NodeID) bool {
+	ix.grow()
 	added, err := ix.g.AddEdge(v0, v1)
 	if err != nil || !added {
 		return false
@@ -35,54 +49,33 @@ func (ix *Index) Insert(v0, v1 graph.NodeID) bool {
 			ix.addLandmark(v1)
 		}
 	}
+	out, in := ix.g.Out, ix.g.In
 	for i := range ix.lms {
 		// dist(lm_i → x) may drop for descendants of v1.
-		ix.relaxForward(ix.distTo[i], v0, v1)
+		ix.relax(ix.distTo[i], out, v0, v1)
 		// dist(x → lm_i) may drop for ancestors of v0.
-		ix.relaxBackward(ix.distFrom[i], v0, v1)
+		ix.relax(ix.distFrom[i], in, v1, v0)
 	}
 	return true
 }
 
-// relaxForward lowers entries of dist (distances from a fixed source) after
-// inserting (v0, v1), walking only improved nodes.
-func (ix *Index) relaxForward(dist []int32, v0, v1 graph.NodeID) {
-	if dist[v0] == unreachable32 || dist[v0]+1 >= dist[v1] {
+// relax lowers entries of dist after an edge insertion, walking only the
+// nodes that improve. dist holds distances from a fixed source and next is
+// Out, or distances to a fixed target and next is In; tail and head are the
+// new edge's ends in the direction of next (for In they arrive swapped).
+func (ix *Index) relax(dist []int32, next func(graph.NodeID) []graph.NodeID, tail, head graph.NodeID) {
+	if dist[tail] == unreachable32 || dist[tail]+1 >= dist[head] {
 		return
 	}
-	dist[v1] = dist[v0] + 1
+	dist[head] = dist[tail] + 1
 	ix.stats.EntriesUpdated++
-	queue := []graph.NodeID{v1}
+	queue := []graph.NodeID{head}
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
 		ix.stats.NodesVisited++
 		nd := dist[x] + 1
-		for _, w := range ix.g.Out(x) {
-			if nd < dist[w] {
-				dist[w] = nd
-				ix.stats.EntriesUpdated++
-				queue = append(queue, w)
-			}
-		}
-	}
-}
-
-// relaxBackward lowers entries of dist (distances to a fixed target) after
-// inserting (v0, v1).
-func (ix *Index) relaxBackward(dist []int32, v0, v1 graph.NodeID) {
-	if dist[v1] == unreachable32 || dist[v1]+1 >= dist[v0] {
-		return
-	}
-	dist[v0] = dist[v1] + 1
-	ix.stats.EntriesUpdated++
-	queue := []graph.NodeID{v0}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		ix.stats.NodesVisited++
-		nd := dist[x] + 1
-		for _, w := range ix.g.In(x) {
+		for _, w := range next(x) {
 			if nd < dist[w] {
 				dist[w] = nd
 				ix.stats.EntriesUpdated++
@@ -97,6 +90,7 @@ func (ix *Index) relaxBackward(dist []int32, v0, v1 graph.NodeID) {
 // shrinks on deletion — a vertex cover of G is a cover of G minus an edge.
 // It reports whether the edge existed.
 func (ix *Index) Delete(v0, v1 graph.NodeID) bool {
+	ix.grow()
 	if !ix.g.RemoveEdge(v0, v1) {
 		return false
 	}
@@ -198,6 +192,7 @@ func (ix *Index) repair(dist []int32, dir graph.Dir, tail, head graph.NodeID) {
 // first, then deletions and insertions through the unit algorithms. It
 // returns the number of updates that survived cancellation.
 func (ix *Index) Batch(ups []graph.Update) int {
+	ix.grow()
 	net := graph.NetUpdates(ix.g, ups)
 	// Deletions first: they can only lengthen distances, so the insertion
 	// relaxations that follow start from conservative values and remain
