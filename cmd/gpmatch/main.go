@@ -123,12 +123,13 @@ func replay(p *pattern.Pattern, g *graph.Graph, mode, upsFile string) {
 			log.Fatal(err)
 		}
 		before := eng.Result()
+		original, _, relevant := eng.MinDelta(ups) // the summary line's; the repair does not need it
 		start := time.Now()
-		res := eng.Batch(ups)
+		eng.Batch(ups)
 		elapsed := time.Since(start)
 		removed, added := before.Diff(eng.Result())
 		fmt.Printf("IncMatch: +%d −%d pairs in %v (reduced %d→%d updates)\n",
-			len(added), len(removed), elapsed, res.Original, res.Relevant)
+			len(added), len(removed), elapsed, original, relevant)
 	case "bsim":
 		eng, err := gpm.NewIncBSimEngine(p, g)
 		if err != nil {

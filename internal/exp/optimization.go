@@ -36,8 +36,8 @@ func Fig20a(cfg Config) Table {
 			panic(err)
 		}
 		ups := generator.Updates(g, nUps/2, nUps/2, cfg.Seed+31)
-		res := e.MinDelta(ups)
-		t.AddRow(fmt.Sprintf("%.2f", alpha), res.Original, res.Effective, res.Relevant)
+		original, effective, relevant := e.MinDelta(ups)
+		t.AddRow(fmt.Sprintf("%.2f", alpha), original, effective, relevant)
 	}
 	t.Notes = append(t.Notes, "expected shape: reduction grows with α (denser graphs → more redundant updates)")
 	return t

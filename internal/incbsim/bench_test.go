@@ -75,6 +75,11 @@ func BenchmarkBatchRecomputeMatchbs(b *testing.B) {
 func batch5pctSetup(tb testing.TB) (*pattern.Pattern, *graph.Graph, []graph.Update) {
 	tb.Helper()
 	g := generator.Synthetic(2000, 8000, generator.DefaultSchema(5), 1)
+	return trianglePattern(tb), g, generator.Updates(g, 200, 200, 2)
+}
+
+func trianglePattern(tb testing.TB) *pattern.Pattern {
+	tb.Helper()
 	p := pattern.New()
 	for _, l := range []string{"L1", "L2", "L3"} {
 		p.AddNode(pattern.Label(l))
@@ -84,7 +89,7 @@ func batch5pctSetup(tb testing.TB) (*pattern.Pattern, *graph.Graph, []graph.Upda
 			tb.Fatal(err)
 		}
 	}
-	return p, g, generator.Updates(g, 200, 200, 2)
+	return p
 }
 
 func BenchmarkIncBMatchBatch5pct(b *testing.B) {
@@ -122,6 +127,46 @@ func BenchmarkIncBMatchBatch5pctShared(b *testing.B) {
 			g.ApplyAll(batch) //nolint:errcheck
 			b.StartTimer()
 		}
+	}
+}
+
+// BenchmarkIncBMatchUnit8 is the engine-unit shape of the repo benchmark:
+// n=20000, m=80000, the k=3 triangle, batches of 4 insertions and 4
+// deletions, each followed by its inverse so that the graph stays put. The
+// shared engine's base commits run off the clock.
+func BenchmarkIncBMatchUnit8(b *testing.B) {
+	g := generator.Synthetic(20000, 80000, generator.DefaultSchema(5), 1)
+	batches := make([][]graph.Update, 64)
+	for i := range batches {
+		batches[i] = generator.Updates(g, 4, 4, int64(i+2))
+	}
+	for _, mode := range []string{"owned", "shared"} {
+		b.Run(mode, func(b *testing.B) {
+			base := g.Clone()
+			var e *Engine
+			var err error
+			if mode == "shared" {
+				e, err = NewShared(trianglePattern(b), base)
+			} else {
+				e, err = New(trianglePattern(b), base)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ups := batches[i%len(batches)]
+				for _, batch := range [][]graph.Update{ups, invert(ups)} {
+					e.Batch(batch)
+					if mode == "shared" {
+						b.StopTimer()
+						base.ApplyAll(batch) //nolint:errcheck
+						b.StartTimer()
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -4,32 +4,42 @@
 // al. 2010 that the paper compares against in Fig. 19.
 //
 // Following Proposition 6.1, the engine reduces bounded simulation in G to
-// simulation over the pair graph: for every pattern edge (u, u') with bound
-// k it tracks, per match v of u, how many matches w of u' lie within k hops
-// (the ss pairs of Table III). A graph update flips the within-bound status
-// of node pairs only inside the km-hop neighbourhood of the touched edge
-// (km = the maximum pattern bound), so the engine re-examines exactly that
-// affected area — and it does so once per batch, not once per update:
+// simulation over the pair graph. IncBMatch⁻ asks an existence question —
+// does v still have a descendant within the bound that matches u'? — so for
+// every pattern edge (u, u') with bound k the engine keeps, per match v of
+// u, one witness: a match w of u' within k hops (an ss pair of Table III).
+// Its invariant is that every matched pair has a live witness per out-edge;
+// how many other supports v has is never counted. A graph update flips the
+// within-bound status of node pairs only inside the km-hop neighbourhood of
+// the touched edge (km = the maximum pattern bound), so the engine
+// re-examines exactly that affected area — and it does so once per batch,
+// not once per update:
 //
 //   - A batch is netted (same-edge cancellation) and split into a deletion
 //     phase and an insertion phase. As each update of a phase goes into the
-//     graph, a probe around its edge collects the affected sources: the
-//     matches and candidates that reach its tail with enough bound left to
-//     get from its head to a node their pattern edges care about. The
-//     resulting set S is complete (update.go gives the argument): a node
-//     outside it keeps every counter and gains no target.
-//   - Once the phase is in, every source of S is re-measured by a single
-//     bounded walk on the new graph, however many of the batch's updates
-//     reach it. A match's support counters are set to the recount; those
-//     that fell to zero cascade as in incremental simulation. A candidate is
-//     counted when it enters S and again at the end, over satisfying rather
-//     than matching targets, and seeds the candidate-closure promotion iff
-//     the count grew — the cs/cc pairs that gained a target, no more, so
-//     the promotion explores the closure a per-update sweep would.
+//     graph, a probe around its edge collects the affected sources: in a
+//     deletion phase the matches, in an insertion phase the candidates,
+//     that reach its tail with enough bound left to get from its head to a
+//     node their pattern edges care about. The resulting set S is complete
+//     (update.go gives the argument): a match outside it keeps every path
+//     to its witnesses and a candidate outside it gains no target.
+//   - Once a deletion phase is in, every match of S is walked on the new
+//     graph until each of its out-edges has met a target, which becomes the
+//     witness; the walk ends there, not at the rim of the k-hop ball. A
+//     match left without a witness is removed, and removals cascade as in
+//     incremental simulation: the ancestors whose witness was the removed
+//     pair search for another. An insertion phase walks no match at all —
+//     inserting edges and promoting pairs only adds supports, so every
+//     witness stands. A candidate is counted when it enters S and again at
+//     the end, over satisfying rather than matching targets, and seeds the
+//     candidate-closure promotion iff the count grew — the cs/cc pairs that
+//     gained a target, no more, so the promotion explores the closure a
+//     per-update sweep would.
 //
 // The unit operations are one-element batches of the same code. The cost of
 // a batch is the walks of its S, so it is bounded by a recompute's whatever
-// |ΔG| is: a source is walked once per phase, a candidate once more.
+// |ΔG| is: a match is walked once, in the deletion phase, and a candidate
+// twice, in the insertion phase.
 //
 // Bounded walks run on a live BFS view of the graph. This is the deviation
 // from Section 6.3: the paper's IncBMatch asks a maintained landmark index
@@ -71,20 +81,19 @@ import (
 type Stats struct {
 	Removals       int64
 	Promotions     int64
-	CounterUpdates int64 // within-bound flips applied to support counters
+	WitnessUpdates int64 // witnesses set or moved to another target
 	ClosureSize    int64
-	// PairsExamined counts the (source, node) pairs the repair's
-	// re-measurement walks visited. However many updates of a batch reach
-	// it, an affected source is walked once per phase, and in the insertion
-	// phase once more for each pattern node it is a candidate of (the count
-	// before, against the count after).
+	// PairsExamined counts the (source, node) pairs the repair's walks
+	// visited: the re-measurement of the affected set (a match until it has
+	// its witnesses, a candidate over its whole ball, before and after) and
+	// the searches for a witness to replace a removed one.
 	PairsExamined int64
 }
 
 // Total returns a scalar |AFF| measure: the sum of all five tallies, the
 // fields ResetStats zeroes.
 func (s Stats) Total() int64 {
-	return s.Removals + s.Promotions + s.CounterUpdates + s.ClosureSize + s.PairsExamined
+	return s.Removals + s.Promotions + s.WitnessUpdates + s.ClosureSize + s.PairsExamined
 }
 
 // minus returns the tallies accumulated since an earlier reading t.
@@ -92,7 +101,7 @@ func (s Stats) minus(t Stats) Stats {
 	return Stats{
 		Removals:       s.Removals - t.Removals,
 		Promotions:     s.Promotions - t.Promotions,
-		CounterUpdates: s.CounterUpdates - t.CounterUpdates,
+		WitnessUpdates: s.WitnessUpdates - t.WitnessUpdates,
 		ClosureSize:    s.ClosureSize - t.ClosureSize,
 		PairsExamined:  s.PairsExamined - t.PairsExamined,
 	}
@@ -135,9 +144,10 @@ type Engine struct {
 	member []uint64
 	np     int // |Vp|, the bits of a plane
 	stride int // ⌈3·|Vp|/64⌉ words per row
-	// cnt[e][v]: for v ∈ match(src(e)), the number of w ∈ match(tgt(e))
-	// within bound(e) of v by a nonempty path.
-	cnt []map[graph.NodeID]int32
+	// wit[e][v]: for v ∈ match(src(e)), one w ∈ match(tgt(e)) within
+	// bound(e) of v by a nonempty path. Read once per affected match and per
+	// matched ancestor of a removed pair, never per node a walk visits.
+	wit []map[graph.NodeID]graph.NodeID
 
 	bfs *distance.BFS // live bounded-BFS view of g
 
@@ -199,7 +209,7 @@ func New(p *pattern.Pattern, g *graph.Graph, options ...Option) (*Engine, error)
 // NewShared builds an engine that reads base through a private update
 // overlay instead of owning a graph replica: no adjacency is copied, and
 // per-pattern memory is the engine's auxiliary structures only. Those are
-// the pattern state (match sets, support counters) plus a few flat arrays
+// the pattern state (match sets, witnesses) plus a few flat arrays
 // indexed by graph node, O(|V|) words whatever the match: the membership
 // table (8·⌈3·|Vp|/64⌉ bytes per node: three planes of |Vp| bits, so 8
 // bytes up to 21 pattern nodes), scratch.at (4 bytes) and, unless every
@@ -236,10 +246,7 @@ func build(p *pattern.Pattern, g graph.Mutable, ov *graph.Overlay, options []Opt
 		e.maxOut[pe.From] = max(e.maxOut[pe.From], pe.Bound)
 	}
 	e.np, e.stride = np, (planes*np+63)/64
-	e.scratch = scratch{
-		nearMatch: make([]int, len(e.edges)), nearSat: make([]int, len(e.edges)),
-		slackMatch: make([]int, np), slackCand: make([]int, np), role: make([]uint8, np),
-	}
+	e.scratch = scratch{near: make([]int, len(e.edges)), slack: make([]int, np), role: make([]uint8, np)}
 	e.sizeTables()
 	if e.presat != nil {
 		if len(e.presat) != np {
@@ -327,7 +334,9 @@ func (e *Engine) clearMatch(u int, v graph.NodeID) {
 }
 
 // rebuild computes match(), the membership table (all zero so far) and all
-// counters from sat.
+// witnesses from sat. Nodes are taken in id order, not in the sets' map
+// order: which witness a search finds depends on the removals before it, so
+// equal inputs must remove in equal order for Stats to repeat run to run.
 func (e *Engine) rebuild() {
 	np := e.p.NumNodes()
 	e.match = make(rel.Relation, np)
@@ -338,30 +347,39 @@ func (e *Engine) rebuild() {
 			e.setMatch(u, v)
 		}
 	}
-	e.cnt = make([]map[graph.NodeID]int32, len(e.edges))
+	e.wit = make([]map[graph.NodeID]graph.NodeID, len(e.edges))
+	touched := e.scratch.touched[:0]
 	for i, pe := range e.edges {
-		e.cnt[i] = make(map[graph.NodeID]int32, e.match[pe.From].Len())
-		for v := range e.match[pe.From] {
-			c := int32(0)
-			e.bfs.DescNonempty(v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if e.isMatch(pe.To, w) {
-					c++
-				}
-				return true
-			})
-			e.cnt[i][v] = c
-		}
-	}
-	queue := e.scratch.queue[:0]
-	for i, pe := range e.edges {
-		for v, c := range e.cnt[i] {
-			if c == 0 && e.isMatch(pe.From, v) {
-				e.clearMatch(pe.From, v)
-				queue = append(queue, pair{pe.From, v})
+		e.wit[i] = make(map[graph.NodeID]graph.NodeID, e.match[pe.From].Len())
+		for v := 0; v < e.g.NumNodes(); v++ {
+			if !e.isMatch(pe.From, v) {
+				continue
+			}
+			if w := e.find(i, v); w >= 0 {
+				e.wit[i][v] = w
+			} else {
+				touched = append(touched, touch{i, v})
 			}
 		}
 	}
-	e.scratch.queue = e.cascade(queue)
+	e.scratch.touched = touched
+	e.drainTouched(touched)
+}
+
+// find searches forward from v for a witness of pattern edge ei: the nearest
+// match of the edge's target node within its bound by a nonempty path, -1
+// when there is none. The search stops at the first it meets.
+func (e *Engine) find(ei int, v graph.NodeID) graph.NodeID {
+	pe := &e.edges[ei]
+	wit := graph.NodeID(-1)
+	e.bfs.DescNonempty(v, pe.Bound, func(w graph.NodeID, d int) bool {
+		e.stats.PairsExamined++
+		if e.isMatch(pe.To, w) {
+			wit = w
+		}
+		return wit < 0
+	})
+	return wit
 }
 
 type pair struct {
@@ -391,34 +409,42 @@ func (e *Engine) endChanges() rel.Delta {
 	return d
 }
 
-// cascade propagates match removals: each removal decrements the support
-// counters of match ancestors within the relevant bounds. It returns the
-// drained queue for reuse.
+// cascade propagates match removals: the match ancestors whose witness was
+// a removed pair search for another, and those that find none are removed in
+// turn. The ancestors are collected first and searched for afterwards: a
+// search is a walk of its own, and the scratch of distance.BFS holds one
+// walk at a time. It returns the drained queue for reuse.
 func (e *Engine) cascade(queue []pair) []pair {
+	orphans := e.scratch.orphans
 	for len(queue) > 0 {
 		rm := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		e.stats.Removals++
 		e.cs.NoteRemoved(rm.u, rm.v)
 		for _, ei := range e.outEdges[rm.u] {
-			delete(e.cnt[ei], rm.v)
+			delete(e.wit[ei], rm.v)
 		}
 		for _, ei := range e.inEdges[rm.u] {
 			pe := e.edges[ei]
-			e.bfs.AncNonempty(rm.v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if !e.isMatch(pe.From, w) {
-					return true
-				}
-				e.cnt[ei][w]--
-				e.stats.CounterUpdates++
-				if e.cnt[ei][w] == 0 {
-					e.clearMatch(pe.From, w)
-					queue = append(queue, pair{pe.From, w})
+			orphans = orphans[:0]
+			e.bfs.AncNonempty(rm.v, pe.Bound, func(x graph.NodeID, d int) bool {
+				if e.isMatch(pe.From, x) && e.wit[ei][x] == rm.v {
+					orphans = append(orphans, x)
 				}
 				return true
 			})
+			for _, x := range orphans {
+				if w := e.find(ei, x); w >= 0 {
+					e.wit[ei][x] = w
+					e.stats.WitnessUpdates++
+				} else {
+					e.clearMatch(pe.From, x)
+					queue = append(queue, pair{pe.From, x})
+				}
+			}
 		}
 	}
+	e.scratch.orphans = orphans
 	return queue
 }
 
@@ -521,8 +547,10 @@ func (e *Engine) ResultGraph() *resultgraph.Graph {
 	return resultgraph.FromBounded(e.p, e.g, e.result(), distance.NewBFS(e.g))
 }
 
-// CheckInvariants recounts every support counter and holds the membership
-// table to the sets it mirrors (test hook; not safe beside a writer).
+// CheckInvariants holds every matched pair to a live witness per out-edge — a
+// match of the edge's target, within its bound by a walk, and no entry left
+// behind by a removed pair — and the membership table to the sets it mirrors
+// (test hook; not safe beside a writer).
 func (e *Engine) CheckInvariants() error {
 	for v := 0; v < e.g.NumNodes(); v++ {
 		for u := range e.match {
@@ -544,19 +572,21 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 	for i, pe := range e.edges {
+		if got, want := len(e.wit[i]), e.match[pe.From].Len(); got != want {
+			return fmt.Errorf("edge %d: %d witnesses for %d matches of its source", i, got, want)
+		}
 		for v := range e.match[pe.From] {
-			c := int32(0)
-			e.bfs.DescNonempty(v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if e.isMatch(pe.To, w) {
-					c++
-				}
-				return true
-			})
-			if e.cnt[i][v] != c {
-				return fmt.Errorf("cnt[%d][%d] = %d, recount = %d", i, v, e.cnt[i][v], c)
+			wit, ok := e.wit[i][v]
+			if !ok || !e.isMatch(pe.To, wit) {
+				return fmt.Errorf("match pair (%d,%d): witness %d (set: %v) for edge %d is no match of %d", pe.From, v, wit, ok, i, pe.To)
 			}
-			if c == 0 {
-				return fmt.Errorf("match pair (%d,%d) unsupported for edge %d", pe.From, v, i)
+			reached := false
+			e.bfs.DescNonempty(v, pe.Bound, func(w graph.NodeID, d int) bool {
+				reached = w == wit
+				return !reached
+			})
+			if !reached {
+				return fmt.Errorf("match pair (%d,%d): witness %d for edge %d is out of bound", pe.From, v, wit, i)
 			}
 		}
 	}

@@ -4,8 +4,8 @@ package incbsim
 // Fan et al. 2010 that the paper uses as a baseline in Fig. 19: it
 // maintains a full all-pairs distance matrix (O(|V|²) space) instead of
 // landmark vectors or bounded searches. Insertions relax the matrix in
-// O(|V|²); deletions force a full matrix rebuild; flipped pairs are found
-// by a global scan. It produces the same matches as Engine — only the cost
+// O(|V|²); deletions force a full matrix rebuild; the pairs whose witness
+// left the bound are found by a global scan. It produces the same matches as Engine — only the cost
 // profile differs, which is exactly what the figure measures.
 
 import (
@@ -23,6 +23,9 @@ type MatrixEngine struct {
 }
 
 const inf32 = int32(1) << 30
+
+// within reports whether the nonempty distance d is inside bound.
+func within(d, bound int32) bool { return d >= 1 && d <= bound && d != inf32 }
 
 // NewMatrix builds the matrix-based engine.
 func NewMatrix(p *pattern.Pattern, g *graph.Graph) (*MatrixEngine, error) {
@@ -150,8 +153,9 @@ func (m *MatrixEngine) Batch(ups []graph.Update) {
 		return oldGirth[u]
 	}
 
-	// Global flip scan over ss pairs (the O(|Ep||V|²) cost that keeps this
-	// baseline from scaling).
+	// Global scan over ss pairs (the O(|Ep||V|²) cost that keeps this
+	// baseline from scaling). It acts only on a pair whose witness left the
+	// bound, which takes the smallest in-bound target in its place.
 	var touched []touch
 	for ei, pe := range e.edges {
 		bound := int32(inf32)
@@ -159,21 +163,22 @@ func (m *MatrixEngine) Batch(ups []graph.Update) {
 			bound = int32(pe.Bound)
 		}
 		for v := range e.match[pe.From] {
+			best := graph.NodeID(-1)
 			for w := range e.match[pe.To] {
-				o, nw := oldNE(v, w), newNE(v, w)
 				e.stats.PairsExamined++
-				oldIn := o >= 1 && o <= bound && o != inf32
-				newIn := nw >= 1 && nw <= bound && nw != inf32
-				switch {
-				case oldIn && !newIn:
-					e.cnt[ei][v]--
-					e.stats.CounterUpdates++
-					touched = append(touched, touch{ei, v})
-				case !oldIn && newIn:
-					e.cnt[ei][v]++
-					e.stats.CounterUpdates++
+				if within(newNE(v, w), bound) && (best < 0 || w < best) {
+					best = w
 				}
 			}
+			if within(newNE(v, e.wit[ei][v]), bound) {
+				continue
+			}
+			if best < 0 {
+				touched = append(touched, touch{ei, v})
+				continue
+			}
+			e.wit[ei][v] = best
+			e.stats.WitnessUpdates++
 		}
 	}
 	e.drainTouched(touched)
@@ -190,10 +195,7 @@ func (m *MatrixEngine) Batch(ups []graph.Update) {
 				continue
 			}
 			for w := range e.sat[pe.To] {
-				o, nw := oldNE(v, w), newNE(v, w)
-				oldIn := o >= 1 && o <= bound && o != inf32
-				newIn := nw >= 1 && nw <= bound && nw != inf32
-				if newIn && !oldIn {
+				if within(newNE(v, w), bound) && !within(oldNE(v, w), bound) {
 					seeds = append(seeds, pair{pe.From, v})
 					break
 				}

@@ -9,9 +9,13 @@ package incbsim
 //     runs through (a, b): v reaches a, and b reaches w, over edges that are
 //     in the graph at that moment. So two bounded walks suffice: forward
 //     from b, for dT, the hops to the nearest node each pattern edge counts
-//     as a target; backward from a, collecting every match or candidate v
-//     with dS(v) + 1 + dT <= k for one of its pattern edges. Whatever lies
-//     farther away provably keeps its counters and gains no target.
+//     as a target; backward from a, collecting every source v with
+//     dS(v) + 1 + dT <= k for one of its pattern edges. A deletion can only
+//     cost a match a witness, so its probe looks for matches upstream and
+//     matching targets downstream; an insertion can only bring a candidate
+//     a target, so its probe looks for candidates and satisfying targets.
+//     Whatever lies farther away provably keeps its witnesses and gains no
+//     target.
 //  2. Apply the update, and go on to the next. Probing against the graph as
 //     it stands is what makes the probes complete for a whole phase: a pair
 //     that is within bound before the phase and not after (or the reverse)
@@ -19,26 +23,31 @@ package incbsim
 //     sees the path through its edge with everything else of it in place.
 //  3. Re-measure. The sources the probes found form the affected set S of
 //     the phase, each source in it once however many updates reach it. When
-//     the phase is in, a single bounded walk from v recounts cnt[e][v] for
-//     all pattern edges leaving the pattern nodes v matches. A deletion
-//     phase feeds the counters that fell to drainTouched/cascade. In an
-//     insertion phase a candidate is also walked when it enters S, counting
-//     the satisfying (not just matching) targets in bound; it seeds the
+//     a deletion phase is in, a single bounded walk from a match v looks
+//     for a witness for every pattern edge leaving the pattern nodes v
+//     matches, and stops when each has one: whether the old witness is
+//     still in reach is the question, and the first target met answers it.
+//     The edges left without one go to drainTouched/cascade. An insertion
+//     phase re-measures no match: it removes no edge and no pair, so every
+//     witness stands, and what a match gains nothing reads. A candidate is
+//     walked when it enters S, counting the satisfying (not just matching)
+//     targets in bound, and again when the phase is in; it seeds the
 //     promotion iff the final walk counts more, which is exactly "gained a
 //     target it did not have". The early count is the pre-phase one: had an
 //     earlier update brought the candidate a target, that update's probe
 //     would have put it in S. So seeding is exact, and promote explores the
 //     closure a per-update sweep would.
 //
-// Whatever the batch size, a source is walked once per phase, plus once for
-// each pattern node it is a candidate of, and a phase of more than maxProbes
-// updates is probed in groups (one multi-source walk from the tails of a
-// group, one from its heads, the argument above with "group" for "update"):
-// a huge batch degrades to the cost of a recompute, not worse. The walks keep their state in the epoch-stamped
-// scratch of distance.BFS and in flat per-phase tables on the engine (no
-// per-source maps). Step 3 is the only one farmed out to the worker pool,
-// once per phase, and only when S is large enough to pay for the goroutines.
-// Unit Insert/Delete are this path with a one-element batch.
+// Whatever the batch size, a match is walked at most once and a candidate
+// once per phase, plus once for each pattern node it is a candidate of, and
+// a phase of more than maxProbes updates is probed in groups (one
+// multi-source walk from the tails of a group, one from its heads, the
+// argument above with "group" for "update"): a huge batch degrades to the
+// cost of a recompute, not worse. The walks keep their state in the
+// epoch-stamped scratch of distance.BFS and in flat per-phase tables on the
+// engine (no per-source maps). Step 3 is the only one farmed out to the
+// worker pool, once per phase, and only when S is large enough to pay for
+// the goroutines. Unit Insert/Delete are this path with a one-element batch.
 
 import (
 	"slices"
@@ -52,7 +61,7 @@ import (
 // How one pattern edge takes part in the re-measurement of a source v.
 const (
 	skip      uint8 = iota // v has no stake in the edge this phase
-	matched                // v ∈ match(src(e)): recount cnt[e][v] over match(tgt(e))
+	matched                // v ∈ match(src(e)): find a witness in match(tgt(e))
 	candidate              // v ∈ candt(src(e)): count sat(tgt(e)) in bound, before and after
 	staked                 // candidate whose "before" count is still to be taken (probe only)
 )
@@ -76,7 +85,8 @@ type source struct {
 	visited int64 // nodes its walks reached (Stats.PairsExamined)
 }
 
-// touch names a support counter that a repair decremented.
+// touch names an out-edge of a matched pair that a repair found no witness
+// for.
 type touch struct {
 	ei int
 	v  graph.NodeID
@@ -87,26 +97,29 @@ type touch struct {
 type scratch struct {
 	phase []graph.Update
 	ends  []graph.NodeID // a probe's heads, then its tails
-	// Per pattern edge: hops from the nearest head to the nearest node of
-	// match(tgt(e)) / sat(tgt(e)), -1 when none lies within km-1 hops.
-	nearMatch, nearSat []int
-	// Per pattern node u: a matched (candidate) source of u is affected iff
-	// it reaches a tail within this many hops; -1 when none can be.
-	slackMatch, slackCand []int
-	role                  []uint8 // per pattern node, for the source at hand
-	srcs                  []source
+	// Per pattern edge: hops from the nearest head to the nearest target, a
+	// node of match(tgt(e)) in a deletion phase and of sat(tgt(e)) in an
+	// insertion phase; -1 when none lies within km-1 hops.
+	near []int
+	// Per pattern node u: a source of u (a match in a deletion phase, a
+	// candidate in an insertion phase) is affected iff it reaches a tail
+	// within this many hops; -1 when none can be.
+	slack []int
+	role  []uint8 // per pattern node, for the source at hand
+	srcs  []source
 	// Per graph node: its index in srcs plus one, 0 outside S. All zero
 	// again once the probes of a phase are done, and promote then borrows it
 	// to number the nodes of its closure.
 	at        []int32
 	fresh     []int   // sources the probe at hand staked as candidates
 	mode      []uint8 // len(srcs) × len(edges)
-	pre, post []int32 // len(srcs) × len(edges): targets in bound before / after
+	pre, post []int32 // len(srcs) × len(edges): what tally measured before / after
 	touched   []touch
 	seeds     []pair
-	queue     []pair  // removal worklist of cascade and of promote's refinement
-	closure   []pair  // promote: the candidate closure, in discovery order
-	tcnt      []int32 // promote: closure nodes × len(edges), tentative support counters
+	queue     []pair         // removal worklist of cascade and of promote's refinement
+	orphans   []graph.NodeID // cascade: the matches whose witness was the pair removed
+	closure   []pair         // promote: the candidate closure, in discovery order
+	tcnt      []int32        // promote: closure nodes × len(edges), tentative support counters
 }
 
 // extend appends n zero values to s.
@@ -165,16 +178,11 @@ func (e *Engine) repair(ups []graph.Update) {
 			after := s.post[i*ne+ei]
 			switch m {
 			case matched:
-				before := e.cnt[ei][v]
-				if after == before {
-					continue
-				}
-				e.cnt[ei][v] = after
-				if after < before {
-					e.stats.CounterUpdates += int64(before - after)
+				if after < 0 {
 					s.touched = append(s.touched, touch{ei, v})
-				} else {
-					e.stats.CounterUpdates += int64(after - before)
+				} else if w := graph.NodeID(after); e.wit[ei][v] != w {
+					e.wit[ei][v] = w
+					e.stats.WitnessUpdates++
 				}
 			case candidate:
 				// Gained a target it did not have: a promotion seed (promote
@@ -195,52 +203,49 @@ func (e *Engine) repair(ups []graph.Update) {
 // probe adds to S the sources a group of updates affects, on the graph as
 // it stands just before the group goes in: those that reach one of the
 // group's tails within the slack the targets downstream of the group's
-// heads leave them. A source that an earlier probe found keeps its row and
-// adds the new stakes to it. A candidate is counted here, the first time it
-// gets a stake: had an earlier group of the phase brought it a target, that
-// group's probe would have staked it, so the count is still the pre-phase
-// one.
+// heads leave them. Deletions stake matches against matching targets,
+// insertions candidates against satisfying ones. A source that an earlier
+// probe found keeps its row and adds the new stakes to it. A candidate is
+// counted here, the first time it gets a stake: had an earlier group of the
+// phase brought it a target, that group's probe would have staked it, so
+// the count is still the pre-phase one.
 func (e *Engine) probe(ups []graph.Update, insert bool) {
 	s := &e.scratch
 	ne := len(e.edges)
+	plane, role := matchPlane, matched
+	if insert {
+		plane, role = satPlane, staked
+	}
 
 	// Downstream of the heads: how close the nearest target of each pattern
 	// edge lies. The walk reports nodes nearest first, so the first hit is
-	// the minimum and the walk stops once every edge has both.
+	// the minimum and the walk stops once every edge has one.
 	s.ends = s.ends[:0]
 	for _, up := range ups {
 		s.ends = append(s.ends, up.To)
 	}
-	open := 2 * ne
+	open := ne
 	for ei := range e.edges {
-		s.nearMatch[ei], s.nearSat[ei] = -1, -1
+		s.near[ei] = -1
 	}
 	e.bfs.MultiSource(s.ends, graph.Forward, e.km-1, func(w graph.NodeID, d int) bool {
 		for ei, pe := range e.edges {
-			if s.nearSat[ei] < 0 && e.has(satPlane, pe.To, w) {
-				s.nearSat[ei] = d
-				open--
-			}
-			if s.nearMatch[ei] < 0 && e.isMatch(pe.To, w) {
-				s.nearMatch[ei] = d
+			if s.near[ei] < 0 && e.has(plane, pe.To, w) {
+				s.near[ei] = d
 				open--
 			}
 		}
 		return open > 0
 	})
 	maxSlack := -1
-	for u := range s.slackMatch {
-		s.slackMatch[u], s.slackCand[u] = -1, -1
+	for u := range s.slack {
+		s.slack[u] = -1
 		for _, ei := range e.outEdges[u] {
-			if d := s.nearMatch[ei]; d >= 0 {
-				s.slackMatch[u] = max(s.slackMatch[u], e.edges[ei].Bound-1-d)
-			}
-			// Only an insertion can promote, so only it looks at candidates.
-			if d := s.nearSat[ei]; insert && d >= 0 {
-				s.slackCand[u] = max(s.slackCand[u], e.edges[ei].Bound-1-d)
+			if d := s.near[ei]; d >= 0 {
+				s.slack[u] = max(s.slack[u], e.edges[ei].Bound-1-d)
 			}
 		}
-		maxSlack = max(maxSlack, s.slackMatch[u], s.slackCand[u])
+		maxSlack = max(maxSlack, s.slack[u])
 	}
 
 	// Upstream of the tails: the sources within slack.
@@ -251,13 +256,12 @@ func (e *Engine) probe(ups []graph.Update, insert bool) {
 	e.bfs.MultiSource(s.ends, graph.Reverse, maxSlack, func(v graph.NodeID, d int) bool {
 		stake := false
 		for u := range s.role {
-			switch {
-			case d <= s.slackMatch[u] && e.isMatch(u, v):
-				s.role[u], stake = matched, true
-			case d <= s.slackCand[u] && e.isCandidate(u, v):
-				s.role[u], stake = staked, true
-			default:
-				s.role[u] = skip
+			s.role[u] = skip
+			if d > s.slack[u] {
+				continue
+			}
+			if !insert && e.isMatch(u, v) || insert && e.isCandidate(u, v) {
+				s.role[u], stake = role, true
 			}
 		}
 		if !stake {
@@ -303,21 +307,24 @@ type walker struct {
 	want   []uint64
 }
 
-// stake is one pattern edge a walk counts targets for.
+// stake is one pattern edge a walk measures for its source.
 type stake struct {
 	ei    int    // the pattern edge
 	bound int    // its bound: targets farther away do not count
 	word  int    // where a node's row says whether it is a target: which word,
 	mask  uint64 // and which bit
-	n     int32  // targets counted so far
+	find  bool   // a matched stake: one target settles it
+	n     int32  // targets counted so far; of a matched stake the witness, -1 while it is open
 }
 
-// tally walks forward from source i on the current graph and counts into
-// its row of out, per pattern edge it has a stake in (only those in mode
-// only, if nonzero), the targets within the edge's bound: matches of the
-// edge's target node for a matched stake, satisfying nodes for a candidate
-// one. A visited node that is nobody's target is dismissed with an AND per
-// word of the walk's want mask.
+// tally walks forward from source i on the current graph and measures into
+// its row of out each pattern edge it has a stake in (only those in mode
+// only, if nonzero). A candidate stake counts the satisfying nodes within
+// the edge's bound. A matched stake wants one match of the edge's target
+// node: it is open until the walk meets one in bound, which it records as
+// the witness, and a walk with no candidate stake ends when its last open
+// stake closes. A visited node that is nobody's target is dismissed with an
+// AND per word of the walk's want mask.
 func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
 	ne := len(e.edges)
 	src := &e.scratch.srcs[i]
@@ -330,16 +337,17 @@ func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
 		}
 		pe := &e.edges[ei]
 		radius = max(radius, pe.Bound)
+		st := stake{ei: ei, bound: pe.Bound}
 		plane := satPlane
 		if m == matched {
-			plane = matchPlane
+			plane, st.find, st.n = matchPlane, true, -1
 		}
-		st := stake{ei: ei, bound: pe.Bound}
 		st.word, st.mask = e.bit(plane, pe.To)
 		wk.want[st.word] |= st.mask
 		wk.stakes = append(wk.stakes, st)
 	}
 	member, span, stakes, want, visited := e.member, e.stride, wk.stakes, wk.want, int64(0)
+	open := len(stakes) // a candidate stake never closes
 	wk.bfs.DescNonempty(src.v, radius, func(w graph.NodeID, d int) bool {
 		visited++
 		bits := member[w*span:][:len(want)]
@@ -351,11 +359,18 @@ func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
 			return true
 		}
 		for k := range stakes {
-			if st := &stakes[k]; d <= st.bound && bits[st.word]&st.mask != 0 {
+			st := &stakes[k]
+			if d > st.bound || bits[st.word]&st.mask == 0 {
+				continue
+			}
+			if !st.find {
 				st.n++
+			} else if st.n < 0 {
+				st.n = int32(w)
+				open--
 			}
 		}
-		return true
+		return open > 0
 	})
 	src.visited += visited
 	for _, st := range stakes {
@@ -363,12 +378,13 @@ func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
 	}
 }
 
-// drainTouched scans the decremented counters and cascades the zeros.
+// drainTouched removes the matched pairs a repair left short of a witness
+// (once, however many of a pair's edges are) and cascades.
 func (e *Engine) drainTouched(touched []touch) {
 	queue := e.scratch.queue[:0]
 	for _, t := range touched {
 		src := e.edges[t.ei].From
-		if e.cnt[t.ei][t.v] == 0 && e.isMatch(src, t.v) {
+		if e.isMatch(src, t.v) {
 			e.clearMatch(src, t.v)
 			queue = append(queue, pair{src, t.v})
 		}
@@ -407,7 +423,7 @@ func (e *Engine) unitDelta(up graph.Update) (bool, rel.Delta) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.beginChanges()
-	ok := e.batchLocked([]graph.Update{up}, nil) > 0
+	ok := e.batchLocked([]graph.Update{up}) > 0
 	return ok, e.endChanges()
 }
 
@@ -421,32 +437,26 @@ func (e *Engine) Batch(ups []graph.Update) {
 // BatchDelta is Batch additionally reporting the visible match delta ΔM of
 // the whole batch (with intra-batch remove/add cancellation).
 func (e *Engine) BatchDelta(ups []graph.Update) rel.Delta {
-	d, _ := e.BatchNet(ups, nil)
+	d, _, _ := e.BatchNet(ups)
 	return d
 }
 
 // BatchNet is BatchDelta for a caller that reports on the batch as well as
-// applying it: it also returns the write's own share of Stats, and inspect,
-// if not nil, is handed the batch's net update list — same-edge cancellation
-// done, nothing applied yet — under the write lock, where MatchSets still
-// holds the pre-batch match. inspect must not keep the list or call the
-// engine's locking methods.
-func (e *Engine) BatchNet(ups []graph.Update, inspect func(net []graph.Update)) (rel.Delta, Stats) {
+// applying it: it also returns the write's own share of Stats and the number
+// of updates the batch netted to (same-edge cancellation done).
+func (e *Engine) BatchNet(ups []graph.Update) (rel.Delta, Stats, int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	before := e.stats
 	e.beginChanges()
-	e.batchLocked(ups, inspect)
-	return e.endChanges(), e.stats.minus(before)
+	net := e.batchLocked(ups)
+	return e.endChanges(), e.stats.minus(before), net
 }
 
 // batchLocked repairs the net effect of ups, one phase per update kind, and
 // returns the number of net updates.
-func (e *Engine) batchLocked(ups []graph.Update, inspect func(net []graph.Update)) int {
+func (e *Engine) batchLocked(ups []graph.Update) int {
 	net := graph.NetUpdates(e.g, ups)
-	if inspect != nil {
-		inspect(net)
-	}
 	for _, op := range [...]graph.Op{graph.DeleteEdge, graph.InsertEdge} {
 		phase := e.scratch.phase[:0]
 		for _, up := range net {
@@ -472,7 +482,7 @@ func (e *Engine) ApplyDelta(ups []graph.Update) rel.Delta {
 	defer e.mu.Unlock()
 	e.beginChanges()
 	for i := range ups {
-		e.batchLocked(ups[i:i+1], nil)
+		e.batchLocked(ups[i : i+1])
 	}
 	return e.endChanges()
 }
@@ -563,12 +573,14 @@ func (e *Engine) promote(seeds []pair) {
 	}
 	s.queue = queue
 
-	// What is still tentative is promoted. The tentative bits stay up until
-	// the counters are settled: they tell the new matches from the old.
+	// What is still tentative is promoted, and once every promoted pair is a
+	// match each finds a witness per out-edge, among the old matches and the
+	// new. No match of before is touched: its witnesses stand.
 	promoted := s.closure[:0]
 	for _, pr := range s.closure {
 		s.at[pr.v] = 0
 		if e.has(tentPlane, pr.u, pr.v) {
+			e.clearBit(tentPlane, pr.u, pr.v)
 			e.setMatch(pr.u, pr.v)
 			e.stats.Promotions++
 			e.cs.NoteAdded(pr.u, pr.v)
@@ -577,29 +589,8 @@ func (e *Engine) promote(seeds []pair) {
 	}
 	for _, pr := range promoted {
 		for _, ei := range e.outEdges[pr.u] {
-			pe := e.edges[ei]
-			c := int32(0)
-			e.bfs.DescNonempty(pr.v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if e.isMatch(pe.To, w) {
-					c++
-				}
-				return true
-			})
-			e.cnt[ei][pr.v] = c
-			e.stats.CounterUpdates++
+			e.wit[ei][pr.v] = e.find(ei, pr.v)
+			e.stats.WitnessUpdates++
 		}
-		for _, ei := range e.inEdges[pr.u] {
-			pe := e.edges[ei]
-			e.bfs.AncNonempty(pr.v, pe.Bound, func(w graph.NodeID, d int) bool {
-				if e.isMatch(pe.From, w) && !e.has(tentPlane, pe.From, w) {
-					e.cnt[ei][w]++
-					e.stats.CounterUpdates++
-				}
-				return true
-			})
-		}
-	}
-	for _, pr := range promoted {
-		e.clearBit(tentPlane, pr.u, pr.v)
 	}
 }

@@ -5,19 +5,20 @@ package incsim
 // insertions together. The rest of minDelta is here: relevance filtering
 // against match()/candt() and topological-rank redundancy elimination
 // (Lemma 5.1). Both only report — the core's probe finds nothing to repair
-// around an update they would drop, so the repair does not need them.
+// around an update they would drop, so the repair does not need them, and
+// Batch does not run them: MinDelta does, for the caller that wants the
+// reduction statistics.
 
 import (
 	"gpm/internal/graph"
 	"gpm/internal/rel"
 )
 
-// BatchResult reports what a batch application did — the minDelta reduction
-// statistics of Fig. 20(a) plus the affected-area outcome.
+// BatchResult reports what a batch application did: the cancellation half of
+// the minDelta reduction plus the affected-area outcome.
 type BatchResult struct {
 	Original  int // updates submitted
 	Effective int // after same-edge cancellation against the graph state
-	Relevant  int // after relevance filtering (MinDelta: and rank filtering)
 	Removed   int // match pairs removed
 	Added     int // match pairs added
 }
@@ -32,16 +33,8 @@ func (e *Engine) Batch(ups []graph.Update) BatchResult {
 // BatchDelta is Batch additionally reporting the visible match delta ΔM of
 // the whole batch (with intra-batch remove/add cancellation).
 func (e *Engine) BatchDelta(ups []graph.Update) (BatchResult, rel.Delta) {
-	res := BatchResult{Original: len(ups)}
-	// The hot path uses the cancellation + relevance reductions only; the
-	// topological-rank filter (Lemma 5.1) costs an O(|G|) pass, which pays
-	// off for reporting (MinDelta) but not here.
-	d, st := e.BatchNet(ups, func(net []graph.Update) {
-		res.Effective = len(net)
-		res.Relevant = e.relevant(net, nil)
-	})
-	res.Removed, res.Added = int(st.Removals), int(st.Promotions)
-	return res, d
+	d, st, net := e.BatchNet(ups)
+	return BatchResult{Original: len(ups), Effective: net, Removed: int(st.Removals), Added: int(st.Promotions)}, d
 }
 
 // rankInfo holds the topological ranks used by the Lemma 5.1 filter:
@@ -63,21 +56,9 @@ func (e *Engine) relevanceRanks(g graph.View, net []graph.Update) *rankInfo {
 	return &rankInfo{pat: e.Pattern().AsGraph().TopologicalRanks(), data: g2.TopologicalRanks()}
 }
 
-// relevant counts the updates of net that can possibly change the match or
-// the auxiliary counters. It reads the live match sets, so the caller must
-// hold the core's lock (BatchNet's inspect, ReadGraph).
-func (e *Engine) relevant(net []graph.Update, ranks *rankInfo) int {
-	n := 0
-	for _, up := range net {
-		if e.isRelevant(up, ranks) {
-			n++
-		}
-	}
-	return n
-}
-
 // isRelevant is the filtering of minDelta, lines 1-6 of Fig. 10, plus the
-// rank rule of Lemma 5.1 when ranks is not nil.
+// rank rule of Lemma 5.1: whether up can possibly change the match. It reads
+// the live match sets, so the caller must hold the core's lock (ReadGraph).
 func (e *Engine) isRelevant(up graph.Update, ranks *rankInfo) bool {
 	match, sat := e.MatchSets(), e.SatSets()
 	for _, pe := range e.edges {
@@ -94,11 +75,9 @@ func (e *Engine) isRelevant(up graph.Update, ranks *rankInfo) bool {
 		}
 		// …and by Lemma 5.1 a node whose rank is below the pattern node's
 		// can never match it, so such an edge can never contribute.
-		if ranks != nil {
-			if !rankLE(ranks.pat[pe.From], ranks.data[up.From]) ||
-				!rankLE(ranks.pat[pe.To], ranks.data[up.To]) {
-				continue
-			}
+		if !rankLE(ranks.pat[pe.From], ranks.data[up.From]) ||
+			!rankLE(ranks.pat[pe.To], ranks.data[up.To]) {
+			continue
 		}
 		return true
 	}
@@ -113,16 +92,20 @@ func rankLE(ru, rv int) bool {
 	return rv == graph.RankInfinite || ru <= rv
 }
 
-// MinDelta exposes the update-reduction statistics without applying
-// anything: it reports how many of the submitted updates survive
-// cancellation and relevance/rank filtering (Fig. 20(a)). The engine and
-// graph are left untouched.
-func (e *Engine) MinDelta(ups []graph.Update) BatchResult {
-	res := BatchResult{Original: len(ups)}
+// MinDelta reports the update-reduction statistics of Fig. 20(a) without
+// applying anything: how many updates were submitted, how many survive
+// same-edge cancellation, and how many of those survive the relevance and
+// rank filters. The engine and graph are left untouched.
+func (e *Engine) MinDelta(ups []graph.Update) (original, effective, relevant int) {
 	e.ReadGraph(func(g graph.View) {
 		net := graph.NetUpdates(g, ups)
-		res.Effective = len(net)
-		res.Relevant = e.relevant(net, e.relevanceRanks(g, net))
+		ranks := e.relevanceRanks(g, net)
+		for _, up := range net {
+			if e.isRelevant(up, ranks) {
+				relevant++
+			}
+		}
+		effective = len(net)
 	})
-	return res
+	return len(ups), effective, relevant
 }

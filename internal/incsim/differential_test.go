@@ -126,7 +126,7 @@ func differential(t *testing.T, seed int64) {
 				if d := rel.DeltaOf(prev, got); !slices.Equal(delta.Removed, d.Removed) || !slices.Equal(delta.Added, d.Added) {
 					t.Fatalf("%s: reported delta %v, results differ by %v", where, delta, d)
 				}
-				if res.Original != len(batch) || res.Effective != len(net) || res.Relevant > res.Effective {
+				if res.Original != len(batch) || res.Effective != len(net) {
 					t.Fatalf("%s: %+v for a batch of %d that nets to %d", where, res, len(batch), len(net))
 				}
 			}

@@ -9,13 +9,16 @@
 // implemented by delegation: match(u) — the per-pattern-node maximum
 // simulation sets, kept as the greatest relation per node even when some
 // pattern node has no match, the "partial matches" of Example 4.3 —
-// candt(u) = sat(u) \ match(u), the support counters, the deletion cascade,
-// the candidate-closure promotion, the ΔM change-set, the cached Result
-// snapshot, the locking, and Stats. On a normal pattern every walk of the
-// core has radius 1, that is, it reads one adjacency list. What this
-// package adds is what Section 5 has and Section 6 has not: the
-// normal-pattern check, BatchResult, and the relevance and rank filters of
-// minDelta (batch.go).
+// candt(u) = sat(u) \ match(u), the supports (one witness child per matched
+// pair and pattern edge, where Fig. 8 keeps a count: IncMatch⁻ only asks
+// whether a support is left), the deletion cascade, the candidate-closure
+// promotion, the ΔM change-set, the cached Result snapshot, the locking, and
+// Stats. On a normal pattern every walk of the core has radius 1, that is,
+// it reads one adjacency list, and the walk of a match whose edge was
+// deleted stops at the first child that still matches. What this package
+// adds is what Section 5 has and Section 6 has not: the normal-pattern
+// check, BatchResult, and the relevance and rank filters of minDelta
+// (batch.go), which only MinDelta runs.
 //
 // Three things the merge gave up:
 //
@@ -44,8 +47,8 @@ import (
 // Stats tallies the affected area AFF touched by incremental maintenance;
 // they are the core's tallies. Total — the scalar |AFF| that bench/ sums
 // into incsim.aff_per_update — adds all five fields, PairsExamined (the
-// nodes the repair's radius-1 walks visited) included, and ResetStats
-// zeroes those same five.
+// nodes the repair's radius-1 walks and witness searches visited) included,
+// and ResetStats zeroes those same five.
 type Stats = incbsim.Stats
 
 // Engine maintains the maximum simulation of a normal pattern over a

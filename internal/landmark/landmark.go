@@ -26,8 +26,8 @@ const unreachable32 = int32(1) << 30
 // Index is a maintained landmark + distance-vector structure over a graph.
 // All edge updates must go through Insert/Delete/Batch so the vectors stay
 // exact. Nodes are appended to the graph directly; the index takes them in
-// at its next Insert, Delete or Batch, and must not be asked about them
-// before.
+// at its next Insert, Delete or Batch. Until then Dist answers for such a
+// node what is true of it: it has no indexed edge, so it reaches nothing.
 type Index struct {
 	g    *graph.Graph
 	lms  []graph.NodeID // the landmark vector
@@ -220,6 +220,11 @@ func (ix *Index) Bytes() int64 {
 func (ix *Index) Dist(u, v graph.NodeID) int {
 	if u == v {
 		return 0
+	}
+	if n := len(ix.isLM); u >= n || v >= n {
+		// Appended since the last update: the vectors do not cover it yet,
+		// and an update would have grown them before adding its first edge.
+		return graph.Unreachable
 	}
 	best := unreachable32
 	for i := range ix.lms {

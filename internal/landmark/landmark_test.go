@@ -189,6 +189,34 @@ func TestIndexGraphGainsNodes(t *testing.T) {
 	}
 }
 
+// TestDistOnAppendedNode: a node appended since the last update is outside
+// the distance vectors; it has no edge yet, so Dist must say unreachable (0 to
+// itself) instead of indexing past them.
+func TestDistOnAppendedNode(t *testing.T) {
+	g := graph.New()
+	a := g.AddNode(nil)
+	b := g.AddNode(nil)
+	if _, err := g.AddEdge(a, b); err != nil {
+		t.Fatal(err)
+	}
+	ix := New(g)
+	c := g.AddNode(nil)
+	for _, q := range [][3]graph.NodeID{{a, c, graph.Unreachable}, {c, b, graph.Unreachable}, {c, c, 0}, {a, b, 1}} {
+		if d := ix.Dist(q[0], q[1]); d != q[2] {
+			t.Fatalf("Dist(%d,%d) = %d with node %d appended since New, want %d", q[0], q[1], d, c, q[2])
+		}
+	}
+	if !ix.Insert(b, c) {
+		t.Fatal("Insert(b, c): not applied")
+	}
+	if d := ix.Dist(a, c); d != 2 {
+		t.Fatalf("Dist(a,c) = %d once the edge is in, want 2", d)
+	}
+	if err := ix.verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDeleteKeepsLandmarks(t *testing.T) {
 	// Proposition 6.2: deletions never force landmark changes.
 	g := generator.RandomGraph(12, 24, 2, 21)
