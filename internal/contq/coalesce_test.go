@@ -269,7 +269,7 @@ func TestPanickingEngineIsEvicted(t *testing.T) {
 	check := func(applied []graph.Update) {
 		t.Helper()
 		g2 := solo.Clone()
-		m, err := newMatcher(KindSim, p, g2, 1)
+		m, err := newMatcher(KindSim, p, g2)
 		if err != nil {
 			t.Fatal(err)
 		}

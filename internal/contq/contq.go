@@ -161,22 +161,19 @@ type Registry struct {
 	g       *graph.Graph // the ONE canonical graph all engines read through
 	pats    map[string]*registration
 	seq     uint64
-	workers int // fan-out parallelism across engines (0 = default)
-	engineW int // worker count handed to each engine's internal sweeps
+	workers int // fan-out parallelism across engines and network nodes (0 = default)
 	closed  bool
 
-	// net, when non-nil, is the shared sub-pattern evaluation network:
-	// sim/bsim patterns register into it instead of getting private
-	// engines, so structurally overlapping standing patterns share
-	// predicate satisfaction sets, single-edge match state and — for
-	// patterns identical up to node renumbering — whole engines. The
-	// writer repairs the network once per commit (before the matcher
+	// net is the shared sub-pattern evaluation network: every sim/bsim
+	// pattern registers into it, so structurally overlapping standing
+	// patterns share predicate satisfaction sets, single-edge match state
+	// and — for patterns identical up to node renumbering — whole engines.
+	// The writer repairs the network once per commit (before the matcher
 	// fan-out); each pattern's matcher then just reads its remapped delta.
-	// Iso patterns always stay private (embedding enumeration does not
-	// decompose), as do the throwaway engines FromSeq backfill builds over
-	// rewound graphs. Nil when WithoutNetwork was given.
-	net   *gdn.Network
-	noNet bool
+	// Iso patterns stay private (embedding enumeration does not decompose),
+	// as do the throwaway engines FromSeq backfill builds over rewound
+	// graphs.
+	net *gdn.Network
 
 	// journal, when set, records every commit (seq + net ΔG) and pattern
 	// registration/unregistration, making the commit stream replayable:
@@ -251,7 +248,9 @@ type applyReq struct {
 type Option func(*Registry)
 
 // WithWorkers bounds how many engines repair concurrently during one
-// commit's fan-out (0 = par.DefaultWorkers).
+// commit's fan-out, and how many nodes the shared network repairs
+// concurrently; it is also each network engine's internal sweep width
+// (0 = par.DefaultWorkers).
 func WithWorkers(n int) Option {
 	return func(r *Registry) { r.workers = n }
 }
@@ -268,15 +267,6 @@ func WithJournal(j *journal.Journal) Option {
 	return func(r *Registry) { r.journal = j }
 }
 
-// WithEngineWorkers sets the worker count passed to each engine's internal
-// parallel sweeps. The default is 1: with many engines repairing
-// concurrently, per-engine parallelism would oversubscribe the cores, so
-// intra-engine sweeps stay serial unless explicitly raised (useful for a
-// registry serving a single heavy pattern).
-func WithEngineWorkers(n int) Option {
-	return func(r *Registry) { r.engineW = n }
-}
-
 // WithTracer directs the registry's commit spans into t instead of the
 // process-wide trace.Default() (which is off). The commit pipeline opens
 // one span per stage under the caller's trace — or a fresh root trace
@@ -286,20 +276,12 @@ func WithTracer(t *trace.Tracer) Option {
 	return func(r *Registry) { r.tracer = t }
 }
 
-// WithoutNetwork disables the shared sub-pattern evaluation network:
-// every pattern gets a private engine, the organisation the registry had
-// before the network existed. Mainly for equivalence tests and A/B
-// benchmarks; results and deltas are identical either way.
-func WithoutNetwork() Option {
-	return func(r *Registry) { r.noNet = true }
-}
-
 // New builds a registry over g, taking ownership of it. When a journal is
 // attached (WithJournal) and it is brand new, it is seeded with a
 // snapshot of g so crash recovery can replay commits over the starting
 // state.
 func New(g *graph.Graph, options ...Option) *Registry {
-	r := &Registry{g: g, pats: make(map[string]*registration), engineW: 1}
+	r := &Registry{g: g, pats: make(map[string]*registration)}
 	for _, o := range options {
 		o(r)
 	}
@@ -310,9 +292,7 @@ func New(g *graph.Graph, options ...Option) *Registry {
 		r.tracer = trace.Default()
 	}
 	r.met = newMetrics(r.obsReg)
-	if !r.noNet {
-		r.net = gdn.New(g, r.workers)
-	}
+	r.net = gdn.New(g, r.workers)
 	if r.journal != nil {
 		r.journal.Bootstrap(g) //nolint:errcheck // failure lands in journal.Stats.LastError
 	}
@@ -344,22 +324,21 @@ func (r *Registry) Register(id string, p *pattern.Pattern, kind Kind) error {
 	}
 	// Engines share the canonical graph: each reads it through a private
 	// update overlay, so registering P patterns costs P × pattern-state,
-	// not P graph clones. Sim/bsim patterns go one step further and enter
-	// the shared evaluation network, where structurally identical
-	// sub-patterns (and whole patterns, up to renumbering) share state
-	// with every other registered pattern.
+	// not P graph clones. Sim/bsim patterns enter the shared evaluation
+	// network, where structurally identical sub-patterns (and whole
+	// patterns, up to renumbering) share state with every other registered
+	// pattern; an iso pattern gets a private engine.
 	var m matcher
-	if r.net != nil && (kind == KindSim || kind == KindBSim) {
+	if kind == KindSim || kind == KindBSim {
 		h, herr := r.net.Register(string(kind), p)
 		if herr != nil {
-			// The network only rejects patterns that do not fit the kind
-			// (same contract as the private engines' constructors).
+			// The network only rejects patterns that do not fit the kind.
 			return fmt.Errorf("%w: %w", ErrBadKind, herr)
 		}
 		m = netMatcher{h}
 	} else {
 		var err error
-		m, err = newMatcher(kind, p, r.g, r.engineW)
+		m, err = newMatcher(kind, p, r.g)
 		if err != nil {
 			return err
 		}
@@ -741,7 +720,7 @@ func (r *Registry) commitEffectiveLocked(c effectiveCommit) (seq uint64, jerr, e
 	// whose repair panicked marks itself broken; the affected patterns'
 	// matchers then panic inside the fan-out and are evicted individually,
 	// exactly like a private engine that panicked.
-	if r.net != nil && len(effective) > 0 {
+	if len(effective) > 0 {
 		netStart := time.Now()
 		nspan := r.tracer.StartSpanAt(cspan.Context(), "stage.network", netStart)
 		var savedBefore int64
@@ -1087,12 +1066,12 @@ type Stats struct {
 	// panicked during a repair (their match state became undefined); a
 	// nonzero value means subscribers saw their streams close.
 	PatternsEvicted uint64 `json:"patterns_evicted"`
-	// Network, when the registry runs the shared sub-pattern evaluation
-	// network (the default), reports its shape and sharing counters: how
-	// many shared nodes back the registered patterns, how many
-	// registrations reused an existing join, and how many per-pattern
-	// repairs sharing plus relevance filtering saved. Nil when the
-	// registry was built WithoutNetwork.
+	// Network reports the shared sub-pattern evaluation network's shape and
+	// sharing counters: how many shared nodes back the registered sim/bsim
+	// patterns, how many registrations reused an existing join, and how
+	// many per-pattern repairs sharing plus relevance filtering saved.
+	// Always set; a pointer because the wire format has always carried it
+	// as an optional block.
 	Network *gdn.Stats `json:"network,omitempty"`
 	// Journal, when the registry has one, reports the commit log's
 	// retention and footprint (appended commits, segments, bytes, oldest
@@ -1122,17 +1101,13 @@ func (r *Registry) Stats() Stats {
 		s := r.journal.Stats()
 		js = &s
 	}
-	var ns *gdn.Stats
-	if r.net != nil {
-		s := r.net.Stats()
-		ns = &s
-	}
+	ns := r.net.Stats()
 	ts := r.met.timingStats()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return Stats{
 		Journal:          js,
-		Network:          ns,
+		Network:          &ns,
 		Timings:          ts,
 		Patterns:         len(r.pats),
 		Seq:              r.seq,

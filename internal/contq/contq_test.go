@@ -106,7 +106,7 @@ func TestRegistryFanOutMatchesSoloEngines(t *testing.T) {
 			t.Fatalf("%s missing", id)
 		}
 		g2 := solo.Clone()
-		m, err := newMatcher(kind, built[id], g2, 1)
+		m, err := newMatcher(kind, built[id], g2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestRelationViewOfIsoMatchesEnumeration(t *testing.T) {
 
 	// Rebuild from scratch on an identical graph.
 	g2 := generator.Synthetic(50, 150, generator.DefaultSchema(3), seed)
-	m, err := newMatcher(KindIso, p, g2, 1)
+	m, err := newMatcher(KindIso, p, g2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"gpm/internal/gdn"
 	"gpm/internal/graph"
 	"gpm/internal/incbsim"
-	"gpm/internal/incsim"
 	"gpm/internal/iso"
 	"gpm/internal/pattern"
 	"gpm/internal/rel"
@@ -32,21 +31,15 @@ type matcher interface {
 	release()
 }
 
-// newMatcher builds the engine for a kind over the shared base view. No
-// graph replica is allocated: per-pattern memory is the engine's auxiliary
-// state plus an empty O(|ΔG|-per-batch) overlay.
-func newMatcher(kind Kind, p *pattern.Pattern, base graph.View, workers int) (matcher, error) {
+// newMatcher builds a private engine over base: a live iso pattern's, or
+// FromSeq backfill's throwaway replay engine of any kind. A sim/bsim one
+// comes from gdn.NewEngine and repairs serially, because a resume runs
+// beside the writer's fan-out. No graph replica is allocated: per-pattern
+// memory is the engine's auxiliary state plus an O(|ΔG|-per-batch) overlay.
+func newMatcher(kind Kind, p *pattern.Pattern, base graph.View) (matcher, error) {
 	switch kind {
-	case KindSim:
-		// A sim engine only rejects patterns that do not fit the kind; the
-		// engine it builds is the repair core a bsim pattern gets.
-		eng, err := incsim.NewShared(p, base, incsim.WithWorkers(workers))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadKind, err)
-		}
-		return coreMatcher{eng.Engine}, nil
-	case KindBSim:
-		eng, err := incbsim.NewShared(p, base, incbsim.WithWorkers(workers))
+	case KindSim, KindBSim:
+		eng, err := gdn.NewEngine(string(kind), p, base, incbsim.WithWorkers(1))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadKind, err)
 		}
@@ -64,9 +57,9 @@ func newMatcher(kind Kind, p *pattern.Pattern, base graph.View, workers int) (ma
 	}
 }
 
-// coreMatcher backs a normal pattern (incremental graph simulation) or a
-// b-pattern (incremental bounded simulation) with the repair core the two
-// share.
+// coreMatcher replays a normal pattern (incremental graph simulation) or a
+// b-pattern (incremental bounded simulation) for FromSeq backfill, on the
+// repair core the two share.
 type coreMatcher struct{ eng *incbsim.Engine }
 
 func (m coreMatcher) apply(ups []graph.Update) rel.Delta { return m.eng.BatchDelta(ups) }

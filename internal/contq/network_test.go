@@ -11,10 +11,10 @@ import (
 )
 
 // These tests pin the shared evaluation network's registry-level contract:
-// a registry routing sim/bsim patterns through internal/gdn must be
-// observationally identical to one built WithoutNetwork — same Result,
-// same per-commit ΔM on subscriptions, same FromSeq backfill — while its
-// sharing counters prove the marginal cost of overlapping patterns drops.
+// every sim/bsim pattern lives in internal/gdn, the registry's Result and
+// per-commit ΔM on subscriptions must equal the from-scratch oracles,
+// FromSeq backfill must reproduce that live feed, and the sharing counters
+// must prove the marginal cost of overlapping patterns drops.
 
 // renumberPattern relabels p by the permutation m (m[orig] = new id).
 func renumberPattern(t *testing.T, p *pattern.Pattern, m []int) *pattern.Pattern {
@@ -54,19 +54,16 @@ func sameDelta(a, b rel.Delta) bool {
 	return true
 }
 
-// TestNetworkRegistryEquivalence drives a networked registry and a
-// WithoutNetwork twin with the same patterns and the same update stream,
-// asserting every subscriber event and every Result snapshot agree.
+// TestNetworkRegistryEquivalence drives a registry holding renumbered
+// sim/bsim twins (which share joins), an auto pattern and an iso pattern
+// with one update stream, and holds every Result and every subscriber event
+// to the oracle: Result equals the from-scratch match at every seq, and each
+// event's delta is exactly the oracle's change across its commit.
 func TestNetworkRegistryEquivalence(t *testing.T) {
 	seed := int64(31)
 	g := generator.RandomGraph(50, 120, 3, seed)
-	netReg := New(g.Clone())
-	defer netReg.Close()
-	privReg := New(g.Clone(), WithoutNetwork())
-	defer privReg.Close()
-	if netReg.net == nil || privReg.net != nil {
-		t.Fatalf("network default wrong: net=%v priv=%v", netReg.net, privReg.net)
-	}
+	reg := New(g)
+	defer reg.Close()
 
 	sim := generator.RandomPattern(3, 3, 3, 1, seed+1)
 	bsim := generator.RandomPattern(3, 3, 3, 3, seed+2)
@@ -81,61 +78,61 @@ func TestNetworkRegistryEquivalence(t *testing.T) {
 		"auto":      {generator.RandomPattern(2, 2, 3, 1, seed+3), KindAuto},
 		"iso":       {generator.RandomPattern(2, 1, 3, 1, seed+4), KindIso},
 	}
-	subs := make(map[string][2]*Subscription)
+	type standing struct {
+		p    *pattern.Pattern
+		kind Kind // resolved
+		sub  *Subscription
+		prev rel.Relation // the oracle at the last checked seq
+	}
+	live := make(map[string]*standing)
 	for id, pk := range pats {
-		for i, reg := range []*Registry{netReg, privReg} {
-			if err := reg.Register(id, pk.p.Clone(), pk.kind); err != nil {
-				t.Fatalf("%s on registry %d: %v", id, i, err)
-			}
-			s, err := reg.Subscribe(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pair := subs[id]
-			pair[i] = s
-			subs[id] = pair
+		if err := reg.Register(id, pk.p, pk.kind); err != nil {
+			t.Fatalf("%s: %v", id, err)
 		}
-		if !subs[id][0].Snapshot.Equal(subs[id][1].Snapshot) {
-			t.Fatalf("%s: initial snapshots differ", id)
+		kind, _ := reg.Kind(id)
+		s, err := reg.Subscribe(id)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := oracleMatch(kind, pk.p, reg.g)
+		if !s.Snapshot.Equal(want) {
+			t.Fatalf("%s: initial snapshot %v, from scratch %v", id, s.Snapshot, want)
+		}
+		live[id] = &standing{p: pk.p, kind: kind, sub: s, prev: want}
 	}
 
 	rng := rand.New(rand.NewSource(seed))
+	moved := 0
 	for round := 0; round < 30; round++ {
-		ups := generator.Updates(netReg.g, 1+rng.Intn(4), rng.Intn(3), seed+int64(100+round))
-		s1, err := netReg.Apply(ups)
+		ups := generator.Updates(reg.g, 1+rng.Intn(4), rng.Intn(3), seed+int64(100+round))
+		seq, err := reg.Apply(ups)
 		if err != nil {
-			t.Fatalf("round %d net apply: %v", round, err)
+			t.Fatalf("round %d apply: %v", round, err)
 		}
-		s2, err := privReg.Apply(ups)
-		if err != nil {
-			t.Fatalf("round %d private apply: %v", round, err)
-		}
-		if s1 != s2 {
-			t.Fatalf("round %d: seqs diverged %d vs %d", round, s1, s2)
-		}
-		for id, pair := range subs {
-			evN, evP := <-pair[0].C, <-pair[1].C
-			if evN.Seq != s1 || evP.Seq != s1 {
-				t.Fatalf("round %d %s: event seqs %d/%d want %d", round, id, evN.Seq, evP.Seq, s1)
+		for id, s := range live {
+			now := oracleMatch(s.kind, s.p, reg.g)
+			ev := <-s.sub.C
+			if ev.Seq != seq {
+				t.Fatalf("round %d %s: event seq %d want %d", round, id, ev.Seq, seq)
 			}
-			if !sameDelta(evN.Delta, evP.Delta) {
-				t.Fatalf("round %d %s: delta mismatch\n net  %+v\n priv %+v", round, id, evN.Delta, evP.Delta)
+			if want := rel.DeltaOf(s.prev, now); !sameDelta(ev.Delta, want) {
+				t.Fatalf("round %d %s: delta mismatch\n got  %+v\n want %+v", round, id, ev.Delta, want)
 			}
-			rN, _ := netReg.Result(id)
-			rP, _ := privReg.Result(id)
-			if !rN.Equal(rP) {
-				t.Fatalf("round %d %s: results diverged", round, id)
+			if got, _ := reg.Result(id); !got.Equal(now) {
+				t.Fatalf("round %d %s: Result %v, from scratch %v", round, id, got, now)
 			}
+			if !ev.Delta.Empty() {
+				moved++
+			}
+			s.prev = now
 		}
+	}
+	if moved == 0 {
+		t.Fatal("no pattern's match moved over 30 commits: the stream exercised nothing")
 	}
 
-	// The networked registry must expose sharing evidence; the private one
-	// must not expose a network block at all.
-	ns := netReg.Stats().Network
-	if ns == nil {
-		t.Fatal("networked registry has no network stats")
-	}
+	// The twins share joins, and sharing saved repairs.
+	ns := reg.Stats().Network
 	if ns.Patterns != 5 { // iso stays outside the network
 		t.Fatalf("want 5 network patterns, got %+v", ns)
 	}
@@ -145,14 +142,12 @@ func TestNetworkRegistryEquivalence(t *testing.T) {
 	if ns.RepairsSaved == 0 {
 		t.Fatalf("no repairs saved over 30 commits: %+v", ns)
 	}
-	if privReg.Stats().Network != nil {
-		t.Fatal("WithoutNetwork registry exposes network stats")
-	}
 }
 
 // TestNetworkFromSeqBackfillEquivalence: a FromSeq resume backfills deltas
 // through a private replay engine, so its events must reproduce exactly
-// what the network-backed live feed delivered for the same commits.
+// what the network-backed (or, for iso, private) live feed delivered for
+// the same commits — and a resume must leave the live network as it was.
 func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 	seed := int64(47)
 	g := generator.RandomGraph(40, 100, 3, seed)
@@ -161,16 +156,33 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 
 	sim := generator.RandomPattern(3, 3, 3, 1, seed+1)
 	bsim := generator.RandomPattern(3, 2, 3, 3, seed+2)
-	for id, pk := range map[string]struct {
-		p    *pattern.Pattern
-		kind Kind
-	}{"sim": {sim, KindSim}, "sim-twin": {renumberPattern(t, sim, []int{1, 2, 0}), KindSim}, "bsim": {bsim, KindBSim}} {
-		if err := reg.Register(id, pk.p, pk.kind); err != nil {
+	// A bound-2 path: distance-sensitive edge nodes, which the network's
+	// relevance filter never skips.
+	bsim2 := pattern.New()
+	for _, l := range []string{"a", "b", "c"} {
+		bsim2.AddNode(pattern.Label(l))
+	}
+	for u := 0; u < 2; u++ {
+		if err := bsim2.AddEdge(u, u+1, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
+	pats := map[string]struct {
+		p    *pattern.Pattern
+		kind Kind
+	}{
+		"sim":        {sim, KindSim},
+		"sim-twin":   {renumberPattern(t, sim, []int{1, 2, 0}), KindSim},
+		"bsim":       {bsim, KindBSim},
+		"bsim2":      {bsim2, KindBSim},
+		"bsim2-twin": {renumberPattern(t, bsim2, []int{2, 0, 1}), KindBSim},
+		"iso":        {generator.RandomPattern(3, 2, 3, 1, seed+3), KindIso},
+	}
 	live := make(map[string]*Subscription)
-	for id := range map[string]bool{"sim": true, "sim-twin": true, "bsim": true} {
+	for id, pk := range pats {
+		if err := reg.Register(id, pk.p, pk.kind); err != nil {
+			t.Fatal(err)
+		}
 		s, err := reg.Subscribe(id)
 		if err != nil {
 			t.Fatal(err)
@@ -190,6 +202,8 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 		}
 	}
 
+	before := *reg.Stats().Network
+	moved := 0
 	for id, evs := range liveEvents {
 		from := uint64(commits / 3)
 		s, err := reg.Subscribe(id, FromSeq(from))
@@ -197,6 +211,9 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 			t.Fatalf("%s FromSeq(%d): %v", id, from, err)
 		}
 		for _, want := range evs[from:] {
+			if !want.Delta.Empty() {
+				moved++
+			}
 			got := <-s.C
 			if got.Seq != want.Seq || !sameDelta(got.Delta, want.Delta) {
 				t.Fatalf("%s: backfilled seq %d diverged from live feed\n got  %+v\n want %+v",
@@ -204,6 +221,13 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 			}
 		}
 		s.Cancel()
+	}
+	if moved == 0 {
+		t.Fatal("no backfilled delta was nonempty: the resumes replayed nothing")
+	}
+	after := *reg.Stats().Network
+	if after.Patterns != before.Patterns || after.JoinNodes != before.JoinNodes || after.RegisterReused != before.RegisterReused {
+		t.Fatalf("resumes touched the live network: before %+v, after %+v", before, after)
 	}
 }
 

@@ -51,8 +51,8 @@ func TestRecoverEqualsLive(t *testing.T) {
 	}
 }
 
-// recoverOracle is the from-scratch match of a registered kind.
-func recoverOracle(kind Kind, p *pattern.Pattern, g *graph.Graph) rel.Relation {
+// oracleMatch is the from-scratch match of a registered kind.
+func oracleMatch(kind Kind, p *pattern.Pattern, g *graph.Graph) rel.Relation {
 	switch kind {
 	case KindSim:
 		return simulation.Maximum(p, g)
@@ -218,7 +218,7 @@ func recoverEqualsLive(t *testing.T, seed int64) uint64 {
 		if liveRes, _ := live.Result(id); !res.Equal(liveRes) {
 			t.Fatalf("seed %d: pattern %s: recovered %v, live %v", seed, id, res, liveRes)
 		}
-		if scratch := recoverOracle(s.kind, s.p, rg); !res.Equal(scratch) {
+		if scratch := oracleMatch(s.kind, s.p, rg); !res.Equal(scratch) {
 			t.Fatalf("seed %d: pattern %s (%s): recovered %v, from scratch %v", seed, id, s.kind, res, scratch)
 		}
 	}

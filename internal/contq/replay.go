@@ -182,7 +182,7 @@ func (r *Registry) backfill(ctx context.Context, reg *registration, base *graph.
 			}
 		}
 	}
-	m, err := newMatcher(reg.kind, reg.p, base, r.engineW)
+	m, err := newMatcher(reg.kind, reg.p, base)
 	if err != nil {
 		return nil, fmt.Errorf("contq: rebuilding %q engine for replay: %w", reg.id, err)
 	}

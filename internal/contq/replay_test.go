@@ -294,7 +294,7 @@ func TestRecoverFromJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		g0 := generator.Synthetic(60, 240, generator.DefaultSchema(3), seed)
-		m, err := newMatcher(KindSim, testPattern(g0, KindSim, seed), g0, 1)
+		m, err := newMatcher(KindSim, testPattern(g0, KindSim, seed), g0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func TestRecoverTornJournalTail(t *testing.T) {
 	// The recovered state equals an independent replay of the surviving
 	// prefix, and the registry commits new batches from there.
 	g0 := generator.Synthetic(50, 200, generator.DefaultSchema(3), seed)
-	m, err := newMatcher(KindSim, testPattern(g0, KindSim, seed), g0, 1)
+	m, err := newMatcher(KindSim, testPattern(g0, KindSim, seed), g0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,43 +10,30 @@ import (
 )
 
 // TestRegistrySharesCanonicalStorage asserts the tentpole structurally:
-// every registered engine reads through the registry's ONE canonical
-// graph and owns no replica, with the evaluation network and without it.
+// every sim/bsim pattern is a handle into the evaluation network, which
+// reads the registry's ONE canonical graph and owns no replica.
 func TestRegistrySharesCanonicalStorage(t *testing.T) {
 	seed := int64(1)
-	for _, options := range [][]Option{nil, {WithoutNetwork()}} {
-		g := generator.Synthetic(60, 240, generator.DefaultSchema(3), seed)
-		reg := New(g, options...)
-		for id, kind := range map[string]Kind{"sim": KindSim, "bsim": KindBSim} {
-			if err := reg.Register(id, testPattern(g, kind, seed), kind); err != nil {
-				t.Fatal(err)
-			}
-		}
-		canon := graph.View(reg.g)
-		for id, r := range reg.pats {
-			var base graph.View
-			switch m := r.m.(type) {
-			case coreMatcher:
-				m.eng.ReadGraph(func(g graph.View) {
-					if ov, ok := g.(*graph.Overlay); ok {
-						base = ov.Base()
-					}
-				})
-			case netMatcher:
-				base = reg.net.Base()
-			default:
-				t.Fatalf("%s: unknown matcher type %T", id, r.m)
-			}
-			if base != canon {
-				t.Fatalf("%s: engine does not read the canonical graph through an overlay", id)
-			}
-		}
-		// The shared storage must keep serving correct updates.
-		ups := generator.Updates(g, 20, 20, seed+5)
-		if _, err := reg.Apply(ups); err != nil {
+	g := generator.Synthetic(60, 240, generator.DefaultSchema(3), seed)
+	reg := New(g)
+	defer reg.Close()
+	for id, kind := range map[string]Kind{"sim": KindSim, "bsim": KindBSim} {
+		if err := reg.Register(id, testPattern(g, kind, seed), kind); err != nil {
 			t.Fatal(err)
 		}
-		reg.Close()
+	}
+	for id, r := range reg.pats {
+		if _, ok := r.m.(netMatcher); !ok {
+			t.Fatalf("%s: matcher %T is not a network handle", id, r.m)
+		}
+	}
+	if reg.net.Base() != graph.View(reg.g) {
+		t.Fatal("the network does not read the canonical graph")
+	}
+	// The shared storage must keep serving correct updates.
+	ups := generator.Updates(g, 20, 20, seed+5)
+	if _, err := reg.Apply(ups); err != nil {
+		t.Fatal(err)
 	}
 }
 

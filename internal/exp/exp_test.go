@@ -36,9 +36,11 @@ func TestEveryDriverProducesRows(t *testing.T) {
 				t.Errorf("%s: row width %d != %d columns", name, len(row), len(tab.Columns))
 			}
 		}
-		// The Fig. 18 and Fig. 19 panels check their expected shape by
-		// machine; the verdict itself is timing and belongs to the bench lane.
-		if checked := strings.HasPrefix(name, "Fig18") || strings.HasPrefix(name, "Fig19"); checked != (tab.ShapeOK != nil) {
+		// The Fig. 18 and Fig. 19 panels and net1 check their expected
+		// shape by machine; the verdict itself is timing and belongs to the
+		// bench lane.
+		checked := strings.HasPrefix(name, "Fig18") || strings.HasPrefix(name, "Fig19") || name == "FigNet1"
+		if checked != (tab.ShapeOK != nil) {
 			t.Errorf("%s: machine-checked shape present = %t, want %t", name, tab.ShapeOK != nil, checked)
 		}
 	}

@@ -220,12 +220,9 @@ type Handle struct {
 // already in the network share its join tip — no engine is built at all;
 // otherwise the join's engine computes its initial match over the current
 // base state, reusing every predicate leaf and single-edge node the
-// network already maintains. Errors mirror the underlying engines'
-// kind-fit rejections (non-normal pattern for sim, colored patterns,...).
+// network already maintains. Errors are NewEngine's rejections (an unknown
+// kind, a non-normal pattern for sim, colored patterns,...).
 func (n *Network) Register(kind string, p *pattern.Pattern) (*Handle, error) {
-	if kind != KindSim && kind != KindBSim {
-		return nil, fmt.Errorf("gdn: unknown engine kind %q", kind)
-	}
 	d := pattern.Decompose(p)
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -294,7 +291,7 @@ func (n *Network) buildJoin(kind string, d *pattern.Decomposition) (*joinNode, e
 			sat[c] = predByKey[pd.Key].sat
 		}
 	}
-	eng, err := n.newEngine(kind, d.Canon, sat)
+	eng, err := NewEngine(kind, d.Canon, n.base, incbsim.WithWorkers(n.workers), incbsim.WithSat(sat))
 	if err != nil {
 		rollback()
 		return nil, err
@@ -343,7 +340,7 @@ func (n *Network) buildEdgeNode(ed pattern.EdgeNode, predByKey map[string]*predN
 		}
 		sat = rel.Relation{src.sat, dst.sat}
 	}
-	eng, err := n.newEngine(KindBSim, sub, sat)
+	eng, err := NewEngine(KindBSim, sub, n.base, incbsim.WithWorkers(n.workers), incbsim.WithSat(sat))
 	if err != nil {
 		return nil, fmt.Errorf("gdn: edge node %q: %w", ed.Key, err)
 	}
@@ -362,27 +359,32 @@ func (p *predNode) pred() pattern.Predicate {
 	return pred
 }
 
-// newEngine builds the engine of an edge node or a join tip: whatever the
-// kind, the one repair core over the shared base and the shared sat sets.
-// For a sim join incsim's constructor is the kind-fit validator (it rejects
-// a non-normal pattern); the engine it returns is that same core.
-func (n *Network) newEngine(kind string, p *pattern.Pattern, sat rel.Relation) (*incbsim.Engine, error) {
-	opts := []incbsim.Option{incbsim.WithWorkers(n.workers), incbsim.WithSat(sat)}
-	if kind != KindSim {
-		return incbsim.NewShared(p, n.base, opts...)
+// NewEngine builds the engine for a KindSim or KindBSim pattern over base:
+// either way the one repair core, reading base through a private overlay
+// (incbsim.NewShared's contract); incsim's constructor only adds sim's
+// kind-fit check (a normal pattern). The network builds its nodes with it,
+// adding WithSat, and contq its FromSeq replay engines.
+func NewEngine(kind string, p *pattern.Pattern, base graph.View, opts ...incbsim.Option) (*incbsim.Engine, error) {
+	switch kind {
+	case KindBSim:
+		return incbsim.NewShared(p, base, opts...)
+	case KindSim:
+		e, err := incsim.NewShared(p, base, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return e.Engine, nil
+	default:
+		return nil, fmt.Errorf("gdn: unknown engine kind %q", kind)
 	}
-	e, err := incsim.NewShared(p, n.base, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return e.Engine, nil
 }
 
 // Apply repairs the network for one commit: ups is the commit's effective
 // ΔG against the base graph, which the caller mutates only after Apply
 // returns (every engine reads base ⊕ ups through its private overlay — the
-// same NewShared contract contq's private engines follow). After Apply,
-// each handle's Delta() reports its pattern's ΔM for this commit.
+// NewEngine contract). contq's Registry calls it once per commit, before
+// its per-pattern fan-out; after Apply, each handle's Delta() reports its
+// pattern's ΔM for this commit.
 //
 // The repair is relevance-filtered: the edge nodes' pre-commit state
 // classifies each update (see relevantTo), edge nodes and join tips with

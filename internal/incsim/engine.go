@@ -41,7 +41,6 @@ import (
 	"gpm/internal/graph"
 	"gpm/internal/incbsim"
 	"gpm/internal/pattern"
-	"gpm/internal/rel"
 )
 
 // Stats tallies the affected area AFF touched by incremental maintenance;
@@ -69,13 +68,6 @@ type Option = incbsim.Option
 // re-measurement: 0 selects the default (par.DefaultWorkers), 1 keeps the
 // repair serial.
 func WithWorkers(n int) Option { return incbsim.WithWorkers(n) }
-
-// WithSat injects precomputed satisfaction sets instead of scanning the
-// graph at build time: sat[u] must equal {v : fV(u) holds on v's attributes}
-// over the engine's graph, with len(sat) == the pattern's node count. The
-// engine reads the given sets but never mutates them, so one sat relation
-// may be shared across many engines.
-func WithSat(sat rel.Relation) Option { return incbsim.WithSat(sat) }
 
 // New builds an engine for pattern p over graph g, computing the initial
 // maximum simulation with the batch algorithm. The pattern must be normal
