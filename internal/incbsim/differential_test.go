@@ -23,7 +23,9 @@ var differentialSeed = flag.Int64("incbsim.seed", 0, "run TestDifferentialBatchR
 // oracle: random graphs × random b-patterns (DAG and cyclic, bounds 1, 2, 3
 // and *) × mixed batches of 1, 8, 5 % and 25 % of |E| with duplicate and
 // self-cancelling updates, on an owned engine and a shared one (overlay reset
-// by the write, base committed between batches).
+// by the write, base committed between batches). The first four seeds (and a
+// replayed one) also run on the repo benchmark's workload shape
+// (workloadDifferential).
 // After every batch each engine's Result must equal core.Match, its
 // counters must recount, its internal match must be the one a fresh engine
 // builds (the visible result hides a missed promotion while some pattern
@@ -40,6 +42,9 @@ func TestDifferentialBatchRepair(t *testing.T) {
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { differential(t, seed, false) })
 	}
+	for _, seed := range seeds[:min(4, len(seeds))] {
+		t.Run(fmt.Sprintf("workload/seed=%d", seed), func(t *testing.T) { workloadDifferential(t, seed) })
+	}
 }
 
 // TestDifferentialWidePattern is the same oracle over patterns of more than
@@ -48,6 +53,13 @@ func TestDifferentialWidePattern(t *testing.T) {
 	for seed := int64(201); seed <= 204; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { differential(t, seed, true) })
 	}
+}
+
+// subject is an engine under the differential oracle.
+type subject struct {
+	name string
+	e    *Engine
+	base *graph.Graph // shared mode: the base the test commits to
 }
 
 // Every eighth seed draws a graph large enough that a 25 % batch has more
@@ -59,16 +71,11 @@ func differential(t *testing.T, seed int64, wide bool) {
 	m := n * (2 + rng.Intn(3))
 	large := seed%8 == 0
 	if large {
-		n, m = 20*n, 120*n
+		n, m = 20*n, 150*n
 	}
 	truth := generator.RandomGraph(n, m, 3, seed)
 	p := randomBPattern(rng, seed%2 == 0, wide)
 
-	type subject struct {
-		name string
-		e    *Engine
-		base *graph.Graph // shared mode: the base the test commits to
-	}
 	owned, err := New(p, truth.Clone(), WithWorkers(1+rng.Intn(4)))
 	if err != nil {
 		t.Fatal(err)
@@ -98,37 +105,77 @@ func differential(t *testing.T, seed int64, wide bool) {
 					t.Fatalf("seed %d: %d net deletions in a batch of %d, not enough to probe in groups", seed, deletions, size)
 				}
 			}
-			if _, err := truth.ApplyAll(batch); err != nil {
+			checkBatch(t, fmt.Sprintf("seed %d, round %d, batch of %d", seed, round, size), p, truth, batch, subjects)
+		}
+	}
+}
+
+// workloadDifferential is the oracle on the shape of the repo benchmark's
+// workloads: a preferential-attachment graph (generator.Synthetic, 2000
+// nodes, 8000 edges, 12 labels) under a triangle with one edge of k = 2 or
+// 3 hops, fed sixteen degree-biased mixed batches of 16–64 updates
+// (generator.Updates) through a shared engine on two workers. Its hubs give
+// an insertion phase far more candidates in slack of a tail than a uniform
+// graph does.
+func workloadDifferential(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	truth := generator.Synthetic(2000, 8000, generator.DefaultSchema(12), seed)
+	p := pattern.New()
+	l := rng.Intn(10)
+	for i := 0; i < 3; i++ {
+		p.AddNode(pattern.Label(fmt.Sprintf("L%d", l+i)))
+	}
+	for _, pe := range [][3]int{{0, 1, 2 + int(seed%2)}, {1, 2, 2}, {0, 2, 1}} {
+		if err := p.AddEdge(pe[0], pe[1], pe[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := truth.Clone()
+	shared, err := NewShared(p, base, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjects := []subject{{"shared", shared, base}}
+	for i := 0; i < 16; i++ {
+		size := 16 + rng.Intn(49)
+		batch := generator.Updates(truth, size/2, size-size/2, rng.Int63())
+		checkBatch(t, fmt.Sprintf("workload seed %d, batch %d of %d", seed, i, size), p, truth, batch, subjects)
+	}
+}
+
+// checkBatch commits batch to truth and feeds it to every subject (and to a
+// shared subject's base), then holds each to the oracle.
+func checkBatch(t *testing.T, where string, p *pattern.Pattern, truth *graph.Graph, batch []graph.Update, subjects []subject) {
+	t.Helper()
+	if _, err := truth.ApplyAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	want := core.Match(p, truth)
+	fresh, err := New(p, truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range subjects {
+		where := where + ", " + s.name + " engine"
+		prev := s.e.Result()
+		delta := s.e.BatchDelta(batch)
+		if s.base != nil {
+			if _, err := s.base.ApplyAll(batch); err != nil {
 				t.Fatal(err)
 			}
-			want := core.Match(p, truth)
-			fresh, err := New(p, truth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range subjects {
-				where := fmt.Sprintf("seed %d, %s engine, round %d, batch of %d", seed, s.name, round, size)
-				prev := s.e.Result()
-				delta := s.e.BatchDelta(batch)
-				if s.base != nil {
-					if _, err := s.base.ApplyAll(batch); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got := s.e.Result()
-				if !got.Equal(want) {
-					t.Fatalf("%s: incremental=%v batch=%v", where, got, want)
-				}
-				if err := s.e.CheckInvariants(); err != nil {
-					t.Fatalf("%s: %v", where, err)
-				}
-				if !s.e.match.Equal(fresh.match) {
-					t.Fatalf("%s: internal match %v, a fresh engine has %v", where, s.e.match, fresh.match)
-				}
-				if d := rel.DeltaOf(prev, got); !slices.Equal(delta.Removed, d.Removed) || !slices.Equal(delta.Added, d.Added) {
-					t.Fatalf("%s: reported delta %v, results differ by %v", where, delta, d)
-				}
-			}
+		}
+		got := s.e.Result()
+		if !got.Equal(want) {
+			t.Fatalf("%s: incremental=%v batch=%v", where, got, want)
+		}
+		if err := s.e.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if !s.e.match.Equal(fresh.match) {
+			t.Fatalf("%s: internal match %v, a fresh engine has %v", where, s.e.match, fresh.match)
+		}
+		if d := rel.DeltaOf(prev, got); !slices.Equal(delta.Removed, d.Removed) || !slices.Equal(delta.Added, d.Added) {
+			t.Fatalf("%s: reported delta %v, results differ by %v", where, delta, d)
 		}
 	}
 }

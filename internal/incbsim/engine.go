@@ -30,16 +30,17 @@
 //     incremental simulation: the ancestors whose witness was the removed
 //     pair search for another. An insertion phase walks no match at all —
 //     inserting edges and promoting pairs only adds supports, so every
-//     witness stands. A candidate is counted when it enters S and again at
-//     the end, over satisfying rather than matching targets, and seeds the
-//     candidate-closure promotion iff the count grew — the cs/cc pairs that
-//     gained a target, no more, so the promotion explores the closure a
-//     per-update sweep would.
+//     witness stands — and no candidate either: every candidate of S seeds
+//     the candidate-closure promotion, whose greatest-fixpoint refinement
+//     discards the seeds that gained no target. The seeds include every
+//     cs/cc pair that gained one, so the promotion finds every pair a
+//     per-update sweep would, and it promotes only pairs supported by the
+//     match, so it finds no more.
 //
 // The unit operations are one-element batches of the same code. The cost of
 // a batch is the walks of its S, so it is bounded by a recompute's whatever
 // |ΔG| is: a match is walked once, in the deletion phase, and a candidate
-// twice, in the insertion phase.
+// by the promotion alone, in the insertion phase.
 //
 // Bounded walks run on a live BFS view of the graph. This is the deviation
 // from Section 6.3: the paper's IncBMatch asks a maintained landmark index
@@ -84,9 +85,11 @@ type Stats struct {
 	WitnessUpdates int64 // witnesses set or moved to another target
 	ClosureSize    int64
 	// PairsExamined counts the (source, node) pairs the repair's walks
-	// visited: the re-measurement of the affected set (a match until it has
-	// its witnesses, a candidate over its whole ball, before and after) and
-	// the searches for a witness to replace a removed one.
+	// visited: a deletion phase's witness searches (a match of the affected
+	// set until it has its witnesses), the searches for a witness to replace
+	// a removed one, and the promotion's walks (its candidate closure upward
+	// and each closure pair's supports downward). The probes that find the
+	// affected set are not counted.
 	PairsExamined int64
 }
 
@@ -246,7 +249,7 @@ func build(p *pattern.Pattern, g graph.Mutable, ov *graph.Overlay, options []Opt
 		e.maxOut[pe.From] = max(e.maxOut[pe.From], pe.Bound)
 	}
 	e.np, e.stride = np, (planes*np+63)/64
-	e.scratch = scratch{near: make([]int, len(e.edges)), slack: make([]int, np), role: make([]uint8, np)}
+	e.scratch = scratch{near: make([]int, len(e.edges)), slack: make([]int, np)}
 	e.sizeTables()
 	if e.presat != nil {
 		if len(e.presat) != np {

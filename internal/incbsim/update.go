@@ -21,31 +21,37 @@ package incbsim
 //     that is within bound before the phase and not after (or the reverse)
 //     flips at one particular update of the phase, and that update's probe
 //     sees the path through its edge with everything else of it in place.
-//  3. Re-measure. The sources the probes found form the affected set S of
-//     the phase, each source in it once however many updates reach it. When
-//     a deletion phase is in, a single bounded walk from a match v looks
-//     for a witness for every pattern edge leaving the pattern nodes v
-//     matches, and stops when each has one: whether the old witness is
-//     still in reach is the question, and the first target met answers it.
-//     The edges left without one go to drainTouched/cascade. An insertion
-//     phase re-measures no match: it removes no edge and no pair, so every
-//     witness stands, and what a match gains nothing reads. A candidate is
-//     walked when it enters S, counting the satisfying (not just matching)
-//     targets in bound, and again when the phase is in; it seeds the
-//     promotion iff the final walk counts more, which is exactly "gained a
-//     target it did not have". The early count is the pre-phase one: had an
-//     earlier update brought the candidate a target, that update's probe
-//     would have put it in S. So seeding is exact, and promote explores the
-//     closure a per-update sweep would.
+//  3. Repair. The sources the probes found form the affected set S of the
+//     phase, each source in it once however many updates reach it. When a
+//     deletion phase is in, a single bounded walk from a match v looks for a
+//     witness for every pattern edge leaving the pattern nodes v matches,
+//     and stops when each has one: whether the old witness is still in
+//     reach is the question, and the first target met answers it. The edges
+//     left without one go to drainTouched/cascade. An insertion phase walks
+//     nothing before the promotion. It removes no edge and no pair, so every
+//     witness stands, and what a match gains nothing reads. Every candidate
+//     of S seeds the promotion, once per pattern node it has a stake in, and
+//     the promotion's own refinement discards the seeds that gained nothing.
+//     That is exact. It is sound for any seeds: promote keeps only candidate
+//     pairs that have, per out-edge, a support among the matches and the
+//     pairs it keeps, so what it promotes forms a bounded simulation
+//     together with the old match and lies in the maximum one. It is
+//     complete because S holds every candidate that gained a target it did
+//     not have (a pair comes into bound at one update, whose probe sees the
+//     path through its edge), which are the seeds a per-update sweep starts
+//     from; more seeds only widen the candidate closure promote explores,
+//     and the greatest supported subset of a wider closure can only grow. On
+//     a pattern whose bounds are all 1 a candidate of S is exactly one that
+//     gained a target, so the seeds are the per-update sweep's.
 //
-// Whatever the batch size, a match is walked at most once and a candidate
-// once per phase, plus once for each pattern node it is a candidate of, and
-// a phase of more than maxProbes updates is probed in groups (one
-// multi-source walk from the tails of a group, one from its heads, the
-// argument above with "group" for "update"): a huge batch degrades to the
-// cost of a recompute, not worse. The walks keep their state in the
-// epoch-stamped scratch of distance.BFS and in flat per-phase tables on the
-// engine (no per-source maps). Step 3 is the only one farmed out to the
+// Whatever the batch size, a match is walked at most once, a candidate only
+// by the promotion's closure and support walks, and a phase of more than
+// maxProbes updates is probed in groups (one multi-source walk from the
+// tails of a group, one from its heads, the argument above with "group" for
+// "update"): a huge batch degrades to the cost of a recompute, not worse.
+// The walks keep their state in the epoch-stamped scratch of distance.BFS
+// and in flat per-phase tables on the engine (no per-source maps). A
+// deletion phase's witness searches are the only work farmed out to the
 // worker pool, once per phase, and only when S is large enough to pay for
 // the goroutines. Unit Insert/Delete are this path with a one-element batch.
 
@@ -58,15 +64,7 @@ import (
 	"gpm/internal/rel"
 )
 
-// How one pattern edge takes part in the re-measurement of a source v.
-const (
-	skip      uint8 = iota // v has no stake in the edge this phase
-	matched                // v ∈ match(src(e)): find a witness in match(tgt(e))
-	candidate              // v ∈ candt(src(e)): count sat(tgt(e)) in bound, before and after
-	staked                 // candidate whose "before" count is still to be taken (probe only)
-)
-
-// fanoutGrain is the number of sources below which the re-measurement runs
+// fanoutGrain is the number of sources below which the witness searches run
 // inline: a walk costs a few microseconds and waking a parked worker tens of
 // them, so a few dozen walks cannot pay for the fan-out.
 const fanoutGrain = 64
@@ -82,7 +80,7 @@ const maxProbes = 256
 // source is one member of the affected set S.
 type source struct {
 	v       graph.NodeID
-	visited int64 // nodes its walks reached (Stats.PairsExamined)
+	visited int64 // nodes its witness search reached (Stats.PairsExamined)
 }
 
 // touch names an out-edge of a matched pair that a repair found no witness
@@ -105,21 +103,19 @@ type scratch struct {
 	// candidate in an insertion phase) is affected iff it reaches a tail
 	// within this many hops; -1 when none can be.
 	slack []int
-	role  []uint8 // per pattern node, for the source at hand
 	srcs  []source
 	// Per graph node: its index in srcs plus one, 0 outside S. All zero
 	// again once the probes of a phase are done, and promote then borrows it
 	// to number the nodes of its closure.
-	at        []int32
-	fresh     []int   // sources the probe at hand staked as candidates
-	mode      []uint8 // len(srcs) × len(edges)
-	pre, post []int32 // len(srcs) × len(edges): what tally measured before / after
-	touched   []touch
-	seeds     []pair
-	queue     []pair         // removal worklist of cascade and of promote's refinement
-	orphans   []graph.NodeID // cascade: the matches whose witness was the pair removed
-	closure   []pair         // promote: the candidate closure, in discovery order
-	tcnt      []int32        // promote: closure nodes × len(edges), tentative support counters
+	at      []int32
+	in      []bool  // len(srcs) × len(edges): the source has a stake in the edge
+	found   []int32 // len(srcs) × len(edges): the witness a deletion phase's search found, -1 for none
+	touched []touch
+	seeds   []pair
+	queue   []pair         // removal worklist of cascade and of promote's refinement
+	orphans []graph.NodeID // cascade: the matches whose witness was the pair removed
+	closure []pair         // promote: the candidate closure, in discovery order
+	tcnt    []int32        // promote: closure nodes × len(edges), tentative support counters
 }
 
 // extend appends n zero values to s.
@@ -139,7 +135,7 @@ func (e *Engine) repair(ups []graph.Update) {
 	ne := len(e.edges)
 
 	// Steps 1 and 2, group by group.
-	s.srcs, s.mode, s.pre = s.srcs[:0], s.mode[:0], s.pre[:0]
+	s.srcs, s.in = s.srcs[:0], s.in[:0]
 	e.sizeTables()
 	group := (len(ups) + maxProbes - 1) / maxProbes
 	for len(ups) > 0 {
@@ -154,50 +150,52 @@ func (e *Engine) repair(ups []graph.Update) {
 		s.at[s.srcs[i].v] = 0
 	}
 
-	// Step 3. Sources are independent and a walk only reads engine state, so
-	// a large S is spread over the worker pool, each worker writing the rows
-	// of its own sources; the outcome is settled serially, in source order.
-	if cap(s.post) < len(s.mode) {
-		s.post = make([]int32, len(s.mode))
+	// Step 3 of an insertion phase: every stake is a promotion seed (promote
+	// ignores the repeat when several edges of one node have a stake).
+	if insert {
+		s.seeds = s.seeds[:0]
+		for i := range s.srcs {
+			for ei, in := range s.in[i*ne : (i+1)*ne] {
+				if in {
+					s.seeds = append(s.seeds, pair{e.edges[ei].From, s.srcs[i].v})
+				}
+			}
+		}
+		e.promote(s.seeds)
+		return
 	}
-	s.post = s.post[:len(s.mode)]
+
+	// Step 3 of a deletion phase. Sources are independent and a search only
+	// reads engine state, so a large S is spread over the worker pool, each
+	// worker writing the rows of its own sources; the outcome is settled
+	// serially, in source order.
+	s.found = extend(s.found[:0], len(s.in))
 	workers := e.workers
 	if len(s.srcs) < fanoutGrain {
 		workers = 1
 	}
 	walkers := e.workerWalkers(par.Resolve(workers, len(s.srcs)))
 	par.For(len(s.srcs), workers, func(worker, i int) {
-		e.tally(walkers[worker], i, s.post, 0)
+		e.refind(walkers[worker], i)
 	})
 
-	s.touched, s.seeds = s.touched[:0], s.seeds[:0]
+	s.touched = s.touched[:0]
 	for i := range s.srcs {
 		v := s.srcs[i].v
 		e.stats.PairsExamined += s.srcs[i].visited
-		for ei, m := range s.mode[i*ne : (i+1)*ne] {
-			after := s.post[i*ne+ei]
-			switch m {
-			case matched:
-				if after < 0 {
-					s.touched = append(s.touched, touch{ei, v})
-				} else if w := graph.NodeID(after); e.wit[ei][v] != w {
-					e.wit[ei][v] = w
-					e.stats.WitnessUpdates++
-				}
-			case candidate:
-				// Gained a target it did not have: a promotion seed (promote
-				// ignores the repeat when several edges of one node gain).
-				if after > s.pre[i*ne+ei] {
-					s.seeds = append(s.seeds, pair{e.edges[ei].From, v})
-				}
+		for ei, in := range s.in[i*ne : (i+1)*ne] {
+			if !in {
+				continue
+			}
+			if w := graph.NodeID(s.found[i*ne+ei]); w < 0 {
+				s.touched = append(s.touched, touch{ei, v})
+			} else if e.wit[ei][v] != w {
+				e.wit[ei][v] = w
+				e.stats.WitnessUpdates++
 			}
 		}
 	}
-	if insert {
-		e.promote(s.seeds)
-	} else {
-		e.drainTouched(s.touched)
-	}
+	e.drainTouched(s.touched)
 }
 
 // probe adds to S the sources a group of updates affects, on the graph as
@@ -205,16 +203,13 @@ func (e *Engine) repair(ups []graph.Update) {
 // group's tails within the slack the targets downstream of the group's
 // heads leave them. Deletions stake matches against matching targets,
 // insertions candidates against satisfying ones. A source that an earlier
-// probe found keeps its row and adds the new stakes to it. A candidate is
-// counted here, the first time it gets a stake: had an earlier group of the
-// phase brought it a target, that group's probe would have staked it, so
-// the count is still the pre-phase one.
+// probe found keeps its row and adds the new stakes to it.
 func (e *Engine) probe(ups []graph.Update, insert bool) {
 	s := &e.scratch
 	ne := len(e.edges)
-	plane, role := matchPlane, matched
+	plane := matchPlane
 	if insert {
-		plane, role = satPlane, staked
+		plane = satPlane
 	}
 
 	// Downstream of the heads: how close the nearest target of each pattern
@@ -249,105 +244,73 @@ func (e *Engine) probe(ups []graph.Update, insert bool) {
 	}
 
 	// Upstream of the tails: the sources within slack.
-	s.ends, s.fresh = s.ends[:0], s.fresh[:0]
+	s.ends = s.ends[:0]
 	for _, up := range ups {
 		s.ends = append(s.ends, up.From)
 	}
 	e.bfs.MultiSource(s.ends, graph.Reverse, maxSlack, func(v graph.NodeID, d int) bool {
-		stake := false
-		for u := range s.role {
-			s.role[u] = skip
-			if d > s.slack[u] {
+		i := int(s.at[v]) - 1
+		for ei, pe := range e.edges {
+			u := pe.From
+			if d > s.slack[u] || insert && !e.isCandidate(u, v) || !insert && !e.isMatch(u, v) {
 				continue
 			}
-			if !insert && e.isMatch(u, v) || insert && e.isCandidate(u, v) {
-				s.role[u], stake = role, true
+			if i < 0 {
+				i = len(s.srcs)
+				s.at[v] = int32(i + 1)
+				s.srcs = append(s.srcs, source{v: v})
+				s.in = extend(s.in, ne)
 			}
-		}
-		if !stake {
-			return true
-		}
-		i := int(s.at[v]) - 1
-		if i < 0 {
-			i = len(s.srcs)
-			s.at[v] = int32(i + 1)
-			s.srcs = append(s.srcs, source{v: v})
-			s.mode = extend(s.mode, ne) // all skip
-			s.pre = extend(s.pre, ne)
-		}
-		isFresh := false
-		for ei, pe := range e.edges {
-			if r := s.role[pe.From]; r != skip && s.mode[i*ne+ei] == skip {
-				s.mode[i*ne+ei] = r
-				isFresh = isFresh || r == staked
-			}
-		}
-		if isFresh {
-			s.fresh = append(s.fresh, i)
+			s.in[i*ne+ei] = true
 		}
 		return true
 	})
-	for _, i := range s.fresh {
-		e.tally(e.walkers[0], i, s.pre, staked)
-		for ei, m := range s.mode[i*ne : (i+1)*ne] {
-			if m == staked {
-				s.mode[i*ne+ei] = candidate
-			}
-		}
-	}
 }
 
-// walker is the state of one worker's re-measurement walks.
+// walker is the state of one worker's witness searches.
 type walker struct {
 	bfs *distance.BFS
-	// The walk at hand: what it counts, and want, the target bits of all
-	// its stakes laid out like the words of a table row that hold the match
-	// and sat planes.
+	// The search at hand: its open stakes, and want, the target bits of all
+	// of them laid out like the words of a table row that hold the match
+	// plane.
 	stakes []stake
 	want   []uint64
 }
 
-// stake is one pattern edge a walk measures for its source.
+// stake is one pattern edge a search looks for a witness of.
 type stake struct {
-	ei    int    // the pattern edge
-	bound int    // its bound: targets farther away do not count
-	word  int    // where a node's row says whether it is a target: which word,
-	mask  uint64 // and which bit
-	find  bool   // a matched stake: one target settles it
-	n     int32  // targets counted so far; of a matched stake the witness, -1 while it is open
+	ei    int          // the pattern edge
+	bound int          // its bound: targets farther away do not count
+	word  int          // where a node's row says whether it is a target: which word,
+	mask  uint64       // and which bit
+	wit   graph.NodeID // the first target met in bound, -1 while there is none
 }
 
-// tally walks forward from source i on the current graph and measures into
-// its row of out each pattern edge it has a stake in (only those in mode
-// only, if nonzero). A candidate stake counts the satisfying nodes within
-// the edge's bound. A matched stake wants one match of the edge's target
-// node: it is open until the walk meets one in bound, which it records as
-// the witness, and a walk with no candidate stake ends when its last open
-// stake closes. A visited node that is nobody's target is dismissed with an
-// AND per word of the walk's want mask.
-func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
+// refind walks forward from deletion source i on the current graph and
+// records into its row of scratch.found, for each pattern edge it has a
+// stake in, the first match of the edge's target node it meets within the
+// edge's bound, or -1. The walk ends when every stake has one. A visited
+// node that is nobody's target is dismissed with an AND per word of the
+// walk's want mask.
+func (e *Engine) refind(wk *walker, i int) {
 	ne := len(e.edges)
 	src := &e.scratch.srcs[i]
 	wk.stakes = wk.stakes[:0]
-	wk.want = extend(wk.want[:0], (2*e.np+63)/64)
+	wk.want = extend(wk.want[:0], (e.np+63)/64)
 	radius := 0
-	for ei, m := range e.scratch.mode[i*ne : (i+1)*ne] {
-		if m == skip || (only != 0 && m != only) {
+	for ei, in := range e.scratch.in[i*ne : (i+1)*ne] {
+		if !in {
 			continue
 		}
 		pe := &e.edges[ei]
 		radius = max(radius, pe.Bound)
-		st := stake{ei: ei, bound: pe.Bound}
-		plane := satPlane
-		if m == matched {
-			plane, st.find, st.n = matchPlane, true, -1
-		}
-		st.word, st.mask = e.bit(plane, pe.To)
+		st := stake{ei: ei, bound: pe.Bound, wit: -1}
+		st.word, st.mask = e.bit(matchPlane, pe.To)
 		wk.want[st.word] |= st.mask
 		wk.stakes = append(wk.stakes, st)
 	}
 	member, span, stakes, want, visited := e.member, e.stride, wk.stakes, wk.want, int64(0)
-	open := len(stakes) // a candidate stake never closes
+	open := len(stakes)
 	wk.bfs.DescNonempty(src.v, radius, func(w graph.NodeID, d int) bool {
 		visited++
 		bits := member[w*span:][:len(want)]
@@ -360,13 +323,8 @@ func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
 		}
 		for k := range stakes {
 			st := &stakes[k]
-			if d > st.bound || bits[st.word]&st.mask == 0 {
-				continue
-			}
-			if !st.find {
-				st.n++
-			} else if st.n < 0 {
-				st.n = int32(w)
+			if st.wit < 0 && d <= st.bound && bits[st.word]&st.mask != 0 {
+				st.wit = w
 				open--
 			}
 		}
@@ -374,7 +332,7 @@ func (e *Engine) tally(wk *walker, i int, out []int32, only uint8) {
 	})
 	src.visited += visited
 	for _, st := range stakes {
-		out[i*ne+st.ei] = st.n
+		e.scratch.found[i*ne+st.ei] = int32(st.wit)
 	}
 }
 
@@ -518,6 +476,7 @@ func (e *Engine) promote(seeds []pair) {
 		for _, ei := range e.inEdges[pr.u] {
 			pe := e.edges[ei]
 			e.bfs.AncNonempty(pr.v, pe.Bound, func(w graph.NodeID, d int) bool {
+				e.stats.PairsExamined++
 				push(pe.From, w)
 				return true
 			})
@@ -536,6 +495,7 @@ func (e *Engine) promote(seeds []pair) {
 			pe := e.edges[ei]
 			c := tcnt(ei, pr.v)
 			e.bfs.DescNonempty(pr.v, pe.Bound, func(w graph.NodeID, d int) bool {
+				e.stats.PairsExamined++
 				if e.isMatch(pe.To, w) || e.has(tentPlane, pe.To, w) {
 					*c++
 				}

@@ -58,6 +58,47 @@ func TestInsertionWalksNoMatchedSource(t *testing.T) {
 	assertMatchesBatch(t, e, "after the insertions")
 }
 
+// TestInsertionSeedsEveryStakedCandidate: an insertion phase seeds the
+// promotion with every candidate its probes stake, not only those that gained
+// a target, and leaves it to the refinement to reject the rest. Here each
+// insertion gives a candidate of a a shorter path to a b it already reached
+// in bound, a b that is itself no match (it has no c below it): nothing is
+// gained, so nothing may change, but the promotion must have looked.
+func TestInsertionSeedsEveryStakedCandidate(t *testing.T) {
+	p := pattern.New()
+	a, b, c := p.AddNode(pattern.Label("a")), p.AddNode(pattern.Label("b")), p.AddNode(pattern.Label("c"))
+	if err := p.AddEdge(a, b, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddEdge(b, c, 1); err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New()
+	x, y, z := labelled(g, "a"), labelled(g, "b"), labelled(g, "c")
+	edge(t, g, x, y)
+	edge(t, g, y, z) // one whole match, so that the result is not empty
+	var ups []graph.Update
+	for i := 0; i < 2; i++ {
+		v, via, w := labelled(g, "a"), labelled(g, "m"), labelled(g, "b")
+		edge(t, g, v, via)
+		edge(t, g, via, w)
+		ups = append(ups, graph.Insert(v, w))
+	}
+	e := mustEngine(t, p, g)
+	before := e.Result()
+	if before.Size() != 3 {
+		t.Fatalf("%d matched pairs before the insertions, want 3", before.Size())
+	}
+	delta, st, net := e.BatchNet(ups)
+	if net != len(ups) || !delta.Empty() || !e.Result().Equal(before) {
+		t.Fatalf("%d of %d insertions took effect, ΔM = %v, result %v", net, len(ups), delta, e.Result())
+	}
+	if st.ClosureSize == 0 || st.Promotions != 0 {
+		t.Fatalf("the candidates in reach of the insertions seeded no promotion, or one was promoted: %+v", st)
+	}
+	assertMatchesBatch(t, e, "after the insertions")
+}
+
 // TestCascadeRefindsWitness: v has two supports for its one pattern edge.
 // Unmatching the one it holds as witness moves the witness to the other and
 // keeps v; unmatching that one too removes v.
