@@ -17,8 +17,7 @@ import (
 // adaptive execution policy (incremental repair vs batch recompute per
 // commit) learns its thresholds from.
 
-// Metric names of the commit pipeline — also the contract gpbench reads
-// when emitting its commit_stage_ms summaries.
+// Metric names of the commit pipeline.
 const (
 	// MetricCommitStage is the per-stage commit wall-time histogram,
 	// labeled stage=validate|network|repair|journal|publish.
@@ -27,10 +26,6 @@ const (
 	// lock acquired → publishes done).
 	MetricCommitTotal = "gpm_commit_ms"
 )
-
-// CommitStages lists the stage label values of MetricCommitStage, in
-// pipeline order.
-var CommitStages = []string{"validate", "network", "repair", "journal", "publish"}
 
 // metrics bundles the registry's instruments. One instance per Registry;
 // instruments with the same identity are shared through the obs registry,
@@ -184,22 +179,4 @@ func (m *metrics) timingStats() *TimingStats {
 		ts.RepairByKindMS[string(k)] = s
 	}
 	return ts
-}
-
-// CommitStageSums reads the cumulative per-stage commit time out of reg —
-// the summary gpbench emits as commit_stage_ms next to each figure's
-// elapsed time. Stages with no observations are omitted; "total" carries
-// the whole-commit histogram's sum.
-func CommitStageSums(reg *obs.Registry) map[string]float64 {
-	out := make(map[string]float64, len(CommitStages)+1)
-	for _, s := range CommitStages {
-		snap := reg.Histogram(MetricCommitStage, "", nil, obs.L("stage", s)).Snapshot()
-		if snap.Count > 0 {
-			out[s] = snap.Sum
-		}
-	}
-	if snap := reg.Histogram(MetricCommitTotal, "", nil).Snapshot(); snap.Count > 0 {
-		out["total"] = snap.Sum
-	}
-	return out
 }

@@ -4,7 +4,9 @@
 // every run in seconds; Paper() reproduces the paper's dataset sizes.
 // Absolute numbers differ from the paper's 2010-era testbed; the shapes
 // (who wins, by what factor, where crossovers fall) are the reproduction
-// target, recorded in EXPERIMENTS.md.
+// target: every figure states its expected shape as a predicate over the
+// rows it measured and reports the verdict (Table.ShapeOK).
+// Figures lists the suite; its gated entries are gpbench's CI contract.
 package exp
 
 import (
@@ -42,10 +44,10 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
-	// ShapeOK is the verdict of the figure's machine-checked expected shape
-	// (the paper's claim as a predicate over the measured rows); nil for a
-	// figure whose expected shape is still only prose in Notes.
-	ShapeOK *bool
+	// Shape states the figure's expected shape as a predicate over the
+	// measured rows; ShapeOK is its verdict.
+	Shape   string
+	ShapeOK bool
 }
 
 // AddRow appends a formatted row.
@@ -103,9 +105,7 @@ func (t *Table) Fprint(w io.Writer) {
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
-	if t.ShapeOK != nil {
-		fmt.Fprintf(w, "  shape_ok: %t\n", *t.ShapeOK)
-	}
+	fmt.Fprintf(w, "  shape: %s\n  shape_ok: %t\n", t.Shape, t.ShapeOK)
 	fmt.Fprintln(w)
 }
 
@@ -144,37 +144,45 @@ func (cfg Config) synthetic(nBase, mBase int) *graph.Graph {
 	return generator.Synthetic(n, m, generator.DefaultSchema(8), cfg.Seed)
 }
 
-// All runs every driver and prints the tables to w.
-func All(cfg Config, w io.Writer) {
-	for _, t := range AllTables(cfg) {
-		t.Fprint(w)
-	}
+// Figure is one entry of the suite: a table or figure of the paper's
+// Section 8, or one of this implementation's own studies.
+type Figure struct {
+	Name string             // the name gpbench -fig selects it by
+	Run  func(Config) Table // measures the figure's rows and verdict
+	// Gated makes a false verdict fail gpbench. A figure is gated once its
+	// verdict has held on every run at the CI configuration (-scale 0.05
+	// -seed 42 -skip-slow); every other figure is reported only.
+	Gated bool
+	// Timed marks a verdict that compares wall-clock cells, so it can flap
+	// where the rows are microseconds. An untimed verdict compares counts,
+	// which a seed fixes.
+	Timed bool
 }
 
-// AllTables runs every driver.
-func AllTables(cfg Config) []Table {
-	return []Table{
-		Fig16a(cfg),
-		Fig16b(cfg),
-		Fig16c(cfg),
-		Fig17a(cfg),
-		Fig17b(cfg),
-		Fig17c(cfg),
-		Fig17d(cfg),
-		Fig18a(cfg),
-		Fig18b(cfg),
-		Fig18c(cfg),
-		Fig18d(cfg),
-		Fig19a(cfg),
-		Fig19b(cfg),
-		Fig19c(cfg),
-		Fig19d(cfg),
-		Fig20a(cfg),
-		Fig20b(cfg),
-		Fig20c(cfg),
-		Fig20d(cfg),
-		Fig20e(cfg),
-		Fig20f(cfg),
-		Table1Witnesses(cfg),
-	}
+// Figures is the whole suite, in gpbench's print order.
+var Figures = []Figure{
+	{Name: "16a", Run: Fig16a, Gated: true},
+	{Name: "16b", Run: Fig16b, Timed: true},
+	{Name: "16c", Run: Fig16c, Gated: true},
+	{Name: "17a", Run: Fig17a, Timed: true},
+	{Name: "17b", Run: Fig17b, Timed: true},
+	{Name: "17c", Run: Fig17c, Timed: true},
+	{Name: "17d", Run: Fig17d, Timed: true},
+	{Name: "18a", Run: Fig18a, Timed: true},
+	{Name: "18b", Run: Fig18b, Timed: true},
+	{Name: "18c", Run: Fig18c, Timed: true},
+	{Name: "18d", Run: Fig18d, Timed: true},
+	{Name: "19a", Run: Fig19a, Gated: true, Timed: true},
+	{Name: "19b", Run: Fig19b, Gated: true, Timed: true},
+	{Name: "19c", Run: Fig19c, Gated: true, Timed: true},
+	{Name: "19d", Run: Fig19d, Gated: true, Timed: true},
+	{Name: "20a", Run: Fig20a},
+	{Name: "20b", Run: Fig20b, Gated: true},
+	{Name: "20c", Run: Fig20c, Timed: true},
+	{Name: "20d", Run: Fig20d, Timed: true},
+	{Name: "20e", Run: Fig20e, Gated: true},
+	{Name: "20f", Run: Fig20f, Timed: true},
+	{Name: "net1", Run: FigNet1, Timed: true},
+	{Name: "table1", Run: Table1Witnesses, Gated: true},
+	{Name: "trace1", Run: FigTrace1, Gated: true},
 }

@@ -73,7 +73,7 @@ func figIncSim(cfg Config, title string, g *graph.Graph, deltas []int) Table {
 		Columns: []string{"|ΔG|", "Matchs", "IncMatchn", "IncMatch", "HORNSAT"},
 	}
 	p := generator.Pattern(g, generator.PatternParams{Nodes: 4, Edges: 5, Preds: 2, K: 1}, cfg.Seed+11)
-	shapeOK := true
+	t.ShapeOK = true
 	for _, d := range deltas {
 		var ups []graph.Update
 		if d >= 0 {
@@ -105,7 +105,7 @@ func figIncSim(cfg Config, title string, g *graph.Graph, deltas []int) Table {
 		}
 		dBatch, dNaive, dInc := median(batch), median(naive), median(inc)
 		if dInc > dNaive || (4*len(ups) <= g.NumEdges() && dInc > dBatch) {
-			shapeOK = false
+			t.ShapeOK = false
 		}
 		horn := "skipped"
 		if hornRan {
@@ -114,9 +114,8 @@ func figIncSim(cfg Config, title string, g *graph.Graph, deltas []int) Table {
 		t.AddRow(len(ups), dBatch, dNaive, dInc, horn)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("graph: %d nodes, %d edges; each cell the median of %d runs", g.NumNodes(), g.NumEdges(), simRepeats),
-		"expected shape: IncMatch < IncMatchn < HORNSAT; IncMatch beats Matchs for small ΔG (≲30%) (shape_ok: IncMatch ≤ IncMatchn on every row, IncMatch ≤ Matchs on every row with |ΔG| ≤ 25% |E|)")
-	t.ShapeOK = &shapeOK
+		fmt.Sprintf("graph: %d nodes, %d edges; each cell the median of %d runs", g.NumNodes(), g.NumEdges(), simRepeats))
+	t.Shape = "IncMatch ≤ IncMatchn on every row, IncMatch ≤ Matchs on every row with |ΔG| ≤ 25% |E| (paper: IncMatch < IncMatchn < HORNSAT; IncMatch beats Matchs for ΔG ≲ 30%)"
 	return t
 }
 
@@ -210,7 +209,7 @@ func figIncBSim(cfg Config, title string, g *graph.Graph, deltas []int, k int) T
 		Columns: []string{"|ΔG|", "Matchbs", "IncBMatchm", "IncBMatch"},
 	}
 	p := generator.DAGPattern(g, generator.PatternParams{Nodes: 4, Edges: 5, Preds: 2, K: k}, cfg.Seed+13)
-	shapeOK := true
+	t.ShapeOK = true
 	for _, d := range deltas {
 		var ups []graph.Update
 		if d >= 0 {
@@ -220,7 +219,7 @@ func figIncBSim(cfg Config, title string, g *graph.Graph, deltas []int, k int) T
 		}
 		dBatch, dMatrix, dInc, matrixRan := bsimContenders(cfg, g, p, ups)
 		if 10*len(ups) <= g.NumEdges() && dInc > dBatch {
-			shapeOK = false
+			t.ShapeOK = false
 		}
 		mtx := "skipped"
 		if matrixRan {
@@ -229,9 +228,8 @@ func figIncBSim(cfg Config, title string, g *graph.Graph, deltas []int, k int) T
 		t.AddRow(len(ups), dBatch, mtx, dInc)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("graph: %d nodes, %d edges; DAG pattern k=%d", g.NumNodes(), g.NumEdges(), k),
-		"expected shape: IncBMatch < IncBMatchm; IncBMatch beats Matchbs for small ΔG (shape_ok: IncBMatch ≤ Matchbs on every row with |ΔG| ≤ 10% |E|)")
-	t.ShapeOK = &shapeOK
+		fmt.Sprintf("graph: %d nodes, %d edges; DAG pattern k=%d", g.NumNodes(), g.NumEdges(), k))
+	t.Shape = "IncBMatch ≤ Matchbs on every row with |ΔG| ≤ 10% |E| (paper: IncBMatch < IncBMatchm; IncBMatch beats Matchbs for small ΔG)"
 	return t
 }
 

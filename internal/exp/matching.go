@@ -50,6 +50,8 @@ func Fig16a(cfg Config) Table {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("VF2 empty on %d/20 patterns; Match nonempty on %d/20", vf2Empty, matchNonEmpty))
+	t.Shape = "Match non-empty on all 20 patterns, VF2 empty on at least one"
+	t.ShapeOK = matchNonEmpty == 20 && vf2Empty > 0
 	return t
 }
 
@@ -61,16 +63,17 @@ func Fig16b(cfg Config) Table {
 		Columns: []string{"(|Vp|,|Ep|)", "VF2", "Match(k=1)", "Match(k=3)"},
 	}
 	g := cfg.youtube()
+	t.ShapeOK = true
 	for size := 3; size <= 8; size++ {
 		p1 := generator.EmbeddedPattern(g, generator.PatternParams{Nodes: size, Edges: size, Preds: 2, K: 1}, cfg.Seed+int64(size))
 		p3 := generator.EmbeddedPattern(g, generator.PatternParams{Nodes: size, Edges: size, Preds: 2, K: 3}, cfg.Seed+int64(size))
-		var dVF2, d1, d3 time.Duration
-		dVF2 = timeIt(func() { iso.Enumerate(p1, g, vf2Cap) })
-		d1 = timeIt(func() { core.MatchBFS(p1, g) })
-		d3 = timeIt(func() { core.MatchBFS(p3, g) })
+		dVF2 := timeIt(func() { iso.Enumerate(p1, g, vf2Cap) })
+		d1 := timeIt(func() { core.MatchBFS(p1, g) })
+		d3 := timeIt(func() { core.MatchBFS(p3, g) })
+		t.ShapeOK = t.ShapeOK && d1 <= dVF2
 		t.AddRow(fmt.Sprintf("(%d,%d)", size, size), dVF2, d1, d3)
 	}
-	t.Notes = append(t.Notes, "expected shape: Match beats VF2 at every size; k=3 slightly slower than k=1")
+	t.Shape = "Match(k=1) ≤ VF2 on every row (paper: Match beats VF2 at every size; k=3 slightly slower than k=1)"
 	return t
 }
 
@@ -82,14 +85,16 @@ func Fig16c(cfg Config) Table {
 		Columns: []string{"(|Vp|,|Ep|)", "VF2", "Match(k=1)", "Match(k=3)"},
 	}
 	g := cfg.youtube()
+	t.ShapeOK = true
 	for size := 3; size <= 8; size++ {
 		p1 := generator.EmbeddedPattern(g, generator.PatternParams{Nodes: size, Edges: size, Preds: 2, K: 1}, cfg.Seed+int64(size))
 		nVF2 := len(iso.Enumerate(p1, g, vf2Cap))
 		n1 := core.MatchBFS(p1, g).Size()
 		n3 := core.MatchBFS(p1.WithAllBounds(3), g).Size()
+		t.ShapeOK = t.ShapeOK && n3 >= n1 && n1 > 0
 		t.AddRow(fmt.Sprintf("(%d,%d)", size, size), nVF2, n1, n3)
 	}
-	t.Notes = append(t.Notes, "expected shape: Match(k=3) >= Match(k=1), both typically >> VF2")
+	t.Shape = "Match(k=3) ≥ Match(k=1) > 0 on every row (paper: both typically ≫ VF2)"
 	return t
 }
 
@@ -118,17 +123,20 @@ func figOracles(cfg Config, title string, g *graph.Graph) Table {
 	dMtxBuild := timeIt(func() { mtx = distance.NewMatrix(g) })
 	dHopBuild := timeIt(func() { hop = distance.NewTwoHop(g) })
 	params := [][3]int{{2, 3, 3}, {2, 3, 4}, {4, 6, 3}, {4, 6, 4}, {6, 9, 3}, {6, 9, 4}}
+	var sumMtx, sumHop, sumBFS time.Duration
 	for _, pr := range params {
 		p := generator.Pattern(g, generator.PatternParams{Nodes: pr[0], Edges: pr[1], Preds: 2, K: pr[2]}, cfg.Seed+int64(pr[0]*10+pr[2]))
 		dMtx := timeIt(func() { core.Match(p, g, core.WithOracle(mtx)) })
 		dHop := timeIt(func() { core.Match(p, g, core.WithOracle(hop)) })
 		dBFS := timeIt(func() { core.MatchBFS(p, g) })
+		sumMtx, sumHop, sumBFS = sumMtx+dMtx, sumHop+dHop, sumBFS+dBFS
 		t.AddRow(fmt.Sprintf("(%d,%d,%d)", pr[0], pr[1], pr[2]), dMtx, dHop, dBFS)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("one-off builds: matrix %s (%d nodes), 2-hop %s (%d label entries)",
-			fmtDuration(dMtxBuild), g.NumNodes(), fmtDuration(dHopBuild), hop.LabelEntries()),
-		"expected shape: Matrix+Match fastest per query; costs grow with pattern size and k")
+			fmtDuration(dMtxBuild), g.NumNodes(), fmtDuration(dHopBuild), hop.LabelEntries()))
+	t.Shape = "Matrix+Match's total over the rows ≤ 2hop+Match's and BFS+Match's (paper: Matrix+Match fastest per query; costs grow with pattern size and k)"
+	t.ShapeOK = sumMtx <= sumHop && sumMtx <= sumBFS
 	return t
 }
 
@@ -141,6 +149,8 @@ func Fig17c(cfg Config) Table {
 		Columns: []string{"|Vp|=|Ep|", "k=3", "k=4"},
 	}
 	g := cfg.synthetic(1000000, 2000000)
+	t.ShapeOK = true
+	var first3, first4, last3, last4 time.Duration
 	for size := 3; size <= 8; size++ {
 		// Average over pattern draws to smooth selectivity noise.
 		var d3, d4 time.Duration
@@ -150,11 +160,16 @@ func Fig17c(cfg Config) Table {
 			d3 += timeIt(func() { core.MatchBFS(p, g) })
 			d4 += timeIt(func() { core.MatchBFS(p.WithAllBounds(4), g) })
 		}
+		if size == 3 {
+			first3, first4 = d3, d4
+		}
+		last3, last4 = d3, d4
+		t.ShapeOK = t.ShapeOK && d4 >= d3
 		t.AddRow(size, d3/reps, d4/reps)
 	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("graph: %d nodes, %d edges", g.NumNodes(), g.NumEdges()),
-		"expected shape: time grows with pattern size; k=4 costlier than k=3")
+	t.Notes = append(t.Notes, fmt.Sprintf("graph: %d nodes, %d edges", g.NumNodes(), g.NumEdges()))
+	t.Shape = "k=4 ≥ k=3 on every row; size 8 costs more than size 3 at both k (paper: time grows with pattern size)"
+	t.ShapeOK = t.ShapeOK && last3 > first3 && last4 > first4
 	return t
 }
 
@@ -165,6 +180,7 @@ func Fig17d(cfg Config) Table {
 		Title:   "Fig 17(d): Match (BFS) vs graph size on synthetic",
 		Columns: []string{"|V|", "P1 (3,3,3)", "P2 (4,4,3)"},
 	}
+	var sum1, sum2, first1, first2, last1, last2 time.Duration
 	for i := 3; i <= 10; i++ {
 		n := scaled(i*100000, cfg.Scale, 60)
 		g := generator.Synthetic(n, 2*n, generator.DefaultSchema(8), cfg.Seed)
@@ -176,8 +192,14 @@ func Fig17d(cfg Config) Table {
 			d1 += timeIt(func() { core.MatchBFS(p1, g) })
 			d2 += timeIt(func() { core.MatchBFS(p2, g) })
 		}
+		if i == 3 {
+			first1, first2 = d1, d2
+		}
+		last1, last2 = d1, d2
+		sum1, sum2 = sum1+d1, sum2+d2
 		t.AddRow(n, d1/reps, d2/reps)
 	}
-	t.Notes = append(t.Notes, "expected shape: near-linear growth in |V|; P2 above P1")
+	t.Shape = "P2's total ≥ P1's; the largest graph costs more than the smallest for both (paper: near-linear growth in |V|)"
+	t.ShapeOK = sum2 >= sum1 && last1 > first1 && last2 > first2
 	return t
 }

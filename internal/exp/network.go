@@ -109,7 +109,6 @@ func FigNet1(cfg Config) Table {
 		protos[f] = generator.Pattern(base, generator.PatternParams{Nodes: 3 + f%3, Edges: 3 + f%3, Preds: 1, K: 1}, cfg.Seed+int64(61+f))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 71))
-	shapeOK := false
 	var firstPer time.Duration // shared/pat at the fewest patterns
 	for i, nPats := range []int{10, 25, 50, 100} {
 		pats := make([]*pattern.Pattern, nPats)
@@ -123,13 +122,12 @@ func FigNet1(cfg Config) Table {
 		if i == 0 {
 			firstPer = perPat
 		}
-		shapeOK = perPat < firstPer && dShared <= dPriv // the last row's verdict stands
+		t.ShapeOK = perPat < firstPer && dShared <= dPriv // the last row's verdict stands
 		t.AddRow(nPats, dShared, perPat, dPriv, dPriv/time.Duration(nPats), ns.JoinNodes, ns.RepairsSaved)
 	}
-	t.ShapeOK = &shapeOK
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d structural families; every pattern is a renumbering of one of them", families),
-		"private: one incsim engine per pattern over one base, each commit netted once and fanned out over internal/par",
-		"expected shape: shared/pat falls as patterns grow (joins stay ~5); private/pat stays flat (shape_ok: shared/pat at 100 < at 10, shared total ≤ private total at 100)")
+		"private: one incsim engine per pattern over one base, each commit netted once and fanned out over internal/par")
+	t.Shape = "shared/pat at 100 patterns < at 10, and shared total ≤ private total at 100 (shared/pat falls as patterns grow, joins stay ~5; private/pat stays flat)"
 	return t
 }

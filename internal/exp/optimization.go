@@ -26,6 +26,7 @@ func Fig20a(cfg Config) Table {
 	}
 	n := scaled(20000, cfg.Scale, 200)
 	nUps := scaled(4000, cfg.Scale, 400)
+	var reductions []int
 	for _, alpha := range []float64{1.0, 1.05, 1.1, 1.15, 1.2} {
 		g := generator.SyntheticAlpha(n, alpha, generator.DefaultSchema(8), cfg.Seed)
 		// Label-only predicates keep the candidate universe broad, as in
@@ -37,9 +38,11 @@ func Fig20a(cfg Config) Table {
 		}
 		ups := generator.Updates(g, nUps/2, nUps/2, cfg.Seed+31)
 		original, effective, relevant := e.MinDelta(ups)
+		reductions = append(reductions, original-relevant)
 		t.AddRow(fmt.Sprintf("%.2f", alpha), original, effective, relevant)
 	}
-	t.Notes = append(t.Notes, "expected shape: reduction grows with α (denser graphs → more redundant updates)")
+	t.Shape = "original − relevant at α = 1.20 ≥ at α = 1.00 (paper: reduction grows with α, denser graphs → more redundant updates)"
+	t.ShapeOK = reductions[len(reductions)-1] >= reductions[0]
 	return t
 }
 
@@ -56,6 +59,7 @@ func Fig20b(cfg Config) Table {
 	maintained := ix.Graph()
 	steps := 5
 	per := scaled(1000, cfg.Scale, 12)
+	t.ShapeOK = true
 	for i := 1; i <= steps; i++ {
 		ups := generator.Updates(maintained, per, 0, cfg.Seed+int64(i))
 		for _, up := range ups {
@@ -63,9 +67,10 @@ func Fig20b(cfg Config) Table {
 		}
 		fresh := landmark.New(maintained.Clone())
 		over := float64(ix.Bytes()-fresh.Bytes()) / float64(fresh.Bytes()) * 100
+		t.ShapeOK = t.ShapeOK && over <= 10
 		t.AddRow(i*per, ix.Bytes(), fresh.Bytes(), fmt.Sprintf("%+.1f%%", over))
 	}
-	t.Notes = append(t.Notes, "expected shape: a few percent overhead versus rebuilding, far below an O(|V|²) matrix")
+	t.Shape = "InsLM bytes within 10% of BatchLM's on every row (paper: a few percent overhead versus rebuilding)"
 	return t
 }
 
@@ -78,6 +83,7 @@ func Fig20c(cfg Config) Table {
 	}
 	base := cfg.youtube()
 	per := scaled(500, cfg.Scale, 8)
+	t.ShapeOK = true
 	for i := 1; i <= 5; i++ {
 		k := i * per
 		// Insertions.
@@ -108,9 +114,10 @@ func Fig20c(cfg Config) Table {
 			gDelB.ApplyAll(delUps) //nolint:errcheck
 			landmark.New(gDelB)
 		})
+		t.ShapeOK = t.ShapeOK && dIns <= dInsBatch && dDel <= dDelBatch
 		t.AddRow(k, dIns, dInsBatch, dDel, dDelBatch)
 	}
-	t.Notes = append(t.Notes, "expected shape: InsLM/DelLM a small fraction of the rebuild cost")
+	t.Shape = "InsLM ≤ BatchLM(+) and DelLM ≤ BatchLM(-) on every row (paper: each a small fraction of the rebuild cost)"
 	return t
 }
 
@@ -130,6 +137,7 @@ func Fig20d(cfg Config) Table {
 	}
 	base := big.youtube()
 	per := scaled(1000, cfg.Scale, 10)
+	t.ShapeOK = true
 	for i := 1; i <= 6; i++ {
 		k := i * per
 		gInc := base.Clone()
@@ -141,12 +149,13 @@ func Fig20d(cfg Config) Table {
 			gB.ApplyAll(ups) //nolint:errcheck
 			landmark.New(gB)
 		})
+		t.ShapeOK = t.ShapeOK && dInc <= dBatch
 		t.AddRow(k, dInc, dBatch)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("graph: YouTube at scale %.3g, %d nodes, %d edges — 4× the configured scale, capped at 0.3, where Fig 20(c) runs at the configured scale uncapped: at -scale 1.0 this BatchLM costs 0.45 s and 20(c)'s 6 s",
-			big.Scale, base.NumNodes(), base.NumEdges()),
-		"expected shape: IncLM a small fraction of BatchLM (paper: ~15% at 6k updates)")
+			big.Scale, base.NumNodes(), base.NumEdges()))
+	t.Shape = "IncLM ≤ BatchLM on every row (paper: IncLM a small fraction of BatchLM, ~15% at 6k updates)"
 	return t
 }
 
@@ -167,6 +176,8 @@ func Fig20e(cfg Config) Table {
 	// variable across rows.
 	proto := generator.DAGPattern(base, generator.PatternParams{Nodes: 4, Edges: 5, Preds: 2, K: 3}, cfg.Seed+41)
 	ups := generator.Updates(base, nUps/2, nUps/2, cfg.Seed+51)
+	t.ShapeOK = true
+	var prev int64
 	for k := 3; k <= 6; k++ {
 		e, err := incbsim.New(proto.WithAllBounds(k), base.Clone())
 		if err != nil {
@@ -177,9 +188,12 @@ func Fig20e(cfg Config) Table {
 			e.Batch(ups)
 			ix.Batch(ups)
 		})
-		t.AddRow(k, d, e.Stats().PairsExamined)
+		aff := e.Stats().PairsExamined
+		t.ShapeOK = t.ShapeOK && aff >= prev
+		prev = aff
+		t.AddRow(k, d, aff)
 	}
-	t.Notes = append(t.Notes, "expected shape: affected pairs (and typically time) grow with k — larger km-hop areas")
+	t.Shape = "affected pairs non-decreasing in k (paper: affected area, and typically time, grow with k — larger km-hop areas)"
 	return t
 }
 
@@ -193,6 +207,7 @@ func Fig20f(cfg Config) Table {
 	m := scaled(40000, cfg.Scale, 400)
 	base := generator.Synthetic(n, m, generator.DefaultSchema(8), cfg.Seed)
 	per := scaled(500, cfg.Scale, 8)
+	t.ShapeOK = true
 	for i := 1; i <= 6; i++ {
 		k := i * per
 		ups := generator.Updates(base, k/2, k/2, cfg.Seed+int64(i))
@@ -216,9 +231,10 @@ func Fig20f(cfg Config) Table {
 		gInc := base.Clone()
 		ixInc := landmark.New(gInc)
 		dInc := timeIt(func() { ixInc.Batch(ups) })
+		t.ShapeOK = t.ShapeOK && dInc <= dNaive
 		t.AddRow(len(ups), dNaive, dInc)
 	}
-	t.Notes = append(t.Notes, "expected shape: IncLM consistently below the naive loop (paper: ~20%)")
+	t.Shape = "IncLM ≤ InsLM+DelLM on every row (paper: IncLM consistently below the naive loop, by ~20%)"
 	return t
 }
 
@@ -232,6 +248,11 @@ func Table1Witnesses(cfg Config) Table {
 		Columns: []string{"family", "n", "|ΔM| after e1", "|ΔM| after e2"},
 	}
 	n := scaled(2000, cfg.Scale, 40)
+	t.ShapeOK = true
+	row := func(family string, size, d1, d2 int) {
+		t.ShapeOK = t.ShapeOK && d1 == 0 && d2 > 0
+		t.AddRow(family, size, d1, d2)
+	}
 
 	// Incremental simulation witness (Fig. 6).
 	{
@@ -245,7 +266,7 @@ func Table1Witnesses(cfg Config) Table {
 		after1 := e.Result().Size()
 		e.Insert(ups.E2.From, ups.E2.To)
 		after2 := e.Result().Size()
-		t.AddRow("IncSim / Fig 6", 2*n, after1-before, after2-after1)
+		row("IncSim / Fig 6", 2*n, after1-before, after2-after1)
 		if !e.Result().Equal(simulation.Maximum(p, g)) {
 			panic("exp: witness result mismatch")
 		}
@@ -262,7 +283,7 @@ func Table1Witnesses(cfg Config) Table {
 		after1 := e.Result().Size()
 		e.Insert(ups.E2.From, ups.E2.To)
 		after2 := e.Result().Size()
-		t.AddRow("IncBSim / Fig 11", 3*n, after1-before, after2-after1)
+		row("IncBSim / Fig 11", 3*n, after1-before, after2-after1)
 	}
 	// Incremental subgraph isomorphism witness (Fig. 15).
 	{
@@ -274,8 +295,8 @@ func Table1Witnesses(cfg Config) Table {
 		after1 := e.Count()
 		e.Insert(ups.E2.From, ups.E2.To)
 		after2 := e.Count()
-		t.AddRow("IncIso / Fig 15", 2+4*wn, after1-before, after2-after1)
+		row("IncIso / Fig 15", 2+4*wn, after1-before, after2-after1)
 	}
-	t.Notes = append(t.Notes, "expected shape: column 3 is 0, column 4 is Θ(n) — unit updates with unbounded |ΔM|")
+	t.Shape = "|ΔM| after e1 is 0 and after e2 positive on every row (paper: e2's |ΔM| is Θ(n) — unit updates with unbounded |ΔM|)"
 	return t
 }

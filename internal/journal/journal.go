@@ -14,7 +14,7 @@
 // A Journal has two retention layers:
 //
 //   - An in-memory ring of the most recent commits (always on), serving hot
-//     Replay/Commits calls without touching disk. A memory-only journal
+//     Commits calls without touching disk. A memory-only journal
 //     (New) has just this layer; replay reaches back at most the ring size.
 //   - Optional on-disk segment files (Open): every record is appended to
 //     the active segment as a length-prefixed, CRC-checksummed frame;
@@ -84,7 +84,7 @@ type Record struct {
 	Def  []byte // RecRegister: pattern text-format definition
 }
 
-// Commit is one committed batch as served by Commits/Replay: the sequence
+// Commit is one committed batch as served by Commits: the sequence
 // number and the net effective ΔG the engines were fanned. Updates is
 // shared with the journal's ring — callers must not mutate it. Trace is
 // the W3C traceparent of the commit span that produced the batch ("" when
@@ -190,7 +190,7 @@ type Journal struct {
 	segBytes  int64
 	snapEvery uint64
 
-	ring []ringEntry // recent commits, oldest first
+	ring []Commit // recent commits, oldest first
 
 	lsn              uint64 // last assigned record LSN
 	headSeq          uint64 // newest committed seq seen
@@ -218,14 +218,6 @@ type Journal struct {
 	appendFailed error // sticky: a lost record must never be followed by another
 }
 
-// ringEntry is one in-memory retained commit with the LSN it was
-// appended at (needed so Replay's LSN contract holds for memory-only
-// journals too).
-type ringEntry struct {
-	lsn uint64
-	c   Commit
-}
-
 // New returns a memory-only journal: commits are retained in the ring
 // only, so replay reaches back at most WithRing commits and nothing
 // survives the process.
@@ -248,7 +240,7 @@ func New(options ...Option) *Journal {
 // Sequences must be contiguous: once an append fails (disk full), the
 // owner's sequence moves on but the journal's head does not, and every
 // later append is rejected here rather than recorded past a gap — a
-// gapped log would let Replay/Recover silently skip a commit. The journal
+// gapped log would let Commits/Recover silently skip a commit. The journal
 // serves its intact prefix until the process restarts from it.
 func (j *Journal) AppendCommit(seq uint64, ups []graph.Update) error {
 	return j.AppendCommitTrace(seq, ups, "")
@@ -283,7 +275,7 @@ func (j *Journal) AppendCommitTrace(seq uint64, ups []graph.Update, trace string
 	if !j.haveOldest {
 		j.oldestSeq, j.haveOldest = seq, true
 	}
-	j.ring = append(j.ring, ringEntry{lsn: j.lsn, c: Commit{Seq: seq, Updates: ups, Trace: trace}})
+	j.ring = append(j.ring, Commit{Seq: seq, Updates: ups, Trace: trace})
 	j.trimRing()
 	j.commitCount++
 	j.commitsSinceSnap++
@@ -365,11 +357,11 @@ func (j *Journal) Commits(fromSeq uint64) ([]Commit, error) {
 		return nil, fmt.Errorf("%w: want seq > %d, oldest retained is %d", ErrCompacted, fromSeq, j.oldestSeq)
 	}
 	// Hot path: the ring covers the whole range.
-	if len(j.ring) > 0 && j.ring[0].c.Seq <= fromSeq+1 {
+	if len(j.ring) > 0 && j.ring[0].Seq <= fromSeq+1 {
 		out := make([]Commit, 0, j.headSeq-fromSeq)
-		for _, e := range j.ring {
-			if e.c.Seq > fromSeq {
-				out = append(out, e.c)
+		for _, c := range j.ring {
+			if c.Seq > fromSeq {
+				out = append(out, c)
 			}
 		}
 		return out, nil
@@ -378,27 +370,6 @@ func (j *Journal) Commits(fromSeq uint64) ([]Commit, error) {
 		return nil, fmt.Errorf("%w: want seq > %d, ring starts at %d", ErrCompacted, fromSeq, j.oldestSeq)
 	}
 	return j.commitsFromDisk(fromSeq)
-}
-
-// Replay streams every retained record with LSN greater than afterLSN in
-// append order — commit and meta records alike — to fn, stopping early on
-// fn error. It reads from disk for durable journals; memory-only journals
-// replay the commit ring (meta records are not retained in memory).
-func (j *Journal) Replay(afterLSN uint64, fn func(Record) error) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dir == "" {
-		for _, e := range j.ring {
-			if e.lsn <= afterLSN {
-				continue
-			}
-			if err := fn(Record{Type: RecCommit, LSN: e.lsn, Seq: e.c.Seq, Updates: e.c.Updates, Trace: e.c.Trace}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return j.replayDisk(afterLSN, fn)
 }
 
 // RecoveredState hands off what Open found on disk: the latest valid

@@ -424,40 +424,39 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestReplayStreamsMetaRecords checks Replay's append-order contract over
-// a mixed record stream.
+// TestReplayStreamsMetaRecords: the tail recovery replays
+// (RecoveredState) carries meta records and commits in append order.
 func TestReplayStreamsMetaRecords(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
 	j.AppendRegister(0, "a", "sim", []byte("p"))
 	appendCommits(t, j, 1, 2)
 	j.AppendUnregister(2, "a")
-	var kinds []RecordType
-	if err := j.Replay(0, func(rec Record) error {
-		kinds = append(kinds, rec.Type)
-		return nil
-	}); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	j2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	_, tail := j2.RecoveredState()
+	var kinds []RecordType
+	for _, rec := range tail {
+		kinds = append(kinds, rec.Type)
 	}
 	want := []RecordType{RecRegister, RecCommit, RecCommit, RecUnregister}
 	if fmt.Sprint(kinds) != fmt.Sprint(want) {
-		t.Fatalf("replay order %v, want %v", kinds, want)
-	}
-	// Replay after an LSN skips the prefix.
-	var n int
-	j.Replay(2, func(rec Record) error { n++; return nil })
-	if n != 2 {
-		t.Fatalf("Replay(2) visited %d records, want 2", n)
+		t.Fatalf("recovered tail order %v, want %v", kinds, want)
 	}
 }
 
 // TestAppendRejectsSeqGap: once a commit append is skipped (e.g. a disk
 // failure made the owner's seq move past the journal head), later appends
-// must be rejected rather than recorded past a gap — Replay/Recover must
+// must be rejected rather than recorded past a gap — Commits/Recover must
 // never silently skip a commit.
 func TestAppendRejectsSeqGap(t *testing.T) {
 	j := New()
@@ -504,25 +503,4 @@ func TestOversizedRecordRejectedAtAppend(t *testing.T) {
 	}
 	defer j2.Close()
 	checkCommits(t, j2, 0, 1, 2)
-}
-
-// TestMemoryReplayHonorsLSN: the memory-only journal's Replay must honor
-// the "LSN greater than afterLSN" contract and carry real LSNs, same as
-// the durable path.
-func TestMemoryReplayHonorsLSN(t *testing.T) {
-	j := New()
-	appendCommits(t, j, 1, 3)
-	var got []uint64
-	if err := j.Replay(2, func(rec Record) error {
-		if rec.Type != RecCommit {
-			t.Fatalf("record type %d", rec.Type)
-		}
-		got = append(got, rec.LSN)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Replay(2) LSNs = %v, want [3]", got)
-	}
 }

@@ -397,7 +397,7 @@ func (j *Journal) ingestRecovered(rec Record, info *segmentInfo) {
 			j.oldestSeq, j.haveOldest = rec.Seq, true
 		}
 		j.commitCount++
-		j.ring = append(j.ring, ringEntry{lsn: rec.LSN, c: Commit{Seq: rec.Seq, Updates: rec.Updates, Trace: rec.Trace}})
+		j.ring = append(j.ring, Commit{Seq: rec.Seq, Updates: rec.Updates, Trace: rec.Trace})
 		j.trimRingRecovery()
 	}
 	if !j.haveSnap || rec.LSN > j.snapLSN {
@@ -486,37 +486,6 @@ func (j *Journal) commitsFromDisk(fromSeq uint64) ([]Commit, error) {
 		return nil, fmt.Errorf("%w: want seq > %d, disk starts later", ErrCompacted, fromSeq)
 	}
 	return out, nil
-}
-
-// replayDisk streams records with LSN > afterLSN from the segment files in
-// order. Called with j.mu held.
-func (j *Journal) replayDisk(afterLSN uint64, fn func(Record) error) error {
-	for _, seg := range j.segs {
-		if seg.maxLSN <= afterLSN {
-			continue
-		}
-		data, err := os.ReadFile(seg.path)
-		if err != nil {
-			return err
-		}
-		var cbErr error
-		scanFrames(data, func(payload []byte) bool {
-			rec, err := decodeRecord(payload)
-			if err != nil {
-				cbErr = err
-				return false
-			}
-			if rec.LSN <= afterLSN {
-				return true
-			}
-			cbErr = fn(rec)
-			return cbErr == nil
-		})
-		if cbErr != nil {
-			return cbErr
-		}
-	}
-	return nil
 }
 
 // resetDiskLocked wipes all segments and snapshots and re-seeds the

@@ -229,8 +229,8 @@ func (j *Journal) recomputeOldest() {
 			break
 		}
 	}
-	if len(j.ring) > 0 && (!j.haveOldest || j.ring[0].c.Seq < j.oldestSeq) {
-		j.oldestSeq, j.haveOldest = j.ring[0].c.Seq, true
+	if len(j.ring) > 0 && (!j.haveOldest || j.ring[0].Seq < j.oldestSeq) {
+		j.oldestSeq, j.haveOldest = j.ring[0].Seq, true
 	}
 }
 

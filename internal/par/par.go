@@ -2,12 +2,12 @@
 // hot paths of this repository: a process-wide default worker count, a
 // parallel-for over dense index ranges with stable worker identities (so
 // callers can keep per-worker scratch buffers, the pattern every BFS-heavy
-// loop needs), and a small bounded worker pool for irregular task sets.
+// loop needs).
 //
-// All primitives are deliberately synchronous: a call returns only after
-// every unit of work has finished, so callers never have to reason about
-// task lifetimes. Panics raised inside workers are captured and re-raised
-// on the calling goroutine.
+// For is deliberately synchronous: a call returns only after every unit of
+// work has finished, so callers never have to reason about task lifetimes.
+// Panics raised inside workers are captured and re-raised on the calling
+// goroutine.
 package par
 
 import (
@@ -112,46 +112,6 @@ func For(n, workers int, body func(worker, i int)) {
 	}
 	wg.Wait()
 	rethrow(&panicked)
-}
-
-// Pool is a bounded worker pool: at most `workers` submitted tasks run
-// concurrently; Go blocks when the pool is saturated. The zero value is
-// not usable; construct with NewPool.
-type Pool struct {
-	sem      chan struct{}
-	wg       sync.WaitGroup
-	panicked atomic.Pointer[panicValue]
-}
-
-// NewPool returns a pool running at most `workers` tasks at once
-// (workers <= 0 selects the default).
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	return &Pool{sem: make(chan struct{}, workers)}
-}
-
-// Go submits a task, blocking until a worker slot frees up. Tasks must not
-// themselves call Go on the same pool (a saturated pool would deadlock).
-func (p *Pool) Go(task func()) {
-	p.sem <- struct{}{}
-	p.wg.Add(1)
-	go func() {
-		defer func() {
-			<-p.sem
-			p.wg.Done()
-		}()
-		defer capturePanic(&p.panicked)
-		task()
-	}()
-}
-
-// Wait blocks until every submitted task has finished, then re-raises the
-// first captured panic, if any. The pool is reusable after Wait.
-func (p *Pool) Wait() {
-	p.wg.Wait()
-	rethrow(&p.panicked)
 }
 
 // panicValue boxes a recovered panic so it can travel through an atomic

@@ -88,40 +88,3 @@ func TestSetDefaultWorkers(t *testing.T) {
 		t.Fatalf("DefaultWorkers() = %d after reset", got)
 	}
 }
-
-func TestPoolBoundedAndComplete(t *testing.T) {
-	const workers, tasks = 3, 50
-	p := NewPool(workers)
-	var running, peak, done int64
-	for i := 0; i < tasks; i++ {
-		p.Go(func() {
-			cur := atomic.AddInt64(&running, 1)
-			for {
-				old := atomic.LoadInt64(&peak)
-				if cur <= old || atomic.CompareAndSwapInt64(&peak, old, cur) {
-					break
-				}
-			}
-			atomic.AddInt64(&running, -1)
-			atomic.AddInt64(&done, 1)
-		})
-	}
-	p.Wait()
-	if done != tasks {
-		t.Fatalf("completed %d tasks, want %d", done, tasks)
-	}
-	if peak > workers {
-		t.Fatalf("peak concurrency %d exceeds pool bound %d", peak, workers)
-	}
-}
-
-func TestPoolPropagatesPanic(t *testing.T) {
-	p := NewPool(2)
-	p.Go(func() { panic("pool boom") })
-	defer func() {
-		if r := recover(); r != "pool boom" {
-			t.Fatalf("recovered %v, want pool boom", r)
-		}
-	}()
-	p.Wait()
-}

@@ -76,13 +76,7 @@ type Server struct {
 // New builds a server over an initially empty graph with a memory-only
 // journal, so SSE streams are resumable out of the box. POST /v1/graph
 // installs a real graph.
-func New(options ...contq.Option) *Server {
-	s := &Server{opts: options, journal: journal.New()}
-	s.reg = contq.New(graph.New(), s.registryOpts()...)
-	registerBuildInfo(s.reg.Metrics())
-	s.initMux()
-	return s
-}
+func New(options ...contq.Option) *Server { return newServer(options, false, "") }
 
 // NewWithJournal builds a server whose state is recovered from (and
 // journaled to) j — typically a durable journal.Open directory: the
@@ -107,7 +101,13 @@ func NewWithJournal(j *journal.Journal, options ...contq.Option) (*Server, error
 // registry via SetRegistry) so the listener can come up — and answer
 // health probes — while the bootstrap is still fetching the snapshot.
 func NewReadOnly(leaderURL string, options ...contq.Option) *Server {
-	s := &Server{opts: options, journal: journal.New(), readOnly: true, leader: leaderURL}
+	return newServer(options, true, leaderURL)
+}
+
+// newServer is New and NewReadOnly: a registry over an empty graph with a
+// memory-only journal, read-only and naming leader when readOnly is set.
+func newServer(options []contq.Option, readOnly bool, leader string) *Server {
+	s := &Server{opts: options, journal: journal.New(), readOnly: readOnly, leader: leader}
 	s.reg = contq.New(graph.New(), s.registryOpts()...)
 	registerBuildInfo(s.reg.Metrics())
 	s.initMux()
