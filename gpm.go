@@ -240,29 +240,28 @@ func Delete(u, v NodeID) Update { return graph.Delete(u, v) }
 
 // Match computes the maximum bounded-simulation match Mksim(P, G)
 // (Theorem 3.1) using on-demand BFS for distances. Use MatchWithOracle to
-// supply a precomputed oracle.
+// supply a precomputed oracle. A colored pattern edge (AddColoredEdge) maps
+// only to paths whose data edges all carry that relationship label — the
+// typed-relationship extension of the paper's Section 2.2 remark.
 func Match(p *Pattern, g *Graph) Relation { return core.MatchBFS(p, g) }
 
 // MatchWithOracle computes Mksim(P, G) over the given distance oracle
-// (e.g. NewDistanceMatrix, NewTwoHop or NewLandmarkIndex results).
+// (e.g. NewDistanceMatrix, NewTwoHop or NewLandmarkIndex results). The
+// oracle serves plain pattern edges; colored edges are honoured under any
+// oracle, by walks over their label's data edges.
 func MatchWithOracle(p *Pattern, g *Graph, o DistanceOracle) Relation {
 	return core.Match(p, g, core.WithOracle(o))
 }
 
 // MatchSimulation computes the maximum graph-simulation match Msim(P, G)
-// for a normal pattern (every bound 1).
+// for a normal pattern (every bound 1). A colored pattern edge is imaged
+// only by data edges of its label.
 func MatchSimulation(p *Pattern, g *Graph) Relation { return simulation.Maximum(p, g) }
 
 // MatchDualSimulation computes the maximum dual-simulation match for a
 // normal pattern: simulation refined with the symmetric parent condition
 // (Ma et al. 2011, the Section 2.3 remark).
 func MatchDualSimulation(p *Pattern, g *Graph) Relation { return simulation.DualMaximum(p, g) }
-
-// MatchColored computes the maximum bounded-simulation match of a pattern
-// that may contain colored edges (AddColoredEdge): a colored pattern edge
-// maps only to paths whose data edges all carry that relationship label —
-// the typed-relationship extension of the paper's Section 2.2 remark.
-func MatchColored(p *Pattern, g *Graph) Relation { return core.MatchColored(p, g) }
 
 // EnumerateIsomorphic returns the subgraph-isomorphism embeddings of a
 // normal pattern, up to limit (limit <= 0 for all).

@@ -18,22 +18,40 @@ func TestFacadeColoredMatching(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := gpm.NewPattern()
-	pa := p.AddNode(gpm.Label("a"))
-	pb := p.AddNode(gpm.Label("b"))
-	if err := p.AddColoredEdge(pa, pb, 2, "friend"); err != nil {
-		t.Fatal(err)
+	edge := func(to string, bound int, color string) *gpm.Pattern {
+		p := gpm.NewPattern()
+		pa := p.AddNode(gpm.Label("a"))
+		pt := p.AddNode(gpm.Label(to))
+		if err := p.AddColoredEdge(pa, pt, bound, color); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if r := gpm.MatchColored(p, g); !r.Empty() {
-		t.Fatalf("mixed-label chain must not match: %v", r)
+	matchers := map[string]func(*gpm.Pattern) gpm.Relation{
+		"Match":  func(p *gpm.Pattern) gpm.Relation { return gpm.Match(p, g) },
+		"matrix": func(p *gpm.Pattern) gpm.Relation { return gpm.MatchWithOracle(p, g, gpm.NewDistanceMatrix(g)) },
+		"2-hop":  func(p *gpm.Pattern) gpm.Relation { return gpm.MatchWithOracle(p, g, gpm.NewTwoHop(g)) },
 	}
-	// A plain bounded edge ignores labels.
-	plain := gpm.NewPattern()
-	qa := plain.AddNode(gpm.Label("a"))
-	qb := plain.AddNode(gpm.Label("b"))
-	plain.AddEdge(qa, qb, 2)
-	if r := gpm.MatchColored(plain, g); r.Empty() {
-		t.Fatal("plain pattern should match the 2-hop chain")
+	for name, match := range matchers {
+		if r := match(edge("b", 2, "friend")); !r.Empty() {
+			t.Fatalf("%s: mixed-label chain must not match: %v", name, r)
+		}
+		// A plain bounded edge ignores labels.
+		if r := match(edge("b", 2, "")); r.Empty() {
+			t.Fatalf("%s: plain pattern should match the 2-hop chain", name)
+		}
+	}
+	// A colored normal edge needs a data edge of its color, under every
+	// matcher, simulation and dual simulation included.
+	matchers["simulation"] = func(p *gpm.Pattern) gpm.Relation { return gpm.MatchSimulation(p, g) }
+	matchers["dual"] = func(p *gpm.Pattern) gpm.Relation { return gpm.MatchDualSimulation(p, g) }
+	for name, match := range matchers {
+		if r := match(edge("x", 1, "cites")); !r.Empty() {
+			t.Fatalf("%s: a friend edge must not image a cites edge: %v", name, r)
+		}
+		if r := match(edge("x", 1, "friend")); r.Empty() {
+			t.Fatalf("%s: the friend edge should image a friend edge", name)
+		}
 	}
 }
 

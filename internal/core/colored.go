@@ -1,220 +1,59 @@
 package core
 
-// Edge-colored bounded simulation — the extension sketched in the remark of
-// Section 2.2: data-graph edges carry relationship labels ("colors") and a
-// colored pattern edge maps only to paths whose every edge carries that
-// color, so a relationship chain in the pattern is matched by the same
-// relationship in the data graph. Plain (uncolored) pattern edges behave
-// exactly as in Match.
-//
-// Colored distances cannot come from a generic distance oracle (they depend
-// on the color), so MatchColored walks color-restricted BFS for colored
-// edges and uses the standard machinery for plain ones. Incremental engines
-// do not support colored patterns; they reject them at construction.
+// Edge-colored bounded simulation, the extension sketched in the remark of
+// Section 2.2: data edges carry relationship labels ("colors"), and a colored
+// pattern edge maps only to paths whose every edge carries its color. No
+// generic distance oracle knows colors, so Match walks each colored pattern
+// edge with a colorWalk, whatever oracle serves the plain ones. Incremental
+// engines reject colored patterns at construction.
 
-import (
-	"gpm/internal/distance"
-	"gpm/internal/graph"
-	"gpm/internal/pattern"
-	"gpm/internal/rel"
-)
+import "gpm/internal/graph"
 
-// MatchColored computes the maximum bounded-simulation match of a pattern
-// that may contain colored edges. For patterns without colors it is
-// equivalent to Match.
-func MatchColored(p *pattern.Pattern, g *graph.Graph) rel.Relation {
-	if !p.HasColors() {
-		return Match(p, g)
-	}
-	np, n := p.NumNodes(), g.NumNodes()
-	mat := rel.NewRelation(np)
-	for u := 0; u < np; u++ {
-		pred := p.Pred(u)
-		needChild := p.OutDegree(u) > 0
-		for v := 0; v < n; v++ {
-			if needChild && g.OutDegree(v) == 0 {
-				continue
-			}
-			if pred.Eval(g.Attrs(v)) {
-				mat[u].Add(v)
-			}
-		}
-		if mat[u].Len() == 0 {
-			return rel.NewRelation(np)
-		}
-	}
-
-	edges := p.Edges()
-	bfs := distance.NewBFS(g)
-	// descVisit/ancVisit dispatch per edge: color-restricted walk for
-	// colored edges, plain nonempty walk otherwise.
-	descVisit := func(pe pattern.Edge, v graph.NodeID, fn func(w graph.NodeID) bool) {
-		if pe.Color == "" {
-			bfs.DescNonempty(v, pe.Bound, func(w graph.NodeID, d int) bool { return fn(w) })
-			return
-		}
-		colorWalk(g, v, graph.Forward, pe.Bound, pe.Color, fn)
-	}
-	ancVisit := func(pe pattern.Edge, v graph.NodeID, fn func(w graph.NodeID) bool) {
-		if pe.Color == "" {
-			bfs.AncNonempty(v, pe.Bound, func(w graph.NodeID, d int) bool { return fn(w) })
-			return
-		}
-		colorWalk(g, v, graph.Reverse, pe.Bound, pe.Color, fn)
-	}
-
-	cnt := make([]map[graph.NodeID]int32, len(edges))
-	type removal struct {
-		u int
-		v graph.NodeID
-	}
-	var queue []removal
-	removeMatch := func(u int, v graph.NodeID) {
-		if mat[u].Remove(v) {
-			queue = append(queue, removal{u, v})
-		}
-	}
-	for e, pe := range edges {
-		cnt[e] = make(map[graph.NodeID]int32, mat[pe.From].Len())
-		tgt := mat[pe.To]
-		for v := range mat[pe.From] {
-			c := int32(0)
-			descVisit(pe, v, func(w graph.NodeID) bool {
-				if tgt.Has(w) {
-					c++
-				}
-				return true
-			})
-			cnt[e][v] = c
-		}
-	}
-	for e, pe := range edges {
-		for v, c := range cnt[e] {
-			if c == 0 {
-				removeMatch(pe.From, v)
-			}
-		}
-	}
-
-	inEdges := make([][]int, np)
-	for e, pe := range edges {
-		inEdges[pe.To] = append(inEdges[pe.To], e)
-	}
-	for len(queue) > 0 {
-		rm := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, e := range inEdges[rm.u] {
-			pe := edges[e]
-			src := mat[pe.From]
-			ancVisit(pe, rm.v, func(w graph.NodeID) bool {
-				if src.Has(w) {
-					cnt[e][w]--
-					if cnt[e][w] == 0 {
-						removeMatch(pe.From, w)
-					}
-				}
-				return true
-			})
-		}
-		if mat[rm.u].Len() == 0 {
-			return rel.NewRelation(np)
-		}
-	}
-	if !mat.Total() {
-		return rel.NewRelation(np)
-	}
-	return mat
+// colorWalk is the distance.Iterator of one edge color: a breadth-first walk
+// over the data edges labeled color only.
+type colorWalk struct {
+	g     *graph.Graph
+	color string
 }
 
-// colorWalk visits every node connected to v by a nonempty path of length
-// <= bound whose edges all carry the given label, in direction dir.
-// Returning false from fn stops the walk.
-func colorWalk(g *graph.Graph, v graph.NodeID, dir graph.Dir, bound int, color string, fn func(w graph.NodeID) bool) {
-	if bound < 1 {
-		return
-	}
-	labeled := func(from, to graph.NodeID) bool { return g.EdgeLabel(from, to) == color }
-	adj := g.Out
+// DescNonempty visits every node reachable from v by a nonempty path of at
+// most bound edges, all labeled c.color.
+func (c colorWalk) DescNonempty(v graph.NodeID, bound int, fn func(w graph.NodeID, d int) bool) {
+	c.walk(v, graph.Forward, bound, fn)
+}
+
+// AncNonempty is the reverse-direction walk.
+func (c colorWalk) AncNonempty(v graph.NodeID, bound int, fn func(w graph.NodeID, d int) bool) {
+	c.walk(v, graph.Reverse, bound, fn)
+}
+
+// walk is a level-by-level BFS from v that leaves v unmarked, so v itself is
+// visited iff it lies on a colored cycle within the bound. Returning false
+// from fn stops the walk.
+func (c colorWalk) walk(v graph.NodeID, dir graph.Dir, bound int, fn func(w graph.NodeID, d int) bool) {
+	adj := c.g.Out
 	if dir == graph.Reverse {
-		adj = g.In
-	}
-	edgeOK := func(x, w graph.NodeID) bool {
-		if dir == graph.Forward {
-			return labeled(x, w)
-		}
-		return labeled(w, x)
-	}
-	type qe struct {
-		v graph.NodeID
-		d int
+		adj = c.g.In
 	}
 	seen := map[graph.NodeID]bool{}
-	var queue []qe
-	for _, w := range adj(v) {
-		if edgeOK(v, w) && !seen[w] {
-			seen[w] = true
-			if !fn(w) {
-				return
-			}
-			queue = append(queue, qe{w, 1})
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		x := queue[qi]
-		if x.d >= bound {
-			continue
-		}
-		for _, w := range adj(x.v) {
-			if edgeOK(x.v, w) && !seen[w] {
-				seen[w] = true
-				if !fn(w) {
-					return
+	frontier := []graph.NodeID{v}
+	for d := 1; d <= bound && len(frontier) > 0; d++ {
+		var next []graph.NodeID
+		for _, x := range frontier {
+			for _, w := range adj(x) {
+				from, to := x, w
+				if dir == graph.Reverse {
+					from, to = w, x
 				}
-				queue = append(queue, qe{w, x.d + 1})
-			}
-		}
-	}
-}
-
-// HoldsColored verifies a colored bounded simulation.
-func HoldsColored(p *pattern.Pattern, g *graph.Graph, r rel.Relation) bool {
-	if r.Empty() {
-		return true
-	}
-	if !r.Total() {
-		return false
-	}
-	bfs := distance.NewBFS(g)
-	for u := range r {
-		for v := range r[u] {
-			if !p.Pred(u).Eval(g.Attrs(v)) {
-				return false
-			}
-			for _, u2 := range p.Out(u) {
-				bound, _ := p.Bound(u, u2)
-				color := p.Color(u, u2)
-				found := false
-				if color == "" {
-					for w := range r[u2] {
-						if pattern.WithinBound(distance.NonemptyDist(bfs, g, v, w), bound) {
-							found = true
-							break
-						}
+				if !seen[w] && c.g.EdgeLabel(from, to) == c.color {
+					seen[w] = true
+					if !fn(w, d) {
+						return
 					}
-				} else {
-					colorWalk(g, v, graph.Forward, bound, color, func(w graph.NodeID) bool {
-						if r[u2].Has(w) {
-							found = true
-							return false
-						}
-						return true
-					})
-				}
-				if !found {
-					return false
+					next = append(next, w)
 				}
 			}
 		}
+		frontier = next
 	}
-	return true
 }

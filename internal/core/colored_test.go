@@ -31,7 +31,7 @@ func TestMatchColoredRequiresUniformChain(t *testing.T) {
 	mustLabeled(t, g, a1, y, "friend")
 	mustLabeled(t, g, y, b1, "cites")
 
-	r := MatchColored(p, g)
+	r := Match(p, g)
 	if !r[a].Has(a0) {
 		t.Fatalf("a0 should match via the friend chain: %v", r)
 	}
@@ -42,7 +42,7 @@ func TestMatchColoredRequiresUniformChain(t *testing.T) {
 		// b is a leaf pattern node: both b-nodes satisfy it.
 		t.Fatalf("match(b) = %v", r[b])
 	}
-	if !HoldsColored(p, g, r) {
+	if !Holds(p, g, r) {
 		t.Fatal("result violates colored bounded simulation")
 	}
 }
@@ -63,7 +63,7 @@ func TestMatchColoredBoundRespected(t *testing.T) {
 	mustLabeled(t, g, a0, x1, "friend")
 	mustLabeled(t, g, x1, x2, "friend")
 	mustLabeled(t, g, x2, b0, "friend")
-	if r := MatchColored(p, g); !r.Empty() {
+	if r := Match(p, g); !r.Empty() {
 		t.Fatalf("3-hop chain under bound 2: %v, want empty", r)
 	}
 	// Raising the bound to 3 matches.
@@ -73,44 +73,22 @@ func TestMatchColoredBoundRespected(t *testing.T) {
 	if err := p2.AddColoredEdge(a2, b2, 3, "friend"); err != nil {
 		t.Fatal(err)
 	}
-	if r := MatchColored(p2, g); r.Empty() {
+	if r := Match(p2, g); r.Empty() {
 		t.Fatal("3-hop chain under bound 3 should match")
-	}
-}
-
-func TestMatchColoredEqualsPlainWhenUncolored(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		g := generator.RandomGraph(14, 28, 3, seed)
-		p := generator.RandomPattern(4, 5, 3, 3, seed+100)
-		if !MatchColored(p, g).Equal(Match(p, g)) {
-			t.Fatalf("seed %d: MatchColored differs on an uncolored pattern", seed)
-		}
 	}
 }
 
 func TestMatchColoredEqualsPlainWhenAllEdgesOneColor(t *testing.T) {
 	// If every data edge carries color c, colored matching with c equals
 	// plain matching (the color constraint is vacuous).
-	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		g := generator.RandomGraph(12, 24, 2, int64(trial))
-		g.Edges(func(u, v graph.NodeID) bool {
-			if err := g.SetEdgeLabel(u, v, "c"); err != nil {
-				t.Fatal(err)
-			}
-			return true
-		})
 		plain := generator.RandomPattern(3, 4, 2, 3, int64(trial)+50)
 		colored := plain.Clone()
-		for _, e := range plain.Edges() {
-			if err := colored.AddColoredEdge(e.From, e.To, e.Bound, "c"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !MatchColored(colored, g).Equal(Match(plain, g)) {
+		colorize(t, g, colored, int64(trial), "c")
+		if !Match(colored, g).Equal(Match(plain, g)) {
 			t.Fatalf("trial %d: uniform coloring changed the match", trial)
 		}
-		_ = rng
 	}
 }
 
@@ -134,13 +112,13 @@ func TestMatchColoredCascade(t *testing.T) {
 	gc := g.AddNode(graph.NewTuple("label", `"c"`))
 	mustLabeled(t, g, ga, gb, "friend")
 	mustLabeled(t, g, gb, gc, "cites") // wrong relationship at the last hop
-	if r := MatchColored(p, g); !r.Empty() {
+	if r := Match(p, g); !r.Empty() {
 		t.Fatalf("want empty (cascade through b): %v", r)
 	}
 	if err := g.SetEdgeLabel(gb, gc, "friend"); err != nil {
 		t.Fatal(err)
 	}
-	if r := MatchColored(p, g); r.Empty() {
+	if r := Match(p, g); r.Empty() {
 		t.Fatal("want full match after relabeling")
 	}
 }
@@ -175,5 +153,24 @@ func mustLabeled(t *testing.T, g *graph.Graph, u, v graph.NodeID, label string) 
 	t.Helper()
 	if _, err := g.AddLabeledEdge(u, v, label); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// colorize labels every edge of g and recolors every edge of p with a color
+// drawn by seed from colors, so that a seeded property test also runs on
+// colored inputs.
+func colorize(t *testing.T, g *graph.Graph, p *pattern.Pattern, seed int64, colors ...string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g.Edges(func(u, v graph.NodeID) bool {
+		if err := g.SetEdgeLabel(u, v, colors[rng.Intn(len(colors))]); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	for _, e := range p.Edges() {
+		if err := p.AddColoredEdge(e.From, e.To, e.Bound, colors[rng.Intn(len(colors))]); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -10,7 +10,9 @@
 // complexity proof appear here as per-pattern-edge support counters, either
 // enumerated through a distance Iterator (BFS oracle) or by scanning
 // candidate pairs against a Dist oracle (distance matrix, 2-hop, landmarks)
-// — the three variants compared in Fig. 17(a,b).
+// — the three variants compared in Fig. 17(a,b). Colored pattern edges (the
+// Section 2.2 remark) are honoured under every oracle: each is enumerated by
+// a walk over its color's data edges (colored.go).
 package core
 
 import (
@@ -114,8 +116,18 @@ func match(p *pattern.Pattern, g *graph.Graph, oracle distance.Oracle, workers i
 		}
 	}
 
+	// The walk is chosen once per pattern edge: a colored edge walks its
+	// color's data edges, a plain edge enumerates through the oracle when it
+	// is an Iterator and scans candidate pairs against Dist otherwise.
 	edges := p.Edges()
-	iter, hasIter := oracle.(distance.Iterator)
+	iters := make([]distance.Iterator, len(edges))
+	plain, _ := oracle.(distance.Iterator)
+	for e, pe := range edges {
+		iters[e] = plain
+		if pe.Color != "" {
+			iters[e] = colorWalk{g, pe.Color}
+		}
+	}
 
 	// The X′ matrix of the complexity proof: cnt[e][v'] counts candidates v
 	// of edge e's target within e's bound of v'. A zero count is exactly the
@@ -139,7 +151,7 @@ func match(p *pattern.Pattern, g *graph.Graph, oracle distance.Oracle, workers i
 	for e, pe := range edges {
 		cnt[e] = make(map[graph.NodeID]int32, mat[pe.From].Len())
 		tgt := mat[pe.To]
-		if hasIter {
+		if iter := iters[e]; iter != nil {
 			for v := range mat[pe.From] {
 				c := int32(0)
 				iter.DescNonempty(v, pe.Bound, func(w graph.NodeID, d int) bool {
@@ -183,7 +195,7 @@ func match(p *pattern.Pattern, g *graph.Graph, oracle distance.Oracle, workers i
 		for _, e := range inEdges[rm.u] {
 			pe := edges[e]
 			src := mat[pe.From]
-			if hasIter {
+			if iter := iters[e]; iter != nil {
 				iter.AncNonempty(rm.v, pe.Bound, func(w graph.NodeID, d int) bool {
 					if src.Has(w) {
 						cnt[e][w]--
@@ -224,90 +236,4 @@ func MatchBFS(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 // ("Matrix+Match"). The matrix build is included in the call.
 func MatchMatrix(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 	return Match(p, g, WithOracle(distance.NewMatrix(g)))
-}
-
-// MatchTwoHop runs Match over a 2-hop cover labeling ("2-hop+Match"). The
-// labeling build is included in the call.
-func MatchTwoHop(p *pattern.Pattern, g *graph.Graph) rel.Relation {
-	return Match(p, g, WithOracle(distance.NewTwoHop(g)))
-}
-
-// NaiveBounded computes the maximum bounded simulation by iterating the
-// definition to a fixpoint over an all-pairs matrix. Reference
-// implementation for tests.
-func NaiveBounded(p *pattern.Pattern, g *graph.Graph) rel.Relation {
-	oracle := distance.NewMatrix(g)
-	np, n := p.NumNodes(), g.NumNodes()
-	mat := rel.NewRelation(np)
-	for u := 0; u < np; u++ {
-		pred := p.Pred(u)
-		for v := 0; v < n; v++ {
-			if pred.Eval(g.Attrs(v)) {
-				mat[u].Add(v)
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for u := 0; u < np; u++ {
-			for _, v := range mat[u].Sorted() {
-				ok := true
-				for _, u2 := range p.Out(u) {
-					bound, _ := p.Bound(u, u2)
-					found := false
-					for w := range mat[u2] {
-						if pattern.WithinBound(distance.NonemptyDist(oracle, g, v, w), bound) {
-							found = true
-							break
-						}
-					}
-					if !found {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					mat[u].Remove(v)
-					changed = true
-				}
-			}
-		}
-	}
-	if !mat.Total() {
-		return rel.NewRelation(np)
-	}
-	return mat
-}
-
-// Holds verifies that r is a bounded simulation of P in G (conditions (1)-(3)
-// of Section 2.2). The empty relation trivially holds.
-func Holds(p *pattern.Pattern, g *graph.Graph, r rel.Relation) bool {
-	if r.Empty() {
-		return true
-	}
-	if !r.Total() {
-		return false
-	}
-	oracle := distance.NewBFS(g)
-	for u := range r {
-		for v := range r[u] {
-			if !p.Pred(u).Eval(g.Attrs(v)) {
-				return false
-			}
-			for _, u2 := range p.Out(u) {
-				bound, _ := p.Bound(u, u2)
-				found := false
-				for w := range r[u2] {
-					if pattern.WithinBound(distance.NonemptyDist(oracle, g, v, w), bound) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"gpm/internal/distance"
 	"gpm/internal/fixtures"
 	"gpm/internal/generator"
 	"gpm/internal/graph"
@@ -119,45 +120,66 @@ func TestMatchFriendFeedAfterInsertions(t *testing.T) {
 
 func TestMatchOraclesAgree(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		g := generator.RandomGraph(16, 32, 3, seed)
-		p := generator.RandomPattern(4, 5, 3, 3, seed+500)
-		bfs := MatchBFS(p, g)
-		mtx := MatchMatrix(p, g)
-		hop := MatchTwoHop(p, g)
-		if !bfs.Equal(mtx) {
-			t.Fatalf("seed %d: BFS=%v matrix=%v", seed, bfs, mtx)
-		}
-		if !bfs.Equal(hop) {
-			t.Fatalf("seed %d: BFS=%v 2-hop=%v", seed, bfs, hop)
+		for _, colored := range []bool{false, true} {
+			g := generator.RandomGraph(16, 32, 3, seed)
+			p := generator.RandomPattern(4, 5, 3, 3, seed+500)
+			if colored {
+				colorize(t, g, p, seed, "", "a", "b")
+			}
+			bfs := MatchBFS(p, g)
+			mtx := MatchMatrix(p, g)
+			hop := Match(p, g, WithOracle(distance.NewTwoHop(g)))
+			if !bfs.Equal(mtx) {
+				t.Fatalf("seed %d colored=%v: BFS=%v matrix=%v", seed, colored, bfs, mtx)
+			}
+			if !bfs.Equal(hop) {
+				t.Fatalf("seed %d colored=%v: BFS=%v 2-hop=%v", seed, colored, bfs, hop)
+			}
 		}
 	}
 }
 
 func TestMatchAgainstNaiveBounded(t *testing.T) {
 	for seed := int64(100); seed < 160; seed++ {
-		g := generator.RandomGraph(12, 26, 3, seed)
-		p := generator.RandomPattern(4, 6, 3, 3, seed+500)
-		got := Match(p, g)
-		want := NaiveBounded(p, g)
-		if !got.Equal(want) {
-			t.Fatalf("seed %d: Match=%v naive=%v", seed, got, want)
-		}
-		if !Holds(p, g, got) {
-			t.Fatalf("seed %d: result violates bounded simulation", seed)
+		for _, colored := range []bool{false, true} {
+			g := generator.RandomGraph(12, 26, 3, seed)
+			p := generator.RandomPattern(4, 6, 3, 3, seed+500)
+			if colored {
+				colorize(t, g, p, seed, "", "a", "b")
+			}
+			want := NaiveBounded(p, g)
+			for name, oracle := range map[string]distance.Oracle{
+				"bfs":    distance.NewBFS(g),
+				"matrix": distance.NewMatrix(g),
+				"2-hop":  distance.NewTwoHop(g),
+			} {
+				got := Match(p, g, WithOracle(oracle))
+				if !got.Equal(want) {
+					t.Fatalf("seed %d colored=%v %s: Match=%v naive=%v", seed, colored, name, got, want)
+				}
+				if !Holds(p, g, got) {
+					t.Fatalf("seed %d colored=%v %s: result violates bounded simulation", seed, colored, name)
+				}
+			}
 		}
 	}
 }
 
 func TestMatchReducesToSimulationOnNormalPatterns(t *testing.T) {
 	// Remark (2) of Section 2.2: simulation is bounded simulation on normal
-	// patterns.
+	// patterns, colored edges included.
 	for seed := int64(200); seed < 240; seed++ {
-		g := generator.RandomGraph(15, 32, 3, seed)
-		p := generator.RandomPattern(4, 5, 3, 1, seed+500)
-		got := Match(p, g)
-		want := simulation.Maximum(p, g)
-		if !got.Equal(want) {
-			t.Fatalf("seed %d: bounded=%v simulation=%v", seed, got, want)
+		for _, colored := range []bool{false, true} {
+			g := generator.RandomGraph(15, 32, 3, seed)
+			p := generator.RandomPattern(4, 5, 3, 1, seed+500)
+			if colored {
+				colorize(t, g, p, seed, "", "a", "b")
+			}
+			got := Match(p, g)
+			want := simulation.Maximum(p, g)
+			if !got.Equal(want) {
+				t.Fatalf("seed %d colored=%v: bounded=%v simulation=%v", seed, colored, got, want)
+			}
 		}
 	}
 }

@@ -232,7 +232,7 @@ func build(p *pattern.Pattern, g graph.Mutable, ov *graph.Overlay, options []Opt
 		return nil, err
 	}
 	if p.HasColors() {
-		return nil, fmt.Errorf("incbsim: colored patterns are batch-only (use core.MatchColored)")
+		return nil, fmt.Errorf("incbsim: colored patterns are batch-only (use core.Match)")
 	}
 	e := &Engine{p: p, g: g, ov: ov, edges: p.Edges(), km: p.MaxBound(), bfs: distance.NewBFS(g)}
 	e.walkers = []*walker{{bfs: e.bfs}}

@@ -101,7 +101,7 @@ func fits(p *pattern.Pattern) error {
 		return fmt.Errorf("incsim: pattern is not normal; bounded patterns need incbsim")
 	}
 	if p.HasColors() {
-		return fmt.Errorf("incsim: colored patterns are batch-only (use core.MatchColored)")
+		return fmt.Errorf("incsim: colored patterns are batch-only (use core.Match)")
 	}
 	return nil
 }

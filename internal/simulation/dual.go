@@ -15,7 +15,7 @@ import (
 
 // DualMaximum computes the unique maximum dual-simulation match for a
 // normal pattern, by the same counting fixpoint as Maximum extended with
-// parent-support counters.
+// parent-support counters. Colored pattern edges are honoured as in Maximum.
 func DualMaximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 	np, n := p.NumNodes(), g.NumNodes()
 	sim := rel.NewRelation(np)
@@ -60,7 +60,7 @@ func DualMaximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 		for v := range sim[pe.From] {
 			c := int32(0)
 			for _, w := range g.Out(v) {
-				if sim[pe.To].Has(w) {
+				if sim[pe.To].Has(w) && carries(g, pe.Color, v, w) {
 					c++
 				}
 			}
@@ -69,7 +69,7 @@ func DualMaximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 		for v := range sim[pe.To] {
 			c := int32(0)
 			for _, w := range g.In(v) {
-				if sim[pe.From].Has(w) {
+				if sim[pe.From].Has(w) && carries(g, pe.Color, w, v) {
 					c++
 				}
 			}
@@ -102,9 +102,9 @@ func DualMaximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 		// parents; removing a source match starves the backward support of
 		// its children.
 		for _, e := range inEdges[rm.u] {
-			src := edges[e].From
+			src, color := edges[e].From, edges[e].Color
 			for _, w := range g.In(rm.v) {
-				if !sim[src].Has(w) {
+				if !sim[src].Has(w) || !carries(g, color, w, rm.v) {
 					continue
 				}
 				fwd[e][w]--
@@ -114,9 +114,9 @@ func DualMaximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 			}
 		}
 		for _, e := range outEdges[rm.u] {
-			tgt := edges[e].To
+			tgt, color := edges[e].To, edges[e].Color
 			for _, w := range g.Out(rm.v) {
-				if !sim[tgt].Has(w) {
+				if !sim[tgt].Has(w) || !carries(g, color, rm.v, w) {
 					continue
 				}
 				bwd[e][w]--
@@ -131,28 +131,4 @@ func DualMaximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 		return rel.NewRelation(np)
 	}
 	return sim
-}
-
-// DualHolds verifies both directions of the dual-simulation conditions.
-func DualHolds(p *pattern.Pattern, g *graph.Graph, r rel.Relation) bool {
-	if !Holds(p, g, r) {
-		return false
-	}
-	for u := range r {
-		for v := range r[u] {
-			for _, u1 := range p.In(u) {
-				found := false
-				for _, w := range g.In(v) {
-					if r[u1].Has(w) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

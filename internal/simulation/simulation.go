@@ -19,7 +19,8 @@ import (
 // normal pattern P. Following the paper's convention, if some pattern node
 // has no match (P does not simulate into G) the returned relation is empty.
 // Bounds on pattern edges are ignored (treated as 1); callers wanting
-// bounded semantics should use the core package.
+// bounded semantics should use the core package. A colored pattern edge is
+// supported only by data edges that carry its color.
 func Maximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 	np, n := p.NumNodes(), g.NumNodes()
 	sim := rel.NewRelation(np)
@@ -65,7 +66,7 @@ func Maximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 		for v := range sim[pe.From] {
 			c := int32(0)
 			for _, w := range g.Out(v) {
-				if sim[pe.To].Has(w) {
+				if sim[pe.To].Has(w) && carries(g, pe.Color, v, w) {
 					c++
 				}
 			}
@@ -90,9 +91,9 @@ func Maximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 		rm := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, e := range inEdges[rm.u] {
-			src := edges[e].From
+			src, color := edges[e].From, edges[e].Color
 			for _, v := range g.In(rm.v) {
-				if !sim[src].Has(v) {
+				if !sim[src].Has(v) || !carries(g, color, v, rm.v) {
 					continue
 				}
 				cnt[e][v]--
@@ -109,79 +110,9 @@ func Maximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
 	return sim
 }
 
-// NaiveMaximum computes the maximum simulation by iterating the definition
-// to a fixpoint. It is the reference implementation used by tests; it runs
-// in O(|Vp||V| · |Ep||E|) time.
-func NaiveMaximum(p *pattern.Pattern, g *graph.Graph) rel.Relation {
-	np, n := p.NumNodes(), g.NumNodes()
-	sim := rel.NewRelation(np)
-	for u := 0; u < np; u++ {
-		pred := p.Pred(u)
-		for v := 0; v < n; v++ {
-			if pred.Eval(g.Attrs(v)) {
-				sim[u].Add(v)
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for u := 0; u < np; u++ {
-			for _, v := range sim[u].Sorted() {
-				ok := true
-				for _, u2 := range p.Out(u) {
-					found := false
-					for _, w := range g.Out(v) {
-						if sim[u2].Has(w) {
-							found = true
-							break
-						}
-					}
-					if !found {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					sim[u].Remove(v)
-					changed = true
-				}
-			}
-		}
-	}
-	if !sim.Total() {
-		return rel.NewRelation(np)
-	}
-	return sim
-}
-
-// Holds verifies that r is a simulation of P in G: every pair satisfies the
-// predicate and the child condition, and every pattern node is matched.
-// It is used by property tests; an empty relation trivially holds.
-func Holds(p *pattern.Pattern, g *graph.Graph, r rel.Relation) bool {
-	if r.Empty() {
-		return true
-	}
-	if !r.Total() {
-		return false
-	}
-	for u := range r {
-		for v := range r[u] {
-			if !p.Pred(u).Eval(g.Attrs(v)) {
-				return false
-			}
-			for _, u2 := range p.Out(u) {
-				found := false
-				for _, w := range g.Out(v) {
-					if r[u2].Has(w) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
-				}
-			}
-		}
-	}
-	return true
+// carries reports whether data edge (v, w) can image a pattern edge of the
+// given color: any edge for a plain pattern edge, and only an edge labeled
+// color for a colored one.
+func carries(g *graph.Graph, color string, v, w graph.NodeID) bool {
+	return color == "" || g.EdgeLabel(v, w) == color
 }
