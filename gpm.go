@@ -264,7 +264,8 @@ func MatchSimulation(p *Pattern, g *Graph) Relation { return simulation.Maximum(
 func MatchDualSimulation(p *Pattern, g *Graph) Relation { return simulation.DualMaximum(p, g) }
 
 // EnumerateIsomorphic returns the subgraph-isomorphism embeddings of a
-// normal pattern, up to limit (limit <= 0 for all).
+// normal pattern, up to limit (limit <= 0 for all). A colored pattern edge
+// maps only to a data edge labeled with its color.
 func EnumerateIsomorphic(p *Pattern, g *Graph, limit int) []Embedding {
 	return iso.Enumerate(p, g, limit)
 }
@@ -350,7 +351,10 @@ func FromSeq(n uint64) SubscribeOption { return contq.FromSeq(n) }
 
 // NewIncIsoEngine builds the incremental subgraph-isomorphism engine
 // (IncIsoMat of Section 7 — unbounded by Theorem 7.1, exponential worst
-// case) for a normal pattern.
+// case) for a normal pattern. Colored pattern edges are honoured as in
+// EnumerateIsomorphic; an inserted edge is unlabeled, so it can only image
+// plain ones. Besides the embeddings, the engine keeps their projection to
+// pairs: Result, and BatchDelta's ΔM.
 func NewIncIsoEngine(p *Pattern, g *Graph) *IncIsoEngine { return iso.NewEngine(p, g) }
 
 // NewLandmarkIndex builds the landmark + distance-vector oracle of

@@ -53,6 +53,19 @@ func TestFacadeColoredMatching(t *testing.T) {
 			t.Fatalf("%s: the friend edge should image a friend edge", name)
 		}
 	}
+	// So under subgraph isomorphism, batch and incremental.
+	isos := map[string]func(*gpm.Pattern) int{
+		"EnumerateIsomorphic": func(p *gpm.Pattern) int { return len(gpm.EnumerateIsomorphic(p, g, 0)) },
+		"IncIso":              func(p *gpm.Pattern) int { return gpm.NewIncIsoEngine(p, g.Clone()).Count() },
+	}
+	for name, count := range isos {
+		if n := count(edge("x", 1, "cites")); n != 0 {
+			t.Fatalf("%s: a friend edge must not image a cites edge: %d embeddings", name, n)
+		}
+		if n := count(edge("x", 1, "friend")); n != 1 {
+			t.Fatalf("%s: the friend edge should image a friend edge once, got %d embeddings", name, n)
+		}
+	}
 }
 
 func TestFacadeColoredRejectedByEngines(t *testing.T) {

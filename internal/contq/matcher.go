@@ -2,8 +2,6 @@ package contq
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"gpm/internal/gdn"
 	"gpm/internal/graph"
@@ -51,115 +49,28 @@ func newMatcher(kind Kind, p *pattern.Pattern, base graph.View) (matcher, error)
 		if p.HasColors() {
 			return nil, fmt.Errorf("%w: iso patterns cannot be colored", ErrBadKind)
 		}
-		return newIsoMatcher(p, base), nil
+		return coreMatcher{iso.NewEngineShared(p, base)}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown engine kind %q", ErrBadKind, kind)
 	}
 }
 
-// coreMatcher replays a normal pattern (incremental graph simulation) or a
-// b-pattern (incremental bounded simulation) for FromSeq backfill, on the
-// repair core the two share.
-type coreMatcher struct{ eng *incbsim.Engine }
+// coreMatcher backs a pattern with a private engine, which reports its own
+// ΔM and keeps its own result snapshot: an iso.Engine (a live iso pattern,
+// or FromSeq backfill of one), or the repair core graph simulation and
+// bounded simulation share (FromSeq backfill of a sim/bsim pattern).
+type coreMatcher struct {
+	eng interface {
+		BatchDelta(ups []graph.Update) rel.Delta
+		Result() rel.Relation
+	}
+}
 
 func (m coreMatcher) apply(ups []graph.Update) rel.Delta { return m.eng.BatchDelta(ups) }
 
 func (m coreMatcher) result() rel.Relation { return m.eng.Result() }
 
 func (m coreMatcher) release() {}
-
-// isoMatcher backs a normal pattern with incremental subgraph isomorphism.
-// The relation view is the union of embeddings projected to (u, v) pairs,
-// maintained by reference counting: a pair appears when its first
-// embedding does and vanishes with its last. The iso engine has no
-// internal synchronization, so the adapter serializes apply with its own
-// lock; result reads an always-present atomic snapshot refreshed at the
-// end of each changing batch, so readers never block behind a repair (the
-// contract the other engines implement internally).
-type isoMatcher struct {
-	mu   sync.Mutex
-	eng  *iso.Engine
-	np   int
-	ref  map[rel.Pair]int
-	snap atomic.Pointer[rel.Relation]
-}
-
-func newIsoMatcher(p *pattern.Pattern, base graph.View) *isoMatcher {
-	m := &isoMatcher{eng: iso.NewEngineShared(p, base), np: p.NumNodes(), ref: make(map[rel.Pair]int)}
-	for _, em := range m.eng.Embeddings() {
-		for u, v := range em {
-			m.ref[rel.Pair{U: u, V: v}]++
-		}
-	}
-	m.storeSnapshot()
-	return m
-}
-
-// storeSnapshot publishes the current refcounted relation. Callers must
-// hold m.mu (or be the constructor).
-func (m *isoMatcher) storeSnapshot() {
-	r := rel.NewRelation(m.np)
-	for pr := range m.ref {
-		r[pr.U].Add(pr.V)
-	}
-	m.snap.Store(&r)
-}
-
-func (m *isoMatcher) apply(ups []graph.Update) rel.Delta {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Record each touched pair's refcount at first touch; comparing against
-	// the final count below yields the net delta with intra-batch
-	// cancellation (a pair dropped and re-established emits nothing).
-	before := make(map[rel.Pair]int)
-	touch := func(em iso.Embedding, delta int) {
-		for u, v := range em {
-			pr := rel.Pair{U: u, V: v}
-			if _, seen := before[pr]; !seen {
-				before[pr] = m.ref[pr]
-			}
-			m.ref[pr] += delta
-			if m.ref[pr] == 0 {
-				delete(m.ref, pr)
-			}
-		}
-	}
-	for _, up := range ups {
-		if up.Op == graph.InsertEdge {
-			_, added := m.eng.InsertDelta(up.From, up.To)
-			for _, em := range added {
-				touch(em, 1)
-			}
-		} else {
-			_, removed := m.eng.DeleteDelta(up.From, up.To)
-			for _, em := range removed {
-				touch(em, -1)
-			}
-		}
-	}
-	// End of batch: discard the engine's overlay diff (the registry commits
-	// the same updates to the canonical graph once all engines return).
-	m.eng.Commit()
-	var d rel.Delta
-	for pr, b := range before {
-		now := m.ref[pr]
-		switch {
-		case b == 0 && now > 0:
-			d.Added = append(d.Added, pr)
-		case b > 0 && now == 0:
-			d.Removed = append(d.Removed, pr)
-		}
-	}
-	if !d.Empty() {
-		m.storeSnapshot()
-	}
-	d.Sort()
-	return d
-}
-
-func (m *isoMatcher) result() rel.Relation { return *m.snap.Load() }
-
-func (m *isoMatcher) release() {}
 
 // netMatcher backs a sim/bsim pattern with its handle into the shared
 // evaluation network (internal/gdn). The registry repairs the network once

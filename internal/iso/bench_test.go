@@ -30,10 +30,7 @@ func BenchmarkIncIsoMatBatch(b *testing.B) {
 				}
 			}
 			ups := generator.Updates(g, 4, 4, 2)
-			inv := make([]graph.Update, len(ups))
-			for i, up := range ups {
-				inv[len(ups)-1-i] = up.Inverse()
-			}
+			inv := inverse(ups)
 			e := NewEngine(p, g)
 			if shared {
 				e = NewEngineShared(p, g)

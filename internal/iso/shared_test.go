@@ -1,21 +1,13 @@
 package iso
 
 import (
-	"sort"
+	"sync"
 	"testing"
 
 	"gpm/internal/generator"
 	"gpm/internal/graph"
+	"gpm/internal/pattern"
 )
-
-func sortedKeys(ems []Embedding) []string {
-	keys := make([]string, 0, len(ems))
-	for _, em := range ems {
-		keys = append(keys, em.Key())
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // TestSharedEngineMatchesOwned drives an owned engine and a shared engine
 // with identical unit-update streams; after each batch the shared base is
@@ -59,25 +51,58 @@ func TestSharedEngineMatchesOwned(t *testing.T) {
 			if _, err := base.ApplyAll(batch); err != nil {
 				t.Fatal(err)
 			}
-			ka, kb := sortedKeys(owned.Embeddings()), sortedKeys(shared.Embeddings())
-			if len(ka) != len(kb) {
+			if !sameEmbeddings(owned.Embeddings(), shared.Embeddings()) {
 				t.Fatalf("seed %d: embedding sets diverge after batch %d", seed, i)
 			}
-			for j := range ka {
-				if ka[j] != kb[j] {
-					t.Fatalf("seed %d: embedding sets diverge after batch %d", seed, i)
+		}
+		if !sameEmbeddings(Enumerate(p, base, 0), shared.Embeddings()) {
+			t.Fatalf("seed %d: shared engine diverges from fresh enumeration", seed)
+		}
+	}
+}
+
+// TestReadersDuringWrites runs Result, Count and Embeddings beside a
+// writer's BatchDelta calls (meant for -race); afterwards Result is still
+// the projection of the embeddings.
+func TestReadersDuringWrites(t *testing.T) {
+	g := generator.RandomGraph(30, 120, 2, 7)
+	p := pattern.New()
+	for _, l := range []string{"a", "b", "a"} {
+		p.AddNode(pattern.Label(l))
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		if err := p.AddEdge(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ups := generator.Updates(g, 10, 10, 9)
+	inv := inverse(ups)
+	e := NewEngine(p, g)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
+				e.Result().Size()
+				e.Count()
+				e.Embeddings()
 			}
-		}
-		fresh := sortedKeys(Enumerate(p, base, 0))
-		got := sortedKeys(shared.Embeddings())
-		if len(fresh) != len(got) {
-			t.Fatalf("seed %d: shared engine has %d embeddings, fresh enumeration %d", seed, len(got), len(fresh))
-		}
-		for j := range fresh {
-			if fresh[j] != got[j] {
-				t.Fatalf("seed %d: shared engine diverges from fresh enumeration", seed)
-			}
-		}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		e.BatchDelta(ups)
+		e.BatchDelta(inv)
+	}
+	close(stop)
+	wg.Wait()
+	if proj := projection(p.NumNodes(), e.Embeddings()); !e.Result().Equal(proj) {
+		t.Fatalf("Result %v, projection of the embeddings %v", e.Result(), proj)
 	}
 }

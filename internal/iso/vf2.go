@@ -4,27 +4,24 @@
 // Section 7 proves. Matching follows the paper's definition: an injective
 // mapping f from pattern nodes to data nodes such that f(v) satisfies the
 // predicate of v and every pattern edge maps to a data edge (the match is
-// the subgraph induced by the image of f).
+// the subgraph induced by the image of f). A colored pattern edge maps only
+// to a data edge carrying its color as label.
+//
+// By injectivity an embedding maps at most one pattern edge onto a given
+// data edge (the one between its ends' preimages; a pattern has one edge
+// per ordered node pair). So the embeddings an inserted edge completes are
+// found exactly once by one anchored run per pattern edge, and the
+// engine keeps each embedding once, under an integer id, on the posting
+// list of every data edge it uses (storage layout: inciso.go).
 package iso
 
 import (
-	"sort"
-
 	"gpm/internal/graph"
 	"gpm/internal/pattern"
 )
 
 // Embedding maps each pattern node (by index) to a data node.
 type Embedding []graph.NodeID
-
-// Key returns a canonical comparable form of the embedding.
-func (em Embedding) Key() string {
-	b := make([]byte, 0, len(em)*4)
-	for _, v := range em {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
-}
 
 // Enumerate returns all embeddings of p in g, up to limit (limit <= 0 means
 // unlimited). The pattern must be normal; bounds are ignored.
@@ -34,27 +31,20 @@ func Enumerate(p *pattern.Pattern, g graph.View, limit int) []Embedding {
 	return s.found
 }
 
-// Count returns the number of embeddings of p in g.
-func Count(p *pattern.Pattern, g graph.View) int {
-	return len(Enumerate(p, g, 0))
-}
-
-// Has reports whether at least one embedding exists (P ⊴iso G).
-func Has(p *pattern.Pattern, g graph.View) bool {
-	return len(Enumerate(p, g, 1)) > 0
-}
-
 // search carries the VF2 state: a partial mapping extended one pattern node
 // at a time along a connectivity-first order, with predicate, degree and
 // edge-consistency pruning.
 type search struct {
-	p     *pattern.Pattern
-	g     graph.View
-	limit int
-	order []int // pattern nodes in search order
-	// anchor: pattern-node → fixed data node (runAnchored's pin; nil in a
-	// one-shot enumeration).
-	anchor map[int]graph.NodeID
+	p       *pattern.Pattern
+	g       graph.View
+	limit   int
+	colored bool  // some pattern edge is colored
+	order   []int // pattern nodes in search order
+	// An anchored run pins its order's first npin nodes to pin, and hands
+	// each embedding to emit instead of collecting it in found.
+	npin int
+	pin  [2]graph.NodeID
+	emit func([]graph.NodeID)
 
 	mapped  []graph.NodeID // pattern node → data node or -1
 	used    map[graph.NodeID]bool
@@ -64,10 +54,11 @@ type search struct {
 
 func newSearch(p *pattern.Pattern, g graph.View, limit int) *search {
 	s := &search{
-		p:     p,
-		g:     g,
-		limit: limit,
-		used:  make(map[graph.NodeID]bool),
+		p:       p,
+		g:       g,
+		limit:   limit,
+		colored: p.HasColors(),
+		used:    make(map[graph.NodeID]bool),
 	}
 	s.mapped = make([]graph.NodeID, p.NumNodes())
 	for i := range s.mapped {
@@ -77,13 +68,20 @@ func newSearch(p *pattern.Pattern, g graph.View, limit int) *search {
 	return s
 }
 
-// searchOrder picks a connectivity-first ordering: start from the highest
-// degree pattern node, then repeatedly take the unvisited node with the
-// most already-ordered neighbours (ties by degree).
-func searchOrder(p *pattern.Pattern) []int {
+// searchOrder picks a connectivity-first ordering: start from the given
+// nodes (once each), or else from the highest degree pattern node, then
+// repeatedly take the unvisited node with the most already-ordered
+// neighbours (ties by degree).
+func searchOrder(p *pattern.Pattern, start ...int) []int {
 	np := p.NumNodes()
 	ordered := make([]bool, np)
 	order := make([]int, 0, np)
+	for _, u := range start {
+		if !ordered[u] {
+			ordered[u] = true
+			order = append(order, u)
+		}
+	}
 	deg := func(u int) int { return len(p.Out(u)) + len(p.In(u)) }
 	for len(order) < np {
 		best, bestScore, bestDeg := -1, -1, -1
@@ -112,19 +110,16 @@ func searchOrder(p *pattern.Pattern) []int {
 	return order
 }
 
-// runAnchored re-runs a long-lived search with pattern edge pe pinned to
-// the data edge (v0, v1), reusing the search order and scratch. The
-// returned slice is overwritten by the next run.
-func (s *search) runAnchored(pe pattern.Edge, v0, v1 graph.NodeID) []Embedding {
-	if s.anchor == nil {
-		s.anchor = make(map[int]graph.NodeID, 2)
+// runAnchored runs the search along order, which starts at the ends of a
+// pattern edge, with those pinned to the data edge (v0, v1): one pin when
+// it is a self-loop. Backtracking leaves every used entry false, so a run
+// needs no reset.
+func (s *search) runAnchored(order []int, v0, v1 graph.NodeID) {
+	s.order, s.npin, s.pin = order, 2, [2]graph.NodeID{v0, v1}
+	if v0 == v1 {
+		s.npin = 1
 	}
-	clear(s.anchor)
-	clear(s.used) // backtracking leaves false entries behind
-	s.anchor[pe.From], s.anchor[pe.To] = v0, v1
-	s.found = s.found[:0]
 	s.extend(0)
-	return s.found
 }
 
 func (s *search) done() bool {
@@ -136,13 +131,23 @@ func (s *search) extend(depth int) {
 		return
 	}
 	if depth == len(s.order) {
+		if s.emit != nil {
+			s.emit(s.mapped)
+			return
+		}
 		em := make(Embedding, len(s.mapped))
 		copy(em, s.mapped)
 		s.found = append(s.found, em)
 		return
 	}
 	u := s.order[depth]
-	for _, v := range s.candidates(u) {
+	var cands []graph.NodeID
+	if depth < s.npin {
+		cands = s.pin[depth : depth+1]
+	} else {
+		cands = s.candidates(u)
+	}
+	for _, v := range cands {
 		if s.used[v] || !s.feasible(u, v) {
 			continue
 		}
@@ -158,13 +163,11 @@ func (s *search) extend(depth int) {
 	}
 }
 
-// candidates returns data nodes to try for pattern node u: the anchored
-// node if fixed, otherwise neighbours of already-mapped pattern neighbours,
-// otherwise every node.
+// candidates returns data nodes to try for unpinned pattern node u: the
+// neighbours of an already-mapped pattern neighbour, otherwise every node.
+// An anchored run on a connected pattern never gets to every node: its
+// order is connectivity-first from the pins.
 func (s *search) candidates(u int) []graph.NodeID {
-	if v, ok := s.anchor[u]; ok {
-		return []graph.NodeID{v}
-	}
 	// Prefer extending along a mapped pattern neighbour: candidates are the
 	// corresponding data neighbours.
 	for _, w := range s.p.In(u) {
@@ -194,12 +197,12 @@ func (s *search) feasible(u int, v graph.NodeID) bool {
 	}
 	for _, w := range s.p.Out(u) {
 		if w == u { // pattern self-loop: the image needs a data self-loop
-			if !s.g.HasEdge(v, v) {
+			if !s.edge(u, u, v, v) {
 				return false
 			}
 			continue
 		}
-		if x := s.mapped[w]; x >= 0 && !s.g.HasEdge(v, x) {
+		if x := s.mapped[w]; x >= 0 && !s.edge(u, w, v, x) {
 			return false
 		}
 	}
@@ -207,72 +210,22 @@ func (s *search) feasible(u int, v graph.NodeID) bool {
 		if w == u {
 			continue // already checked via the Out loop
 		}
-		if x := s.mapped[w]; x >= 0 && !s.g.HasEdge(x, v) {
+		if x := s.mapped[w]; x >= 0 && !s.edge(w, u, x, v) {
 			return false
 		}
 	}
 	return true
 }
 
-// enumerateBrute enumerates embeddings by trying every injective assignment
-// — the test reference, exponential and only usable on tiny inputs.
-func enumerateBrute(p *pattern.Pattern, g graph.View) []Embedding {
-	np, n := p.NumNodes(), g.NumNodes()
-	var found []Embedding
-	mapped := make([]graph.NodeID, np)
-	used := make([]bool, n)
-	var rec func(u int)
-	rec = func(u int) {
-		if u == np {
-			em := make(Embedding, np)
-			copy(em, mapped)
-			found = append(found, em)
-			return
-		}
-		for v := 0; v < n; v++ {
-			if used[v] || !p.Pred(u).Eval(g.Attrs(v)) {
-				continue
-			}
-			ok := true
-			for _, w := range p.Out(u) {
-				if w < u && !g.HasEdge(v, mapped[w]) {
-					ok = false
-					break
-				}
-				if w == u && !g.HasEdge(v, v) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				for _, w := range p.In(u) {
-					if w < u && !g.HasEdge(mapped[w], v) {
-						ok = false
-						break
-					}
-				}
-			}
-			if !ok {
-				continue
-			}
-			mapped[u] = v
-			used[v] = true
-			rec(u + 1)
-			used[v] = false
-		}
-	}
-	rec(0)
-	sortEmbeddings(found)
-	return found
-}
-
-func sortEmbeddings(ems []Embedding) {
-	sort.Slice(ems, func(i, j int) bool {
-		for k := range ems[i] {
-			if ems[i][k] != ems[j][k] {
-				return ems[i][k] < ems[j][k]
-			}
-		}
+// edge reports whether data edge (x, y) can image pattern edge (u, w): it
+// exists and, if the pattern edge is colored, carries that color.
+func (s *search) edge(u, w int, x, y graph.NodeID) bool {
+	if !s.g.HasEdge(x, y) {
 		return false
-	})
+	}
+	if !s.colored {
+		return true
+	}
+	c := s.p.Color(u, w)
+	return c == "" || s.g.EdgeLabel(x, y) == c
 }
