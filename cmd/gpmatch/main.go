@@ -63,7 +63,6 @@ func main() {
 				fmt.Printf("  %v\n", em)
 			}
 		}
-		return
 	case "sim":
 		start := time.Now()
 		rel := gpm.MatchSimulation(p.Normalized(), g)

@@ -166,8 +166,8 @@ type Registry struct {
 
 	// net is the shared sub-pattern evaluation network: every sim/bsim
 	// pattern registers into it, so structurally overlapping standing
-	// patterns share predicate satisfaction sets, single-edge match state
-	// and — for patterns identical up to node renumbering — whole engines.
+	// patterns share predicate satisfaction sets and — for patterns
+	// identical up to node renumbering — whole engines.
 	// The writer repairs the network once per commit (before the matcher
 	// fan-out); each pattern's matcher then just reads its remapped delta.
 	// Iso patterns stay private (embedding enumeration does not decompose),

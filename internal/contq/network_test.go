@@ -156,7 +156,7 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 
 	sim := generator.RandomPattern(3, 3, 3, 1, seed+1)
 	bsim := generator.RandomPattern(3, 2, 3, 3, seed+2)
-	// A bound-2 path: distance-sensitive edge nodes, which the network's
+	// A bound-2 path: a distance-sensitive join, which the network's
 	// relevance filter never skips.
 	bsim2 := pattern.New()
 	for _, l := range []string{"a", "b", "c"} {
@@ -292,7 +292,7 @@ func TestNetworkSublinearity(t *testing.T) {
 		}
 	}
 	ns = reg.Stats().Network
-	if ns.Patterns != 0 || ns.JoinNodes != 0 || ns.EdgeNodes != 0 || ns.PredNodes != 0 {
+	if ns.Patterns != 0 || ns.JoinNodes != 0 || ns.PredNodes != 0 {
 		t.Fatalf("network not empty after unregistering all: %+v", ns)
 	}
 }

@@ -1,14 +1,14 @@
 // Package gdn implements a shared sub-pattern evaluation network — a
 // RETE-style discrimination network for standing graph patterns. Each
 // registered pattern is decomposed (internal/pattern's canonicalization
-// layer) into vertex-predicate leaves, single-edge bounded-path nodes, and
-// one join tip per distinct canonical pattern; structurally identical
-// sub-patterns hash to the same node, so N standing patterns that overlap
-// structurally share predicate satisfaction sets, single-edge match state,
-// and — for patterns equal up to node renumbering — the whole incremental
-// engine. The network maintains every shared node's match state once per
-// commit instead of once per pattern, which is where the sublinear
-// per-pattern marginal cost comes from.
+// layer) into vertex-predicate leaves and one join tip per distinct
+// canonical pattern; structurally identical sub-patterns hash to the same
+// node, so N standing patterns that overlap structurally share predicate
+// satisfaction sets and — for patterns equal up to node renumbering — the
+// whole incremental engine. The network keeps a node only if something
+// reads it, and maintains every shared node's match state once per commit
+// instead of once per pattern, which is where the sublinear per-pattern
+// marginal cost comes from.
 //
 // Node roles:
 //
@@ -16,13 +16,11 @@
 //     Only edge updates exist (node ids and attributes are append-only
 //     elsewhere and immutable here), so these sets are computed once and
 //     shared read-only by every engine via incbsim's WithSat.
-//   - single-edge nodes run a 2-node (or self-loop) incremental engine for
-//     the sub-pattern src --bound--> dst. Their match state doubles as the
-//     network's update-relevance filter (see Apply).
 //   - join tips run the full incremental engine over the canonically
-//     relabeled pattern. Handles remap results and deltas back through each
-//     pattern's relabeling permutation, so two renumbered twins share one
-//     join but report in their own node numbering.
+//     relabeled pattern. Their own sat and match sets are the network's
+//     update-relevance filter (see Apply). Handles remap results and deltas
+//     back through each pattern's relabeling permutation, so two renumbered
+//     twins share one join but report in their own node numbering.
 //
 // Lifecycle: Register/Release refcount every node; a node is torn down when
 // the last pattern using it goes. Apply repairs the network for one commit.
@@ -46,7 +44,7 @@ import (
 
 // Engine kinds the network can back. These mirror contq's sim/bsim kinds;
 // iso is intentionally absent (embedding enumeration does not decompose
-// into shared per-edge match state).
+// into shared predicate leaves and simulation joins).
 const (
 	KindSim  = "sim"
 	KindBSim = "bsim"
@@ -55,24 +53,22 @@ const (
 // Stats is a point-in-time snapshot of the network: its shape and the
 // cumulative sharing counters that make the sublinearity measurable.
 type Stats struct {
-	// PredNodes/EdgeNodes/JoinNodes count the live shared nodes; Patterns
-	// counts the live handles. JoinNodes < Patterns means whole-engine
-	// sharing is happening.
+	// PredNodes/JoinNodes count the live shared nodes; Patterns counts the
+	// live handles. JoinNodes < Patterns means whole-engine sharing is
+	// happening.
 	PredNodes int `json:"pred_nodes"`
-	EdgeNodes int `json:"edge_nodes"`
 	JoinNodes int `json:"join_nodes"`
 	Patterns  int `json:"patterns"`
 	// RegisterReused counts Register calls that found their join tip
 	// already in the network and paid no engine construction at all.
 	RegisterReused int64 `json:"register_reused"`
-	// JoinRepairs and EdgeRepairs count per-commit node repairs actually
-	// executed. RepairsSaved counts the per-pattern repairs a one-engine-
-	// per-pattern registry would have executed but the network did not:
-	// each commit adds (live patterns − join repairs run), covering both
-	// patterns that share a repaired join and patterns whose join the
-	// relevance filter skipped outright.
+	// JoinRepairs counts per-commit join repairs actually executed.
+	// RepairsSaved counts the per-pattern repairs a one-engine-per-pattern
+	// registry would have executed but the network did not: each commit
+	// adds (live patterns − join repairs run), covering both patterns that
+	// share a repaired join and patterns whose join the relevance filter
+	// skipped outright.
 	JoinRepairs  int64 `json:"join_repairs"`
-	EdgeRepairs  int64 `json:"edge_repairs"`
 	RepairsSaved int64 `json:"repairs_saved"`
 }
 
@@ -83,70 +79,17 @@ type predNode struct {
 	sat rel.Set // read-only once built; shared into engines via WithSat
 }
 
-// edgeNode is a shared single-edge sub-pattern node.
-type edgeNode struct {
-	key      string
-	ref      int
-	bound    int
-	selfLoop bool
-	src, dst *predNode
-	eng      *incbsim.Engine
-	// broken marks an edge node whose repair panicked: its match state is
-	// unusable for relevance filtering, so it reports every later update
-	// as relevant (the sound over-approximation) and is never repaired
-	// again.
-	broken bool
-	// relevant is Apply's per-commit scratch: whether any update in the
-	// current batch can change this node's (or any dependent join's) state.
-	relevant bool
-}
-
-// relevantTo reports whether any update in ups can change the state of
-// this edge node or of any join evaluated over it. Must run BEFORE any
-// repair of this commit: the deletion filter reads pre-state match sets.
-//
-// Soundness, for bound-1 nodes: an insert (v,w) can only create matches
-// when v satisfies the source predicate and w the target one — the repair
-// core's own probe finds no candidate to stake around any other insertion
-// (at bound 1 its slack is 0: the tail must itself be a candidate of the
-// source role and the head itself satisfy the target role). A
-// delete (v,w) can only destroy matches when v currently matches the
-// node's source role and w its target role; any join's whole-pattern match
-// for the corresponding pattern edge is a subset of this node's 2-node
-// match (the single-edge sub-pattern is strictly less constrained), so an
-// update failing the filter here cannot touch counter or match state in
-// the node itself or in any join over it. Nodes with bound > 1 (or *) are
-// distance-sensitive — a remote edge can reroute a bounded path — so every
-// update is relevant to them.
-func (e *edgeNode) relevantTo(ups []graph.Update) bool {
-	if len(ups) == 0 {
-		return false
-	}
-	if e.broken || e.bound != 1 {
-		return true
-	}
-	m := e.eng.MatchSets()
-	mSrc, mDst := m[0], m[len(m)-1]
-	for _, up := range ups {
-		if up.Op == graph.InsertEdge {
-			if e.src.sat.Has(up.From) && e.dst.sat.Has(up.To) {
-				return true
-			}
-		} else if mSrc.Has(up.From) && mDst.Has(up.To) {
-			return true
-		}
-	}
-	return false
-}
-
 // joinNode is the tip evaluating one canonical pattern for one engine kind.
 type joinNode struct {
 	kind  string
 	key   string
 	ref   int
 	preds []*predNode // distinct predicate leaves (refcounted once each)
-	edges []*edgeNode // distinct single-edge nodes (refcounted once each)
 	eng   *incbsim.Engine
+	// pedges are the canonical pattern's edges and unit reports whether
+	// every one has bound 1: the relevance filter's fixed inputs.
+	pedges []pattern.Edge
+	unit   bool
 	// lastDelta is the canonical-space ΔM of the most recent Apply; each
 	// handle remaps it into its own pattern's node numbering.
 	lastDelta rel.Delta
@@ -158,13 +101,37 @@ type joinNode struct {
 	removed bool
 }
 
-// relevantNow reports whether the current batch can move this join, given
-// the relevance pass already ran over the edge nodes. A pattern with no
-// edges can never change under edge updates.
-func (j *joinNode) relevantNow() bool {
-	for _, e := range j.edges {
-		if e.relevant {
-			return true
+// relevantTo reports whether any update in ups can change this join's
+// state. It reads the join's pre-commit sat and match sets, so it must run
+// before this join's repair of the commit.
+//
+// A join with an edge of bound ≠ 1 (or *) is distance-sensitive — a remote
+// edge can reroute a bounded path — so every update is relevant to it.
+// When every bound is 1, let M be the current match and sat(u) the nodes
+// satisfying u's predicate. If no deleted (v,w) has v ∈ M(u) and
+// w ∈ M(u') for a pattern edge (u,u'), every edge M's witnesses use
+// survives, so M is still a simulation (and the repair core's witnesses
+// stand). If no inserted (v,w) has v ∈ sat(u) and w ∈ sat(u'), a larger
+// simulation of the new graph would match some pattern edge onto an
+// inserted edge between sat nodes, so none exists and M stays maximum.
+// Either way the join's state provably cannot change.
+func (j *joinNode) relevantTo(ups []graph.Update) bool {
+	if len(ups) == 0 {
+		return false
+	}
+	if !j.unit {
+		return true
+	}
+	sat, m := j.eng.SatSets(), j.eng.MatchSets()
+	for _, up := range ups {
+		sets := m
+		if up.Op == graph.InsertEdge {
+			sets = sat
+		}
+		for _, e := range j.pedges {
+			if sets[e.From].Has(up.From) && sets[e.To].Has(up.To) {
+				return true
+			}
 		}
 	}
 	return false
@@ -181,13 +148,11 @@ type Network struct {
 	// never block behind an engine repair.
 	mu    sync.Mutex
 	preds map[string]*predNode
-	edges map[string]*edgeNode
 	joins map[[2]string]*joinNode // keyed by {kind, canonical pattern key}
 
 	patterns     int
 	reused       int64
 	joinRepairs  int64
-	edgeRepairs  int64
 	repairsSaved int64
 }
 
@@ -198,7 +163,6 @@ func New(base graph.View, workers int) *Network {
 		base:    base,
 		workers: workers,
 		preds:   make(map[string]*predNode),
-		edges:   make(map[string]*edgeNode),
 		joins:   make(map[[2]string]*joinNode),
 	}
 }
@@ -219,9 +183,9 @@ type Handle struct {
 // KindBSim) and returns its handle. Patterns whose canonical form is
 // already in the network share its join tip — no engine is built at all;
 // otherwise the join's engine computes its initial match over the current
-// base state, reusing every predicate leaf and single-edge node the
-// network already maintains. Errors are NewEngine's rejections (an unknown
-// kind, a non-normal pattern for sim, colored patterns,...).
+// base state, reusing every predicate leaf the network already maintains.
+// Errors are NewEngine's rejections (an unknown kind, a non-normal pattern
+// for sim, colored patterns,...).
 func (n *Network) Register(kind string, p *pattern.Pattern) (*Handle, error) {
 	d := pattern.Decompose(p)
 	n.mu.Lock()
@@ -249,7 +213,7 @@ func (n *Network) Register(kind string, p *pattern.Pattern) (*Handle, error) {
 }
 
 // buildJoin constructs a join tip and acquires (or creates) the predicate
-// leaves and single-edge nodes under it. Called with n.mu held.
+// leaves under it. Called with n.mu held.
 func (n *Network) buildJoin(kind string, d *pattern.Decomposition) (*joinNode, error) {
 	j := &joinNode{kind: kind, key: d.Key}
 	// Predicate leaves first: their sat sets seed every engine below.
@@ -275,14 +239,9 @@ func (n *Network) buildJoin(kind string, d *pattern.Decomposition) (*joinNode, e
 				delete(n.preds, pn.key)
 			}
 		}
-		for _, e := range j.edges {
-			if e.ref--; e.ref == 0 {
-				delete(n.edges, e.key)
-			}
-		}
 	}
 
-	// The join engine next: it is also the kind-fit validator (a pattern it
+	// The join engine last: it is also the kind-fit validator (a pattern it
 	// rejects must not leave partially acquired nodes behind). Its sat sets
 	// are the shared predicate leaves, one reference per canonical node.
 	sat := make(rel.Relation, d.Canon.NumNodes())
@@ -297,66 +256,12 @@ func (n *Network) buildJoin(kind string, d *pattern.Decomposition) (*joinNode, e
 		return nil, err
 	}
 	j.eng = eng
-
-	// Single-edge nodes last: the join engine accepted the pattern, so each
-	// (uncolored, bound-checked) single-edge sub-pattern is acceptable too.
-	for _, ed := range d.Edges {
-		e, ok := n.edges[ed.Key]
-		if !ok {
-			var err error
-			e, err = n.buildEdgeNode(ed, predByKey)
-			if err != nil {
-				rollback()
-				return nil, err
-			}
-			n.edges[ed.Key] = e
-		}
-		e.ref++
-		j.edges = append(j.edges, e)
+	j.pedges = d.Canon.Edges()
+	j.unit = true
+	for _, e := range j.pedges {
+		j.unit = j.unit && e.Bound == 1
 	}
 	return j, nil
-}
-
-// buildEdgeNode constructs the 2-node (or self-loop) sub-pattern engine
-// for one single-edge node, whatever its bound. The node is shared across
-// both join kinds: on a single edge with bound 1, bounded simulation and
-// plain simulation coincide.
-func (n *Network) buildEdgeNode(ed pattern.EdgeNode, predByKey map[string]*predNode) (*edgeNode, error) {
-	src := predByKey[ed.SrcPred]
-	dst := predByKey[ed.DstPred]
-	sub := pattern.New()
-	var sat rel.Relation
-	if ed.SelfLoop {
-		sub.AddNode(src.pred())
-		if err := sub.AddColoredEdge(0, 0, ed.Bound, ed.Color); err != nil {
-			return nil, fmt.Errorf("gdn: edge node %q: %w", ed.Key, err)
-		}
-		sat = rel.Relation{src.sat}
-	} else {
-		sub.AddNode(src.pred())
-		sub.AddNode(dst.pred())
-		if err := sub.AddColoredEdge(0, 1, ed.Bound, ed.Color); err != nil {
-			return nil, fmt.Errorf("gdn: edge node %q: %w", ed.Key, err)
-		}
-		sat = rel.Relation{src.sat, dst.sat}
-	}
-	eng, err := NewEngine(KindBSim, sub, n.base, incbsim.WithWorkers(n.workers), incbsim.WithSat(sat))
-	if err != nil {
-		return nil, fmt.Errorf("gdn: edge node %q: %w", ed.Key, err)
-	}
-	return &edgeNode{key: ed.Key, bound: ed.Bound, selfLoop: ed.SelfLoop, src: src, dst: dst, eng: eng}, nil
-}
-
-// pred re-parses the leaf's canonical predicate text. The parser
-// round-trips predicates byte-identically (the decomposition fuzzing
-// enforces it), so the parsed predicate is semantically the one every
-// pattern carrying this key declared.
-func (p *predNode) pred() pattern.Predicate {
-	pred, err := pattern.ParsePredicate(p.key)
-	if err != nil {
-		panic("gdn: predicate key does not re-parse: " + p.key)
-	}
-	return pred
 }
 
 // NewEngine builds the engine for a KindSim or KindBSim pattern over base:
@@ -386,60 +291,37 @@ func NewEngine(kind string, p *pattern.Pattern, base graph.View, opts ...incbsim
 // its per-pattern fan-out; after Apply, each handle's Delta() reports its
 // pattern's ΔM for this commit.
 //
-// The repair is relevance-filtered: the edge nodes' pre-commit state
-// classifies each update (see relevantTo), edge nodes and join tips with
-// no relevant update are skipped wholesale — their state provably cannot
-// change — and each skipped join's patterns cost nothing this commit.
+// The repair is relevance-filtered: each join's own pre-commit state
+// classifies the batch (see joinNode.relevantTo), a join with no relevant
+// update is skipped wholesale — its state provably cannot change — and its
+// patterns cost nothing this commit.
 //
-// Apply must be serialized with Register/Release by the caller. A node
-// whose repair panics is contained: the panic is swallowed here, the node
-// is marked broken, and for a join tip every dependent handle's next
-// Delta() call panics instead — inside contq's per-pattern fan-out, where
-// the registry's recover path evicts exactly the affected patterns.
+// Apply must be serialized with Register/Release by the caller. A join
+// whose repair panics is contained: the panic is swallowed here, the join
+// is marked broken, and every dependent handle's next Delta() call panics
+// instead — inside contq's per-pattern fan-out, where the registry's
+// recover path evicts exactly the affected patterns.
 func (n *Network) Apply(ups []graph.Update) {
-	// Snapshot the node sets under mu; the repairs run outside it so Stats
+	// Snapshot the join set under mu; the repairs run outside it so Stats
 	// readers never block behind an engine. Register/Release cannot run
-	// concurrently (caller contract), so the snapshot is the node set.
+	// concurrently (caller contract), so the snapshot is the join set.
 	n.mu.Lock()
-	edges := make([]*edgeNode, 0, len(n.edges))
-	for _, e := range n.edges {
-		edges = append(edges, e)
-	}
 	joins := make([]*joinNode, 0, len(n.joins))
 	for _, j := range n.joins {
 		joins = append(joins, j)
 	}
 	n.mu.Unlock()
 
-	// Pass 1 — relevance, against pre-commit state, before ANY repair.
-	repairEdges := edges[:0:0]
-	for _, e := range edges {
-		e.relevant = e.relevantTo(ups)
-		if e.relevant && !e.broken {
-			repairEdges = append(repairEdges, e)
-		}
-	}
-
-	// Pass 2 — repair the relevant single-edge nodes in parallel.
-	par.For(len(repairEdges), n.workers, func(_, i int) {
-		e := repairEdges[i]
-		defer func() {
-			if rec := recover(); rec != nil {
-				e.broken = true
-			}
-		}()
-		e.eng.Batch(ups)
-	})
-
-	// Pass 3 — repair the relevant join tips in parallel; skipped joins
-	// publish an empty delta for this commit.
+	// Classify every join against its pre-commit state, then repair the
+	// relevant ones in parallel; skipped joins publish an empty delta for
+	// this commit.
 	repairJoins := joins[:0:0]
 	skippedPatterns := 0
 	for _, j := range joins {
 		if j.broken {
 			continue
 		}
-		if j.relevantNow() {
+		if j.relevantTo(ups) {
 			repairJoins = append(repairJoins, j)
 		} else {
 			j.lastDelta = rel.Delta{}
@@ -468,7 +350,6 @@ func (n *Network) Apply(ups []graph.Update) {
 			j.removed = true
 		}
 	}
-	n.edgeRepairs += int64(len(repairEdges))
 	n.joinRepairs += int64(len(repairJoins))
 	// Repairs a one-engine-per-pattern layout would have run but the
 	// network did not: every pattern on a skipped join, plus all-but-one
@@ -489,12 +370,10 @@ func (n *Network) Stats() Stats {
 	defer n.mu.Unlock()
 	return Stats{
 		PredNodes:      len(n.preds),
-		EdgeNodes:      len(n.edges),
 		JoinNodes:      len(n.joins),
 		Patterns:       n.patterns,
 		RegisterReused: n.reused,
 		JoinRepairs:    n.joinRepairs,
-		EdgeRepairs:    n.edgeRepairs,
 		RepairsSaved:   n.repairsSaved,
 	}
 }
@@ -561,11 +440,6 @@ func (h *Handle) Release() {
 	if !j.removed {
 		delete(n.joins, [2]string{j.kind, j.key})
 		j.removed = true
-	}
-	for _, e := range j.edges {
-		if e.ref--; e.ref == 0 {
-			delete(n.edges, e.key)
-		}
 	}
 	for _, pn := range j.preds {
 		if pn.ref--; pn.ref == 0 {

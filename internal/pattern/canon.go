@@ -8,13 +8,13 @@ import (
 )
 
 // This file is the canonicalization/decomposition layer of the shared
-// sub-pattern evaluation network (internal/gdn): it breaks a pattern into a
-// DAG of sub-pattern nodes — vertex-predicate leaves, single-edge bounded-
-// path nodes, and one join tip per pattern — and gives every node a
-// deterministic canonical key, so structurally identical sub-patterns hash
-// to the same key across patterns regardless of how their nodes are
-// numbered. The keys are what lets the network maintain each shared node's
-// match-state once per commit instead of once per standing pattern.
+// sub-pattern evaluation network (internal/gdn): it breaks a pattern into
+// the network's nodes — vertex-predicate leaves and one join tip per
+// pattern — and gives every node a deterministic canonical key, so
+// structurally identical sub-patterns hash to the same key across patterns
+// regardless of how their nodes are numbered. The keys are what lets the
+// network maintain each shared node's match-state once per commit instead
+// of once per standing pattern.
 //
 // Canonical labeling is graph canonization, so exact invariance under node
 // renumbering is bought with a bounded search: Weisfeiler-Lehman color
@@ -34,22 +34,6 @@ const canonMaxPerms = 5040
 // conjunction, which the parser round-trips byte-identically.
 func PredKey(p Predicate) string { return p.String() }
 
-// EdgeKey returns the canonical key of the single-edge sub-pattern
-// src --bound,color--> dst between two predicate keys. A self-loop (the
-// pattern edge's endpoints carry the same node) is a distinct sub-pattern
-// from a two-node edge with equal predicates, so it is keyed apart.
-func EdgeKey(srcPred, dstPred string, bound int, color string, selfLoop bool) string {
-	b := "*"
-	if bound != Unbounded {
-		b = strconv.Itoa(bound)
-	}
-	shape := "e"
-	if selfLoop {
-		shape = "l"
-	}
-	return shape + "|" + b + "|" + color + "|" + escapeKey(srcPred) + "|" + escapeKey(dstPred)
-}
-
 // escapeKey makes a predicate string safe for embedding in a '|'-separated
 // key ('\' then '|' are escaped).
 func escapeKey(s string) string {
@@ -65,23 +49,9 @@ type PredNode struct {
 	Nodes []NodeID // canonical node ids carrying this predicate, ascending
 }
 
-// EdgeNode is one shared single-edge sub-pattern of a decomposition: a
-// bounded-path edge between two predicate leaves (or a self-loop on one).
-type EdgeNode struct {
-	Key      string
-	SrcPred  string // PredKey of the edge's source predicate
-	DstPred  string // PredKey of the edge's target predicate
-	Bound    int
-	Color    string
-	SelfLoop bool
-	// Edges lists the canonical pattern edges this node evaluates for —
-	// several structurally identical pattern edges collapse onto one node.
-	Edges [][2]NodeID
-}
-
-// Decomposition is a pattern broken into the network's node DAG: predicate
-// leaves, single-edge nodes over them, and the join tip (the canonically
-// relabeled whole pattern) that combines them.
+// Decomposition is a pattern broken into the network's nodes: predicate
+// leaves and the join tip (the canonically relabeled whole pattern) that
+// combines them.
 type Decomposition struct {
 	// Key is the canonical key of the whole pattern — the join node's key.
 	// Structurally identical patterns (equal up to node renumbering, within
@@ -95,8 +65,6 @@ type Decomposition struct {
 	Perm []NodeID
 	// Preds are the distinct predicate leaves, sorted by key.
 	Preds []PredNode
-	// Edges are the distinct single-edge sub-pattern nodes, sorted by key.
-	Edges []EdgeNode
 }
 
 // Identity reports whether the canonical relabeling is the identity (the
@@ -110,9 +78,10 @@ func (d *Decomposition) Identity() bool {
 	return true
 }
 
-// Decompose canonicalizes p and breaks it into the network's sub-pattern
-// nodes. The decomposition is deterministic: the same pattern — including
-// after any String()/JSON round-trip — yields byte-identical keys.
+// Decompose canonicalizes p and breaks it into the network's predicate
+// leaves and join tip. The decomposition is deterministic: the same
+// pattern — including after any String()/JSON round-trip — yields
+// byte-identical keys.
 func Decompose(p *Pattern) *Decomposition {
 	perm := canonicalPerm(p)
 	np := p.NumNodes()
@@ -131,11 +100,9 @@ func Decompose(p *Pattern) *Decomposition {
 	}
 
 	d := &Decomposition{Canon: canon, Perm: perm}
-	predKeys := make([]string, np)
 	predIx := make(map[string]int)
 	for c := 0; c < np; c++ {
 		key := PredKey(canon.Pred(c))
-		predKeys[c] = key
 		i, ok := predIx[key]
 		if !ok {
 			i = len(d.Preds)
@@ -145,23 +112,6 @@ func Decompose(p *Pattern) *Decomposition {
 		d.Preds[i].Nodes = append(d.Preds[i].Nodes, c)
 	}
 	sort.Slice(d.Preds, func(i, j int) bool { return d.Preds[i].Key < d.Preds[j].Key })
-
-	edgeIx := make(map[string]int)
-	for _, e := range canon.Edges() {
-		self := e.From == e.To
-		key := EdgeKey(predKeys[e.From], predKeys[e.To], e.Bound, e.Color, self)
-		i, ok := edgeIx[key]
-		if !ok {
-			i = len(d.Edges)
-			edgeIx[key] = i
-			d.Edges = append(d.Edges, EdgeNode{
-				Key: key, SrcPred: predKeys[e.From], DstPred: predKeys[e.To],
-				Bound: e.Bound, Color: e.Color, SelfLoop: self,
-			})
-		}
-		d.Edges[i].Edges = append(d.Edges[i].Edges, [2]NodeID{e.From, e.To})
-	}
-	sort.Slice(d.Edges, func(i, j int) bool { return d.Edges[i].Key < d.Edges[j].Key })
 
 	d.Key = encode(canon, identityPerm(np))
 	return d

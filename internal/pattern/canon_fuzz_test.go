@@ -62,16 +62,11 @@ func FuzzDecomposeCanon(f *testing.F) {
 }
 
 func sameNodeKeys(a, b *Decomposition) bool {
-	if len(a.Preds) != len(b.Preds) || len(a.Edges) != len(b.Edges) {
+	if a.Key != b.Key || len(a.Preds) != len(b.Preds) {
 		return false
 	}
 	for i := range a.Preds {
 		if a.Preds[i].Key != b.Preds[i].Key {
-			return false
-		}
-	}
-	for i := range a.Edges {
-		if a.Edges[i].Key != b.Edges[i].Key {
 			return false
 		}
 	}

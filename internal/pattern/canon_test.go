@@ -117,7 +117,7 @@ func TestDecomposeCanonIsEquivalentRelabeling(t *testing.T) {
 }
 
 func TestDecomposeSharedNodes(t *testing.T) {
-	// a->a->a chain: one pred node, one edge node evaluated for two edges.
+	// a->a->a chain: one pred node carried by all three pattern nodes.
 	p := chain(Label("a"), Label("a"), Label("a"))
 	d := Decompose(p)
 	if len(d.Preds) != 1 {
@@ -125,23 +125,6 @@ func TestDecomposeSharedNodes(t *testing.T) {
 	}
 	if len(d.Preds[0].Nodes) != 3 {
 		t.Fatalf("pred node should cover 3 pattern nodes, got %v", d.Preds[0].Nodes)
-	}
-	if len(d.Edges) != 1 {
-		t.Fatalf("want 1 edge node, got %d", len(d.Edges))
-	}
-	if len(d.Edges[0].Edges) != 2 {
-		t.Fatalf("edge node should cover 2 pattern edges, got %v", d.Edges[0].Edges)
-	}
-	// Self-loop is a distinct sub-pattern from a two-node edge.
-	loop := New()
-	loop.AddNode(Label("a"))
-	loop.AddEdge(0, 0, 1) //nolint:errcheck
-	dl := Decompose(loop)
-	if !dl.Edges[0].SelfLoop {
-		t.Fatalf("self-loop not flagged")
-	}
-	if dl.Edges[0].Key == d.Edges[0].Key {
-		t.Fatalf("self-loop and plain edge share a key")
 	}
 }
 
