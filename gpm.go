@@ -142,8 +142,8 @@ type (
 	// read from.
 	HistSnapshot = obs.HistSnapshot
 	// NetworkStats reports the shared sub-pattern evaluation network
-	// behind a registry's sim/bsim patterns: how many shared predicate /
-	// edge / join nodes back the registered patterns, how many
+	// behind every registered pattern: how many shared predicate / join
+	// nodes back the registered patterns, how many
 	// registrations reused an existing engine, and how many per-pattern
 	// repairs sharing plus relevance filtering saved
 	// (RegistryStats.Network).

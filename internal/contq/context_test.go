@@ -19,15 +19,15 @@ type blockMatcher struct {
 	unblock chan struct{} // the repair returns when this closes
 }
 
-func (m *blockMatcher) apply(ups []graph.Update) rel.Delta {
+func (m *blockMatcher) Delta() rel.Delta {
 	close(m.entered)
 	<-m.unblock
 	return rel.Delta{}
 }
 
-func (m *blockMatcher) result() rel.Relation { return rel.NewRelation(1) }
+func (m *blockMatcher) Result() rel.Relation { return rel.NewRelation(1) }
 
-func (m *blockMatcher) release() {}
+func (m *blockMatcher) Release() {}
 
 // TestApplyContextCanceledBeforeCall: a dead context fails fast without
 // touching the queue.

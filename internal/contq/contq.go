@@ -1,15 +1,17 @@
 // Package contq implements the continuous-query layer that turns the
 // incremental engines into a serving system: a Registry owns ONE shared
-// canonical data graph and any number of standing patterns, each backed by
-// the incremental engine matching its kind (incsim for normal patterns,
-// incbsim for b-patterns, iso for subgraph isomorphism) reading that graph
-// through a read-only graph.View. A single serialized writer ingests
-// edge-update batches, coalesces queued batches into one commit, fans the
-// effective updates out to all engines in parallel (internal/par), applies
-// them to the canonical graph exactly once, and publishes per-pattern
-// match deltas ΔM — not full results — to channel subscribers in commit
-// order, the production shape of incremental view maintenance (standing
-// queries registered once, update streams fanned out, deltas pushed).
+// canonical data graph and any number of standing patterns, each a handle
+// into the shared evaluation network (internal/gdn), whose join for the
+// pattern runs the incremental engine matching its kind (incsim for normal
+// patterns, incbsim for b-patterns, iso for subgraph isomorphism) reading
+// that graph through a read-only graph.View. A single serialized writer
+// ingests edge-update batches, coalesces queued batches into one commit,
+// repairs the network once for the effective updates, fans the per-pattern
+// deltas out (internal/par), applies the updates to the canonical graph
+// exactly once, and publishes per-pattern match deltas ΔM — not full
+// results — to channel subscribers in commit order, the production shape
+// of incremental view maintenance (standing queries registered once,
+// update streams fanned out, deltas pushed).
 //
 // Memory model: engines never clone the graph. Each engine repairs through
 // a private graph.Overlay — an O(|ΔG|-per-batch) diff over the shared base
@@ -131,6 +133,19 @@ type Info struct {
 	ResultSize  int // current |M|
 }
 
+// matcher is a registration's face of its *gdn.Handle (tests substitute
+// fakes through it). Delta reports the pattern's ΔM for the commit the
+// network last applied and panics when the pattern's state is undefined
+// (its join's repair panicked), which is the fan-out's per-pattern
+// eviction signal; Result returns the current match as a shared immutable
+// snapshot and may run concurrently with Delta; Release gives back the
+// network state behind the pattern, exactly once, under the writer lock.
+type matcher interface {
+	Delta() rel.Delta
+	Result() rel.Relation
+	Release()
+}
+
 // registration is one standing pattern: its matcher and its subscribers.
 type registration struct {
 	id     string
@@ -161,18 +176,16 @@ type Registry struct {
 	g       *graph.Graph // the ONE canonical graph all engines read through
 	pats    map[string]*registration
 	seq     uint64
-	workers int // fan-out parallelism across engines and network nodes (0 = default)
+	workers int // parallelism of the network repair and the delta fan-out (0 = default)
 	closed  bool
 
-	// net is the shared sub-pattern evaluation network: every sim/bsim
-	// pattern registers into it, so structurally overlapping standing
+	// net is the shared sub-pattern evaluation network: every pattern, of
+	// every kind, registers into it, so structurally overlapping standing
 	// patterns share predicate satisfaction sets and — for patterns
 	// identical up to node renumbering — whole engines.
 	// The writer repairs the network once per commit (before the matcher
 	// fan-out); each pattern's matcher then just reads its remapped delta.
-	// Iso patterns stay private (embedding enumeration does not decompose),
-	// as do the throwaway engines FromSeq backfill builds over rewound
-	// graphs.
+	// FromSeq backfill replays through a network of its own (see backfill).
 	net *gdn.Network
 
 	// journal, when set, records every commit (seq + net ΔG) and pattern
@@ -247,9 +260,9 @@ type applyReq struct {
 // Option configures a Registry.
 type Option func(*Registry)
 
-// WithWorkers bounds how many engines repair concurrently during one
-// commit's fan-out, and how many nodes the shared network repairs
-// concurrently; it is also each network engine's internal sweep width
+// WithWorkers bounds how many joins the shared network repairs
+// concurrently during one commit, and the width of the per-pattern delta
+// fan-out; it is also each simulation engine's internal sweep width
 // (0 = par.DefaultWorkers).
 func WithWorkers(n int) Option {
 	return func(r *Registry) { r.workers = n }
@@ -322,42 +335,31 @@ func (r *Registry) Register(id string, p *pattern.Pattern, kind Kind) error {
 			kind = KindBSim
 		}
 	}
-	// Engines share the canonical graph: each reads it through a private
-	// update overlay, so registering P patterns costs P × pattern-state,
-	// not P graph clones. Sim/bsim patterns enter the shared evaluation
-	// network, where structurally identical sub-patterns (and whole
-	// patterns, up to renumbering) share state with every other registered
-	// pattern; an iso pattern gets a private engine.
-	var m matcher
-	if kind == KindSim || kind == KindBSim {
-		h, herr := r.net.Register(string(kind), p)
-		if herr != nil {
-			// The network only rejects patterns that do not fit the kind.
-			return fmt.Errorf("%w: %w", ErrBadKind, herr)
-		}
-		m = netMatcher{h}
-	} else {
-		var err error
-		m, err = newMatcher(kind, p, r.g)
-		if err != nil {
-			return err
-		}
+	// Every pattern enters the shared evaluation network, whose engines
+	// read the canonical graph through private update overlays: registering
+	// P patterns costs at most P × pattern-state, not P graph clones, and
+	// structurally identical sub-patterns (and whole patterns, up to
+	// renumbering) share state with every other registered pattern.
+	h, err := r.net.Register(string(kind), p)
+	if err != nil {
+		// The network only rejects patterns that do not fit the kind.
+		return fmt.Errorf("%w: %w", ErrBadKind, err)
 	}
 	r.mu.RLock()
 	seq := r.seq
 	r.mu.RUnlock()
 	// Journal the registration (with the resolved kind) before installing
 	// it, so a pattern is never live without being recoverable. On failure
-	// the matcher must give back any network state it acquired.
-	reg := &registration{id: id, p: p, kind: kind, m: m, regSeq: seq}
+	// the handle must give back the network state it acquired.
+	reg := &registration{id: id, p: p, kind: kind, m: h, regSeq: seq}
 	if r.journal != nil {
 		pd, err := reg.def()
 		if err != nil {
-			m.release()
+			h.Release()
 			return err
 		}
 		if err := r.journal.AppendRegister(pd.RegSeq, pd.ID, pd.Kind, pd.Def); err != nil {
-			m.release()
+			h.Release()
 			return fmt.Errorf("contq: journaling pattern %q: %w", id, err)
 		}
 	}
@@ -385,7 +387,7 @@ func (r *Registry) Unregister(id string) bool {
 		// stats (LastError); the unregistration itself stands.
 		r.journal.AppendUnregister(seq, id) //nolint:errcheck // see above
 	}
-	reg.m.release()
+	reg.m.Release()
 	reg.subs.closeAll()
 	return true
 }
@@ -402,7 +404,7 @@ func (r *Registry) Unregister(id string) bool {
 // commit: their updates are concatenated in arrival order and cancelled
 // at the edge level (insert/delete pairs of the same edge annihilate;
 // updates restating the graph's current state vanish), then the net
-// effective ΔG is fanned out to every engine in parallel and applied to
+// effective ΔG repairs the network's engines in parallel and is applied to
 // the canonical graph exactly once. Each commit — even one whose batch
 // cancelled to nothing — advances the sequence by one and publishes one
 // event per pattern, so subscribers see consecutive sequence numbers and
@@ -694,8 +696,8 @@ type effectiveCommit struct {
 }
 
 // commitEffectiveLocked runs the committed half of the pipeline for one
-// net effective batch, under writeMu: shared-network repair, engine
-// fan-out, canonical graph mutation, sequence assignment, journaling,
+// net effective batch, under writeMu: shared-network repair, per-pattern
+// delta fan-out, canonical graph mutation, sequence assignment, journaling,
 // publishes (pattern deltas and raw-ΔG commit subscribers) and evictions.
 // Both the coalescing writer (commit) and the replication path
 // (ApplyReplicated) funnel through here, so leader and follower commits
@@ -715,11 +717,11 @@ func (r *Registry) commitEffectiveLocked(c effectiveCommit) (seq uint64, jerr, e
 		}
 	}
 	// Repair the shared evaluation network once for the whole commit,
-	// before the per-pattern fan-out: every network-backed matcher's apply
-	// below just reads its pattern's cached (remapped) delta. A shared node
-	// whose repair panicked marks itself broken; the affected patterns'
-	// matchers then panic inside the fan-out and are evicted individually,
-	// exactly like a private engine that panicked.
+	// before the per-pattern fan-out: every engine repair, of every kind,
+	// happens here, and each matcher's Delta below just reads its pattern's
+	// cached (remapped) delta. A join whose repair panicked marks itself
+	// broken; its patterns' matchers then panic inside the fan-out and are
+	// evicted individually.
 	if len(effective) > 0 {
 		netStart := time.Now()
 		nspan := r.tracer.StartSpanAt(cspan.Context(), "stage.network", netStart)
@@ -738,14 +740,13 @@ func (r *Registry) commitEffectiveLocked(c effectiveCommit) (seq uint64, jerr, e
 		}
 	}
 
-	// Fan the effective ΔG out to every engine: they read the canonical
-	// graph (immutable until below) through private overlays, so repairs
-	// run in parallel without sharing mutable state. A panicking repair is
-	// contained to its own engine — the other engines have already
-	// absorbed the batch, so the commit must proceed (graph mutation,
-	// seq, journal, publishes) or every surviving engine would be
-	// permanently desynced from the canonical graph. The broken pattern's
-	// state is undefined, so it is evicted below.
+	// Fan the commit out to every pattern: each reads its delta from the
+	// network (the stage keeps its "repair" name; it times the reads). A
+	// panicking read is contained to its own pattern — the other joins
+	// have already absorbed the batch, so the commit must proceed (graph
+	// mutation, seq, journal, publishes) or every surviving engine would
+	// be permanently desynced from the canonical graph. The broken
+	// pattern's state is undefined, so it is evicted below.
 	regs := r.snapshotRegs()
 	deltas := make([]rel.Delta, len(regs))
 	repairErr := make([]error, len(regs))
@@ -761,7 +762,7 @@ func (r *Registry) commitEffectiveLocked(c effectiveCommit) (seq uint64, jerr, e
 				}
 			}()
 			engStart := time.Now()
-			deltas[i] = regs[i].m.apply(effective)
+			deltas[i] = regs[i].m.Delta()
 			repairDur[i] = time.Since(engStart)
 		})
 		ct.Repair = time.Since(repairStart)
@@ -891,7 +892,7 @@ func (r *Registry) evictLocked(reg *registration, seq uint64) {
 	if r.journal != nil {
 		r.journal.AppendUnregister(seq, reg.id) //nolint:errcheck // recorded in journal.Stats
 	}
-	reg.m.release()
+	reg.m.Release()
 	reg.subs.closeAll()
 }
 
@@ -932,11 +933,12 @@ type subscribeOpts struct {
 // The returned subscription has Snapshot nil and Seq n.
 //
 // Backfill replays the journal's net update batches for (n, head] through
-// a fresh engine (the same *Delta paths live commits use), so the deltas
-// are exactly what a connected subscriber would have seen. Requires a
-// journal that still retains the range: the call fails with ErrNoJournal,
-// ErrSeqFuture, or an error wrapping journal.ErrCompacted when resumption
-// is impossible, and the caller must fall back to a fresh Subscribe.
+// a fresh one-pattern network (the same Apply and Delta paths live commits
+// use), so the deltas are exactly what a connected subscriber would have
+// seen. Requires a journal that still retains the range: the call fails
+// with ErrNoJournal, ErrSeqFuture, or an error wrapping
+// journal.ErrCompacted when resumption is impossible, and the caller must
+// fall back to a fresh Subscribe.
 func FromSeq(n uint64) SubscribeOption {
 	return func(o *subscribeOpts) { o.fromSeq = n; o.hasFrom = true }
 }
@@ -982,7 +984,7 @@ func (r *Registry) SubscribeContext(ctx context.Context, id string, options ...S
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotRegistered, id)
 	}
-	return r.newSubscription(reg, reg.m.result(), seq, false), nil
+	return r.newSubscription(reg, reg.m.Result(), seq, false), nil
 }
 
 // Kind reports the engine kind backing pattern id — the resolved kind,
@@ -1006,7 +1008,7 @@ func (r *Registry) Result(id string) (rel.Relation, bool) {
 	if !ok {
 		return nil, false
 	}
-	return reg.m.result(), true
+	return reg.m.Result(), true
 }
 
 // Patterns lists the registered patterns.
@@ -1020,7 +1022,7 @@ func (r *Registry) Patterns() []Info {
 			Nodes:       reg.p.NumNodes(),
 			Edges:       reg.p.NumEdges(),
 			Subscribers: reg.subs.len(),
-			ResultSize:  reg.m.result().Size(),
+			ResultSize:  reg.m.Result().Size(),
 		})
 	}
 	return infos
@@ -1147,7 +1149,7 @@ func (r *Registry) Close() {
 	for _, reg := range pats {
 		// Safe without writeMu: closed is set, so no commit, Register or
 		// Unregister can touch these matchers again.
-		reg.m.release()
+		reg.m.Release()
 		reg.subs.closeAll()
 	}
 }

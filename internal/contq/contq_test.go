@@ -78,8 +78,8 @@ func TestSubscriberDeltaEquivalence(t *testing.T) {
 }
 
 // TestRegistryFanOutMatchesSoloEngines registers all three kinds at once
-// and checks each pattern's registry result equals a standalone engine fed
-// the same stream — the fan-out must not cross-contaminate replicas.
+// and checks each pattern's registry result equals the from-scratch match
+// over the same stream — the fan-out must not cross-contaminate patterns.
 func TestRegistryFanOutMatchesSoloEngines(t *testing.T) {
 	seed := int64(2)
 	g := generator.Synthetic(80, 320, generator.DefaultSchema(3), seed)
@@ -100,19 +100,16 @@ func TestRegistryFanOutMatchesSoloEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if _, err := solo.ApplyAll(ups); err != nil {
+		t.Fatal(err)
+	}
 	for id, kind := range pats {
 		got, ok := reg.Result(id)
 		if !ok {
 			t.Fatalf("%s missing", id)
 		}
-		g2 := solo.Clone()
-		m, err := newMatcher(kind, built[id], g2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.apply(ups)
-		if !got.Equal(m.result()) {
-			t.Fatalf("%s: registry result diverges from solo engine", id)
+		if !got.Equal(oracleMatch(kind, built[id], solo)) {
+			t.Fatalf("%s: registry result diverges from the from-scratch match", id)
 		}
 	}
 }
@@ -338,8 +335,8 @@ func TestLaggingSubscriberDoesNotBlockCommits(t *testing.T) {
 	}
 }
 
-// TestRelationViewOfIsoMatchesEnumeration cross-checks the iso matcher's
-// refcounted relation against a fresh engine's embedding enumeration.
+// TestRelationViewOfIsoMatchesEnumeration cross-checks an iso pattern's
+// refcounted relation against the embedding enumeration over a fresh graph.
 func TestRelationViewOfIsoMatchesEnumeration(t *testing.T) {
 	seed := int64(4)
 	g := generator.Synthetic(50, 150, generator.DefaultSchema(3), seed)
@@ -354,14 +351,12 @@ func TestRelationViewOfIsoMatchesEnumeration(t *testing.T) {
 	}
 	got, _ := reg.Result("iso")
 
-	// Rebuild from scratch on an identical graph.
+	// Enumerate from scratch on an identical graph.
 	g2 := generator.Synthetic(50, 150, generator.DefaultSchema(3), seed)
-	m, err := newMatcher(KindIso, p, g2)
-	if err != nil {
+	if _, err := g2.ApplyAll(ups); err != nil {
 		t.Fatal(err)
 	}
-	m.apply(ups)
-	if !got.Equal(m.result()) {
-		t.Fatal("iso relation view diverges from fresh engine")
+	if !got.Equal(oracleMatch(KindIso, p, g2)) {
+		t.Fatal("iso relation view diverges from the enumeration")
 	}
 }

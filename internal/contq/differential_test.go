@@ -7,16 +7,14 @@ import (
 	"sync"
 	"testing"
 
-	"gpm/internal/core"
 	"gpm/internal/generator"
 	"gpm/internal/graph"
 	"gpm/internal/pattern"
-	"gpm/internal/rel"
-	"gpm/internal/simulation"
 )
 
-// A failing case of TestRegistryDifferentialUnderCoalescing or of
-// TestRecoverEqualsLive names its seed; replay it with
+// A failing case of TestRegistryDifferentialUnderCoalescing, of
+// TestRecoverEqualsLive or of TestNetworkFromSeqBackfillEquivalence names
+// its seed; replay it with
 // `go test ./internal/contq -run TestRegistryDifferentialUnderCoalescing -contq.seed N`
 // (under coalescing the interleaving of the writers is the scheduler's, so a
 // replay draws the same graph, patterns and batches but not necessarily the
@@ -25,14 +23,16 @@ var differentialSeed = flag.Int64("contq.seed", 0, "run the seeded differential 
 
 // TestRegistryDifferentialUnderCoalescing holds the whole write path —
 // queueing, coalescing, netting, the evaluation network's relevance filter
-// and shared joins, the one repair core under both engine kinds, the
-// canonical commit — to the from-scratch oracles. Eight simulation patterns
-// shaped like serve-stream's (a three-label path, every other one closed
-// into a cycle) and two bounded triangles with k = 2 stand in a registry
-// while four writers push 4-update batches at it concurrently, so that
-// commits coalesce; whenever the writers have all returned, every pattern's
-// Result must equal simulation.Maximum (core.Match for the bounded ones) on
-// the graph Export hands out.
+// and shared joins, the one repair core under both simulation kinds,
+// IncIsoMat, the canonical commit — to the from-scratch oracles. Eight
+// simulation patterns shaped like serve-stream's (a three-label path, every
+// other one closed into a cycle), two bounded triangles with k = 2 and two
+// iso paths, one with a renumbered twin that shares its join, stand in a
+// registry while four writers push 4-update batches at it concurrently, so
+// that commits coalesce; whenever the writers have all returned, every
+// pattern's Result must equal simulation.Maximum (core.Match for the
+// bounded ones, the embedding enumeration for the iso ones) on the graph
+// Export hands out.
 func TestRegistryDifferentialUnderCoalescing(t *testing.T) {
 	seeds := make([]int64, 20)
 	for i := range seeds {
@@ -61,10 +61,11 @@ func differentialUnderCoalescing(t *testing.T, seed int64) uint64 {
 	defer reg.Close()
 
 	label := func(i int) pattern.Predicate { return pattern.Label(string(rune('a' + i%labels))) }
+	// kind is the registered kind, resolved once the pattern is in.
 	type standing struct {
-		id     string
-		p      *pattern.Pattern
-		oracle func(*pattern.Pattern, *graph.Graph) rel.Relation
+		id   string
+		p    *pattern.Pattern
+		kind Kind
 	}
 	var pats []standing
 	for i := 0; i < 8; i++ {
@@ -77,7 +78,7 @@ func differentialUnderCoalescing(t *testing.T, seed int64) uint64 {
 		if i%2 == 0 {
 			p.AddEdge(2, 0, 1) //nolint:errcheck // in range
 		}
-		pats = append(pats, standing{fmt.Sprintf("sim%d", i), p, simulation.Maximum})
+		pats = append(pats, standing{fmt.Sprintf("sim%d", i), p, KindAuto})
 	}
 	for i := 0; i < 2; i++ {
 		p := pattern.New()
@@ -87,12 +88,24 @@ func differentialUnderCoalescing(t *testing.T, seed int64) uint64 {
 		p.AddEdge(0, 1, 2) //nolint:errcheck // in range
 		p.AddEdge(1, 2, 2) //nolint:errcheck // in range
 		p.AddEdge(0, 2, 1) //nolint:errcheck // in range
-		pats = append(pats, standing{fmt.Sprintf("bsim%d", i), p, func(p *pattern.Pattern, g *graph.Graph) rel.Relation { return core.Match(p, g) }})
+		pats = append(pats, standing{fmt.Sprintf("bsim%d", i), p, KindAuto})
 	}
-	for _, s := range pats {
-		if err := reg.Register(s.id, s.p, KindAuto); err != nil {
+	for i := 0; i < 2; i++ {
+		p := pattern.New()
+		for j := 0; j < 3; j++ {
+			p.AddNode(label(i + 2*j))
+		}
+		p.AddEdge(0, 1, 1) //nolint:errcheck // in range
+		p.AddEdge(1, 2, 1) //nolint:errcheck // in range
+		pats = append(pats, standing{fmt.Sprintf("iso%d", i), p, KindIso})
+	}
+	pats = append(pats, standing{"iso0-twin", renumberPattern(t, pats[len(pats)-2].p, []int{2, 0, 1}), KindIso})
+	for i := range pats {
+		s := &pats[i]
+		if err := reg.Register(s.id, s.p, s.kind); err != nil {
 			t.Fatalf("seed %d: register %s: %v", seed, s.id, err)
 		}
+		s.kind, _ = reg.Kind(s.id)
 	}
 
 	nonEmpty := 0
@@ -134,7 +147,7 @@ func differentialUnderCoalescing(t *testing.T, seed int64) uint64 {
 			if !ok {
 				t.Fatalf("seed %d, round %d: pattern %s is gone", seed, round, s.id)
 			}
-			want := s.oracle(s.p, now)
+			want := oracleMatch(s.kind, s.p, now)
 			if !got.Equal(want) {
 				t.Fatalf("seed %d, round %d, seq %d, pattern %s: registry=%v from scratch=%v", seed, round, seq, s.id, got, want)
 			}

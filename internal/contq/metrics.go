@@ -81,7 +81,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 	for _, k := range []Kind{KindSim, KindBSim, KindIso} {
 		m.repairKind[k] = reg.Histogram("gpm_commit_repair_ms",
-			"Per-engine repair wall time by kind within one commit's fan-out, in milliseconds.",
+			"Per-pattern delta read wall time by kind within one commit's fan-out, in milliseconds.",
 			nil, obs.L("kind", string(k)))
 	}
 	return m
@@ -96,17 +96,17 @@ type CommitTiming struct {
 	Seq      uint64 // the commit's sequence number
 	Batches  int    // Apply calls coalesced into this commit
 	Updates  int    // net effective updates fanned out
-	Patterns int    // engines repaired
+	Patterns int    // patterns whose delta the fan-out read
 
 	Validate time.Duration
-	Network  time.Duration
-	Repair   time.Duration // fan-out wall time
+	Network  time.Duration // every engine repair, of every kind
+	Repair   time.Duration // fan-out wall time: the per-pattern delta reads
 	Journal  time.Duration
 	Publish  time.Duration
 	Total    time.Duration
 
-	// SlowestPattern identifies the pattern whose engine repair took
-	// longest this commit (empty when nothing was repaired).
+	// SlowestPattern identifies the pattern whose delta read took longest
+	// this commit (empty when the fan-out did not run).
 	SlowestPattern string
 	SlowestRepair  time.Duration
 
@@ -144,8 +144,8 @@ type TimingStats struct {
 	JournalMS        obs.HistSnapshot `json:"journal_ms"`
 	PublishMS        obs.HistSnapshot `json:"publish_ms"`
 	TotalMS          obs.HistSnapshot `json:"total_ms"`
-	// RepairByKindMS breaks the fan-out down by engine kind; kinds that
-	// never repaired are omitted.
+	// RepairByKindMS breaks the fan-out's delta reads down by engine kind;
+	// kinds never read are omitted.
 	RepairByKindMS map[string]obs.HistSnapshot `json:"repair_by_kind_ms,omitempty"`
 	// SubscriptionsActive and MailboxHighWater are the live SSE-side
 	// gauges: open subscriptions, and the deepest mailbox ever seen.

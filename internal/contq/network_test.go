@@ -1,6 +1,7 @@
 package contq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // These tests pin the shared evaluation network's registry-level contract:
-// every sim/bsim pattern lives in internal/gdn, the registry's Result and
+// every pattern lives in internal/gdn, the registry's Result and
 // per-commit ΔM on subscriptions must equal the from-scratch oracles,
 // FromSeq backfill must reproduce that live feed, and the sharing counters
 // must prove the marginal cost of overlapping patterns drops.
@@ -55,8 +56,8 @@ func sameDelta(a, b rel.Delta) bool {
 }
 
 // TestNetworkRegistryEquivalence drives a registry holding renumbered
-// sim/bsim twins (which share joins), an auto pattern and an iso pattern
-// with one update stream, and holds every Result and every subscriber event
+// sim/bsim twins (which share joins), an auto pattern and an iso pattern —
+// all six network handles — with one update stream, and holds every Result and every subscriber event
 // to the oracle: Result equals the from-scratch match at every seq, and each
 // event's delta is exactly the oracle's change across its commit.
 func TestNetworkRegistryEquivalence(t *testing.T) {
@@ -133,10 +134,10 @@ func TestNetworkRegistryEquivalence(t *testing.T) {
 
 	// The twins share joins, and sharing saved repairs.
 	ns := reg.Stats().Network
-	if ns.Patterns != 5 { // iso stays outside the network
-		t.Fatalf("want 5 network patterns, got %+v", ns)
+	if ns.Patterns != 6 {
+		t.Fatalf("want 6 network patterns, got %+v", ns)
 	}
-	if ns.RegisterReused < 2 || ns.JoinNodes > 3 {
+	if ns.RegisterReused < 2 || ns.JoinNodes > 4 {
 		t.Fatalf("renumbered twins did not share joins: %+v", ns)
 	}
 	if ns.RepairsSaved == 0 {
@@ -145,17 +146,36 @@ func TestNetworkRegistryEquivalence(t *testing.T) {
 }
 
 // TestNetworkFromSeqBackfillEquivalence: a FromSeq resume backfills deltas
-// through a private replay engine, so its events must reproduce exactly
-// what the network-backed (or, for iso, private) live feed delivered for
-// the same commits — and a resume must leave the live network as it was.
+// through a one-pattern replay network, so its events must reproduce
+// exactly what the live feed delivered for the same commits — and a resume
+// must leave the live network as it was. Both sides are gdn handles, so
+// every live event is first held to the from-scratch oracles' change
+// across its commit. A failing seed replays with
+// `go test ./internal/contq -run TestNetworkFromSeqBackfillEquivalence -contq.seed N`.
 func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
-	seed := int64(47)
+	seeds := []int64{47, 48, 49, 50, 51}
+	if *differentialSeed != 0 {
+		seeds = []int64{*differentialSeed}
+	}
+	moved := 0
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { moved += backfillEquivalence(t, seed) })
+	}
+	if moved == 0 && len(seeds) > 1 {
+		t.Error("no backfilled delta was nonempty: the resumes replayed nothing")
+	}
+}
+
+// backfillEquivalence runs one seed and returns how many backfilled events
+// carried a nonempty delta.
+func backfillEquivalence(t *testing.T, seed int64) int {
 	g := generator.RandomGraph(40, 100, 3, seed)
 	reg := New(g, WithJournal(journal.New()))
 	defer reg.Close()
 
 	sim := generator.RandomPattern(3, 3, 3, 1, seed+1)
 	bsim := generator.RandomPattern(3, 2, 3, 3, seed+2)
+	isoPat := generator.RandomPattern(3, 2, 3, 1, seed+3)
 	// A bound-2 path: a distance-sensitive join, which the network's
 	// relevance filter never skips.
 	bsim2 := pattern.New()
@@ -176,9 +196,11 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 		"bsim":       {bsim, KindBSim},
 		"bsim2":      {bsim2, KindBSim},
 		"bsim2-twin": {renumberPattern(t, bsim2, []int{2, 0, 1}), KindBSim},
-		"iso":        {generator.RandomPattern(3, 2, 3, 1, seed+3), KindIso},
+		"iso":        {isoPat, KindIso},
+		"iso-twin":   {renumberPattern(t, isoPat, []int{2, 0, 1}), KindIso},
 	}
 	live := make(map[string]*Subscription)
+	prev := make(map[string]rel.Relation)
 	for id, pk := range pats {
 		if err := reg.Register(id, pk.p, pk.kind); err != nil {
 			t.Fatal(err)
@@ -188,6 +210,7 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		live[id] = s
+		prev[id] = oracleMatch(pk.kind, pk.p, reg.g)
 	}
 
 	const commits = 12
@@ -198,7 +221,13 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for id, s := range live {
-			liveEvents[id] = append(liveEvents[id], <-s.C)
+			ev := <-s.C
+			now := oracleMatch(pats[id].kind, pats[id].p, reg.g)
+			if want := rel.DeltaOf(prev[id], now); !sameDelta(ev.Delta, want) {
+				t.Fatalf("seed %d %s: live seq %d diverged from the oracle\n got  %+v\n want %+v", seed, id, ev.Seq, ev.Delta, want)
+			}
+			prev[id] = now
+			liveEvents[id] = append(liveEvents[id], ev)
 		}
 	}
 
@@ -208,7 +237,7 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 		from := uint64(commits / 3)
 		s, err := reg.Subscribe(id, FromSeq(from))
 		if err != nil {
-			t.Fatalf("%s FromSeq(%d): %v", id, from, err)
+			t.Fatalf("seed %d %s FromSeq(%d): %v", seed, id, from, err)
 		}
 		for _, want := range evs[from:] {
 			if !want.Delta.Empty() {
@@ -216,19 +245,17 @@ func TestNetworkFromSeqBackfillEquivalence(t *testing.T) {
 			}
 			got := <-s.C
 			if got.Seq != want.Seq || !sameDelta(got.Delta, want.Delta) {
-				t.Fatalf("%s: backfilled seq %d diverged from live feed\n got  %+v\n want %+v",
-					id, want.Seq, got, want)
+				t.Fatalf("seed %d %s: backfilled seq %d diverged from live feed\n got  %+v\n want %+v",
+					seed, id, want.Seq, got, want)
 			}
 		}
 		s.Cancel()
 	}
-	if moved == 0 {
-		t.Fatal("no backfilled delta was nonempty: the resumes replayed nothing")
-	}
 	after := *reg.Stats().Network
 	if after.Patterns != before.Patterns || after.JoinNodes != before.JoinNodes || after.RegisterReused != before.RegisterReused {
-		t.Fatalf("resumes touched the live network: before %+v, after %+v", before, after)
+		t.Fatalf("seed %d: resumes touched the live network: before %+v, after %+v", seed, before, after)
 	}
+	return moved
 }
 
 // TestNetworkSublinearity is the headline sharing property: registering

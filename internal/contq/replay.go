@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"gpm/internal/gdn"
 	"gpm/internal/graph"
 	"gpm/internal/journal"
 )
@@ -162,17 +163,19 @@ func (r *Registry) resumeClone(head uint64) *graph.Graph {
 
 // backfill rewinds base (the graph at the newest replayed seq) to the
 // state before recs[0], then replays the batches forward through a fresh
-// matcher, collecting one event per commit. It stops early with ctx's
-// error when the caller gives up (the replay can span thousands of
-// commits; an abandoned resume must not keep burning a core).
+// network holding just this pattern, collecting one event per commit. It
+// stops early with ctx's error when the caller gives up (the replay can
+// span thousands of commits; an abandoned resume must not keep burning a
+// core).
 //
 // Unlike Recover, which has no reader for the increments and builds engines
 // once at the head, a resume is asked for exactly the intermediate ΔM of
-// every commit in the range, so an engine has to repair through them. It is
-// a private one: the evaluation network's nodes stand at the head over the
-// canonical graph and are read by every live pattern, while this engine
-// starts from a graph the registry is no longer at and is thrown away when
-// the last event is collected.
+// every commit in the range, so an engine has to repair through them. It
+// cannot be the live network's: those joins stand at the head over the
+// canonical graph and are read by every live pattern, while this one starts
+// from a graph the registry is no longer at and is thrown away when the
+// last event is collected. The replay network runs one worker, because a
+// resume runs beside the writer's commits.
 func (r *Registry) backfill(ctx context.Context, reg *registration, base *graph.Graph, recs []journal.Commit) ([]Event, error) {
 	for i := len(recs) - 1; i >= 0; i-- {
 		ups := recs[i].Updates
@@ -182,7 +185,8 @@ func (r *Registry) backfill(ctx context.Context, reg *registration, base *graph.
 			}
 		}
 	}
-	m, err := newMatcher(reg.kind, reg.p, base)
+	net := gdn.New(base, 1)
+	h, err := net.Register(string(reg.kind), reg.p)
 	if err != nil {
 		return nil, fmt.Errorf("contq: rebuilding %q engine for replay: %w", reg.id, err)
 	}
@@ -193,7 +197,8 @@ func (r *Registry) backfill(ctx context.Context, reg *registration, base *graph.
 		}
 		ev := Event{Pattern: reg.id, Seq: rec.Seq, Trace: rec.Trace}
 		if len(rec.Updates) > 0 {
-			ev.Delta = m.apply(rec.Updates)
+			net.Apply(rec.Updates)
+			ev.Delta = h.Delta()
 			// The shared-storage protocol: the engine dropped its overlay,
 			// so commit the batch to the replay base before the next one.
 			if _, err := base.ApplyAll(rec.Updates); err != nil {

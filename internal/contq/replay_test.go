@@ -294,17 +294,13 @@ func TestRecoverFromJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		g0 := generator.Synthetic(60, 240, generator.DefaultSchema(3), seed)
-		m, err := newMatcher(KindSim, testPattern(g0, KindSim, seed), g0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := testPattern(g0, KindSim, seed)
 		for _, rec := range recs[:resumeAt] {
-			m.apply(rec.Updates)
 			if _, err := g0.ApplyAll(rec.Updates); err != nil {
 				t.Fatal(err)
 			}
 		}
-		acc := m.result().Clone()
+		acc := oracleMatch(KindSim, p, g0)
 		sub, err := reg2.Subscribe("s", FromSeq(resumeAt))
 		if err != nil {
 			t.Fatal(err)
@@ -446,22 +442,18 @@ func TestRecoverTornJournalTail(t *testing.T) {
 	// The recovered state equals an independent replay of the surviving
 	// prefix, and the registry commits new batches from there.
 	g0 := generator.Synthetic(50, 200, generator.DefaultSchema(3), seed)
-	m, err := newMatcher(KindSim, testPattern(g0, KindSim, seed), g0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := testPattern(g0, KindSim, seed)
 	recs, err := reg2.Replay(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
-		m.apply(rec.Updates)
 		if _, err := g0.ApplyAll(rec.Updates); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got, _ := reg2.Result("q")
-	if !got.Equal(m.result()) {
+	if !got.Equal(oracleMatch(KindSim, p, g0)) {
 		t.Fatal("recovered result diverges from independent replay")
 	}
 	if _, err := reg2.Apply(ups[:3]); err != nil {

@@ -4,26 +4,27 @@ import (
 	"runtime"
 	"testing"
 
+	"gpm/internal/gdn"
 	"gpm/internal/generator"
 	"gpm/internal/graph"
 	"gpm/internal/pattern"
 )
 
 // TestRegistrySharesCanonicalStorage asserts the tentpole structurally:
-// every sim/bsim pattern is a handle into the evaluation network, which
-// reads the registry's ONE canonical graph and owns no replica.
+// every pattern, of every kind, is a handle into the evaluation network,
+// which reads the registry's ONE canonical graph and owns no replica.
 func TestRegistrySharesCanonicalStorage(t *testing.T) {
 	seed := int64(1)
 	g := generator.Synthetic(60, 240, generator.DefaultSchema(3), seed)
 	reg := New(g)
 	defer reg.Close()
-	for id, kind := range map[string]Kind{"sim": KindSim, "bsim": KindBSim} {
+	for id, kind := range map[string]Kind{"sim": KindSim, "bsim": KindBSim, "iso": KindIso} {
 		if err := reg.Register(id, testPattern(g, kind, seed), kind); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for id, r := range reg.pats {
-		if _, ok := r.m.(netMatcher); !ok {
+		if _, ok := r.m.(*gdn.Handle); !ok {
 			t.Fatalf("%s: matcher %T is not a network handle", id, r.m)
 		}
 	}

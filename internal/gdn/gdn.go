@@ -1,23 +1,26 @@
 // Package gdn implements a shared sub-pattern evaluation network — a
-// RETE-style discrimination network for standing graph patterns. Each
-// registered pattern is decomposed (internal/pattern's canonicalization
-// layer) into vertex-predicate leaves and one join tip per distinct
-// canonical pattern; structurally identical sub-patterns hash to the same
-// node, so N standing patterns that overlap structurally share predicate
-// satisfaction sets and — for patterns equal up to node renumbering — the
-// whole incremental engine. The network keeps a node only if something
-// reads it, and maintains every shared node's match state once per commit
-// instead of once per pattern, which is where the sublinear per-pattern
-// marginal cost comes from.
+// RETE-style discrimination network for standing graph patterns, and the
+// one thing that backs a standing pattern of any kind. Each registered
+// pattern is decomposed (internal/pattern's canonicalization layer) into
+// vertex-predicate leaves and one join tip per distinct canonical pattern
+// and kind; structurally identical sub-patterns hash to the same node, so N
+// standing patterns that overlap structurally share predicate satisfaction
+// sets and — for patterns equal up to node renumbering — the whole
+// incremental engine. The network keeps a node only if something reads it,
+// and maintains every shared node's match state once per commit instead of
+// once per pattern, which is where the sublinear per-pattern marginal cost
+// comes from.
 //
 // Node roles:
 //
 //   - predicate leaves hold sat(pred) = {v : pred holds on v's attributes}.
 //     Only edge updates exist (node ids and attributes are append-only
 //     elsewhere and immutable here), so these sets are computed once and
-//     shared read-only by every engine via incbsim's WithSat.
+//     shared read-only by every simulation engine via incbsim's WithSat.
+//     An iso join reads none: its VF2 search tests predicates itself.
 //   - join tips run the full incremental engine over the canonically
-//     relabeled pattern. Their own sat and match sets are the network's
+//     relabeled pattern: incbsim's repair core for sim/bsim, IncIsoMat for
+//     iso. A simulation join's own sat and match sets are the network's
 //     update-relevance filter (see Apply). Handles remap results and deltas
 //     back through each pattern's relabeling permutation, so two renumbered
 //     twins share one join but report in their own node numbering.
@@ -37,17 +40,17 @@ import (
 	"gpm/internal/graph"
 	"gpm/internal/incbsim"
 	"gpm/internal/incsim"
+	"gpm/internal/iso"
 	"gpm/internal/par"
 	"gpm/internal/pattern"
 	"gpm/internal/rel"
 )
 
-// Engine kinds the network can back. These mirror contq's sim/bsim kinds;
-// iso is intentionally absent (embedding enumeration does not decompose
-// into shared predicate leaves and simulation joins).
+// Engine kinds the network can back. These mirror contq's kinds.
 const (
 	KindSim  = "sim"
 	KindBSim = "bsim"
+	KindIso  = "iso"
 )
 
 // Stats is a point-in-time snapshot of the network: its shape and the
@@ -79,15 +82,24 @@ type predNode struct {
 	sat rel.Set // read-only once built; shared into engines via WithSat
 }
 
+// engine is a join's incremental engine: the repair core both simulation
+// kinds share (*incbsim.Engine) or IncIsoMat (*iso.Engine). Either repairs
+// base ⊕ ups through a private overlay and reports the commit's ΔM.
+type engine interface {
+	BatchDelta(ups []graph.Update) rel.Delta
+	Result() rel.Relation
+}
+
 // joinNode is the tip evaluating one canonical pattern for one engine kind.
 type joinNode struct {
 	kind  string
 	key   string
 	ref   int
 	preds []*predNode // distinct predicate leaves (refcounted once each)
-	eng   *incbsim.Engine
+	eng   engine
 	// pedges are the canonical pattern's edges and unit reports whether
-	// every one has bound 1: the relevance filter's fixed inputs.
+	// the join is a simulation one whose every edge has bound 1: the
+	// relevance filter's fixed inputs.
 	pedges []pattern.Edge
 	unit   bool
 	// lastDelta is the canonical-space ΔM of the most recent Apply; each
@@ -105,8 +117,9 @@ type joinNode struct {
 // state. It reads the join's pre-commit sat and match sets, so it must run
 // before this join's repair of the commit.
 //
-// A join with an edge of bound ≠ 1 (or *) is distance-sensitive — a remote
-// edge can reroute a bounded path — so every update is relevant to it.
+// An iso join is always relevant, as is a join with an edge of bound ≠ 1
+// (or *): that one is distance-sensitive — a remote edge can reroute a
+// bounded path — so every update is relevant to it.
 // When every bound is 1, let M be the current match and sat(u) the nodes
 // satisfying u's predicate. If no deleted (v,w) has v ∈ M(u) and
 // w ∈ M(u') for a pattern edge (u,u'), every edge M's witnesses use
@@ -122,7 +135,8 @@ func (j *joinNode) relevantTo(ups []graph.Update) bool {
 	if !j.unit {
 		return true
 	}
-	sat, m := j.eng.SatSets(), j.eng.MatchSets()
+	eng := j.eng.(*incbsim.Engine)
+	sat, m := eng.SatSets(), eng.MatchSets()
 	for _, up := range ups {
 		sets := m
 		if up.Op == graph.InsertEdge {
@@ -179,13 +193,13 @@ type Handle struct {
 	released bool
 }
 
-// Register installs a standing pattern of the given kind (KindSim or
-// KindBSim) and returns its handle. Patterns whose canonical form is
-// already in the network share its join tip — no engine is built at all;
-// otherwise the join's engine computes its initial match over the current
-// base state, reusing every predicate leaf the network already maintains.
-// Errors are NewEngine's rejections (an unknown kind, a non-normal pattern
-// for sim, colored patterns,...).
+// Register installs a standing pattern of the given kind (KindSim, KindBSim
+// or KindIso) and returns its handle. Patterns whose canonical form is
+// already in the network under the same kind share its join tip — no
+// engine is built at all; otherwise the join's engine computes its initial
+// match over the current base state, reusing every predicate leaf the
+// network already maintains. Errors are newEngine's rejections (an unknown
+// kind, a non-normal pattern for sim or iso, a colored one for iso,...).
 func (n *Network) Register(kind string, p *pattern.Pattern) (*Handle, error) {
 	d := pattern.Decompose(p)
 	n.mu.Lock()
@@ -212,73 +226,83 @@ func (n *Network) Register(kind string, p *pattern.Pattern) (*Handle, error) {
 	return h, nil
 }
 
-// buildJoin constructs a join tip and acquires (or creates) the predicate
-// leaves under it. Called with n.mu held.
+// buildJoin constructs a join tip and, for a simulation kind, acquires (or
+// creates) the predicate leaves under it. Called with n.mu held.
 func (n *Network) buildJoin(kind string, d *pattern.Decomposition) (*joinNode, error) {
 	j := &joinNode{kind: kind, key: d.Key}
-	// Predicate leaves first: their sat sets seed every engine below.
-	predByKey := make(map[string]*predNode, len(d.Preds))
-	for _, pd := range d.Preds {
-		pn, ok := n.preds[pd.Key]
-		if !ok {
-			pn = &predNode{key: pd.Key, sat: rel.NewSet()}
-			for v := 0; v < n.base.NumNodes(); v++ {
-				if pd.Pred.Eval(n.base.Attrs(v)) {
-					pn.sat.Add(v)
+	var opts []incbsim.Option
+	if kind != KindIso {
+		// Predicate leaves first: their sat sets seed the engine below, one
+		// reference per canonical node.
+		sat := make(rel.Relation, d.Canon.NumNodes())
+		for _, pd := range d.Preds {
+			pn, ok := n.preds[pd.Key]
+			if !ok {
+				pn = &predNode{key: pd.Key, sat: rel.NewSet()}
+				for v := 0; v < n.base.NumNodes(); v++ {
+					if pd.Pred.Eval(n.base.Attrs(v)) {
+						pn.sat.Add(v)
+					}
 				}
+				n.preds[pd.Key] = pn
 			}
-			n.preds[pd.Key] = pn
+			pn.ref++
+			j.preds = append(j.preds, pn)
+			for _, c := range pd.Nodes {
+				sat[c] = pn.sat
+			}
 		}
-		pn.ref++
-		predByKey[pd.Key] = pn
-		j.preds = append(j.preds, pn)
+		opts = []incbsim.Option{incbsim.WithWorkers(n.workers), incbsim.WithSat(sat)}
 	}
-	rollback := func() {
+
+	// The join engine last: it is also the kind-fit validator (a pattern it
+	// rejects must not leave partially acquired nodes behind).
+	eng, err := newEngine(kind, d.Canon, n.base, opts...)
+	if err != nil {
 		for _, pn := range j.preds {
 			if pn.ref--; pn.ref == 0 {
 				delete(n.preds, pn.key)
 			}
 		}
-	}
-
-	// The join engine last: it is also the kind-fit validator (a pattern it
-	// rejects must not leave partially acquired nodes behind). Its sat sets
-	// are the shared predicate leaves, one reference per canonical node.
-	sat := make(rel.Relation, d.Canon.NumNodes())
-	for _, pd := range d.Preds {
-		for _, c := range pd.Nodes {
-			sat[c] = predByKey[pd.Key].sat
-		}
-	}
-	eng, err := NewEngine(kind, d.Canon, n.base, incbsim.WithWorkers(n.workers), incbsim.WithSat(sat))
-	if err != nil {
-		rollback()
 		return nil, err
 	}
 	j.eng = eng
 	j.pedges = d.Canon.Edges()
-	j.unit = true
+	j.unit = kind != KindIso
 	for _, e := range j.pedges {
 		j.unit = j.unit && e.Bound == 1
 	}
 	return j, nil
 }
 
-// NewEngine builds the engine for a KindSim or KindBSim pattern over base:
-// either way the one repair core, reading base through a private overlay
-// (incbsim.NewShared's contract); incsim's constructor only adds sim's
-// kind-fit check (a normal pattern). The network builds its nodes with it,
-// adding WithSat, and contq its FromSeq replay engines.
-func NewEngine(kind string, p *pattern.Pattern, base graph.View, opts ...incbsim.Option) (*incbsim.Engine, error) {
+// newEngine builds a join's engine for a pattern of the given kind over
+// base, reading base through a private overlay (the NewShared contracts).
+// Sim and bsim get the one repair core, incsim's constructor adding only
+// sim's kind-fit check (a normal pattern); opts are the network's
+// incbsim options. Iso gets IncIsoMat, which needs a normal, uncolored
+// pattern and takes no options.
+func newEngine(kind string, p *pattern.Pattern, base graph.View, opts ...incbsim.Option) (engine, error) {
 	switch kind {
 	case KindBSim:
-		return incbsim.NewShared(p, base, opts...)
+		e, err := incbsim.NewShared(p, base, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return e, nil
 	case KindSim:
 		e, err := incsim.NewShared(p, base, opts...)
 		if err != nil {
 			return nil, err
 		}
 		return e.Engine, nil
+	case KindIso:
+		if !p.IsNormal() {
+			return nil, fmt.Errorf("gdn: iso patterns must be normal")
+		}
+		if p.HasColors() {
+			return nil, fmt.Errorf("gdn: iso patterns cannot be colored")
+		}
+		return iso.NewEngineShared(p, base), nil
 	default:
 		return nil, fmt.Errorf("gdn: unknown engine kind %q", kind)
 	}
@@ -287,9 +311,10 @@ func NewEngine(kind string, p *pattern.Pattern, base graph.View, opts ...incbsim
 // Apply repairs the network for one commit: ups is the commit's effective
 // ΔG against the base graph, which the caller mutates only after Apply
 // returns (every engine reads base ⊕ ups through its private overlay — the
-// NewEngine contract). contq's Registry calls it once per commit, before
-// its per-pattern fan-out; after Apply, each handle's Delta() reports its
-// pattern's ΔM for this commit.
+// newEngine contract). contq's Registry calls it once per commit, before
+// its per-pattern fan-out, and its FromSeq backfill once per replayed
+// commit on a one-pattern network; after Apply, each handle's Delta()
+// reports its pattern's ΔM for this commit.
 //
 // The repair is relevance-filtered: each join's own pre-commit state
 // classifies the batch (see joinNode.relevantTo), a join with no relevant

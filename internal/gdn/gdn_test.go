@@ -10,6 +10,7 @@ import (
 	"gpm/internal/graph"
 	"gpm/internal/incbsim"
 	"gpm/internal/incsim"
+	"gpm/internal/iso"
 	"gpm/internal/pattern"
 	"gpm/internal/rel"
 )
@@ -54,6 +55,37 @@ func deltasEqual(a, b rel.Delta) bool {
 	return true
 }
 
+// simEngine puts a private incsim engine behind the engine interface,
+// through incsim's own BatchDelta (its minDelta reduction first) rather than
+// the repair core's that the network calls.
+type simEngine struct{ *incsim.Engine }
+
+func (e simEngine) BatchDelta(ups []graph.Update) rel.Delta {
+	_, d := e.Engine.BatchDelta(ups)
+	return d
+}
+
+// privateEngine builds the one-engine-per-pattern reference of a kind over
+// g, unfiltered and sharing nothing with the network.
+func privateEngine(t *testing.T, kind string, p *pattern.Pattern, g graph.View) engine {
+	t.Helper()
+	switch kind {
+	case KindSim:
+		e, err := incsim.NewShared(p, g)
+		if err != nil {
+			t.Fatalf("private engine: %v", err)
+		}
+		return simEngine{e}
+	case KindBSim:
+		e, err := incbsim.NewShared(p, g)
+		if err != nil {
+			t.Fatalf("private engine: %v", err)
+		}
+		return e
+	}
+	return iso.NewEngineShared(p, g)
+}
+
 // renumber relabels p by the permutation m (m[orig] = new id).
 func renumber(p *pattern.Pattern, m []int) *pattern.Pattern {
 	inv := make([]int, len(m))
@@ -92,7 +124,7 @@ func TestEquivalenceAgainstPrivateEngines(t *testing.T) {
 	if *equivalenceSeed != 0 {
 		seeds = []int64{*equivalenceSeed}
 	}
-	for _, kind := range []string{KindSim, KindBSim} {
+	for _, kind := range []string{KindSim, KindBSim, KindIso} {
 		t.Run(kind, func(t *testing.T) {
 			for _, seed := range seeds {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { equivalence(t, kind, seed) })
@@ -107,10 +139,8 @@ func equivalence(t *testing.T, kind string, seed int64) {
 	net := New(g, 1)
 
 	type pat struct {
-		p    *pattern.Pattern
 		h    *Handle
-		sim  *incsim.Engine
-		bsim *incbsim.Engine
+		priv engine
 	}
 	var pats []pat
 	addPat := func(p *pattern.Pattern) {
@@ -118,22 +148,13 @@ func equivalence(t *testing.T, kind string, seed int64) {
 		if err != nil {
 			t.Fatalf("seed %d: Register: %v", seed, err)
 		}
-		pp := pat{p: p, h: h}
-		if kind == KindSim {
-			pp.sim, err = incsim.NewShared(p, g)
-		} else {
-			pp.bsim, err = incbsim.NewShared(p, g)
-		}
-		if err != nil {
-			t.Fatalf("seed %d: private engine: %v", seed, err)
-		}
-		pats = append(pats, pp)
+		pats = append(pats, pat{h: h, priv: privateEngine(t, kind, p, g)})
 	}
 
 	// Bounded patterns draw a max bound of 1 to 3, so both the all-bound-1
 	// filter and the always-relevant path run under bsim too.
 	maxBound := func() int {
-		if kind == KindSim {
+		if kind != KindBSim {
 			return 1
 		}
 		return 1 + rng.Intn(3)
@@ -143,7 +164,7 @@ func equivalence(t *testing.T, kind string, seed int64) {
 	addPat(renumber(base, []int{2, 0, 1})) // renumbered twin: shares the join
 	addPat(generator.RandomPattern(2, 2, 3, maxBound(), rng.Int63()))
 	addPat(generator.RandomPattern(4, 4, 3, maxBound(), rng.Int63()))
-	single := pattern.New() // zero-edge pattern: joins always skip
+	single := pattern.New() // zero-edge pattern: simulation joins always skip
 	single.AddNode(pattern.Label("a"))
 	addPat(single)
 
@@ -158,12 +179,7 @@ func equivalence(t *testing.T, kind string, seed int64) {
 		}
 		net.Apply(effective)
 		for i := range pats {
-			var want rel.Delta
-			if pats[i].sim != nil {
-				_, want = pats[i].sim.BatchDelta(effective)
-			} else {
-				want = pats[i].bsim.BatchDelta(effective)
-			}
+			want := pats[i].priv.BatchDelta(effective)
 			got := pats[i].h.Delta()
 			if !deltasEqual(got, want) {
 				t.Fatalf("seed %d round %d pattern %d: delta mismatch\n got  %+v\n want %+v", seed, round, i, got, want)
@@ -173,13 +189,7 @@ func equivalence(t *testing.T, kind string, seed int64) {
 			t.Fatal(err)
 		}
 		for i := range pats {
-			var want rel.Relation
-			if pats[i].sim != nil {
-				want = pats[i].sim.Result()
-			} else {
-				want = pats[i].bsim.Result()
-			}
-			if got := pats[i].h.Result(); !got.Equal(want) {
+			if got, want := pats[i].h.Result(), pats[i].priv.Result(); !got.Equal(want) {
 				t.Fatalf("seed %d round %d pattern %d: result mismatch\n got  %v\n want %v", seed, round, i, got, want)
 			}
 		}
@@ -373,7 +383,19 @@ func TestRegisterRejectsBadKinds(t *testing.T) {
 	if _, err := net.Register(KindSim, bounded); err == nil {
 		t.Fatal("sim accepted a non-normal pattern")
 	}
-	if _, err := net.Register("iso", bounded); err == nil {
+	if _, err := net.Register(KindIso, bounded); err == nil {
+		t.Fatal("iso accepted a non-normal pattern")
+	}
+	colored := pattern.New()
+	colored.AddNode(pattern.Label("a"))
+	colored.AddNode(pattern.Label("b"))
+	if err := colored.AddColoredEdge(0, 1, 1, "red"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Register(KindIso, colored); err == nil {
+		t.Fatal("iso accepted a colored pattern")
+	}
+	if _, err := net.Register("nope", bounded); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	// A failed registration must leave nothing acquired behind.
@@ -386,4 +408,94 @@ func TestRegisterRejectsBadKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Release()
+}
+
+// panicEngine is a join engine whose repair always panics.
+type panicEngine struct{ engine }
+
+func (panicEngine) BatchDelta([]graph.Update) rel.Delta { panic("boom") }
+
+// TestBrokenJoinIsContained: a join whose repair panics is contained by
+// Apply — it is marked broken and leaves the network map, every handle on
+// it panics on Delta (the registry's eviction signal), the other joins
+// repair as usual, the broken shape re-registers into a fresh join, and the
+// old node's teardown never touches the new one.
+func TestBrokenJoinIsContained(t *testing.T) {
+	g := generator.RandomGraph(40, 120, 3, 7)
+	net := New(g, 1)
+	// Both shapes have a bound-2 edge, so both joins are relevant to every
+	// commit and repair side by side.
+	abc := pattern.New()
+	bca := pattern.New()
+	for _, l := range []string{"a", "b", "c"} {
+		abc.AddNode(pattern.Label(l))
+	}
+	for _, l := range []string{"b", "c", "a"} {
+		bca.AddNode(pattern.Label(l))
+	}
+	for _, e := range [][3]int{{0, 1, 2}, {1, 2, 1}} {
+		if err := abc.AddEdge(e[0], e[1], e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		if err := bca.AddEdge(e[0], e[1], 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register := func(p *pattern.Pattern) *Handle {
+		t.Helper()
+		h, err := net.Register(KindBSim, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	broken, twin, healthy := register(abc), register(renumber(abc, []int{2, 0, 1})), register(bca)
+	if broken.join != twin.join {
+		t.Fatal("renumbered twin did not share its join")
+	}
+	before := net.Stats()
+	priv := privateEngine(t, KindBSim, bca, g)
+	broken.join.eng = panicEngine{broken.join.eng}
+
+	ups := graph.NetUpdates(g, randomUpdates(g, 16, rand.New(rand.NewSource(7))))
+	net.Apply(ups) // must not panic
+	if got, want := healthy.Delta(), priv.BatchDelta(ups); !deltasEqual(got, want) || want.Empty() {
+		t.Fatalf("healthy join's delta %+v, private engine's %+v (want nonempty)", got, want)
+	}
+	for name, h := range map[string]*Handle{"broken": broken, "twin": twin} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s handle's Delta did not panic on a broken join", name)
+				}
+			}()
+			h.Delta()
+		}()
+	}
+	if s := net.Stats(); s.JoinNodes != before.JoinNodes-1 {
+		t.Fatalf("broken join still in the network: before %+v, after %+v", before, s)
+	}
+	if _, err := g.ApplyAll(ups); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := register(abc)
+	if fresh.join == broken.join {
+		t.Fatal("re-registration reused the broken join")
+	}
+	if got, want := fresh.Result(), privateEngine(t, KindBSim, abc, g).Result(); !got.Equal(want) {
+		t.Fatalf("fresh join's result %v, private engine's %v", got, want)
+	}
+	broken.Release()
+	twin.Release()
+	if s := net.Stats(); s.JoinNodes != before.JoinNodes || s.Patterns != 2 {
+		t.Fatalf("releasing the broken handles touched the fresh join: %+v", s)
+	}
+	healthy.Release()
+	fresh.Release()
+	if s := net.Stats(); s.Patterns != 0 || s.JoinNodes != 0 || s.PredNodes != 0 {
+		t.Fatalf("release did not tear the network down: %+v", s)
+	}
 }
