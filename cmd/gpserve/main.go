@@ -34,12 +34,12 @@
 // ID, plus lifecycle events (startup, recovery, shutdown); -log-format
 // selects text or JSON. Commits slower than -slow-commit log a warning
 // carrying the full per-stage breakdown (validate, network, repair,
-// journal, publish — plus the slowest pattern) and, when the commit was
-// sampled, its trace ID and span tree. GET /v1/metricz exposes the same
-// telemetry as Prometheus text for scraping, GET /v1/tracez serves the
-// recent commit traces (-trace-sample picks the sampling policy: off,
-// always, ratio:F, slow:DUR), and -pprof ADDR serves net/http/pprof on a
-// separate listener, kept off the public API surface.
+// journal, publish) and, when the commit was sampled, its trace ID and
+// span tree. GET /v1/metricz exposes the same telemetry as Prometheus text
+// for scraping, GET /v1/tracez serves the recent commit traces
+// (-trace-sample picks the sampling policy: off, always, ratio:F,
+// slow:DUR), and -pprof ADDR serves net/http/pprof on a separate listener,
+// kept off the public API surface.
 //
 // With -follow URL gpserve runs as a read-only replica of the leader at
 // URL: it bootstraps from the leader's snapshot, tails its raw ΔG commit
@@ -94,7 +94,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		gfile     = flag.String("graph", "", "optional graph file to load at startup")
-		workers   = flag.Int("workers", 0, "fan-out worker goroutines per commit (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "join-repair worker goroutines per commit (0 = GOMAXPROCS)")
 		grace     = flag.Duration("grace", 10*time.Second, "graceful-shutdown grace period")
 		jdir      = flag.String("journal", "", "directory for the durable commit journal (empty = in-memory replay ring only)")
 		jsnap     = flag.Uint64("journal-snapshot-every", 1024, "write a recovery snapshot (and compact the journal) every N commits")
@@ -154,8 +154,6 @@ func main() {
 				"batches", ct.Batches,
 				"updates", ct.Updates,
 				"patterns", ct.Patterns,
-				"slowest_pattern", ct.SlowestPattern,
-				"slowest_repair_ms", ms(ct.SlowestRepair),
 			}
 			// A sampled commit carries its traceparent: attach the trace ID
 			// (the /v1/tracez lookup key) and the full span tree, so one log

@@ -219,12 +219,13 @@ func TestConcurrentAppliesCoalesce(t *testing.T) {
 	reg.Close()
 }
 
-// panicMatcher simulates an engine whose repair blows up mid-fan-out.
-type panicMatcher struct{}
+// brokenMatcher is a pattern whose join's repair panicked: the network
+// contained the panic, and Delta reports the pattern broken.
+type brokenMatcher struct{}
 
-func (panicMatcher) Delta() rel.Delta     { panic("boom") }
-func (panicMatcher) Result() rel.Relation { return rel.NewRelation(1) }
-func (panicMatcher) Release()             {}
+func (brokenMatcher) Delta() (rel.Delta, bool) { return rel.Delta{}, false }
+func (brokenMatcher) Result() rel.Relation     { return rel.NewRelation(1) }
+func (brokenMatcher) Release()                 {}
 
 // TestPanickingEngineIsEvicted: a panic inside one engine's repair is
 // contained to that pattern — the commit itself proceeds (the other
@@ -241,7 +242,7 @@ func TestPanickingEngineIsEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg.mu.Lock()
-	reg.pats["bad"] = &registration{id: "bad", kind: KindSim, m: panicMatcher{}}
+	reg.pats["bad"] = &registration{id: "bad", kind: KindSim, m: brokenMatcher{}}
 	reg.mu.Unlock()
 	badSub, err := reg.Subscribe("bad")
 	if err != nil {
@@ -286,7 +287,7 @@ func TestPanickingEngineIsEvicted(t *testing.T) {
 }
 
 // TestPanickingPublishDoesNotWedgeWriter: the drain's outer panic guard
-// still protects the writer from panics outside the engine fan-out —
+// still protects the writer from panics outside the network —
 // queued callers get errors, the flag resets, and the registry stays
 // writable. (Engine-repair panics no longer reach it; see above.)
 func TestPanickingPublishDoesNotWedgeWriter(t *testing.T) {
@@ -296,7 +297,7 @@ func TestPanickingPublishDoesNotWedgeWriter(t *testing.T) {
 	ups := generator.Updates(g, 4, 0, seed+7)
 
 	// A nil subscription in the set makes publish panic — a stand-in for
-	// any post-fan-out bug.
+	// any post-repair bug.
 	if err := reg.Register("q", testPattern(g, KindSim, seed), KindSim); err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ type blockMatcher struct {
 	unblock chan struct{} // the repair returns when this closes
 }
 
-func (m *blockMatcher) Delta() rel.Delta {
+func (m *blockMatcher) Delta() (rel.Delta, bool) {
 	close(m.entered)
 	<-m.unblock
-	return rel.Delta{}
+	return rel.Delta{}, true
 }
 
 func (m *blockMatcher) Result() rel.Relation { return rel.NewRelation(1) }

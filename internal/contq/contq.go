@@ -6,12 +6,12 @@
 // patterns, incbsim for b-patterns, iso for subgraph isomorphism) reading
 // that graph through a read-only graph.View. A single serialized writer
 // ingests edge-update batches, coalesces queued batches into one commit,
-// repairs the network once for the effective updates, fans the per-pattern
-// deltas out (internal/par), applies the updates to the canonical graph
-// exactly once, and publishes per-pattern match deltas ΔM — not full
-// results — to channel subscribers in commit order, the production shape
-// of incremental view maintenance (standing queries registered once,
-// update streams fanned out, deltas pushed).
+// repairs the network once for the effective updates, reads each pattern's
+// delta from it, applies the updates to the canonical graph exactly once,
+// and publishes per-pattern match deltas ΔM — not full results — to
+// channel subscribers in commit order, the production shape of incremental
+// view maintenance (standing queries registered once, update streams
+// fanned out, deltas pushed).
 //
 // Memory model: engines never clone the graph. Each engine repairs through
 // a private graph.Overlay — an O(|ΔG|-per-batch) diff over the shared base
@@ -42,9 +42,9 @@
 //     lock: they read through the engines' lock-free cached snapshots, so
 //     reads between updates are allocation-free and never block behind a
 //     writer.
-//   - During a commit's fan-out the canonical graph is immutable (engines
-//     read it concurrently; their overlays are private), and it is mutated
-//     only after every engine has returned.
+//   - During a commit's network repair the canonical graph is immutable
+//     (engines read it concurrently; their overlays are private), and it is
+//     mutated only after every engine has returned.
 package contq
 
 import (
@@ -60,7 +60,6 @@ import (
 	"gpm/internal/journal"
 	"gpm/internal/obs"
 	"gpm/internal/obs/trace"
-	"gpm/internal/par"
 	"gpm/internal/pattern"
 	"gpm/internal/rel"
 )
@@ -135,13 +134,13 @@ type Info struct {
 
 // matcher is a registration's face of its *gdn.Handle (tests substitute
 // fakes through it). Delta reports the pattern's ΔM for the commit the
-// network last applied and panics when the pattern's state is undefined
-// (its join's repair panicked), which is the fan-out's per-pattern
-// eviction signal; Result returns the current match as a shared immutable
-// snapshot and may run concurrently with Delta; Release gives back the
-// network state behind the pattern, exactly once, under the writer lock.
+// network last applied, or false when the pattern's state is undefined
+// (its join's repair panicked), which is the commit's per-pattern eviction
+// signal; Result returns the current match as a shared immutable snapshot
+// and may run concurrently with Delta; Release gives back the network
+// state behind the pattern, exactly once, under the writer lock.
 type matcher interface {
-	Delta() rel.Delta
+	Delta() (rel.Delta, bool)
 	Result() rel.Relation
 	Release()
 }
@@ -176,15 +175,15 @@ type Registry struct {
 	g       *graph.Graph // the ONE canonical graph all engines read through
 	pats    map[string]*registration
 	seq     uint64
-	workers int // parallelism of the network repair and the delta fan-out (0 = default)
+	workers int // parallelism of the network repair (0 = default)
 	closed  bool
 
 	// net is the shared sub-pattern evaluation network: every pattern, of
 	// every kind, registers into it, so structurally overlapping standing
 	// patterns share predicate satisfaction sets and — for patterns
 	// identical up to node renumbering — whole engines.
-	// The writer repairs the network once per commit (before the matcher
-	// fan-out); each pattern's matcher then just reads its remapped delta.
+	// The writer repairs the network once per commit; each pattern's
+	// matcher then just reads its remapped delta.
 	// FromSeq backfill replays through a network of its own (see backfill).
 	net *gdn.Network
 
@@ -261,9 +260,8 @@ type applyReq struct {
 type Option func(*Registry)
 
 // WithWorkers bounds how many joins the shared network repairs
-// concurrently during one commit, and the width of the per-pattern delta
-// fan-out; it is also each simulation engine's internal sweep width
-// (0 = par.DefaultWorkers).
+// concurrently during one commit; it is also each simulation engine's
+// internal sweep width (0 = par.DefaultWorkers).
 func WithWorkers(n int) Option {
 	return func(r *Registry) { r.workers = n }
 }
@@ -557,8 +555,8 @@ func (r *Registry) commit(batch []*applyReq) {
 	defer func() {
 		rec := recover()
 		if rec != nil {
-			// An engine repair panicked mid-fan-out: no sequence number was
-			// assigned, so tell every caller still in flight what happened
+			// The commit panicked outside the network (which contains engine
+			// panics itself): tell every caller still in flight what happened
 			// before unblocking it.
 			err := fmt.Errorf("contq: commit panicked: %v", rec)
 			for _, req := range batch {
@@ -697,7 +695,7 @@ type effectiveCommit struct {
 
 // commitEffectiveLocked runs the committed half of the pipeline for one
 // net effective batch, under writeMu: shared-network repair, per-pattern
-// delta fan-out, canonical graph mutation, sequence assignment, journaling,
+// delta reads, canonical graph mutation, sequence assignment, journaling,
 // publishes (pattern deltas and raw-ΔG commit subscribers) and evictions.
 // Both the coalescing writer (commit) and the replication path
 // (ApplyReplicated) funnel through here, so leader and follower commits
@@ -716,73 +714,49 @@ func (r *Registry) commitEffectiveLocked(c effectiveCommit) (seq uint64, jerr, e
 			vs.EndAt(start.Add(ct.Validate))
 		}
 	}
-	// Repair the shared evaluation network once for the whole commit,
-	// before the per-pattern fan-out: every engine repair, of every kind,
-	// happens here, and each matcher's Delta below just reads its pattern's
-	// cached (remapped) delta. A join whose repair panicked marks itself
-	// broken; its patterns' matchers then panic inside the fan-out and are
-	// evicted individually.
+	// Repair the shared evaluation network once for the whole commit: every
+	// engine repair, of every kind, happens here, and a join whose repair
+	// panicked is contained inside the network, which marks it broken.
 	if len(effective) > 0 {
-		netStart := time.Now()
-		nspan := r.tracer.StartSpanAt(cspan.Context(), "stage.network", netStart)
 		var savedBefore int64
-		if nspan != nil {
+		if cspan != nil {
 			savedBefore = r.net.Stats().RepairsSaved
 		}
-		r.net.Apply(effective)
-		ct.Network = time.Since(netStart)
-		r.met.network.ObserveDuration(ct.Network)
+		nspan := r.stage(cspan, "stage.network", &ct.Network, r.met.network, func(time.Time) {
+			r.net.Apply(effective)
+		})
 		if nspan != nil {
 			st := r.net.Stats()
 			nspan.SetAttr("repairs_saved", st.RepairsSaved-savedBefore)
 			nspan.SetAttr("join_nodes", st.JoinNodes)
-			nspan.EndAt(netStart.Add(ct.Network))
 		}
 	}
 
-	// Fan the commit out to every pattern: each reads its delta from the
-	// network (the stage keeps its "repair" name; it times the reads). A
-	// panicking read is contained to its own pattern — the other joins
-	// have already absorbed the batch, so the commit must proceed (graph
-	// mutation, seq, journal, publishes) or every surviving engine would
-	// be permanently desynced from the canonical graph. The broken
-	// pattern's state is undefined, so it is evicted below.
+	// Read every pattern's delta from the network (the stage keeps its
+	// "repair" name). A pattern whose join broke is dropped from regs: the
+	// other joins have already absorbed the batch, so the commit must
+	// proceed (graph mutation, seq, journal, publishes) or every surviving
+	// engine would be permanently desynced from the canonical graph. The
+	// broken pattern's state is undefined, so it is evicted below. With no
+	// effective update the network did not run and every delta is empty.
 	regs := r.snapshotRegs()
 	deltas := make([]rel.Delta, len(regs))
-	repairErr := make([]error, len(regs))
-	repairDur := make([]time.Duration, len(regs))
+	var broken []*registration
 	ct.Patterns = len(regs)
 	if len(effective) > 0 {
-		repairStart := time.Now()
-		rspan := r.tracer.StartSpanAt(cspan.Context(), "stage.repair", repairStart)
-		par.For(len(regs), r.workers, func(_, i int) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					repairErr[i] = fmt.Errorf("contq: pattern %q repair panicked: %v", regs[i].id, rec)
+		rspan := r.stage(cspan, "stage.repair", &ct.Repair, r.met.repair, func(time.Time) {
+			live := regs[:0]
+			for _, reg := range regs {
+				if d, ok := reg.m.Delta(); ok {
+					deltas[len(live)] = d
+					live = append(live, reg)
+				} else {
+					broken = append(broken, reg)
 				}
-			}()
-			engStart := time.Now()
-			deltas[i] = regs[i].m.Delta()
-			repairDur[i] = time.Since(engStart)
+			}
+			regs = live
 		})
-		ct.Repair = time.Since(repairStart)
-		r.met.repair.ObserveDuration(ct.Repair)
-		for i, reg := range regs {
-			if h := r.met.repairKind[reg.kind]; h != nil && repairErr[i] == nil {
-				h.ObserveDuration(repairDur[i])
-			}
-			if repairDur[i] > ct.SlowestRepair {
-				ct.SlowestRepair, ct.SlowestPattern = repairDur[i], reg.id
-			}
-		}
-		if rspan != nil {
-			rspan.SetAttr("patterns_repaired", len(regs))
-			if ct.SlowestPattern != "" {
-				rspan.SetAttr("slowest_pattern", ct.SlowestPattern)
-				rspan.SetAttr("slowest_repair_ms", float64(ct.SlowestRepair)/float64(time.Millisecond))
-			}
-			rspan.EndAt(repairStart.Add(ct.Repair))
-		}
+		rspan.SetAttr("patterns_repaired", ct.Patterns)
 	}
 
 	r.mu.Lock()
@@ -818,45 +792,32 @@ func (r *Registry) commitEffectiveLocked(c effectiveCommit) (seq uint64, jerr, e
 	// full) surfaces to every caller in the commit — the state change
 	// stands in memory but is not durable — and the registry keeps serving.
 	if r.journal != nil {
-		jStart := time.Now()
-		jspan := r.tracer.StartSpanAt(cspan.Context(), "stage.journal", jStart)
-		if aerr := r.journal.AppendCommitTrace(seq, effective, tp); aerr != nil {
+		var aerr error
+		jspan := r.stage(cspan, "stage.journal", &ct.Journal, r.met.journal, func(time.Time) {
+			if aerr = r.journal.AppendCommitTrace(seq, effective, tp); aerr == nil && r.journal.SnapshotDue() {
+				// Checkpoint under the writer lock: the canonical graph is
+				// stable here, and blocking the next commit bounds how far the
+				// snapshot can lag the head. Failures land in journal stats.
+				r.journal.WriteSnapshot(seq, r.g, r.patternDefs()) //nolint:errcheck // recorded in journal.Stats
+			}
+		})
+		if aerr != nil {
 			jerr = fmt.Errorf("contq: commit %d applied but not journaled: %w", seq, aerr)
 			jspan.SetAttr("error", aerr.Error())
-		} else if r.journal.SnapshotDue() {
-			// Checkpoint under the writer lock: the canonical graph is
-			// stable here, and blocking the next commit bounds how far the
-			// snapshot can lag the head. Failures land in journal stats.
-			r.journal.WriteSnapshot(seq, r.g, r.patternDefs()) //nolint:errcheck // recorded in journal.Stats
-		}
-		ct.Journal = time.Since(jStart)
-		r.met.journal.ObserveDuration(ct.Journal)
-		if jspan != nil {
-			jspan.EndAt(jStart.Add(ct.Journal))
 		}
 	}
-	pubStart := time.Now()
-	pspan := r.tracer.StartSpanAt(cspan.Context(), "stage.publish", pubStart)
-	r.csubs.publish(CommitEvent{Seq: seq, Updates: effective, At: pubStart, Trace: tp})
-	for i, reg := range regs {
-		if repairErr[i] != nil {
-			continue
+	r.stage(cspan, "stage.publish", &ct.Publish, r.met.publish, func(at time.Time) {
+		r.csubs.publish(CommitEvent{Seq: seq, Updates: effective, At: at, Trace: tp})
+		for i, reg := range regs {
+			reg.subs.publish(Event{Pattern: reg.id, Seq: seq, Delta: deltas[i], At: at, Trace: tp})
 		}
-		reg.subs.publish(Event{Pattern: reg.id, Seq: seq, Delta: deltas[i], At: pubStart, Trace: tp})
-	}
-	ct.Publish = time.Since(pubStart)
-	r.met.publish.ObserveDuration(ct.Publish)
-	if pspan != nil {
-		pspan.EndAt(pubStart.Add(ct.Publish))
-	}
-	// Evict patterns whose repair panicked: their match state is
-	// undefined, so they must not serve another result or delta. Their
-	// subscribers' channels close (the unregistered signal) and the
-	// eviction is journaled so recovery agrees.
-	for i, reg := range regs {
-		if repairErr[i] != nil {
-			r.evictLocked(reg, seq)
-		}
+	})
+	// Evict patterns whose join broke: their match state is undefined, so
+	// they must not serve another result or delta. Their subscribers'
+	// channels close (the unregistered signal) and the eviction is
+	// journaled so recovery agrees.
+	for _, reg := range broken {
+		r.evictLocked(reg, seq)
 	}
 	ct.Seq, ct.Total = seq, time.Since(start)
 	ct.Trace = tp
@@ -868,6 +829,21 @@ func (r *Registry) commitEffectiveLocked(c effectiveCommit) (seq uint64, jerr, e
 		r.commitObs(*ct)
 	}
 	return seq, jerr, nil
+}
+
+// stage times fn as one stage of a commit. The same two clock readings
+// bound the stage's CommitTiming field *d, its histogram h and its child
+// span under parent, which stage returns ended (nil when the commit is
+// unsampled; every span method is a no-op on nil). fn gets the stage's
+// start instant.
+func (r *Registry) stage(parent *trace.Span, name string, d *time.Duration, h *obs.Histogram, fn func(start time.Time)) *trace.Span {
+	start := time.Now()
+	sp := r.tracer.StartSpanAt(parent.Context(), name, start)
+	fn(start)
+	*d = time.Since(start)
+	h.ObserveDuration(*d)
+	sp.EndAt(start.Add(*d))
+	return sp
 }
 
 // Tracer returns the tracer recording this registry's commit spans —
@@ -1057,7 +1033,7 @@ type Stats struct {
 	// is the number of Apply calls absorbed by coalescing.
 	Applies uint64 `json:"applies"`
 	// CoalescedApplies = Applies - Commits: Apply calls that shared a
-	// commit with another caller instead of paying their own fan-out.
+	// commit with another caller instead of paying their own commit.
 	CoalescedApplies uint64 `json:"coalesced_applies"`
 	// UpdatesSubmitted / UpdatesApplied count unit updates before and
 	// after edge-level cancellation; the difference is UpdatesCancelled.
@@ -1080,7 +1056,7 @@ type Stats struct {
 	// retained seq).
 	Journal *journal.Stats `json:"journal,omitempty"`
 	// Timings is the commit pipeline's latency telemetry: per-stage
-	// histograms (queue wait, validate, network, repair fan-out, journal,
+	// histograms (queue wait, validate, network, delta reads, journal,
 	// publish, total) summarized as count/sum/max/quantiles, plus the
 	// subscription gauges. The same instruments back GET /v1/metricz; this
 	// block is their typed JSON face — the observation stream the adaptive

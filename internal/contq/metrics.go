@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the registry's telemetry: every commit is split into stages
-// (validate → network → repair fan-out → graph mutation → journal →
+// (validate → network → delta reads → graph mutation → journal →
 // publish) and each stage's wall time lands in a fixed-bucket histogram,
 // alongside queue-wait and coalescing-size distributions and the
 // subscription-side gauges. The instruments live in an obs.Registry
@@ -37,11 +37,10 @@ type metrics struct {
 	drainUps    *obs.Histogram // effective updates per commit
 	validate    *obs.Histogram
 	network     *obs.Histogram
-	repair      *obs.Histogram // fan-out wall time (the max across engines bounds it)
+	repair      *obs.Histogram // the per-pattern delta reads
 	journal     *obs.Histogram
 	publish     *obs.Histogram
 	total       *obs.Histogram
-	repairKind  map[Kind]*obs.Histogram // per-engine repair time by kind
 	commits     *obs.Counter
 	applies     *obs.Counter
 	subsActive  *obs.Gauge // open subscriptions across all patterns
@@ -77,12 +76,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Open raw-ΔG commit subscriptions (followers and commit-stream tails)."),
 		mailboxHW: reg.Gauge("gpm_subscription_mailbox_highwater",
 			"Deepest per-subscriber mailbox observed since start (events queued behind a slow consumer)."),
-		repairKind: make(map[Kind]*obs.Histogram, 3),
-	}
-	for _, k := range []Kind{KindSim, KindBSim, KindIso} {
-		m.repairKind[k] = reg.Histogram("gpm_commit_repair_ms",
-			"Per-pattern delta read wall time by kind within one commit's fan-out, in milliseconds.",
-			nil, obs.L("kind", string(k)))
 	}
 	return m
 }
@@ -95,20 +88,15 @@ func newMetrics(reg *obs.Registry) *metrics {
 type CommitTiming struct {
 	Seq      uint64 // the commit's sequence number
 	Batches  int    // Apply calls coalesced into this commit
-	Updates  int    // net effective updates fanned out
-	Patterns int    // patterns whose delta the fan-out read
+	Updates  int    // net effective updates
+	Patterns int    // registered patterns the commit served
 
 	Validate time.Duration
 	Network  time.Duration // every engine repair, of every kind
-	Repair   time.Duration // fan-out wall time: the per-pattern delta reads
+	Repair   time.Duration // the serial per-pattern delta reads
 	Journal  time.Duration
 	Publish  time.Duration
 	Total    time.Duration
-
-	// SlowestPattern identifies the pattern whose delta read took longest
-	// this commit (empty when the fan-out did not run).
-	SlowestPattern string
-	SlowestRepair  time.Duration
 
 	// Trace is the W3C traceparent of the commit's span ("" when the
 	// commit was not sampled) — the key a slow-commit logger uses to pull
@@ -144,9 +132,6 @@ type TimingStats struct {
 	JournalMS        obs.HistSnapshot `json:"journal_ms"`
 	PublishMS        obs.HistSnapshot `json:"publish_ms"`
 	TotalMS          obs.HistSnapshot `json:"total_ms"`
-	// RepairByKindMS breaks the fan-out's delta reads down by engine kind;
-	// kinds never read are omitted.
-	RepairByKindMS map[string]obs.HistSnapshot `json:"repair_by_kind_ms,omitempty"`
 	// SubscriptionsActive and MailboxHighWater are the live SSE-side
 	// gauges: open subscriptions, and the deepest mailbox ever seen.
 	SubscriptionsActive int64 `json:"subscriptions_active"`
@@ -155,7 +140,7 @@ type TimingStats struct {
 
 // timingStats snapshots the instruments for Stats().
 func (m *metrics) timingStats() *TimingStats {
-	ts := &TimingStats{
+	return &TimingStats{
 		QueueWaitMS:         m.queueWait.Snapshot(),
 		DrainBatches:        m.drainSize.Snapshot(),
 		EffectiveUpdates:    m.drainUps.Snapshot(),
@@ -168,15 +153,4 @@ func (m *metrics) timingStats() *TimingStats {
 		SubscriptionsActive: m.subsActive.Value(),
 		MailboxHighWater:    m.mailboxHW.Value(),
 	}
-	for k, h := range m.repairKind {
-		s := h.Snapshot()
-		if s.Count == 0 {
-			continue
-		}
-		if ts.RepairByKindMS == nil {
-			ts.RepairByKindMS = make(map[string]obs.HistSnapshot, len(m.repairKind))
-		}
-		ts.RepairByKindMS[string(k)] = s
-	}
-	return ts
 }

@@ -60,8 +60,8 @@ func TestCommitTelemetry(t *testing.T) {
 		if ct.Validate <= 0 {
 			t.Fatalf("commit %d: validate stage not timed", ct.Seq)
 		}
-		if ct.Patterns != 1 || ct.SlowestPattern != "q" {
-			t.Fatalf("commit %d: patterns=%d slowest=%q, want 1/%q", ct.Seq, ct.Patterns, ct.SlowestPattern, "q")
+		if ct.Patterns != 1 {
+			t.Fatalf("commit %d: patterns=%d, want 1", ct.Seq, ct.Patterns)
 		}
 		if sum := ct.Validate + ct.Network + ct.Repair + ct.Journal + ct.Publish; sum > ct.Total {
 			t.Fatalf("commit %d: stages sum %v exceeds total %v", ct.Seq, sum, ct.Total)
@@ -81,9 +81,6 @@ func TestCommitTelemetry(t *testing.T) {
 	}
 	if ts.QueueWaitMS.Count != commits || ts.DrainBatches.Count != commits {
 		t.Fatalf("queue telemetry counts = wait %d drain %d, want %d", ts.QueueWaitMS.Count, ts.DrainBatches.Count, commits)
-	}
-	if got := ts.RepairByKindMS["sim"].Count; got != commits {
-		t.Fatalf("repair_by_kind[sim] count = %d, want %d", got, commits)
 	}
 	if ts.TotalMS.Sum <= 0 || ts.TotalMS.Max <= 0 {
 		t.Fatalf("total snapshot sum/max not positive: %+v", ts.TotalMS)

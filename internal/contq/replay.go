@@ -198,7 +198,11 @@ func (r *Registry) backfill(ctx context.Context, reg *registration, base *graph.
 		ev := Event{Pattern: reg.id, Seq: rec.Seq, Trace: rec.Trace}
 		if len(rec.Updates) > 0 {
 			net.Apply(rec.Updates)
-			ev.Delta = h.Delta()
+			d, ok := h.Delta()
+			if !ok {
+				return nil, fmt.Errorf("contq: replaying seq %d: %q engine repair panicked", rec.Seq, reg.id)
+			}
+			ev.Delta = d
 			// The shared-storage protocol: the engine dropped its overlay,
 			// so commit the batch to the replay base before the next one.
 			if _, err := base.ApplyAll(rec.Updates); err != nil {

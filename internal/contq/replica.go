@@ -22,8 +22,7 @@ import (
 
 // ErrReplicaGap reports an ApplyReplicated commit whose sequence does not
 // directly follow the registry head: the replica missed (or replayed) a
-// commit and must re-sync from the leader — catch-up via the commit tail,
-// or snapshot re-bootstrap when the tail is compacted.
+// commit and must re-sync from the leader's snapshot.
 var ErrReplicaGap = errors.New("contq: replicated commit does not follow head")
 
 // NewAt builds a registry over g with the commit sequence already at seq
@@ -94,8 +93,8 @@ func (r *Registry) RegisterDef(pd journal.PatternDef) error {
 }
 
 // ApplyReplicated applies one leader commit at exactly the given sequence
-// number, running the full commit pipeline — shared-network repair, engine
-// fan-out, canonical graph mutation, local journaling, and publishes to
+// number, running the full commit pipeline — shared-network repair, delta
+// reads, canonical graph mutation, local journaling, and publishes to
 // both pattern and commit subscribers. Unlike Apply, nothing is coalesced
 // and no sequence is assigned: the leader already did both, and the
 // follower replays its decisions so both sides' streams carry identical

@@ -2,7 +2,9 @@ package contq
 
 import (
 	"context"
+	"math"
 	"testing"
+	"time"
 
 	"gpm/internal/generator"
 	"gpm/internal/graph"
@@ -29,17 +31,20 @@ func spanNames(snap trace.TraceSnapshot) map[string]bool {
 // through the whole commit pipeline and asserts every observable output
 // carries it: the registry's trace ring (commit + stage spans, indexed by
 // seq), the CommitTiming observer, the journal record, the commit stream,
-// and the per-pattern match event.
+// and the per-pattern match event. It also holds the three views of each
+// timed stage to agreement: the sampled commit's stage spans last exactly
+// as long as its CommitTiming fields, and over the run each stage
+// histogram sums exactly what the observer saw.
 func TestCommitTracePropagation(t *testing.T) {
 	seed := int64(17)
 	g := generator.Synthetic(30, 90, generator.DefaultSchema(3), seed)
 	tr := alwaysTracer()
-	var observed CommitTiming
+	var timings []CommitTiming
 	r := New(g,
 		WithTracer(tr),
 		WithJournal(journal.New()),
 		WithMetrics(obs.NewRegistry()),
-		WithCommitObserver(func(ct CommitTiming) { observed = ct }))
+		WithCommitObserver(func(ct CommitTiming) { timings = append(timings, ct) }))
 	defer r.Close()
 	if err := r.Register("p", testPattern(g, KindSim, seed), KindSim); err != nil {
 		t.Fatal(err)
@@ -80,8 +85,26 @@ func TestCommitTracePropagation(t *testing.T) {
 		}
 	}
 
+	observed := timings[len(timings)-1]
 	if sc, ok := trace.Parse(observed.Trace); !ok || sc.TraceID.String() != want {
 		t.Fatalf("CommitTiming.Trace = %q, want traceparent of %s", observed.Trace, want)
+	}
+	stageDur := map[string]time.Duration{
+		"stage.network": observed.Network,
+		"stage.repair":  observed.Repair,
+		"stage.journal": observed.Journal,
+		"stage.publish": observed.Publish,
+	}
+	for _, sp := range snap.Spans {
+		if d, ok := stageDur[sp.Name]; ok {
+			if want := float64(d) / float64(time.Millisecond); sp.DurationMS != want {
+				t.Errorf("span %s lasts %v ms, CommitTiming says %v ms", sp.Name, sp.DurationMS, want)
+			}
+			delete(stageDur, sp.Name)
+		}
+	}
+	if len(stageDur) != 0 {
+		t.Fatalf("trace missing stage spans %v", stageDur)
 	}
 	recs, err := r.Replay(seq - 1)
 	if err != nil {
@@ -97,6 +120,32 @@ func TestCommitTracePropagation(t *testing.T) {
 	mev := <-sub.C
 	if sc, ok := trace.Parse(mev.Trace); !ok || sc.TraceID.String() != want {
 		t.Fatalf("match event trace = %q, want trace %s", mev.Trace, want)
+	}
+
+	// A second, untraced commit, so the histogram sums cover more than one
+	// observation.
+	if _, err := r.Apply(generator.Updates(leaderGraph(r), 3, 0, seed+2)); err != nil {
+		t.Fatal(err)
+	}
+	ts := r.Stats().Timings
+	for _, st := range []struct {
+		name  string
+		hist  obs.HistSnapshot
+		field func(CommitTiming) time.Duration
+	}{
+		{"network", ts.NetworkMS, func(ct CommitTiming) time.Duration { return ct.Network }},
+		{"repair", ts.RepairMS, func(ct CommitTiming) time.Duration { return ct.Repair }},
+		{"journal", ts.JournalMS, func(ct CommitTiming) time.Duration { return ct.Journal }},
+		{"publish", ts.PublishMS, func(ct CommitTiming) time.Duration { return ct.Publish }},
+	} {
+		var sum float64
+		for _, ct := range timings {
+			sum += float64(st.field(ct)) / float64(time.Millisecond)
+		}
+		if math.Abs(st.hist.Sum-sum) > 1e-9*sum {
+			t.Errorf("%s histogram sums %v ms, the observer's %d commits %v ms",
+				st.name, st.hist.Sum, len(timings), sum)
+		}
 	}
 }
 

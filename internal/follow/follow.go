@@ -2,15 +2,15 @@
 // read-only gpserve instance (serve.NewReadOnly) in lockstep with a
 // leader over the v1 wire API.
 //
-// The follower bootstraps by trying the cheap path first — a raw commit
-// catch-up (GET /v1/commits?from=) over whatever local registry it
-// already holds — and falls back to a full-state fetch (GET /v1/snapshot)
-// when it holds nothing or the leader has compacted the range. It then
-// tails the leader's raw ΔG commit stream (GET /v1/commits/stream via the
-// SDK's reconnecting CommitStream) and applies every batch through its
-// own registry at the leader's own sequence numbers, so everything keyed
-// by sequence — SSE Last-Event-ID resume, Replay tails — works
-// identically against leader or follower. Pattern registrations are
+// The follower bootstraps from a full-state fetch (GET /v1/snapshot) when
+// it holds no local registry. It then tails the leader's raw ΔG commit
+// stream (GET /v1/commits/stream via the SDK's reconnecting CommitStream)
+// from its own head: the stream backfills whatever the replica missed from
+// the leader's journal, and a compacted range sends the follower back to
+// the snapshot. Every batch applies through the follower's own registry at
+// the leader's own sequence numbers, so everything keyed by sequence —
+// SSE Last-Event-ID resume, Replay tails — works identically against
+// leader or follower. Pattern registrations are
 // mirrored by periodic reconciliation against GET /v1/patterns: engine
 // state is a function of the current graph, so a late-arriving pattern
 // still computes the correct match.
@@ -245,10 +245,10 @@ func needsResync(err error) bool {
 	return false
 }
 
-// Run drives the replication loop until ctx is canceled: bootstrap (or
-// catch up), tail the commit stream, reconcile patterns — re-bootstrapping
-// from a snapshot whenever the tail reports the replica can no longer
-// follow. Transient leader failures (unreachable, restarting) are retried
+// Run drives the replication loop until ctx is canceled: bootstrap (when
+// no replica survives), tail the commit stream, reconcile patterns —
+// re-bootstrapping from a snapshot whenever the tail reports the replica
+// can no longer follow. Transient leader failures (unreachable, restarting) are retried
 // with backoff; Run only returns ctx.Err().
 func (f *Follower) Run(ctx context.Context) error {
 	backoff := 200 * time.Millisecond
@@ -288,7 +288,7 @@ func (f *Follower) sync(ctx context.Context) error {
 	}
 	if errors.Is(err, errResync) {
 		// Drop the replica: the next bootstrap must take the snapshot
-		// path, catch-up over diverged state would corrupt it.
+		// path, tailing over diverged state would corrupt it.
 		f.mu.Lock()
 		f.reg = nil
 		f.bootstrapped = false
@@ -299,25 +299,15 @@ func (f *Follower) sync(ctx context.Context) error {
 	return err
 }
 
-// bootstrap brings the local registry to the leader's head: a raw commit
-// catch-up when a replica already exists, a full snapshot fetch when none
-// does or the catch-up range is compacted.
+// bootstrap installs a local registry from the leader's snapshot unless a
+// replica already exists: the tail's FromSeq stream backfills a surviving
+// replica's missed commits itself.
 func (f *Follower) bootstrap(ctx context.Context) error {
 	f.mu.Lock()
 	reg := f.reg
 	f.mu.Unlock()
 	if reg != nil {
-		err := f.catchUp(ctx, reg)
-		if err == nil {
-			return nil
-		}
-		if !needsResync(err) {
-			return err
-		}
-		f.mu.Lock()
-		f.reg = nil
-		f.bootstrapped = false
-		f.mu.Unlock()
+		return nil
 	}
 
 	snap, err := f.cli.Snapshot(ctx)
@@ -346,29 +336,6 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	f.cfg.Logger.Info("follower bootstrapped from snapshot",
 		"leader", f.cfg.Leader, "seq", snap.Seq, "patterns", len(defs),
 		"nodes", snap.Graph.NumNodes(), "edges", snap.Graph.NumEdges())
-	return nil
-}
-
-// catchUp replays the commits the replica missed via GET /v1/commits.
-func (f *Follower) catchUp(ctx context.Context, reg *contq.Registry) error {
-	from := reg.Seq()
-	tail, err := f.cli.Commits(ctx, from)
-	if err != nil {
-		return fmt.Errorf("catch-up tail from %d: %w", from, err)
-	}
-	for _, c := range tail.Commits {
-		if err := reg.ApplyReplicated(c.Seq, c.Updates, c.Trace); err != nil {
-			return fmt.Errorf("catch-up apply at %d: %w", c.Seq, err)
-		}
-	}
-	f.mu.Lock()
-	f.bootstrapped = true
-	f.mu.Unlock()
-	f.observeLeaderSeq(tail.Head)
-	if len(tail.Commits) > 0 {
-		f.cfg.Logger.Info("follower caught up",
-			"leader", f.cfg.Leader, "from", from, "head", tail.Head, "commits", len(tail.Commits))
-	}
 	return nil
 }
 

@@ -173,8 +173,8 @@ func TestFollowerConvergence(t *testing.T) {
 	}
 	storm(t, lc, 12, 8, seed+3) // phase 2: follower offline, falls behind
 
-	// ...and start it again: the surviving registry catches up over
-	// GET /v1/commits rather than re-fetching the snapshot.
+	// ...and start it again: the surviving registry's commit stream
+	// backfills what it missed rather than re-fetching the snapshot.
 	ctx2, cancel2 := context.WithCancel(ctx)
 	defer cancel2()
 	done2 := make(chan error, 1)
@@ -248,7 +248,7 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 	cancel1()
 	<-done1
 
-	// Offline churn far past the ring: the catch-up range is compacted.
+	// Offline churn far past the ring: the backfill range is compacted.
 	storm(t, lc, 12, 8, seed+1)
 
 	ctx2, cancel2 := context.WithCancel(ctx)

@@ -26,10 +26,12 @@
 //     twins share one join but report in their own node numbering.
 //
 // Lifecycle: Register/Release refcount every node; a node is torn down when
-// the last pattern using it goes. Apply repairs the network for one commit.
-// The caller must serialize Register, Release and Apply with each other
-// (contq's Registry runs all three under its writer lock); Stats and the
-// handle read paths are safe concurrently with everything.
+// the last pattern using it goes. Apply repairs the network for one commit,
+// after which each handle's Delta reports its pattern's ΔM, or false when
+// an engine panic broke the pattern's join. The caller must serialize
+// Register, Release and Apply (contq's Registry runs all three under its
+// writer lock); Stats and the handle read paths are safe concurrently with
+// everything.
 package gdn
 
 import (
@@ -106,9 +108,8 @@ type joinNode struct {
 	// handle remaps it into its own pattern's node numbering.
 	lastDelta rel.Delta
 	// broken marks a join whose repair panicked: its match state is
-	// undefined, every handle's Delta() panics (the registry evicts those
-	// patterns), and the node is removed from the network map so a fresh
-	// registration rebuilds from scratch.
+	// undefined, its handles' Delta() report false, and the node leaves
+	// the network map so a fresh registration rebuilds from scratch.
 	broken  bool
 	removed bool
 }
@@ -311,10 +312,10 @@ func newEngine(kind string, p *pattern.Pattern, base graph.View, opts ...incbsim
 // Apply repairs the network for one commit: ups is the commit's effective
 // ΔG against the base graph, which the caller mutates only after Apply
 // returns (every engine reads base ⊕ ups through its private overlay — the
-// newEngine contract). contq's Registry calls it once per commit, before
-// its per-pattern fan-out, and its FromSeq backfill once per replayed
-// commit on a one-pattern network; after Apply, each handle's Delta()
-// reports its pattern's ΔM for this commit.
+// newEngine contract). contq's Registry calls it once per commit, and its
+// FromSeq backfill once per replayed commit on a one-pattern network; after
+// Apply, each handle's Delta() reports its pattern's ΔM for this commit, or
+// that the pattern broke.
 //
 // The repair is relevance-filtered: each join's own pre-commit state
 // classifies the batch (see joinNode.relevantTo), a join with no relevant
@@ -322,10 +323,10 @@ func newEngine(kind string, p *pattern.Pattern, base graph.View, opts ...incbsim
 // patterns cost nothing this commit.
 //
 // Apply must be serialized with Register/Release by the caller. A join
-// whose repair panics is contained: the panic is swallowed here, the join
-// is marked broken, and every dependent handle's next Delta() call panics
-// instead — inside contq's per-pattern fan-out, where the registry's
-// recover path evicts exactly the affected patterns.
+// whose repair panics is contained here, the one place an engine panic is
+// recovered: the join is marked broken and every dependent handle's
+// Delta() reports false, so the caller can evict exactly the affected
+// patterns.
 func (n *Network) Apply(ups []graph.Update) {
 	// Snapshot the join set under mu; the repairs run outside it so Stats
 	// readers never block behind an engine. Register/Release cannot run
@@ -365,16 +366,6 @@ func (n *Network) Apply(ups []graph.Update) {
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, j := range repairJoins {
-		if j.broken && !j.removed {
-			// Unusable and unrecoverable: evict from the network so the next
-			// registration of this shape rebuilds a fresh engine. Handles
-			// still hold the node (their Delta() panics; contq evicts them)
-			// and release their references through it as usual.
-			delete(n.joins, [2]string{j.kind, j.key})
-			j.removed = true
-		}
-	}
 	n.joinRepairs += int64(len(repairJoins))
 	// Repairs a one-engine-per-pattern layout would have run but the
 	// network did not: every pattern on a skipped join, plus all-but-one
@@ -382,6 +373,14 @@ func (n *Network) Apply(ups []graph.Update) {
 	n.repairsSaved += int64(skippedPatterns)
 	for _, j := range repairJoins {
 		n.repairsSaved += int64(j.ref - 1)
+		if j.broken && !j.removed {
+			// Unusable and unrecoverable: evict from the network so the next
+			// registration of this shape rebuilds a fresh engine. Handles
+			// still hold the node (their Delta() reports false; contq evicts
+			// them) and release their references through it as usual.
+			delete(n.joins, [2]string{j.kind, j.key})
+			j.removed = true
+		}
 	}
 }
 
@@ -404,20 +403,20 @@ func (n *Network) Stats() Stats {
 }
 
 // Delta returns this pattern's ΔM for the most recent Apply, in the
-// pattern's own node numbering. It panics if the pattern's join tip broke
-// during that Apply — deliberately inside the caller's per-pattern
-// fan-out, whose recovery path owns evicting the pattern.
-func (h *Handle) Delta() rel.Delta {
+// pattern's own node numbering, and true. It returns false instead when
+// the pattern's join tip broke during an Apply: its match state is then
+// undefined, and the caller owns evicting the pattern.
+func (h *Handle) Delta() (rel.Delta, bool) {
 	j := h.join
 	if j.broken {
-		panic("gdn: join node repair panicked; pattern state is undefined")
+		return rel.Delta{}, false
 	}
 	if h.identity {
-		return j.lastDelta
+		return j.lastDelta, true
 	}
 	d := rel.Delta{Removed: h.remapPairs(j.lastDelta.Removed), Added: h.remapPairs(j.lastDelta.Added)}
 	d.Sort()
-	return d
+	return d, true
 }
 
 // Result returns the pattern's current match relation in its own node

@@ -180,7 +180,7 @@ func equivalence(t *testing.T, kind string, seed int64) {
 		net.Apply(effective)
 		for i := range pats {
 			want := pats[i].priv.BatchDelta(effective)
-			got := pats[i].h.Delta()
+			got := mustDelta(t, pats[i].h)
 			if !deltasEqual(got, want) {
 				t.Fatalf("seed %d round %d pattern %d: delta mismatch\n got  %+v\n want %+v", seed, round, i, got, want)
 			}
@@ -291,7 +291,7 @@ func TestRelevanceSkip(t *testing.T) {
 	// Irrelevant commit: c->c edges only.
 	ups := []graph.Update{graph.Insert(c[0], c[1]), graph.Insert(c[1], c[2])}
 	net.Apply(ups)
-	if d := h.Delta(); !d.Empty() {
+	if d := mustDelta(t, h); !d.Empty() {
 		t.Fatalf("irrelevant commit moved the match: %+v", d)
 	}
 	if _, err := g.ApplyAll(ups); err != nil {
@@ -309,7 +309,7 @@ func TestRelevanceSkip(t *testing.T) {
 	// delta must show the new match.
 	ups = []graph.Update{graph.Insert(a[0], b[0])}
 	net.Apply(ups)
-	d := h.Delta()
+	d := mustDelta(t, h)
 	if len(d.Added) == 0 {
 		t.Fatalf("relevant insert produced no delta")
 	}
@@ -324,7 +324,7 @@ func TestRelevanceSkip(t *testing.T) {
 	// deletion filter reads the join's match state, not just sat.
 	ups = []graph.Update{graph.Delete(c[0], c[1])}
 	net.Apply(ups)
-	if d := h.Delta(); !d.Empty() {
+	if d := mustDelta(t, h); !d.Empty() {
 		t.Fatalf("irrelevant delete moved the match: %+v", d)
 	}
 	if _, err := g.ApplyAll(ups); err != nil {
@@ -363,7 +363,7 @@ func TestRelevanceSkip(t *testing.T) {
 	}
 	ups = []graph.Update{graph.Delete(a[1], b[1])}
 	chainNet.Apply(ups)
-	if d := hc.Delta(); !d.Empty() {
+	if d := mustDelta(t, hc); !d.Empty() {
 		t.Fatalf("delete outside the join's match moved it: %+v", d)
 	}
 	if s := chainNet.Stats(); s.JoinRepairs != 0 {
@@ -410,6 +410,16 @@ func TestRegisterRejectsBadKinds(t *testing.T) {
 	h.Release()
 }
 
+// mustDelta is h.Delta() for a handle whose join must not have broken.
+func mustDelta(t *testing.T, h *Handle) rel.Delta {
+	t.Helper()
+	d, ok := h.Delta()
+	if !ok {
+		t.Fatal("healthy join reported broken")
+	}
+	return d
+}
+
 // panicEngine is a join engine whose repair always panics.
 type panicEngine struct{ engine }
 
@@ -417,9 +427,9 @@ func (panicEngine) BatchDelta([]graph.Update) rel.Delta { panic("boom") }
 
 // TestBrokenJoinIsContained: a join whose repair panics is contained by
 // Apply — it is marked broken and leaves the network map, every handle on
-// it panics on Delta (the registry's eviction signal), the other joins
-// repair as usual, the broken shape re-registers into a fresh join, and the
-// old node's teardown never touches the new one.
+// it reports false from Delta (the registry's eviction signal), the other
+// joins repair as usual, the broken shape re-registers into a fresh join,
+// and the old node's teardown never touches the new one.
 func TestBrokenJoinIsContained(t *testing.T) {
 	g := generator.RandomGraph(40, 120, 3, 7)
 	net := New(g, 1)
@@ -461,18 +471,13 @@ func TestBrokenJoinIsContained(t *testing.T) {
 
 	ups := graph.NetUpdates(g, randomUpdates(g, 16, rand.New(rand.NewSource(7))))
 	net.Apply(ups) // must not panic
-	if got, want := healthy.Delta(), priv.BatchDelta(ups); !deltasEqual(got, want) || want.Empty() {
+	if got, want := mustDelta(t, healthy), priv.BatchDelta(ups); !deltasEqual(got, want) || want.Empty() {
 		t.Fatalf("healthy join's delta %+v, private engine's %+v (want nonempty)", got, want)
 	}
 	for name, h := range map[string]*Handle{"broken": broken, "twin": twin} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s handle's Delta did not panic on a broken join", name)
-				}
-			}()
-			h.Delta()
-		}()
+		if _, ok := h.Delta(); ok {
+			t.Errorf("%s handle's Delta did not report its broken join", name)
+		}
 	}
 	if s := net.Stats(); s.JoinNodes != before.JoinNodes-1 {
 		t.Fatalf("broken join still in the network: before %+v, after %+v", before, s)

@@ -66,14 +66,6 @@ func (g *Graph) AddNode(attrs Tuple) NodeID {
 // while algorithms hold references to the graph.
 func (g *Graph) Attrs(v NodeID) Tuple { return g.attrs[v] }
 
-// SetAttrs replaces the attribute tuple of node v.
-func (g *Graph) SetAttrs(v NodeID, attrs Tuple) {
-	if attrs == nil {
-		attrs = Tuple{}
-	}
-	g.attrs[v] = attrs
-}
-
 // HasNode reports whether v is a valid node identifier.
 func (g *Graph) HasNode(v NodeID) bool { return v >= 0 && v < len(g.attrs) }
 

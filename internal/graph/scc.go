@@ -170,34 +170,3 @@ func (g *Graph) IsDAG() bool {
 	}
 	return true
 }
-
-// TopoOrder returns a topological order of the nodes if the graph is a DAG
-// (children after parents), and ok=false otherwise.
-func (g *Graph) TopoOrder() (order []NodeID, ok bool) {
-	n := g.NumNodes()
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		for range g.in[v] {
-			indeg[v]++
-		}
-	}
-	queue := make([]NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	order = make([]NodeID, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range g.out[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	return order, len(order) == n
-}

@@ -430,19 +430,13 @@ func (e *Engine) batchLocked(ups []graph.Update) int {
 
 // Apply is the naive baseline: unit updates one at a time.
 func (e *Engine) Apply(ups []graph.Update) {
-	e.ApplyDelta(ups)
-}
-
-// ApplyDelta is Apply additionally reporting the visible match delta ΔM of
-// the whole batch.
-func (e *Engine) ApplyDelta(ups []graph.Update) rel.Delta {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.beginChanges()
 	for i := range ups {
 		e.batchLocked(ups[i : i+1])
 	}
-	return e.endChanges()
+	e.endChanges()
 }
 
 // promote runs the candidate-closure promotion over the pair graph: the
