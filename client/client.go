@@ -110,21 +110,22 @@ func New(baseURL string, options ...Option) *Client {
 }
 
 // APIError is a non-2xx response from the server: the HTTP status plus
-// the v1 error envelope {code, message, seq?}. Code is the stable
-// machine-readable contract — switch on it, not on Message. Seq is
-// nonzero only for code "journal_failed": the batch WAS committed at that
-// sequence but is not durable.
+// the v1 error envelope, the document every failing route encodes. Code
+// is the stable machine-readable contract — switch on it, not on Message.
+// Seq is nonzero only for code "journal_failed": the batch WAS committed
+// at that sequence but is not durable.
 type APIError struct {
-	Status  int
-	Code    string
-	Message string
-	Seq     uint64
+	Status  int    `json:"-"`
+	Code    string `json:"code"`
+	Message string `json:"message"`
+	Seq     uint64 `json:"seq,omitempty"`
 	// Leader is set on code "read_only": the base URL of the instance
 	// that accepts writes (this one is a follower).
-	Leader string
+	Leader string `json:"leader,omitempty"`
 	// TraceID joins the failure to its server-side trace (/v1/tracez)
-	// when the request was sampled; "" otherwise.
-	TraceID string
+	// when the request carried (or was assigned) a sampled trace; ""
+	// otherwise.
+	TraceID string `json:"trace_id,omitempty"`
 }
 
 func (e *APIError) Error() string {
@@ -134,24 +135,50 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("gpserve: %s (http %d): %s", e.Code, e.Status, e.Message)
 }
 
-// The envelope codes of the v1 wire contract, mirrored for callers that
-// switch on APIError.Code without importing the server.
+// The envelope codes of the v1 wire contract: the server answers with
+// exactly these, and callers switch on APIError.Code against them.
 const (
-	CodeInvalidGraph      = "invalid_graph"
-	CodeInvalidPattern    = "invalid_pattern"
-	CodeInvalidUpdates    = "invalid_updates"
-	CodeInvalidKind       = "invalid_kind"
-	CodeInvalidSeq        = "invalid_seq"
-	CodeNotFound          = "not_found"
+	// CodeInvalidGraph, CodeInvalidPattern and CodeInvalidUpdates report
+	// an unparseable or invalid request document (text or JSON).
+	CodeInvalidGraph   = "invalid_graph"
+	CodeInvalidPattern = "invalid_pattern"
+	CodeInvalidUpdates = "invalid_updates"
+	// CodeInvalidKind reports an unknown ?kind= or a kind the pattern
+	// cannot back.
+	CodeInvalidKind = "invalid_kind"
+	// CodeInvalidSeq reports an unparseable ?from= or Last-Event-ID.
+	CodeInvalidSeq = "invalid_seq"
+	// CodeNotFound reports an unregistered pattern id (or unknown route).
+	CodeNotFound = "not_found"
+	// CodeAlreadyRegistered reports a duplicate pattern id; retry under
+	// another name.
 	CodeAlreadyRegistered = "already_registered"
-	CodeClosed            = "closed"
-	CodeCompacted         = "compacted"
-	CodeSeqFuture         = "seq_future"
-	CodeMethodNotAllowed  = "method_not_allowed"
-	CodeNotReady          = "not_ready"
-	CodeReadOnly          = "read_only"
-	CodeJournalFailed     = "journal_failed"
-	CodeInternal          = "internal"
+	// CodeClosed reports a registry shutting down; retry against a live
+	// instance.
+	CodeClosed = "closed"
+	// CodeCompacted reports a replay range the journal no longer retains;
+	// resync from a snapshot.
+	CodeCompacted = "compacted"
+	// CodeSeqFuture reports a resume sequence ahead of the head; the
+	// client's state diverged — resync.
+	CodeSeqFuture = "seq_future"
+	// CodeMethodNotAllowed reports a known route with the wrong method;
+	// the Allow header lists the methods the route accepts.
+	CodeMethodNotAllowed = "method_not_allowed"
+	// CodeNotReady is /v1/readyz's failure: the registry is closed, the
+	// journal stopped accepting appends, or a follower is bootstrapping or
+	// lagging beyond its bound.
+	CodeNotReady = "not_ready"
+	// CodeReadOnly reports a write against a follower; the envelope's
+	// leader field names the instance that accepts writes.
+	CodeReadOnly = "read_only"
+	// CodeJournalFailed reports a commit that was applied and published
+	// but could not be journaled — the envelope's seq carries the
+	// assigned sequence number; the state stands in memory but is not
+	// durable.
+	CodeJournalFailed = "journal_failed"
+	// CodeInternal is the residual server-side failure.
+	CodeInternal = "internal"
 )
 
 // ErrCompacted is the typed terminal condition behind code "compacted":
@@ -174,19 +201,11 @@ func terminalErr(err error) error {
 // apiError decodes the error envelope of a non-2xx response.
 func apiError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	e := &APIError{Status: resp.StatusCode}
-	var env struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-		Seq     uint64 `json:"seq"`
-		Leader  string `json:"leader"`
-		TraceID string `json:"trace_id"`
+	e := &APIError{}
+	if err := json.Unmarshal(body, e); err != nil || e.Code == "" {
+		e = &APIError{Code: CodeInternal, Message: string(bytes.TrimSpace(body))}
 	}
-	if err := json.Unmarshal(body, &env); err == nil && env.Code != "" {
-		e.Code, e.Message, e.Seq, e.Leader, e.TraceID = env.Code, env.Message, env.Seq, env.Leader, env.TraceID
-	} else {
-		e.Code, e.Message = CodeInternal, string(bytes.TrimSpace(body))
-	}
+	e.Status = resp.StatusCode
 	return e
 }
 
@@ -229,7 +248,13 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// GraphInfo describes the server's canonical graph and commit head.
+// The reply documents of the v1 wire contract. The server encodes each
+// reply from the type the client decodes it into; empty lists encode as
+// [] (never null).
+
+// GraphInfo is GET /v1/graph's response: the canonical graph's size,
+// commit head and pattern count. POST /v1/graph answers it too, with Seq
+// and Patterns 0 — a new world.
 type GraphInfo struct {
 	Nodes    int    `json:"nodes"`
 	Edges    int    `json:"edges"`
@@ -237,7 +262,8 @@ type GraphInfo struct {
 	Patterns int    `json:"patterns"`
 }
 
-// PatternInfo describes one registered standing pattern.
+// PatternInfo describes one registered standing pattern: PUT
+// /v1/patterns/{id}'s response and one element of GET /v1/patterns'.
 type PatternInfo struct {
 	ID          string         `json:"id"`
 	Kind        gpm.EngineKind `json:"kind"`
@@ -247,12 +273,26 @@ type PatternInfo struct {
 	ResultSize  int            `json:"result_size"`
 }
 
-// Result is one pattern's current match relation at a commit sequence.
+// PatternList is GET /v1/patterns' response.
+type PatternList struct {
+	Patterns []PatternInfo `json:"patterns"`
+}
+
+// Result is one pattern's match relation at a commit sequence: GET
+// /v1/patterns/{id}/result's response, and the data of a stream's
+// snapshot frame.
 type Result struct {
 	ID    string     `json:"id"`
 	Seq   uint64     `json:"seq"`
 	Size  int        `json:"size"`
 	Pairs []gpm.Pair `json:"pairs"`
+}
+
+// ApplyResult is POST /v1/updates' response: the commit's sequence and
+// the number of updates the batch carried.
+type ApplyResult struct {
+	Seq     uint64 `json:"seq"`
+	Updates int    `json:"updates"`
 }
 
 // Commit is one committed net update batch of the raw ΔG tail. Trace is
@@ -262,6 +302,14 @@ type Commit struct {
 	Seq     uint64       `json:"seq"`
 	Updates []gpm.Update `json:"updates"`
 	Trace   string       `json:"trace,omitempty"`
+}
+
+// CommitTail is GET /v1/commits' response: the committed batches with
+// sequence in (From, Head].
+type CommitTail struct {
+	From    uint64   `json:"from"`
+	Head    uint64   `json:"head"`
+	Commits []Commit `json:"commits"`
 }
 
 // deliverSpan opens the client-side delivery span for one streamed event:
@@ -279,14 +327,6 @@ func (c *Client) deliverSpan(tp string, at time.Time, key, val string) *trace.Sp
 	sp := c.tracer.StartSpanAt(sc, "client.deliver", at)
 	sp.SetAttr(key, val)
 	return sp
-}
-
-// CommitTail is GET /v1/commits' response: the committed batches with
-// sequence in (From, Head].
-type CommitTail struct {
-	From    uint64   `json:"from"`
-	Head    uint64   `json:"head"`
-	Commits []Commit `json:"commits"`
 }
 
 // LoadGraph installs g as the server's canonical graph — a new world: all
@@ -327,9 +367,7 @@ func (c *Client) Unregister(ctx context.Context, id string) error {
 
 // Patterns lists the registered standing patterns.
 func (c *Client) Patterns(ctx context.Context) ([]PatternInfo, error) {
-	var out struct {
-		Patterns []PatternInfo `json:"patterns"`
-	}
+	var out PatternList
 	err := c.do(ctx, http.MethodGet, "/v1/patterns", nil, &out)
 	return out.Patterns, err
 }
@@ -361,9 +399,7 @@ func (c *Client) Apply(ctx context.Context, ups []gpm.Update) (uint64, error) {
 			defer sp.End()
 		}
 	}
-	var out struct {
-		Seq uint64 `json:"seq"`
-	}
+	var out ApplyResult
 	err := c.do(ctx, http.MethodPost, "/v1/updates", ups, &out)
 	if err == nil {
 		sp.SetSeq(out.Seq)
@@ -390,9 +426,10 @@ func (c *Client) Stats(ctx context.Context) (gpm.RegistryStats, error) {
 	return out, err
 }
 
-// PatternDef is one standing pattern's portable definition: its id, the
-// resolved engine kind, the pattern source in the text wire format, and
-// the commit sequence it was registered at.
+// PatternDef is one standing pattern's portable definition — GET
+// /v1/patterns/{id}'s response: its id, the resolved engine kind, the
+// pattern source in the text wire format, and the commit sequence it was
+// registered at.
 type PatternDef struct {
 	ID     string `json:"id"`
 	Kind   string `json:"kind"`

@@ -2,8 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"gpm"
@@ -67,31 +65,34 @@ func (c *Client) CommitStream(ctx context.Context, options ...StreamOption) (*Co
 	return &CommitStream{C: s.ch, sseStream: s}, nil
 }
 
-// decodeCommitFrame decodes the server's head and commit documents — head
-// frames carry only seq.
+// HeadFrame is the data of a commit stream's head frame: the sequence
+// the stream starts after.
+type HeadFrame struct {
+	Seq uint64 `json:"seq"`
+}
+
+// CommitFrame is the data of a commit stream's commit frame: one Commit
+// (Updates [] when the net batch is empty) plus At, its publish time in
+// UnixNano, omitted on backfilled frames.
+type CommitFrame struct {
+	Commit
+	At int64 `json:"at,omitempty"`
+}
+
+// decodeCommitFrame decodes the server's head and commit frames.
 func decodeCommitFrame(event, data string) (f sseFrame[CommitStreamEvent], ok bool, err error) {
-	var doc struct {
-		Seq     uint64       `json:"seq"`
-		Updates []gpm.Update `json:"updates"`
-		Trace   string       `json:"trace"`
-		At      int64        `json:"at"` // publish time, UnixNano
-	}
 	switch CommitEventType(event) {
 	case EventHead:
-		f.kind = frameStart
+		var doc HeadFrame
+		err = decodeFrame(event, data, &doc)
+		f = sseFrame[CommitStreamEvent]{kind: frameStart, seq: doc.Seq, ev: CommitStreamEvent{Type: EventHead, Seq: doc.Seq}}
 	case EventCommit:
-		f.kind = frameCommit
+		var doc CommitFrame
+		err = decodeFrame(event, data, &doc)
+		f = sseFrame[CommitStreamEvent]{kind: frameCommit, seq: doc.Seq, trace: doc.Trace, at: unixNano(doc.At),
+			ev: CommitStreamEvent{Type: EventCommit, Seq: doc.Seq, Updates: doc.Updates, Trace: doc.Trace, At: unixNano(doc.At)}}
 	default:
 		return f, false, nil
 	}
-	if err := json.Unmarshal([]byte(data), &doc); err != nil {
-		return f, false, fmt.Errorf("client: bad %s frame: %w", event, err)
-	}
-	f.seq = doc.Seq
-	f.ev = CommitStreamEvent{Type: CommitEventType(event), Seq: doc.Seq}
-	if f.kind == frameCommit {
-		f.trace, f.at = doc.Trace, unixNano(doc.At)
-		f.ev.Updates, f.ev.Trace, f.ev.At = doc.Updates, f.trace, f.at
-	}
-	return f, true, nil
+	return f, err == nil, err
 }

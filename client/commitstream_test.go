@@ -1,8 +1,9 @@
-package client
+package client_test
 
 import (
 	"context"
 	"errors"
+	. "gpm/client"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -195,7 +196,7 @@ func TestCommitStreamResume(t *testing.T) {
 // the wrapper on the synchronous path using the commit-stream's server
 // answer as the canonical 410 shape.
 func TestStreamCompactedTerminal(t *testing.T) {
-	err := terminalErr(&APIError{Status: 410, Code: CodeCompacted, Message: "gone"})
+	err := TerminalErr(&APIError{Status: 410, Code: CodeCompacted, Message: "gone"})
 	if !errors.Is(err, ErrCompacted) {
 		t.Fatalf("terminalErr must wrap compacted envelopes: %v", err)
 	}
@@ -203,7 +204,7 @@ func TestStreamCompactedTerminal(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != 410 {
 		t.Fatalf("terminalErr must keep the APIError: %v", err)
 	}
-	if other := terminalErr(&APIError{Status: 404, Code: CodeNotFound}); errors.Is(other, ErrCompacted) {
+	if other := TerminalErr(&APIError{Status: 404, Code: CodeNotFound}); errors.Is(other, ErrCompacted) {
 		t.Fatalf("non-compacted errors must pass through unwrapped: %v", other)
 	}
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -88,6 +89,15 @@ type sseFrame[E any] struct {
 	seq   uint64
 	trace string
 	at    time.Time
+}
+
+// decodeFrame decodes one frame's JSON data into doc; a malformed
+// document is a protocol violation.
+func decodeFrame(event, data string, doc any) error {
+	if err := json.Unmarshal([]byte(data), doc); err != nil {
+		return fmt.Errorf("client: bad %s frame: %w", event, err)
+	}
+	return nil
 }
 
 // unixNano converts a frame's publish time (0 when absent).

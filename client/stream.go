@@ -2,8 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/url"
 	"time"
 
@@ -71,35 +69,36 @@ func (c *Client) Stream(ctx context.Context, id string, options ...StreamOption)
 	return &Stream{C: s.ch, sseStream: s}, nil
 }
 
-// decodeMatchFrame decodes the server's snapshot and delta documents.
+// DeltaFrame is the data of a stream's delta frame: one commit's ΔM for
+// pattern ID, with Added and Removed [] (never null) when empty. Trace
+// and At (the publish time, UnixNano) are omitted when unset, as on
+// backfilled frames.
+type DeltaFrame struct {
+	ID      string     `json:"id"`
+	Seq     uint64     `json:"seq"`
+	Added   []gpm.Pair `json:"added"`
+	Removed []gpm.Pair `json:"removed"`
+	Trace   string     `json:"trace,omitempty"`
+	At      int64      `json:"at,omitempty"`
+}
+
+// decodeMatchFrame decodes the server's snapshot (a Result) and delta
+// frames.
 func decodeMatchFrame(event, data string) (f sseFrame[MatchEvent], ok bool, err error) {
-	var doc struct {
-		ID      string     `json:"id"`
-		Seq     uint64     `json:"seq"`
-		Pairs   []gpm.Pair `json:"pairs"`
-		Added   []gpm.Pair `json:"added"`
-		Removed []gpm.Pair `json:"removed"`
-		Trace   string     `json:"trace"`
-		At      int64      `json:"at"` // publish time, UnixNano
-	}
 	switch EventType(event) {
 	case EventSnapshot:
-		f.kind = frameRebase
+		var doc Result
+		err = decodeFrame(event, data, &doc)
+		f = sseFrame[MatchEvent]{kind: frameRebase, seq: doc.Seq,
+			ev: MatchEvent{Type: EventSnapshot, Pattern: doc.ID, Seq: doc.Seq, Pairs: doc.Pairs}}
 	case EventDelta:
-		f.kind = frameCommit
+		var doc DeltaFrame
+		err = decodeFrame(event, data, &doc)
+		f = sseFrame[MatchEvent]{kind: frameCommit, seq: doc.Seq, trace: doc.Trace, at: unixNano(doc.At),
+			ev: MatchEvent{Type: EventDelta, Pattern: doc.ID, Seq: doc.Seq, Added: doc.Added, Removed: doc.Removed,
+				Trace: doc.Trace, At: unixNano(doc.At)}}
 	default:
 		return f, false, nil
 	}
-	if err := json.Unmarshal([]byte(data), &doc); err != nil {
-		return f, false, fmt.Errorf("client: bad %s frame: %w", event, err)
-	}
-	f.seq = doc.Seq
-	f.ev = MatchEvent{Type: EventType(event), Pattern: doc.ID, Seq: doc.Seq}
-	if f.kind == frameRebase {
-		f.ev.Pairs = doc.Pairs
-		return f, true, nil
-	}
-	f.trace, f.at = doc.Trace, unixNano(doc.At)
-	f.ev.Added, f.ev.Removed, f.ev.Trace, f.ev.At = doc.Added, doc.Removed, f.trace, f.at
-	return f, true, nil
+	return f, err == nil, err
 }

@@ -1,7 +1,8 @@
-package client
+package client_test
 
 import (
 	"context"
+	. "gpm/client"
 	"testing"
 	"time"
 

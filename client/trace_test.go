@@ -1,8 +1,9 @@
-package client
+package client_test
 
 import (
 	"context"
 	"encoding/json"
+	. "gpm/client"
 	"net/http"
 	"net/http/httptest"
 	"sync"

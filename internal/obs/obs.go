@@ -161,9 +161,6 @@ func maxFloat(a *atomic.Uint64, v float64) {
 	}
 }
 
-// Bounds returns the histogram's upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // HistSnapshot is a point-in-time summary of a histogram, shaped for JSON
 // (the Stats().Timings block): total count, sum, max, and interpolated
 // quantiles. Count is derived from one consistent copy of the buckets, so

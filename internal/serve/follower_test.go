@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"gpm/client"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,11 +15,11 @@ import (
 // TestSnapshotEndpoint: GET /v1/snapshot returns the graph document, the
 // head sequence and every registered pattern's portable definition.
 func TestSnapshotEndpoint(t *testing.T) {
-	_, ts, client := loadedServer(t)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/updates", "insert 0 1\ninsert 1 2\n"); code != http.StatusOK {
+	_, ts, hc := loadedServer(t)
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/updates", "insert 0 1\ninsert 1 2\n"); code != http.StatusOK {
 		t.Fatal("updates failed")
 	}
-	code, body := do(t, client, "GET", ts.URL+"/v1/snapshot", "")
+	code, body := do(t, hc, "GET", ts.URL+"/v1/snapshot", "")
 	if code != http.StatusOK {
 		t.Fatalf("snapshot: status %d", code)
 	}
@@ -41,12 +42,12 @@ func TestSnapshotEndpoint(t *testing.T) {
 // TestPatternDefEndpoint: GET /v1/patterns/{id} serves one pattern's
 // definition; unknown ids are 404.
 func TestPatternDefEndpoint(t *testing.T) {
-	_, ts, client := loadedServer(t)
-	code, body := do(t, client, "GET", ts.URL+"/v1/patterns/q", "")
+	_, ts, hc := loadedServer(t)
+	code, body := do(t, hc, "GET", ts.URL+"/v1/patterns/q", "")
 	if code != http.StatusOK || body["def"].(string) == "" || body["kind"] != "sim" {
 		t.Fatalf("pattern def: status %d body %v", code, body)
 	}
-	if code, body := do(t, client, "GET", ts.URL+"/v1/patterns/nope", ""); code != http.StatusNotFound || body["code"] != CodeNotFound {
+	if code, body := do(t, hc, "GET", ts.URL+"/v1/patterns/nope", ""); code != http.StatusNotFound || body["code"] != client.CodeNotFound {
 		t.Fatalf("unknown pattern def: status %d body %v", code, body)
 	}
 }
@@ -55,9 +56,9 @@ func TestPatternDefEndpoint(t *testing.T) {
 // commit frame per committed batch, seq-contiguous, with resume via
 // Last-Event-ID backfilling from the journal.
 func TestCommitStreamSSE(t *testing.T) {
-	_, ts, client := loadedServer(t)
+	_, ts, hc := loadedServer(t)
 	for i := 0; i < 3; i++ {
-		if code, _ := do(t, client, "POST", ts.URL+"/v1/updates", "insert 0 1\ndelete 0 1\n"); code != http.StatusOK {
+		if code, _ := do(t, hc, "POST", ts.URL+"/v1/updates", "insert 0 1\ndelete 0 1\n"); code != http.StatusOK {
 			t.Fatal("updates failed")
 		}
 	}
@@ -68,7 +69,7 @@ func TestCommitStreamSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Last-Event-ID", "1")
-	resp, err := client.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestCommitStreamSSE(t *testing.T) {
 		}
 	}
 	// A live commit lands on the open stream.
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/updates", "insert 0 2\n"); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/updates", "insert 0 2\n"); code != http.StatusOK {
 		t.Fatal("updates failed")
 	}
 	live := readSSE(t, sc, 1)
@@ -110,19 +111,19 @@ func TestCommitStreamCompacted(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
-	client := ts.Client()
+	hc := ts.Client()
 	_, gtext := testGraphText(t, 11)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	for i := 0; i < 5; i++ {
-		if code, _ := do(t, client, "POST", ts.URL+"/v1/updates", "insert 0 1\ndelete 0 1\n"); code != http.StatusOK {
+		if code, _ := do(t, hc, "POST", ts.URL+"/v1/updates", "insert 0 1\ndelete 0 1\n"); code != http.StatusOK {
 			t.Fatal("updates failed")
 		}
 	}
-	code, body := do(t, client, "GET", ts.URL+"/v1/commits/stream?from=1", "")
-	if code != http.StatusGone || body["code"] != CodeCompacted {
-		t.Fatalf("compacted tail: status %d body %v, want 410 %s", code, body, CodeCompacted)
+	code, body := do(t, hc, "GET", ts.URL+"/v1/commits/stream?from=1", "")
+	if code != http.StatusGone || body["code"] != client.CodeCompacted {
+		t.Fatalf("compacted tail: status %d body %v, want 410 %s", code, body, client.CodeCompacted)
 	}
 }
 
@@ -134,7 +135,7 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
-	client := ts.Client()
+	hc := ts.Client()
 
 	for _, c := range []struct{ method, path, body string }{
 		{"POST", "/v1/graph", "node 0 true"},
@@ -142,15 +143,15 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 		{"DELETE", "/v1/patterns/p", ""},
 		{"POST", "/v1/updates", "insert 0 1"},
 	} {
-		code, body := do(t, client, c.method, ts.URL+c.path, c.body)
-		if code != http.StatusForbidden || body["code"] != CodeReadOnly {
-			t.Fatalf("%s %s: status %d body %v, want 403 %s", c.method, c.path, code, body, CodeReadOnly)
+		code, body := do(t, hc, c.method, ts.URL+c.path, c.body)
+		if code != http.StatusForbidden || body["code"] != client.CodeReadOnly {
+			t.Fatalf("%s %s: status %d body %v, want 403 %s", c.method, c.path, code, body, client.CodeReadOnly)
 		}
 		if body["leader"] != leader {
 			t.Fatalf("%s %s: envelope leader = %v, want %s", c.method, c.path, body["leader"], leader)
 		}
 	}
-	if code, _ := do(t, client, "GET", ts.URL+"/v1/patterns", ""); code != http.StatusOK {
+	if code, _ := do(t, hc, "GET", ts.URL+"/v1/patterns", ""); code != http.StatusOK {
 		t.Fatal("reads must serve on a follower")
 	}
 }
@@ -162,7 +163,7 @@ func TestSetRegistrySwapsState(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
-	client := ts.Client()
+	hc := ts.Client()
 
 	bootstrapping := true
 	srv.SetReadyCheck(func() error {
@@ -171,8 +172,8 @@ func TestSetRegistrySwapsState(t *testing.T) {
 		}
 		return nil
 	})
-	if code, body := do(t, client, "GET", ts.URL+"/v1/readyz", ""); code != http.StatusServiceUnavailable || body["code"] != CodeNotReady {
-		t.Fatalf("bootstrapping readyz: status %d body %v, want 503 %s", code, body, CodeNotReady)
+	if code, body := do(t, hc, "GET", ts.URL+"/v1/readyz", ""); code != http.StatusServiceUnavailable || body["code"] != client.CodeNotReady {
+		t.Fatalf("bootstrapping readyz: status %d body %v, want 503 %s", code, body, client.CodeNotReady)
 	}
 
 	g, _ := testGraphText(t, 11)
@@ -182,17 +183,17 @@ func TestSetRegistrySwapsState(t *testing.T) {
 	srv.SetRegistry(reg, j)
 	bootstrapping = false
 
-	if code, body := do(t, client, "GET", ts.URL+"/v1/readyz", ""); code != http.StatusOK || body["status"] != "ready" {
+	if code, body := do(t, hc, "GET", ts.URL+"/v1/readyz", ""); code != http.StatusOK || body["status"] != "ready" {
 		t.Fatalf("ready readyz: status %d body %v", code, body)
 	}
-	code, body := do(t, client, "GET", ts.URL+"/v1/graph", "")
+	code, body := do(t, hc, "GET", ts.URL+"/v1/graph", "")
 	if code != http.StatusOK || int(body["nodes"].(float64)) != nodes {
 		t.Fatalf("graph info after swap: status %d body %v, want %d nodes", code, body, nodes)
 	}
 
 	// Stats carry the follower block when a provider is installed.
 	srv.SetStatsExtra(func() any { return map[string]any{"leader": "http://leader.example"} })
-	code, body = do(t, client, "GET", ts.URL+"/v1/stats", "")
+	code, body = do(t, hc, "GET", ts.URL+"/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
 	}
@@ -210,12 +211,12 @@ func (e *readyErr) Error() string { return e.msg }
 // TestSnapshotWrongMethod keeps the new routes on the uniform 405
 // contract.
 func TestSnapshotWrongMethod(t *testing.T) {
-	_, ts, client := loadedServer(t)
+	_, ts, hc := loadedServer(t)
 	req, err := http.NewRequest("POST", ts.URL+"/v1/snapshot", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,26 +36,26 @@ func TestMetricsEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 7)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 7)); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 7)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 
 	// A live stream of each kind, so delivery-side series get
 	// observations too.
-	resp, err := client.Get(ts.URL + "/v1/patterns/q/stream")
+	resp, err := hc.Get(ts.URL + "/v1/patterns/q/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	readSSE(t, sc, 1) // snapshot
-	cresp, err := client.Get(ts.URL + "/v1/commits/stream")
+	cresp, err := hc.Get(ts.URL + "/v1/commits/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	const commits = 3
 	for i := 0; i < commits; i++ {
-		if code, _ := do(t, client, "POST", ts.URL+"/v1/updates", "insert 1 2"); code != http.StatusOK {
+		if code, _ := do(t, hc, "POST", ts.URL+"/v1/updates", "insert 1 2"); code != http.StatusOK {
 			t.Fatal("update failed")
 		}
-		if code, _ := do(t, client, "POST", ts.URL+"/v1/updates", "delete 1 2"); code != http.StatusOK {
+		if code, _ := do(t, hc, "POST", ts.URL+"/v1/updates", "delete 1 2"); code != http.StatusOK {
 			t.Fatal("update failed")
 		}
 	}
@@ -76,7 +76,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	readSSE(t, csc, 2*commits)
 
 	// Surface 1: /v1/stats carries the timings block.
-	code, stats := do(t, client, "GET", ts.URL+"/v1/stats", "")
+	code, stats := do(t, hc, "GET", ts.URL+"/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
@@ -99,7 +99,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 
 	// Surface 2: /v1/metricz serves the exposition from the same registry.
-	mresp, err := client.Get(ts.URL + "/v1/metricz")
+	mresp, err := hc.Get(ts.URL + "/v1/metricz")
 	if err != nil {
 		t.Fatal(err)
 	}

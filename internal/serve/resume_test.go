@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"gpm/client"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,13 +17,13 @@ import (
 )
 
 // postUpdates commits one batch over HTTP and returns its seq.
-func postUpdates(t *testing.T, client *http.Client, url string, ups []graph.Update) uint64 {
+func postUpdates(t *testing.T, hc *http.Client, url string, ups []graph.Update) uint64 {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := graph.WriteUpdates(&buf, ups); err != nil {
 		t.Fatal(err)
 	}
-	code, body := do(t, client, "POST", url+"/v1/updates", buf.String())
+	code, body := do(t, hc, "POST", url+"/v1/updates", buf.String())
 	if code != http.StatusOK {
 		t.Fatalf("updates: code %d body %v", code, body)
 	}
@@ -30,7 +31,7 @@ func postUpdates(t *testing.T, client *http.Client, url string, ups []graph.Upda
 }
 
 // openStream opens an SSE stream, optionally resuming via Last-Event-ID.
-func openStream(t *testing.T, client *http.Client, url, id string, lastEventID string) (*http.Response, *bufio.Scanner) {
+func openStream(t *testing.T, hc *http.Client, url, id string, lastEventID string) (*http.Response, *bufio.Scanner) {
 	t.Helper()
 	req, err := http.NewRequest("GET", url+"/v1/patterns/"+id+"/stream", nil)
 	if err != nil {
@@ -39,7 +40,7 @@ func openStream(t *testing.T, client *http.Client, url, id string, lastEventID s
 	if lastEventID != "" {
 		req.Header.Set("Last-Event-ID", lastEventID)
 	}
-	resp, err := client.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +75,13 @@ func TestStreamResumeAfterDisconnect(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 11)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/watch?kind=sim", testPatternText(t, g, 1, 11)); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/watch?kind=sim", testPatternText(t, g, 1, 11)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 
@@ -88,7 +89,7 @@ func TestStreamResumeAfterDisconnect(t *testing.T) {
 	ups := generator.Updates(g, 40, 40, 13)
 
 	// Phase 1: live stream sees the snapshot and the first two commits.
-	resp, sc := openStream(t, client, ts.URL, "watch", "")
+	resp, sc := openStream(t, hc, ts.URL, "watch", "")
 	snap := readSSE(t, sc, 1)[0]
 	if snap.event != "snapshot" {
 		t.Fatalf("first event %q", snap.event)
@@ -96,7 +97,7 @@ func TestStreamResumeAfterDisconnect(t *testing.T) {
 	acc := pairsOf(t, snap.data["pairs"], np)
 	last := uint64(snap.data["seq"].(float64))
 	for i := 0; i < 2; i++ {
-		postUpdates(t, client, ts.URL, ups[i*10:(i+1)*10])
+		postUpdates(t, hc, ts.URL, ups[i*10:(i+1)*10])
 	}
 	for _, frame := range readSSE(t, sc, 2) {
 		seq := applyFrame(t, frame, acc, np)
@@ -109,12 +110,12 @@ func TestStreamResumeAfterDisconnect(t *testing.T) {
 
 	// Phase 2: commits the client misses while disconnected.
 	for i := 2; i < 4; i++ {
-		postUpdates(t, client, ts.URL, ups[i*10:(i+1)*10])
+		postUpdates(t, hc, ts.URL, ups[i*10:(i+1)*10])
 	}
 
 	// Phase 3: reconnect with Last-Event-ID; the first frame must be the
 	// delta for last+1 — not a snapshot, not a repeat, not a skip.
-	resp2, sc2 := openStream(t, client, ts.URL, "watch", strconv.FormatUint(last, 10))
+	resp2, sc2 := openStream(t, hc, ts.URL, "watch", strconv.FormatUint(last, 10))
 	defer resp2.Body.Close()
 	for _, frame := range readSSE(t, sc2, 2) {
 		seq := applyFrame(t, frame, acc, np)
@@ -124,16 +125,16 @@ func TestStreamResumeAfterDisconnect(t *testing.T) {
 		last = seq
 	}
 	// The resumed accumulation equals the live result.
-	_, body := do(t, client, "GET", ts.URL+"/v1/patterns/watch/result", "")
+	_, body := do(t, hc, "GET", ts.URL+"/v1/patterns/watch/result", "")
 	if !acc.Equal(pairsOf(t, body["pairs"], np)) {
 		t.Fatal("snapshot + pre-disconnect deltas + resumed deltas diverge from /result")
 	}
 	// And the stream stays live: one more commit arrives in order.
-	postUpdates(t, client, ts.URL, ups[:5])
+	postUpdates(t, hc, ts.URL, ups[:5])
 	if seq := applyFrame(t, readSSE(t, sc2, 1)[0], acc, np); seq != last+1 {
 		t.Fatalf("post-resume live delta has seq %d, want %d", seq, last+1)
 	}
-	_, body = do(t, client, "GET", ts.URL+"/v1/patterns/watch/result", "")
+	_, body = do(t, hc, "GET", ts.URL+"/v1/patterns/watch/result", "")
 	if !acc.Equal(pairsOf(t, body["pairs"], np)) {
 		t.Fatal("post-resume accumulation diverges from /result")
 	}
@@ -147,18 +148,18 @@ func TestResumeHeaderBeatsQuery(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 43)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 43)); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 43)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 	ups := generator.Updates(g, 30, 30, 47)
 	for i := 0; i < 3; i++ {
-		postUpdates(t, client, ts.URL, ups[i*10:(i+1)*10])
+		postUpdates(t, hc, ts.URL, ups[i*10:(i+1)*10])
 	}
 	// Stale ?from=0 on the URL, current Last-Event-ID: 2 in the header.
 	req, err := http.NewRequest("GET", ts.URL+"/v1/patterns/q/stream?from=0", nil)
@@ -166,7 +167,7 @@ func TestResumeHeaderBeatsQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Last-Event-ID", "2")
-	resp, err := client.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,27 +191,27 @@ func TestStreamResumeFallbackToSnapshot(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 17)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 17)); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 17)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 	ups := generator.Updates(g, 30, 30, 19)
 	for i := 0; i < 6; i++ {
-		postUpdates(t, client, ts.URL, ups[i*10:(i+1)*10])
+		postUpdates(t, hc, ts.URL, ups[i*10:(i+1)*10])
 	}
-	resp, sc := openStream(t, client, ts.URL, "q", "1") // seq 1 is long gone
+	resp, sc := openStream(t, hc, ts.URL, "q", "1") // seq 1 is long gone
 	defer resp.Body.Close()
 	frame := readSSE(t, sc, 1)[0]
 	if frame.event != "snapshot" {
 		t.Fatalf("fallback event %q, want snapshot", frame.event)
 	}
 	const np = 3
-	_, body := do(t, client, "GET", ts.URL+"/v1/patterns/q/result", "")
+	_, body := do(t, hc, "GET", ts.URL+"/v1/patterns/q/result", "")
 	if !pairsOf(t, frame.data["pairs"], np).Equal(pairsOf(t, body["pairs"], np)) {
 		t.Fatal("fallback snapshot diverges from /result")
 	}
@@ -225,16 +226,16 @@ func TestResumeAtHeadSendsHeadersImmediately(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 53)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 53)); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 53)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
-	head := postUpdates(t, client, ts.URL, generator.Updates(g, 10, 10, 53))
+	head := postUpdates(t, hc, ts.URL, generator.Updates(g, 10, 10, 53))
 
 	req, err := http.NewRequest("GET", ts.URL+"/v1/patterns/q/stream", nil)
 	if err != nil {
@@ -247,7 +248,7 @@ func TestResumeAtHeadSendsHeadersImmediately(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := client.Do(req)
+		resp, err := hc.Do(req)
 		done <- result{resp, err}
 	}()
 	select {
@@ -273,39 +274,49 @@ func TestJournalFailureSurfaces(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 59)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	ups := generator.Updates(g, 20, 20, 59)
-	postUpdates(t, client, ts.URL, ups[:10])
+	postUpdates(t, hc, ts.URL, ups[:10])
 
 	// Simulate the journal dying under the live registry.
 	if err := srv.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
-	code, body := do(t, client, "POST", ts.URL+"/v1/updates", updatesText(t, ups[10:20]))
+	code, body := do(t, hc, "POST", ts.URL+"/v1/updates", updatesText(t, ups[10:20]))
 	if code != http.StatusInternalServerError {
 		t.Fatalf("journaled-commit failure: code %d body %v (must be 500, not 4xx)", code, body)
 	}
-	if body["seq"].(float64) != 2 || body["code"] != CodeJournalFailed || body["message"] == nil {
+	if body["seq"].(float64) != 2 || body["code"] != client.CodeJournalFailed || body["message"] == nil {
 		t.Fatalf("500 body must carry the assigned seq and the journal_failed envelope: %v", body)
 	}
+	if body["trace_id"] != nil {
+		t.Fatalf("untraced journal_failed envelope has trace_id %v", body["trace_id"])
+	}
 	// The commit stands in memory: head advanced.
-	_, info := do(t, client, "GET", ts.URL+"/v1/graph", "")
+	_, info := do(t, hc, "GET", ts.URL+"/v1/graph", "")
 	if info["seq"].(float64) != 2 {
 		t.Fatalf("graph seq %v, want 2", info["seq"])
 	}
 	// The raw tail is no longer complete: 410, not a silent truncation.
-	if code, _ := do(t, client, "GET", ts.URL+"/v1/commits", ""); code != http.StatusGone {
+	if code, _ := do(t, hc, "GET", ts.URL+"/v1/commits", ""); code != http.StatusGone {
 		t.Fatalf("/commits with stopped journal: code %d, want 410", code)
 	}
 	// A malformed batch is still a plain 400 with no seq.
-	code, body = do(t, client, "POST", ts.URL+"/v1/updates", "insert 0 999999\n")
+	code, body = do(t, hc, "POST", ts.URL+"/v1/updates", "insert 0 999999\n")
 	if code != http.StatusBadRequest || body["seq"] != nil {
 		t.Fatalf("validation failure: code %d body %v", code, body)
+	}
+	// A traced write names its trace even though this server samples
+	// nothing itself.
+	code, body = doTraced(t, hc, "POST", ts.URL+"/v1/updates", updatesText(t, ups[20:21]))
+	if code != http.StatusInternalServerError || body["code"] != client.CodeJournalFailed ||
+		body["seq"] != float64(3) || body["trace_id"] != testTraceID {
+		t.Fatalf("traced journal_failed: code %d body %v, want seq 3 and trace_id %s", code, body, testTraceID)
 	}
 }
 
@@ -326,17 +337,17 @@ func TestCommitsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 23)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	ups := generator.Updates(g, 20, 20, 29)
-	seq1 := postUpdates(t, client, ts.URL, ups[:10])
-	postUpdates(t, client, ts.URL, ups[10:])
+	seq1 := postUpdates(t, hc, ts.URL, ups[:10])
+	postUpdates(t, hc, ts.URL, ups[10:])
 
-	code, body := do(t, client, "GET", ts.URL+"/v1/commits", "")
+	code, body := do(t, hc, "GET", ts.URL+"/v1/commits", "")
 	if code != http.StatusOK {
 		t.Fatalf("/commits: code %d", code)
 	}
@@ -356,14 +367,14 @@ func TestCommitsEndpoint(t *testing.T) {
 		t.Fatalf("update op %q", op)
 	}
 
-	code, body = do(t, client, "GET", ts.URL+"/v1/commits?from=1", "")
+	code, body = do(t, hc, "GET", ts.URL+"/v1/commits?from=1", "")
 	if code != http.StatusOK || len(body["commits"].([]any)) != 1 {
 		t.Fatalf("/commits?from=1: code %d body %v", code, body)
 	}
-	if code, _ := do(t, client, "GET", ts.URL+"/v1/commits?from=99", ""); code != http.StatusBadRequest {
+	if code, _ := do(t, hc, "GET", ts.URL+"/v1/commits?from=99", ""); code != http.StatusBadRequest {
 		t.Fatalf("future from: code %d", code)
 	}
-	if code, _ := do(t, client, "GET", ts.URL+"/v1/commits?from=bogus", ""); code != http.StatusBadRequest {
+	if code, _ := do(t, hc, "GET", ts.URL+"/v1/commits?from=bogus", ""); code != http.StatusBadRequest {
 		t.Fatalf("bad from: code %d", code)
 	}
 
@@ -394,15 +405,15 @@ func TestStatsIncludeJournal(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 37)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	postUpdates(t, client, ts.URL, generator.Updates(g, 10, 10, 37))
+	postUpdates(t, hc, ts.URL, generator.Updates(g, 10, 10, 37))
 
-	_, stats := do(t, client, "GET", ts.URL+"/v1/stats", "")
+	_, stats := do(t, hc, "GET", ts.URL+"/v1/stats", "")
 	jn, ok := stats["journal"].(map[string]any)
 	if !ok {
 		t.Fatalf("stats have no journal section: %v", stats)
@@ -432,10 +443,10 @@ func TestServerRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 41)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	for id, kind := range map[string]string{"s": "sim", "b": "bsim", "i": "iso"} {
@@ -443,30 +454,30 @@ func TestServerRestartRecovery(t *testing.T) {
 		if kind == "bsim" {
 			k = 2
 		}
-		if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/"+id+"?kind="+kind, testPatternText(t, g, k, 41)); code != http.StatusCreated {
+		if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/"+id+"?kind="+kind, testPatternText(t, g, k, 41)); code != http.StatusCreated {
 			t.Fatalf("register %s failed", id)
 		}
 	}
 	ups := generator.Updates(g, 40, 40, 43)
 
 	// A streaming client follows the first two commits, then disconnects.
-	resp, sc := openStream(t, client, ts.URL, "s", "")
+	resp, sc := openStream(t, hc, ts.URL, "s", "")
 	snap := readSSE(t, sc, 1)[0]
 	acc := pairsOf(t, snap.data["pairs"], np)
 	last := uint64(snap.data["seq"].(float64))
-	postUpdates(t, client, ts.URL, ups[:10])
-	postUpdates(t, client, ts.URL, ups[10:20])
+	postUpdates(t, hc, ts.URL, ups[:10])
+	postUpdates(t, hc, ts.URL, ups[10:20])
 	for _, frame := range readSSE(t, sc, 2) {
 		last = applyFrame(t, frame, acc, np)
 	}
 	resp.Body.Close()
 
 	// One more commit the client never sees before the "crash".
-	postUpdates(t, client, ts.URL, ups[20:30])
+	postUpdates(t, hc, ts.URL, ups[20:30])
 	preSeq := uint64(3)
 	want := map[string]rel.Relation{}
 	for _, id := range []string{"s", "b", "i"} {
-		_, body := do(t, client, "GET", ts.URL+"/v1/patterns/"+id+"/result", "")
+		_, body := do(t, hc, "GET", ts.URL+"/v1/patterns/"+id+"/result", "")
 		want[id] = pairsOf(t, body["pairs"], np)
 	}
 

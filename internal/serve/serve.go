@@ -26,8 +26,13 @@
 // MarshalJSON), anything else the repository's line-oriented text
 // formats, so existing curl/CLI sessions keep working. Responses are
 // always JSON, and every failure is one uniform envelope
-// {"code", "message", "seq"?} with a stable machine-readable code (see
-// wire.go).
+// {"code", "message", "seq"?, "leader"?, "trace_id"?} with a stable
+// machine-readable code.
+//
+// The client package defines the wire contract: every reply the SDK
+// decodes, every SSE frame's data and the error envelope (client.APIError)
+// are encoded here from the client type that decodes them, and the
+// envelope codes are client's Code* constants.
 //
 // Streams resume: every SSE frame carries its commit sequence as the SSE
 // id, so a dropped client reconnects with the standard Last-Event-ID
@@ -48,6 +53,7 @@ import (
 	"sync"
 	"time"
 
+	"gpm/client"
 	"gpm/internal/contq"
 	"gpm/internal/graph"
 	"gpm/internal/journal"
@@ -185,7 +191,7 @@ func (s *Server) initMux() {
 		mux.HandleFunc("/v1"+rt.path, methodNotAllowed(rt.methods))
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, r, http.StatusNotFound, CodeNotFound, fmt.Errorf("no route %s", r.URL.Path))
+		writeError(w, r, http.StatusNotFound, client.CodeNotFound, fmt.Errorf("no route %s", r.URL.Path))
 	})
 	s.mux = mux
 }
@@ -198,15 +204,9 @@ func (s *Server) writable(h http.HandlerFunc) http.HandlerFunc {
 		return h
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		body := ErrorBody{
-			Code:    CodeReadOnly,
-			Message: fmt.Sprintf("this instance is a read-only follower; write to the leader at %s", s.leader),
-			Leader:  s.leader,
-		}
-		if sc := trace.FromContext(r.Context()); sc.Valid() {
-			body.TraceID = sc.TraceID.String()
-		}
-		writeJSON(w, http.StatusForbidden, body)
+		writeError(w, r, http.StatusForbidden, client.CodeReadOnly,
+			fmt.Errorf("this instance is a read-only follower; write to the leader at %s", s.leader),
+			client.APIError{Leader: s.leader})
 	}
 }
 
@@ -222,7 +222,7 @@ func methodNotAllowed(methods map[string]http.HandlerFunc) http.HandlerFunc {
 	allow := strings.Join(allowed, ", ")
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", allow)
-		writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		writeError(w, r, http.StatusMethodNotAllowed, client.CodeMethodNotAllowed,
 			fmt.Errorf("method %s not allowed (allow: %s)", r.Method, allow))
 	}
 }
@@ -296,23 +296,23 @@ func (s *Server) LoadGraph(g *graph.Graph) error {
 func (s *Server) loadGraph(w http.ResponseWriter, r *http.Request) {
 	g, err := readGraphBody(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidGraph, err)
+		writeError(w, r, http.StatusBadRequest, client.CodeInvalidGraph, err)
 		return
 	}
+	// Sized before the registry owns g; Seq and Patterns are 0 in a new world.
+	info := client.GraphInfo{Nodes: g.NumNodes(), Edges: g.NumEdges()}
 	if err := s.LoadGraph(g); err != nil {
-		writeError(w, r, http.StatusInternalServerError, CodeInternal,
+		writeError(w, r, http.StatusInternalServerError, client.CodeInternal,
 			fmt.Errorf("graph loaded but journal reset failed: %w", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"nodes": g.NumNodes(), "edges": g.NumEdges()})
+	writeJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) graphInfo(w http.ResponseWriter, r *http.Request) {
 	reg := s.registry()
 	nodes, edges, seq := reg.GraphInfo()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"nodes": nodes, "edges": edges, "seq": seq, "patterns": len(reg.Patterns()),
-	})
+	writeJSON(w, http.StatusOK, client.GraphInfo{Nodes: nodes, Edges: edges, Seq: seq, Patterns: len(reg.Patterns())})
 }
 
 // stats reports the registry snapshot: pattern count, committed sequence,
@@ -350,16 +350,16 @@ func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	if check != nil {
 		if err := check(); err != nil {
-			writeError(w, r, http.StatusServiceUnavailable, CodeNotReady, err)
+			writeError(w, r, http.StatusServiceUnavailable, client.CodeNotReady, err)
 			return
 		}
 	}
 	if s.registry().Closed() {
-		writeError(w, r, http.StatusServiceUnavailable, CodeNotReady, errors.New("registry closed"))
+		writeError(w, r, http.StatusServiceUnavailable, client.CodeNotReady, errors.New("registry closed"))
 		return
 	}
 	if err := s.Journal().Broken(); err != nil {
-		writeError(w, r, http.StatusServiceUnavailable, CodeNotReady,
+		writeError(w, r, http.StatusServiceUnavailable, client.CodeNotReady,
 			fmt.Errorf("journal not accepting appends: %w", err))
 		return
 	}
@@ -370,7 +370,7 @@ func (s *Server) register(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	p, err := readPatternBody(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidPattern, err)
+		writeError(w, r, http.StatusBadRequest, client.CodeInvalidPattern, err)
 		return
 	}
 	kind := contq.Kind(r.URL.Query().Get("kind"))
@@ -379,30 +379,30 @@ func (s *Server) register(w http.ResponseWriter, r *http.Request) {
 	}
 	reg := s.registry()
 	if err := reg.Register(id, p, kind); err != nil {
-		status, code := classify(err, http.StatusBadRequest, CodeInvalidPattern)
+		status, code := classify(err, http.StatusBadRequest, client.CodeInvalidPattern)
 		writeError(w, r, status, code, err)
 		return
 	}
-	// Echo the kind the registry resolved (auto → sim/bsim), so clients
-	// learn the backing engine without a second round trip.
-	if resolved, ok := reg.Kind(id); ok {
-		kind = resolved
+	// Echo the registry's view of the pattern, whose kind is the one it
+	// resolved (auto → sim/bsim), so clients learn the backing engine
+	// without a second round trip.
+	info := client.PatternInfo{ID: id, Kind: kind, Nodes: p.NumNodes(), Edges: p.NumEdges()}
+	for _, in := range reg.Patterns() {
+		if in.ID == id {
+			info = client.PatternInfo(in)
+			break
+		}
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"id": id, "kind": kind, "nodes": p.NumNodes(), "edges": p.NumEdges(),
-	})
+	writeJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) listPatterns(w http.ResponseWriter, r *http.Request) {
 	infos := s.registry().Patterns()
-	out := make([]map[string]any, 0, len(infos))
+	out := client.PatternList{Patterns: make([]client.PatternInfo, 0, len(infos))}
 	for _, in := range infos {
-		out = append(out, map[string]any{
-			"id": in.ID, "kind": in.Kind, "nodes": in.Nodes, "edges": in.Edges,
-			"subscribers": in.Subscribers, "result_size": in.ResultSize,
-		})
+		out.Patterns = append(out.Patterns, client.PatternInfo(in))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"patterns": out})
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) result(w http.ResponseWriter, r *http.Request) {
@@ -410,18 +410,16 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	res, ok := reg.Result(id)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, CodeNotFound, fmt.Errorf("pattern %q not registered", id))
+		writeError(w, r, http.StatusNotFound, client.CodeNotFound, fmt.Errorf("pattern %q not registered", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id": id, "seq": reg.Seq(), "size": res.Size(), "pairs": pairsOrEmpty(res.Pairs()),
-	})
+	writeJSON(w, http.StatusOK, wireResult(id, reg.Seq(), res))
 }
 
 func (s *Server) unregister(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.registry().Unregister(id) {
-		writeError(w, r, http.StatusNotFound, CodeNotFound, fmt.Errorf("pattern %q not registered", id))
+		writeError(w, r, http.StatusNotFound, client.CodeNotFound, fmt.Errorf("pattern %q not registered", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "unregistered": true})
@@ -430,7 +428,7 @@ func (s *Server) unregister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) updates(w http.ResponseWriter, r *http.Request) {
 	ups, err := readUpdatesBody(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidUpdates, err)
+		writeError(w, r, http.StatusBadRequest, client.CodeInvalidUpdates, err)
 		return
 	}
 	reg := s.registry()
@@ -448,7 +446,9 @@ func (s *Server) updates(w http.ResponseWriter, r *http.Request) {
 	ingest.SetAttr("updates", len(ups))
 	defer ingest.End()
 	ctx := trace.NewContext(r.Context(), ingest.Context())
-	r = r.WithContext(ctx)
+	if ingest != nil {
+		r = r.WithContext(ctx) // error envelopes name the ingest span's trace
+	}
 	seq, err := reg.ApplyContext(ctx, ups)
 	if err != nil {
 		ingest.SetAttr("error", err.Error())
@@ -458,34 +458,30 @@ func (s *Server) updates(w http.ResponseWriter, r *http.Request) {
 		// would tell the client its state diverged when it did not.
 		if seq != 0 {
 			ingest.SetSeq(seq)
-			body := ErrorBody{Code: CodeJournalFailed, Message: err.Error(), Seq: seq}
-			if sc := trace.FromContext(ctx); sc.Valid() {
-				body.TraceID = sc.TraceID.String()
-			}
-			writeJSON(w, http.StatusInternalServerError, body)
+			writeError(w, r, http.StatusInternalServerError, client.CodeJournalFailed, err, client.APIError{Seq: seq})
 			return
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return // the client is gone; nobody reads this response
 		}
-		status, code := classify(err, http.StatusBadRequest, CodeInvalidUpdates)
+		status, code := classify(err, http.StatusBadRequest, client.CodeInvalidUpdates)
 		writeError(w, r, status, code, err)
 		return
 	}
 	ingest.SetSeq(seq)
-	writeJSON(w, http.StatusOK, map[string]any{"seq": seq, "updates": len(ups)})
+	writeJSON(w, http.StatusOK, client.ApplyResult{Seq: seq, Updates: len(ups)})
 }
 
 // streamFrame is one rendered stream event: the SSE event name, the commit
 // sequence sent as the SSE id (so clients resume via Last-Event-ID) and the
-// JSON data document. at and trace are the producing commit's publish
-// timestamp and traceparent (zero for opening frames and backfilled
-// events); deliver adds them to doc. span is the attribute naming the
-// stream on the sse.deliver span.
+// JSON data document, one of client's frame types. at and trace repeat the
+// doc's publish timestamp and traceparent (zero on opening frames, at also
+// on backfilled events) for the sse.deliver span; span is the attribute
+// naming the stream on it.
 type streamFrame struct {
 	event string
 	seq   uint64
-	doc   map[string]any
+	doc   any
 	at    time.Time
 	trace string
 	span  [2]string
@@ -516,7 +512,7 @@ func (f streamFrame) write(w http.ResponseWriter, fl http.Flusher) error {
 func sseRequest(w http.ResponseWriter, r *http.Request) (fl http.Flusher, from uint64, resume, ok bool) {
 	fl, ok = w.(http.Flusher)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, CodeInternal, fmt.Errorf("streaming unsupported"))
+		writeError(w, r, http.StatusInternalServerError, client.CodeInternal, fmt.Errorf("streaming unsupported"))
 		return nil, 0, false, false
 	}
 	raw := r.Header.Get("Last-Event-ID")
@@ -528,7 +524,7 @@ func sseRequest(w http.ResponseWriter, r *http.Request) (fl http.Flusher, from u
 	}
 	from, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidSeq, fmt.Errorf("bad resume seq %q: %w", raw, err))
+		writeError(w, r, http.StatusBadRequest, client.CodeInvalidSeq, fmt.Errorf("bad resume seq %q: %w", raw, err))
 		return nil, 0, false, false
 	}
 	return fl, from, true, true
@@ -568,9 +564,6 @@ func deliver[E any](w http.ResponseWriter, r *http.Request, fl http.Flusher, reg
 				return
 			}
 			f := render(ev)
-			if f.trace != "" {
-				f.doc["trace"] = f.trace
-			}
 			// The delivery span hangs the SSE write off the commit span that
 			// produced the event: its start is the publish timestamp, so its
 			// duration IS the event's age at delivery. Backfilled events
@@ -578,7 +571,6 @@ func deliver[E any](w http.ResponseWriter, r *http.Request, fl http.Flusher, reg
 			var ds *trace.Span
 			if !f.at.IsZero() {
 				eventAge.ObserveSince(f.at)
-				f.doc["at"] = f.at.UnixNano()
 				if sc, ok := trace.Parse(f.trace); ok {
 					ds = tr.StartSpanAt(sc, "sse.deliver", f.at)
 					ds.SetAttr(f.span[0], f.span[1])
@@ -627,23 +619,20 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		sub, err = reg.SubscribeContext(ctx, id)
 	}
 	if err != nil {
-		status, code := classify(err, http.StatusInternalServerError, CodeInternal)
+		status, code := classify(err, http.StatusInternalServerError, client.CodeInternal)
 		writeError(w, r, status, code, err)
 		return
 	}
 	defer sub.Cancel()
 	var opening *streamFrame
 	if !resume {
-		opening = &streamFrame{event: "snapshot", seq: sub.Seq, doc: map[string]any{
-			"id": id, "seq": sub.Seq, "size": sub.Snapshot.Size(), "pairs": pairsOrEmpty(sub.Snapshot.Pairs()),
-		}}
+		opening = &streamFrame{event: string(client.EventSnapshot), seq: sub.Seq, doc: wireResult(id, sub.Seq, sub.Snapshot)}
 	}
 	deliver(w, r, fl, reg, opening, sub.C, func(ev contq.Event) streamFrame {
-		return streamFrame{event: "delta", seq: ev.Seq, at: ev.At, trace: ev.Trace, span: [2]string{"pattern", ev.Pattern},
-			doc: map[string]any{
-				"id": ev.Pattern, "seq": ev.Seq,
-				"added": pairsOrEmpty(ev.Delta.Added), "removed": pairsOrEmpty(ev.Delta.Removed),
-			}}
+		return streamFrame{event: string(client.EventDelta), seq: ev.Seq, at: ev.At, trace: ev.Trace, span: [2]string{"pattern", ev.Pattern},
+			doc: client.DeltaFrame{ID: ev.Pattern, Seq: ev.Seq,
+				Added: orEmpty(ev.Delta.Added), Removed: orEmpty(ev.Delta.Removed),
+				Trace: ev.Trace, At: unixNano(ev.At)}}
 	})
 }
 
@@ -655,7 +644,7 @@ func (s *Server) commits(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("from"); raw != "" {
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, CodeInvalidSeq, fmt.Errorf("bad from seq %q: %w", raw, err))
+			writeError(w, r, http.StatusBadRequest, client.CodeInvalidSeq, fmt.Errorf("bad from seq %q: %w", raw, err))
 			return
 		}
 		from = v
@@ -663,19 +652,15 @@ func (s *Server) commits(w http.ResponseWriter, r *http.Request) {
 	reg := s.registry()
 	recs, err := reg.Replay(from)
 	if err != nil {
-		status, code := classify(err, http.StatusInternalServerError, CodeInternal)
+		status, code := classify(err, http.StatusInternalServerError, client.CodeInternal)
 		writeError(w, r, status, code, err)
 		return
 	}
-	out := make([]map[string]any, 0, len(recs))
+	out := client.CommitTail{From: from, Head: reg.Seq(), Commits: make([]client.Commit, 0, len(recs))}
 	for _, rec := range recs {
-		m := map[string]any{"seq": rec.Seq, "updates": updatesOrEmpty(rec.Updates)}
-		if rec.Trace != "" {
-			m["trace"] = rec.Trace
-		}
-		out = append(out, m)
+		out.Commits = append(out.Commits, client.Commit{Seq: rec.Seq, Updates: orEmpty(rec.Updates), Trace: rec.Trace})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"from": from, "head": reg.Seq(), "commits": out})
+	writeJSON(w, http.StatusOK, out)
 }
 
 // snapshot serves a consistent full-state export: the canonical graph (as
@@ -684,13 +669,11 @@ func (s *Server) commits(w http.ResponseWriter, r *http.Request) {
 // from when the commit tail it needs is already compacted.
 func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
 	g, seq, defs := s.registry().Export()
-	pats := make([]map[string]any, 0, len(defs))
+	out := client.Snapshot{Seq: seq, Graph: g, Patterns: make([]client.PatternDef, 0, len(defs))}
 	for _, pd := range defs {
-		pats = append(pats, map[string]any{
-			"id": pd.ID, "kind": pd.Kind, "def": string(pd.Def), "reg_seq": pd.RegSeq,
-		})
+		out.Patterns = append(out.Patterns, wirePatternDef(pd))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"seq": seq, "graph": g, "patterns": pats})
+	writeJSON(w, http.StatusOK, out)
 }
 
 // patternDef serves one pattern's portable definition (its text-format
@@ -700,12 +683,10 @@ func (s *Server) patternDef(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	pd, ok := s.registry().PatternDef(id)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, CodeNotFound, fmt.Errorf("pattern %q not registered", id))
+		writeError(w, r, http.StatusNotFound, client.CodeNotFound, fmt.Errorf("pattern %q not registered", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id": pd.ID, "kind": pd.Kind, "def": string(pd.Def), "reg_seq": pd.RegSeq,
-	})
+	writeJSON(w, http.StatusOK, wirePatternDef(pd))
 }
 
 // commitStream serves the raw ΔG tail over SSE: one "head" frame naming
@@ -728,7 +709,7 @@ func (s *Server) commitStream(w http.ResponseWriter, r *http.Request) {
 	}
 	sub, err := reg.SubscribeCommitsContext(r.Context(), opts...)
 	if err != nil {
-		status, code := classify(err, http.StatusInternalServerError, CodeInternal)
+		status, code := classify(err, http.StatusInternalServerError, client.CodeInternal)
 		writeError(w, r, status, code, err)
 		return
 	}
@@ -736,9 +717,10 @@ func (s *Server) commitStream(w http.ResponseWriter, r *http.Request) {
 	// The head frame tells a fresh consumer where the stream starts: its
 	// id seeds Last-Event-ID, so even an eventless disconnect resumes
 	// correctly.
-	head := &streamFrame{event: "head", seq: sub.Seq, doc: map[string]any{"seq": sub.Seq}}
+	head := &streamFrame{event: string(client.EventHead), seq: sub.Seq, doc: client.HeadFrame{Seq: sub.Seq}}
 	deliver(w, r, fl, reg, head, sub.C, func(ev contq.CommitEvent) streamFrame {
-		return streamFrame{event: "commit", seq: ev.Seq, at: ev.At, trace: ev.Trace, span: [2]string{"stream", "commits"},
-			doc: map[string]any{"seq": ev.Seq, "updates": updatesOrEmpty(ev.Updates)}}
+		return streamFrame{event: string(client.EventCommit), seq: ev.Seq, at: ev.At, trace: ev.Trace, span: [2]string{"stream", "commits"},
+			doc: client.CommitFrame{Commit: client.Commit{Seq: ev.Seq, Updates: orEmpty(ev.Updates), Trace: ev.Trace},
+				At: unixNano(ev.At)}}
 	})
 }

@@ -39,13 +39,13 @@ func testPatternText(t *testing.T, g *graph.Graph, k int, seed int64) string {
 	return buf.String()
 }
 
-func do(t *testing.T, client *http.Client, method, url, body string) (int, map[string]any) {
+func do(t *testing.T, hc *http.Client, method, url, body string) (int, map[string]any) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,20 +116,20 @@ func TestEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 1)
 
 	// Error paths before a graph exists.
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", "node 0 bogus"); code != http.StatusBadRequest {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", "node 0 bogus"); code != http.StatusBadRequest {
 		t.Fatalf("bad graph: code %d", code)
 	}
-	if code, _ := do(t, client, "GET", ts.URL+"/v1/patterns/none/result", ""); code != http.StatusNotFound {
+	if code, _ := do(t, hc, "GET", ts.URL+"/v1/patterns/none/result", ""); code != http.StatusNotFound {
 		t.Fatalf("missing pattern result: code %d", code)
 	}
 
 	// Load the graph.
-	code, body := do(t, client, "POST", ts.URL+"/v1/graph", gtext)
+	code, body := do(t, hc, "POST", ts.URL+"/v1/graph", gtext)
 	if code != http.StatusOK || int(body["nodes"].(float64)) != g.NumNodes() {
 		t.Fatalf("load graph: code %d body %v", code, body)
 	}
@@ -137,31 +137,31 @@ func TestEndToEnd(t *testing.T) {
 	// Register one normal (auto→sim) and one bounded pattern.
 	simText := testPatternText(t, g, 1, 1)
 	bsimText := testPatternText(t, g, 2, 2)
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/watch?kind=auto", simText); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/watch?kind=auto", simText); code != http.StatusCreated {
 		t.Fatalf("register watch: code %d", code)
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/deep?kind=bsim", bsimText); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/deep?kind=bsim", bsimText); code != http.StatusCreated {
 		t.Fatalf("register deep: code %d", code)
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/watch", simText); code != http.StatusConflict {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/watch", simText); code != http.StatusConflict {
 		t.Fatalf("duplicate register: code %d", code)
 	}
 	// Validation failures are client errors (400), distinct from the 409
 	// reserved for duplicate ids.
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/bad?kind=iso", bsimText); code != http.StatusBadRequest {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/bad?kind=iso", bsimText); code != http.StatusBadRequest {
 		t.Fatalf("iso over bounded pattern must be 400: code %d", code)
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/bad?kind=bogus", simText); code != http.StatusBadRequest {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/bad?kind=bogus", simText); code != http.StatusBadRequest {
 		t.Fatalf("unknown kind must be 400: code %d", code)
 	}
 
-	code, body = do(t, client, "GET", ts.URL+"/v1/patterns", "")
+	code, body = do(t, hc, "GET", ts.URL+"/v1/patterns", "")
 	if code != http.StatusOK || len(body["patterns"].([]any)) != 2 {
 		t.Fatalf("list patterns: code %d body %v", code, body)
 	}
 
 	// Open the SSE stream before committing updates.
-	streamResp, err := client.Get(ts.URL + "/v1/patterns/watch/stream")
+	streamResp, err := hc.Get(ts.URL + "/v1/patterns/watch/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestEndToEnd(t *testing.T) {
 		if err := graph.WriteUpdates(&buf, ups[i*20:(i+1)*20]); err != nil {
 			t.Fatal(err)
 		}
-		code, body = do(t, client, "POST", ts.URL+"/v1/updates", buf.String())
+		code, body = do(t, hc, "POST", ts.URL+"/v1/updates", buf.String())
 		if code != http.StatusOK {
 			t.Fatalf("updates: code %d body %v", code, body)
 		}
@@ -214,7 +214,7 @@ func TestEndToEnd(t *testing.T) {
 			acc[p.U].Add(p.V)
 		}
 	}
-	code, body = do(t, client, "GET", ts.URL+"/v1/patterns/watch/result", "")
+	code, body = do(t, hc, "GET", ts.URL+"/v1/patterns/watch/result", "")
 	if code != http.StatusOK {
 		t.Fatalf("result: code %d", code)
 	}
@@ -224,24 +224,24 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Graph stats reflect the commits.
-	code, body = do(t, client, "GET", ts.URL+"/v1/graph", "")
+	code, body = do(t, hc, "GET", ts.URL+"/v1/graph", "")
 	if code != http.StatusOK || body["seq"].(float64) != lastSeq {
 		t.Fatalf("graph info: code %d body %v", code, body)
 	}
 
 	// Bad updates are rejected without advancing seq.
-	if code, _ = do(t, client, "POST", ts.URL+"/v1/updates", "insert 0 999999\n"); code != http.StatusBadRequest {
+	if code, _ = do(t, hc, "POST", ts.URL+"/v1/updates", "insert 0 999999\n"); code != http.StatusBadRequest {
 		t.Fatalf("out-of-range update: code %d", code)
 	}
-	if code, _ = do(t, client, "POST", ts.URL+"/v1/updates", "garbage\n"); code != http.StatusBadRequest {
+	if code, _ = do(t, hc, "POST", ts.URL+"/v1/updates", "garbage\n"); code != http.StatusBadRequest {
 		t.Fatalf("malformed update: code %d", code)
 	}
 
 	// Unregister closes the live stream.
-	if code, _ = do(t, client, "DELETE", ts.URL+"/v1/patterns/watch", ""); code != http.StatusOK {
+	if code, _ = do(t, hc, "DELETE", ts.URL+"/v1/patterns/watch", ""); code != http.StatusOK {
 		t.Fatalf("unregister: code %d", code)
 	}
-	if code, _ = do(t, client, "DELETE", ts.URL+"/v1/patterns/watch", ""); code != http.StatusNotFound {
+	if code, _ = do(t, hc, "DELETE", ts.URL+"/v1/patterns/watch", ""); code != http.StatusNotFound {
 		t.Fatalf("double unregister: code %d", code)
 	}
 	closed := make(chan struct{})
@@ -263,17 +263,17 @@ func TestStreamOfIsoPattern(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 3)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	ptext := testPatternText(t, g, 1, 3)
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/iso?kind=iso", ptext); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/iso?kind=iso", ptext); code != http.StatusCreated {
 		t.Fatal("register iso failed")
 	}
-	resp, err := client.Get(ts.URL + "/v1/patterns/iso/stream")
+	resp, err := hc.Get(ts.URL + "/v1/patterns/iso/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestStreamOfIsoPattern(t *testing.T) {
 	if err := graph.WriteUpdates(&buf, ups); err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/updates", buf.String()); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/updates", buf.String()); code != http.StatusOK {
 		t.Fatal("updates failed")
 	}
 	frame := readSSE(t, sc, 1)[0]
@@ -297,7 +297,7 @@ func TestStreamOfIsoPattern(t *testing.T) {
 	for _, p := range pairsOf(t, frame.data["added"], 3).Pairs() {
 		acc[p.U].Add(p.V)
 	}
-	_, body := do(t, client, "GET", ts.URL+"/v1/patterns/iso/result", "")
+	_, body := do(t, hc, "GET", ts.URL+"/v1/patterns/iso/result", "")
 	if !acc.Equal(pairsOf(t, body["pairs"], 3)) {
 		t.Fatal("iso SSE accumulation diverges from /result")
 	}
@@ -309,23 +309,23 @@ func TestLoadGraphResetsPatterns(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 5)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q", testPatternText(t, g, 1, 5)); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/q", testPatternText(t, g, 1, 5)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("reload failed")
 	}
-	code, body := do(t, client, "GET", ts.URL+"/v1/patterns", "")
+	code, body := do(t, hc, "GET", ts.URL+"/v1/patterns", "")
 	if code != http.StatusOK || len(body["patterns"].([]any)) != 0 {
 		t.Fatalf("patterns after reload: %v", body)
 	}
-	if code, _ := do(t, client, "GET", ts.URL+"/v1/patterns/q/result", ""); code != http.StatusNotFound {
+	if code, _ := do(t, hc, "GET", ts.URL+"/v1/patterns/q/result", ""); code != http.StatusNotFound {
 		t.Fatalf("stale pattern result: code %d", code)
 	}
 }
@@ -337,17 +337,17 @@ func TestStatsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 5)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 5)); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 5)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 
-	code, stats := do(t, client, "GET", ts.URL+"/v1/stats", "")
+	code, stats := do(t, hc, "GET", ts.URL+"/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("GET /stats: code %d", code)
 	}
@@ -369,11 +369,11 @@ func TestStatsEndpoint(t *testing.T) {
 		}
 	}
 	upText := "insert " + itoa(u) + " " + itoa(v) + "\ndelete " + itoa(u) + " " + itoa(v) + "\n"
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/updates", upText); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/updates", upText); code != http.StatusOK {
 		t.Fatal("updates failed")
 	}
 
-	_, stats = do(t, client, "GET", ts.URL+"/v1/stats", "")
+	_, stats = do(t, hc, "GET", ts.URL+"/v1/stats", "")
 	if stats["seq"].(float64) != 1 || stats["commits"].(float64) != 1 || stats["applies"].(float64) != 1 {
 		t.Fatalf("post-commit stats: %v", stats)
 	}
@@ -391,17 +391,17 @@ func TestStatsNetworkBlock(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	client := ts.Client()
+	hc := ts.Client()
 
 	g, gtext := testGraphText(t, 9)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
 	ptext := testPatternText(t, g, 1, 9)
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", ptext); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/q?kind=sim", ptext); code != http.StatusCreated {
 		t.Fatal("register q failed")
 	}
-	_, stats := do(t, client, "GET", ts.URL+"/v1/stats", "")
+	_, stats := do(t, hc, "GET", ts.URL+"/v1/stats", "")
 	net, ok := stats["network"].(map[string]any)
 	if !ok {
 		t.Fatalf("stats missing network block: %v", stats)
@@ -411,10 +411,10 @@ func TestStatsNetworkBlock(t *testing.T) {
 	}
 
 	// The same definition under a new id reuses the shared join outright.
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q2?kind=sim", ptext); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/q2?kind=sim", ptext); code != http.StatusCreated {
 		t.Fatal("register q2 failed")
 	}
-	_, stats = do(t, client, "GET", ts.URL+"/v1/stats", "")
+	_, stats = do(t, hc, "GET", ts.URL+"/v1/stats", "")
 	net = stats["network"].(map[string]any)
 	if int(net["patterns"].(float64)) != 2 || int(net["join_nodes"].(float64)) != 1 {
 		t.Fatalf("twin registration did not share the join: %v", net)
@@ -433,10 +433,10 @@ func TestStatsNetworkBlock(t *testing.T) {
 			}
 		}
 	}
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/updates", "insert "+itoa(u)+" "+itoa(v)+"\n"); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/updates", "insert "+itoa(u)+" "+itoa(v)+"\n"); code != http.StatusOK {
 		t.Fatal("updates failed")
 	}
-	_, stats = do(t, client, "GET", ts.URL+"/v1/stats", "")
+	_, stats = do(t, hc, "GET", ts.URL+"/v1/stats", "")
 	net = stats["network"].(map[string]any)
 	if int(net["repairs_saved"].(float64)) < 1 {
 		t.Fatalf("shared join repair saved nothing: %v", net)

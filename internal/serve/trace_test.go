@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"gpm/client"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -26,26 +27,26 @@ func tracedServer(t *testing.T) (*httptest.Server, *http.Client, *trace.Tracer) 
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
-	client := ts.Client()
+	hc := ts.Client()
 	g, gtext := testGraphText(t, 11)
-	if code, _ := do(t, client, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
+	if code, _ := do(t, hc, "POST", ts.URL+"/v1/graph", gtext); code != http.StatusOK {
 		t.Fatal("load graph failed")
 	}
-	if code, _ := do(t, client, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 11)); code != http.StatusCreated {
+	if code, _ := do(t, hc, "PUT", ts.URL+"/v1/patterns/q?kind=sim", testPatternText(t, g, 1, 11)); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
-	return ts, client, tr
+	return ts, hc, tr
 }
 
 // doTraced is do with a sampled traceparent header attached.
-func doTraced(t *testing.T, client *http.Client, method, url, body string) (int, map[string]any) {
+func doTraced(t *testing.T, hc *http.Client, method, url, body string) (int, map[string]any) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("traceparent", testTraceparent)
-	resp, err := client.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +63,15 @@ func doTraced(t *testing.T, client *http.Client, method, url, body string) (int,
 // span and the full commit stage tree, retrievable from /v1/tracez by
 // seq, by trace ID, and in the list form.
 func TestIngestTraceRetrievableFromTracez(t *testing.T) {
-	ts, client, _ := tracedServer(t)
+	ts, hc, _ := tracedServer(t)
 
-	code, body := doTraced(t, client, "POST", ts.URL+"/v1/updates", "insert 1 2\n")
+	code, body := doTraced(t, hc, "POST", ts.URL+"/v1/updates", "insert 1 2\n")
 	if code != http.StatusOK {
 		t.Fatalf("traced update: code %d body %v", code, body)
 	}
 	seq := int(body["seq"].(float64))
 
-	code, doc := do(t, client, "GET", ts.URL+"/v1/tracez?seq=1", "")
+	code, doc := do(t, hc, "GET", ts.URL+"/v1/tracez?seq=1", "")
 	if code != http.StatusOK {
 		t.Fatalf("tracez?seq=%d: code %d body %v", seq, code, doc)
 	}
@@ -87,10 +88,10 @@ func TestIngestTraceRetrievableFromTracez(t *testing.T) {
 		}
 	}
 
-	if code, doc = do(t, client, "GET", ts.URL+"/v1/tracez?trace="+testTraceID, ""); code != http.StatusOK || doc["trace_id"] != testTraceID {
+	if code, doc = do(t, hc, "GET", ts.URL+"/v1/tracez?trace="+testTraceID, ""); code != http.StatusOK || doc["trace_id"] != testTraceID {
 		t.Fatalf("tracez by id: code %d body %v", code, doc)
 	}
-	if code, doc = do(t, client, "GET", ts.URL+"/v1/tracez", ""); code != http.StatusOK {
+	if code, doc = do(t, hc, "GET", ts.URL+"/v1/tracez", ""); code != http.StatusOK {
 		t.Fatalf("tracez list: code %d", code)
 	}
 	if doc["mode"] != "always" || len(doc["traces"].([]any)) == 0 {
@@ -98,13 +99,13 @@ func TestIngestTraceRetrievableFromTracez(t *testing.T) {
 	}
 
 	// Misses are typed envelopes, not empty documents.
-	if code, doc = do(t, client, "GET", ts.URL+"/v1/tracez?trace="+strings.Repeat("f", 32), ""); code != http.StatusNotFound || doc["code"] != CodeNotFound {
+	if code, doc = do(t, hc, "GET", ts.URL+"/v1/tracez?trace="+strings.Repeat("f", 32), ""); code != http.StatusNotFound || doc["code"] != client.CodeNotFound {
 		t.Fatalf("tracez unknown id: code %d body %v", code, doc)
 	}
-	if code, doc = do(t, client, "GET", ts.URL+"/v1/tracez?seq=999", ""); code != http.StatusNotFound || doc["code"] != CodeNotFound {
+	if code, doc = do(t, hc, "GET", ts.URL+"/v1/tracez?seq=999", ""); code != http.StatusNotFound || doc["code"] != client.CodeNotFound {
 		t.Fatalf("tracez unknown seq: code %d body %v", code, doc)
 	}
-	if code, _ = do(t, client, "GET", ts.URL+"/v1/tracez?seq=x", ""); code != http.StatusBadRequest {
+	if code, _ = do(t, hc, "GET", ts.URL+"/v1/tracez?seq=x", ""); code != http.StatusBadRequest {
 		t.Fatalf("tracez bad seq: code %d", code)
 	}
 }
@@ -113,17 +114,33 @@ func TestIngestTraceRetrievableFromTracez(t *testing.T) {
 // trace ID in its error envelope, so the client can pull the server-side
 // story of its own failure.
 func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
-	ts, client, _ := tracedServer(t)
-	code, body := doTraced(t, client, "POST", ts.URL+"/v1/updates", "garbage")
-	if code != http.StatusBadRequest || body["code"] != CodeInvalidUpdates {
+	ts, hc, _ := tracedServer(t)
+	code, body := doTraced(t, hc, "POST", ts.URL+"/v1/updates", "garbage")
+	if code != http.StatusBadRequest || body["code"] != client.CodeInvalidUpdates {
 		t.Fatalf("bad updates: code %d body %v", code, body)
 	}
 	if body["trace_id"] != testTraceID {
 		t.Fatalf("error envelope trace_id = %v, want %s", body["trace_id"], testTraceID)
 	}
 	// Untraced failures must not carry the field at all.
-	if _, body = do(t, client, "POST", ts.URL+"/v1/updates", "garbage"); body["trace_id"] != nil {
+	if _, body = do(t, hc, "POST", ts.URL+"/v1/updates", "garbage"); body["trace_id"] != nil {
 		t.Fatalf("untraced error envelope has trace_id %v", body["trace_id"])
+	}
+
+	// A follower's read_only rejection goes through the same envelope.
+	follower := NewReadOnly("http://leader.invalid")
+	ro := httptest.NewServer(follower)
+	defer ro.Close()
+	defer follower.Close()
+	code, body = doTraced(t, ro.Client(), "POST", ro.URL+"/v1/updates", "insert 0 1\n")
+	if code != http.StatusForbidden || body["code"] != client.CodeReadOnly || body["leader"] != "http://leader.invalid" {
+		t.Fatalf("read-only write: code %d body %v", code, body)
+	}
+	if body["trace_id"] != testTraceID {
+		t.Fatalf("read_only envelope trace_id = %v, want %s", body["trace_id"], testTraceID)
+	}
+	if _, body = do(t, ro.Client(), "POST", ro.URL+"/v1/updates", "insert 0 1\n"); body["trace_id"] != nil {
+		t.Fatalf("untraced read_only envelope has trace_id %v", body["trace_id"])
 	}
 }
 
@@ -131,9 +148,9 @@ func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
 // must carry the commit's traceparent and publish timestamp, and the
 // delivery must append an sse.deliver span to the same trace.
 func TestDeltaFrameCarriesTrace(t *testing.T) {
-	ts, client, tr := tracedServer(t)
+	ts, hc, tr := tracedServer(t)
 
-	streamResp, err := client.Get(ts.URL + "/v1/patterns/q/stream")
+	streamResp, err := hc.Get(ts.URL + "/v1/patterns/q/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +159,7 @@ func TestDeltaFrameCarriesTrace(t *testing.T) {
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	readSSE(t, sc, 1) // snapshot
 
-	if code, body := doTraced(t, client, "POST", ts.URL+"/v1/updates", "insert 1 2\n"); code != http.StatusOK {
+	if code, body := doTraced(t, hc, "POST", ts.URL+"/v1/updates", "insert 1 2\n"); code != http.StatusOK {
 		t.Fatalf("traced update: code %d body %v", code, body)
 	}
 	frames := readSSE(t, sc, 1)
@@ -178,8 +195,8 @@ func TestDeltaFrameCarriesTrace(t *testing.T) {
 // stats document has a build block and the metrics exposition the
 // constant gpm_build_info gauge.
 func TestStatsAndMetricsCarryBuildInfo(t *testing.T) {
-	ts, client, _ := tracedServer(t)
-	code, body := do(t, client, "GET", ts.URL+"/v1/stats", "")
+	ts, hc, _ := tracedServer(t)
+	code, body := do(t, hc, "GET", ts.URL+"/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("stats: code %d", code)
 	}
@@ -190,7 +207,7 @@ func TestStatsAndMetricsCarryBuildInfo(t *testing.T) {
 	if gov, _ := build["go"].(string); gov == "" || gov == "unknown" {
 		t.Fatalf("build block go version = %v", build["go"])
 	}
-	resp, err := client.Get(ts.URL + "/v1/metricz")
+	resp, err := hc.Get(ts.URL + "/v1/metricz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"gpm/client"
 )
 
 // tracez serves the registry tracer's bounded ring of recent commit
@@ -25,7 +27,7 @@ func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
 	if hex := q.Get("trace"); hex != "" {
 		snap, ok := tr.Lookup(hex)
 		if !ok {
-			writeError(w, r, http.StatusNotFound, CodeNotFound,
+			writeError(w, r, http.StatusNotFound, client.CodeNotFound,
 				fmt.Errorf("trace %q not retained", hex))
 			return
 		}
@@ -35,13 +37,13 @@ func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("seq"); raw != "" {
 		seq, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, CodeInvalidSeq,
+			writeError(w, r, http.StatusBadRequest, client.CodeInvalidSeq,
 				fmt.Errorf("bad seq %q: %w", raw, err))
 			return
 		}
 		snap, ok := tr.BySeq(seq)
 		if !ok {
-			writeError(w, r, http.StatusNotFound, CodeNotFound,
+			writeError(w, r, http.StatusNotFound, client.CodeNotFound,
 				fmt.Errorf("no retained trace for seq %d", seq))
 			return
 		}
@@ -52,7 +54,7 @@ func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("limit"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 1 {
-			writeError(w, r, http.StatusBadRequest, CodeInvalidSeq,
+			writeError(w, r, http.StatusBadRequest, client.CodeInvalidSeq,
 				fmt.Errorf("bad limit %q", raw))
 			return
 		}

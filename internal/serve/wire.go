@@ -6,7 +6,9 @@ import (
 	"mime"
 	"net/http"
 	"strings"
+	"time"
 
+	"gpm/client"
 	"gpm/internal/contq"
 	"gpm/internal/graph"
 	"gpm/internal/journal"
@@ -15,86 +17,27 @@ import (
 	"gpm/internal/rel"
 )
 
-// The v1 error contract: every failure is one JSON envelope
-//
-//	{"code": "<stable machine-readable code>", "message": "<human text>", "seq": N?}
-//
-// where seq appears only on the committed-but-not-durable failure (the
-// batch holds sequence N in memory but the journal append failed). Codes
-// are part of the wire contract — clients switch on them, never on
-// message text.
-const (
-	// CodeInvalidGraph, CodeInvalidPattern and CodeInvalidUpdates report
-	// an unparseable or invalid request document (text or JSON).
-	CodeInvalidGraph   = "invalid_graph"
-	CodeInvalidPattern = "invalid_pattern"
-	CodeInvalidUpdates = "invalid_updates"
-	// CodeInvalidKind reports an unknown ?kind= or a kind the pattern
-	// cannot back (mapped from contq.ErrBadKind).
-	CodeInvalidKind = "invalid_kind"
-	// CodeInvalidSeq reports an unparseable ?from= or Last-Event-ID.
-	CodeInvalidSeq = "invalid_seq"
-	// CodeNotFound reports an unregistered pattern id (or unknown route).
-	CodeNotFound = "not_found"
-	// CodeAlreadyRegistered reports a duplicate pattern id (retry under
-	// another name; mapped from contq.ErrAlreadyRegistered).
-	CodeAlreadyRegistered = "already_registered"
-	// CodeClosed reports a registry shutting down (mapped from
-	// contq.ErrClosed); retry against a live instance.
-	CodeClosed = "closed"
-	// CodeCompacted reports a replay range the journal no longer retains
-	// (mapped from journal.ErrCompacted); resync from a snapshot.
-	CodeCompacted = "compacted"
-	// CodeSeqFuture reports a resume sequence ahead of the head (mapped
-	// from contq.ErrSeqFuture); the client's state diverged — resync.
-	CodeSeqFuture = "seq_future"
-	// CodeMethodNotAllowed reports a known route with the wrong method;
-	// the Allow header lists the methods the route accepts.
-	CodeMethodNotAllowed = "method_not_allowed"
-	// CodeNotReady is /v1/readyz's failure: the registry is closed, the
-	// journal stopped accepting appends, or a follower is bootstrapping or
-	// lagging beyond its bound.
-	CodeNotReady = "not_ready"
-	// CodeReadOnly reports a write against a follower; the envelope's
-	// leader field names the instance that accepts writes.
-	CodeReadOnly = "read_only"
-	// CodeJournalFailed reports a commit that was applied and published
-	// but could not be journaled — the envelope's seq carries the
-	// assigned sequence number; the state stands in memory but is not
-	// durable.
-	CodeJournalFailed = "journal_failed"
-	// CodeInternal is the residual server-side failure.
-	CodeInternal = "internal"
-)
-
-// ErrorBody is the v1 error envelope. Leader appears only on read_only
-// failures: the base URL of the instance that accepts writes. TraceID
-// appears when the failing request carried (or was assigned) a sampled
-// trace — the key to pull the request's span tree from /v1/tracez.
-type ErrorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	Seq     uint64 `json:"seq,omitempty"`
-	Leader  string `json:"leader,omitempty"`
-	TraceID string `json:"trace_id,omitempty"`
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone is not actionable
 }
 
-// writeError emits the error envelope, stamping the request's trace ID
-// (threaded into the context by ServeHTTP) so failures join with traces.
-func writeError(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
-	body := ErrorBody{Code: code, Message: err.Error()}
-	if r != nil {
-		if sc := trace.FromContext(r.Context()); sc.Valid() {
-			body.TraceID = sc.TraceID.String()
-		}
+// writeError emits the v1 error envelope, a client.APIError, for err
+// under code, stamping the request's trace ID (threaded into the context
+// by ServeHTTP) so failures join with traces. opt, when given, carries
+// the envelope's optional fields: seq on journal_failed, leader on
+// read_only.
+func writeError(w http.ResponseWriter, r *http.Request, status int, code string, err error, opt ...client.APIError) {
+	var env client.APIError
+	if len(opt) > 0 {
+		env = opt[0]
 	}
-	writeJSON(w, status, body)
+	env.Code, env.Message = code, err.Error()
+	if sc := trace.FromContext(r.Context()); sc.Valid() {
+		env.TraceID = sc.TraceID.String()
+	}
+	writeJSON(w, status, env)
 }
 
 // classify maps the contq/journal sentinel errors to their wire status
@@ -102,17 +45,17 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, code string,
 func classify(err error, fallbackStatus int, fallbackCode string) (int, string) {
 	switch {
 	case errors.Is(err, contq.ErrNotRegistered):
-		return http.StatusNotFound, CodeNotFound
+		return http.StatusNotFound, client.CodeNotFound
 	case errors.Is(err, contq.ErrAlreadyRegistered):
-		return http.StatusConflict, CodeAlreadyRegistered
+		return http.StatusConflict, client.CodeAlreadyRegistered
 	case errors.Is(err, contq.ErrClosed):
-		return http.StatusServiceUnavailable, CodeClosed
+		return http.StatusServiceUnavailable, client.CodeClosed
 	case errors.Is(err, contq.ErrBadKind):
-		return http.StatusBadRequest, CodeInvalidKind
+		return http.StatusBadRequest, client.CodeInvalidKind
 	case errors.Is(err, journal.ErrCompacted):
-		return http.StatusGone, CodeCompacted
+		return http.StatusGone, client.CodeCompacted
 	case errors.Is(err, contq.ErrSeqFuture):
-		return http.StatusBadRequest, CodeSeqFuture
+		return http.StatusBadRequest, client.CodeSeqFuture
 	}
 	return fallbackStatus, fallbackCode
 }
@@ -170,19 +113,30 @@ func readUpdatesBody(r *http.Request) ([]graph.Update, error) {
 	return ups, nil
 }
 
-// pairsOrEmpty keeps empty pair lists rendering as [] (never null) on the
-// wire.
-func pairsOrEmpty(ps []rel.Pair) []rel.Pair {
-	if ps == nil {
-		return []rel.Pair{}
+// orEmpty keeps an empty pair or update list rendering as [] (never
+// null) on the wire.
+func orEmpty[T any](list []T) []T {
+	if list == nil {
+		return []T{}
 	}
-	return ps
+	return list
 }
 
-// updatesOrEmpty keeps empty update batches rendering as [] on the wire.
-func updatesOrEmpty(ups []graph.Update) []graph.Update {
-	if ups == nil {
-		return []graph.Update{}
+// wireResult is pattern id's relation m at seq as its wire document.
+func wireResult(id string, seq uint64, m rel.Relation) client.Result {
+	return client.Result{ID: id, Seq: seq, Size: m.Size(), Pairs: orEmpty(m.Pairs())}
+}
+
+// wirePatternDef is a journaled pattern definition as its wire document.
+func wirePatternDef(pd journal.PatternDef) client.PatternDef {
+	return client.PatternDef{ID: pd.ID, Kind: pd.Kind, Def: string(pd.Def), RegSeq: pd.RegSeq}
+}
+
+// unixNano is a frame's publish time on the wire: 0, which the frame
+// omits, when unset.
+func unixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
 	}
-	return ups
+	return t.UnixNano()
 }
