@@ -11,34 +11,41 @@ import (
 type CommitEventType string
 
 const (
-	// EventHead is the stream's opening frame: Seq names the sequence the
-	// stream starts after (no updates ride on it).
+	// EventHead opens each connection: Seq names the sequence it starts
+	// after and Patterns the pattern set at that moment.
 	EventHead CommitEventType = "head"
 	// EventCommit carries one committed net update batch ΔG. Every commit
 	// produces a frame — empty batches included — so Seq advances by
-	// exactly one per event.
+	// exactly one per commit event.
 	EventCommit CommitEventType = "commit"
+	// EventRegister carries a pattern registered at Seq, EventUnregister
+	// the ID of one removed at Seq; neither advances the sequence.
+	EventRegister   CommitEventType = "register"
+	EventUnregister CommitEventType = "unregister"
 )
 
 // CommitStreamEvent is one typed commit-stream event. Trace is the
 // commit span's W3C traceparent and At its publish timestamp (both zero
-// for head frames, unsampled commits, and backfilled events) — a
-// follower passes Trace to ApplyReplicated so the leader's trace
+// for head and pattern frames, unsampled commits, and backfilled events)
+// — a follower passes Trace to ApplyReplicated so the leader's trace
 // continues across the topology.
 type CommitStreamEvent struct {
-	Type    CommitEventType
-	Seq     uint64
-	Updates []gpm.Update // commit only
-	Trace   string
-	At      time.Time
+	Type     CommitEventType
+	Seq      uint64
+	Updates  []gpm.Update // commit only
+	Trace    string
+	At       time.Time
+	Patterns []PatternDef // head only: the pattern set at attach
+	Pattern  PatternDef   // register and unregister only
 }
 
 // CommitStream is a live raw-ΔG subscription to GET /v1/commits/stream —
-// the feed a follower replica applies. Events arrive on C in commit order
-// with consecutive sequence numbers. Like Stream, it survives disconnects
-// and server restarts by reconnecting with exponential backoff and
-// resuming via Last-Event-ID, deduplicating any overlap; the head frame
-// is delivered once, not per reconnect.
+// the feed a follower replica applies. Commit events arrive on C in
+// commit order with consecutive sequence numbers, pattern events in order
+// between them. Like Stream, it survives disconnects and server restarts
+// by reconnecting with exponential backoff and resuming via
+// Last-Event-ID, deduplicating any overlap; each connection's head event
+// carries the pattern set, standing for pattern events missed meanwhile.
 //
 // C closes when the stream ends: context canceled, Close called, or a
 // terminal server answer. Err reports the cause; an error wrapping
@@ -65,10 +72,10 @@ func (c *Client) CommitStream(ctx context.Context, options ...StreamOption) (*Co
 	return &CommitStream{C: s.ch, sseStream: s}, nil
 }
 
-// HeadFrame is the data of a commit stream's head frame: the sequence
-// the stream starts after.
+// HeadFrame is the data of a commit stream's head frame.
 type HeadFrame struct {
-	Seq uint64 `json:"seq"`
+	Seq      uint64       `json:"seq"`
+	Patterns []PatternDef `json:"patterns"`
 }
 
 // CommitFrame is the data of a commit stream's commit frame: one Commit
@@ -79,18 +86,42 @@ type CommitFrame struct {
 	At int64 `json:"at,omitempty"`
 }
 
-// decodeCommitFrame decodes the server's head and commit frames.
+// RegisterFrame is the data of a commit stream's register frame.
+type RegisterFrame struct {
+	Seq uint64 `json:"seq"`
+	PatternDef
+}
+
+// UnregisterFrame is the data of a commit stream's unregister frame.
+type UnregisterFrame struct {
+	Seq uint64 `json:"seq"`
+	ID  string `json:"id"`
+}
+
+// decodeCommitFrame decodes the server's head, commit, register and
+// unregister frames.
 func decodeCommitFrame(event, data string) (f sseFrame[CommitStreamEvent], ok bool, err error) {
-	switch CommitEventType(event) {
+	switch t := CommitEventType(event); t {
 	case EventHead:
 		var doc HeadFrame
 		err = decodeFrame(event, data, &doc)
-		f = sseFrame[CommitStreamEvent]{kind: frameStart, seq: doc.Seq, ev: CommitStreamEvent{Type: EventHead, Seq: doc.Seq}}
+		f = sseFrame[CommitStreamEvent]{kind: frameStart, seq: doc.Seq,
+			ev: CommitStreamEvent{Type: t, Seq: doc.Seq, Patterns: doc.Patterns}}
 	case EventCommit:
 		var doc CommitFrame
 		err = decodeFrame(event, data, &doc)
 		f = sseFrame[CommitStreamEvent]{kind: frameCommit, seq: doc.Seq, trace: doc.Trace, at: unixNano(doc.At),
-			ev: CommitStreamEvent{Type: EventCommit, Seq: doc.Seq, Updates: doc.Updates, Trace: doc.Trace, At: unixNano(doc.At)}}
+			ev: CommitStreamEvent{Type: t, Seq: doc.Seq, Updates: doc.Updates, Trace: doc.Trace, At: unixNano(doc.At)}}
+	case EventRegister:
+		var doc RegisterFrame
+		err = decodeFrame(event, data, &doc)
+		f = sseFrame[CommitStreamEvent]{kind: framePattern, seq: doc.Seq,
+			ev: CommitStreamEvent{Type: t, Seq: doc.Seq, Pattern: doc.PatternDef}}
+	case EventUnregister:
+		var doc UnregisterFrame
+		err = decodeFrame(event, data, &doc)
+		f = sseFrame[CommitStreamEvent]{kind: framePattern, seq: doc.Seq,
+			ev: CommitStreamEvent{Type: t, Seq: doc.Seq, Pattern: PatternDef{ID: doc.ID}}}
 	default:
 		return f, false, nil
 	}

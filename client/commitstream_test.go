@@ -181,6 +181,10 @@ func TestCommitStreamResume(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// Every connection opens with a head naming the resume cursor.
+	if ev := nextCommitEvent(t, st); ev.Type != EventHead || ev.Seq != 1 {
+		t.Fatalf("post-reconnect head = %+v, want head at seq 1", ev)
+	}
 	if ev := nextCommitEvent(t, st); ev.Type != EventCommit || ev.Seq != 2 {
 		t.Fatalf("post-reconnect commit = %+v, want seq 2 (no duplicates, no gaps)", ev)
 	}

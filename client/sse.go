@@ -75,10 +75,13 @@ const (
 	// starting state, on reconnect the server's signal that it could not
 	// backfill from our cursor.
 	frameRebase
-	// frameStart names where the stream starts (a head): it seeds an unset
-	// cursor and is delivered once; the ones later reconnects produce are
-	// cursor echoes.
+	// frameStart names where a connection starts (a head): it seeds an
+	// unset cursor and is delivered once per connection, first (on a
+	// reconnect its seq echoes the cursor).
 	frameStart
+	// framePattern is an event between commits (a pattern registration or
+	// removal): always delivered, the cursor stays.
+	framePattern
 )
 
 // sseFrame is one decoded SSE frame. trace and at are the producing
@@ -126,7 +129,7 @@ type sseStream[E any] struct {
 	// The resume cursor, owned by the run goroutine.
 	lastSeq   uint64 // newest delivered (or resumed-from) sequence
 	haveSeq   bool   // lastSeq is meaningful: resume from it
-	startSeen bool   // the frameStart frame was delivered
+	startSeen bool   // this connection's frameStart frame was delivered
 
 	mu    sync.Mutex
 	err   error
@@ -314,6 +317,7 @@ func (s *sseStream[E]) consume(ctx context.Context, body io.ReadCloser) (deliver
 	// closing the body on ctx cancellation does that.
 	stop := context.AfterFunc(ctx, func() { body.Close() })
 	defer stop()
+	s.startSeen = false
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	var event, data string
@@ -336,7 +340,8 @@ func (s *sseStream[E]) consume(ctx context.Context, body io.ReadCloser) (deliver
 			// Counted before the handoff so a consumer that just received
 			// the event already sees it in Stats; at most one in-flight
 			// event is over-counted if the stream closes mid-send.
-			s.record(func(st *StreamStats) { st.EventsDelivered++; st.LastSeq = f.seq })
+			cursor := s.lastSeq
+			s.record(func(st *StreamStats) { st.EventsDelivered++; st.LastSeq = cursor })
 			// The delivery span ends once the consumer has the event, so
 			// its duration is the end-to-end event age at this client.
 			ds := s.c.deliverSpan(f.trace, f.at, s.spanAttr[0], s.spanAttr[1])
@@ -368,6 +373,8 @@ func (s *sseStream[E]) advance(kind frameKind, seq uint64) bool {
 		first := !s.startSeen
 		s.startSeen = true
 		return first
+	case framePattern:
+		return true
 	case frameCommit:
 		if s.haveSeq && seq <= s.lastSeq {
 			return false // replayed overlap: drop

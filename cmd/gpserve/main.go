@@ -43,9 +43,10 @@
 //
 // With -follow URL gpserve runs as a read-only replica of the leader at
 // URL: it bootstraps from the leader's snapshot, tails its raw ΔG commit
-// stream, serves every read endpoint locally at the leader's own commit
-// sequence numbers, and answers writes with 403 {"code":"read_only",
-// "leader":URL}. GET /v1/readyz reports 503 while bootstrapping,
+// stream (which carries the leader's pattern registrations and removals
+// in commit order), serves every read endpoint locally at the leader's own
+// commit sequence numbers, and answers writes with 403
+// {"code":"read_only", "leader":URL}. GET /v1/readyz reports 503 while bootstrapping,
 // disconnected from the leader, or lagging by more than -follow-lag-max
 // commits — put followers behind a load balancer keyed on readiness.
 // -follow is incompatible with -journal and -graph: the leader owns
@@ -105,9 +106,8 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (separate listener; empty disables)")
 		sample    = flag.String("trace-sample", "always", "commit tracing: off, always, ratio:F (deterministic by trace ID, 0..1), or slow:DUR (retain traces with a span at least DUR)")
 
-		followURL       = flag.String("follow", "", "run as a read-only follower replicating the leader at this base URL")
-		followLagMax    = flag.Uint64("follow-lag-max", 1024, "report not-ready when trailing the leader by more than this many commits (0 = lag never gates readiness)")
-		followReconcile = flag.Duration("follow-reconcile", 2*time.Second, "pattern-reconciliation poll interval against the leader")
+		followURL    = flag.String("follow", "", "run as a read-only follower replicating the leader at this base URL")
+		followLagMax = flag.Uint64("follow-lag-max", 1024, "report not-ready when trailing the leader by more than this many commits (0 = lag never gates readiness)")
 	)
 	flag.Parse()
 
@@ -187,7 +187,6 @@ func main() {
 			// setup of the placeholder one, or a resync would silently shed
 			// the follower's observability.
 			RegistryOptions: regOpts,
-			Reconcile:       *followReconcile,
 			Logger:          logger,
 		})
 		logger.Info("follower mode", "leader", *followURL, "lag_max", *followLagMax)
@@ -208,8 +207,7 @@ func main() {
 		srv = serve.New(regOpts...)
 	}
 	if fl == nil {
-		nodes, edges, seq := srv.Registry().GraphInfo()
-		npats := len(srv.Registry().Patterns())
+		nodes, edges, npats, seq := srv.Registry().GraphInfo()
 		recovered := seq > 0 || nodes > 0 || npats > 0
 		if jnl != nil && recovered {
 			js := jnl.Stats()

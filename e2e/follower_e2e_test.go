@@ -328,9 +328,9 @@ func TestFollowerChaos(t *testing.T) {
 	}
 
 	f1 := startServer(t, dir, "follower1", freePort(t),
-		"-follow", leader.url, "-follow-reconcile", "100ms", "-follow-lag-max", "100000")
+		"-follow", leader.url, "-follow-lag-max", "100000")
 	f2 := startServer(t, dir, "follower2", freePort(t),
-		"-follow", leader.url, "-follow-reconcile", "100ms", "-follow-lag-max", "100000")
+		"-follow", leader.url, "-follow-lag-max", "100000")
 	waitReady(t, f1, 200) // 503→200: bootstrap complete
 	waitReady(t, f2, 200)
 	fc1, fc2 := client.New(f1.url), client.New(f2.url)

@@ -86,7 +86,7 @@ func TestTraceSpansReplicationTopology(t *testing.T) {
 	}
 
 	follower := startServer(t, dir, "trace-follower", freePort(t),
-		"-follow", leader.url, "-follow-reconcile", "100ms", "-follow-lag-max", "100000")
+		"-follow", leader.url, "-follow-lag-max", "100000")
 	fc := client.New(follower.url)
 	waitReady(t, follower, http.StatusOK)
 
@@ -201,7 +201,7 @@ func TestFollowerMetricsMove(t *testing.T) {
 	}
 
 	follower := startServer(t, dir, "metrics-follower", freePort(t),
-		"-follow", leader.url, "-follow-reconcile", "100ms", "-follow-lag-max", "100000")
+		"-follow", leader.url, "-follow-lag-max", "100000")
 	fc := client.New(follower.url)
 	waitReady(t, follower, http.StatusOK)
 

@@ -1,6 +1,7 @@
 package contq
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -248,11 +249,23 @@ func TestPanickingEngineIsEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	commits, err := reg.SubscribeCommitsContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer commits.Cancel()
 
 	ups := generator.Updates(g, 4, 0, seed+7)
 	seq, err := reg.Apply(ups[:2])
 	if err != nil || seq != 1 {
 		t.Fatalf("commit with a panicking engine: seq=%d err=%v", seq, err)
+	}
+	// The commit stream carries the commit, then the eviction at its seq.
+	if ev := <-commits.C; ev.Seq != 1 || ev.Register != nil || ev.Unregister != "" {
+		t.Fatalf("first commit-stream event %+v, want commit 1", ev)
+	}
+	if ev := <-commits.C; ev.Seq != 1 || ev.Unregister != "bad" {
+		t.Fatalf("second commit-stream event %+v, want the eviction of bad at seq 1", ev)
 	}
 	if _, ok := reg.Result("bad"); ok {
 		t.Fatal("panicked pattern must be evicted")

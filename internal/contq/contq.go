@@ -38,10 +38,10 @@
 //     writer lock, so every subscriber observes the same totally-ordered
 //     commit sequence and a subscription's starting snapshot is atomic
 //     with respect to commits.
-//   - Readers (Result, Patterns, GraphInfo, Stats) never take the writer
-//     lock: they read through the engines' lock-free cached snapshots, so
-//     reads between updates are allocation-free and never block behind a
-//     writer.
+//   - Readers (Result, Patterns, Info, GraphInfo, Stats) never take the
+//     writer lock: they read through the engines' lock-free cached
+//     snapshots, so reads between updates are allocation-free and never
+//     block behind a writer.
 //   - During a commit's network repair the canonical graph is immutable
 //     (engines read it concurrently; their overlays are private), and it is
 //     mutated only after every engine has returned.
@@ -149,6 +149,7 @@ type matcher interface {
 type registration struct {
 	id     string
 	p      *pattern.Pattern
+	text   []byte // p in the text format, written once at Register
 	kind   Kind
 	m      matcher
 	regSeq uint64 // commit seq current when the pattern was registered
@@ -158,12 +159,20 @@ type registration struct {
 
 // def is the registration's portable form: the document a journal record or
 // snapshot stores, GET /v1/patterns/{id} serves and RegisterDef takes back.
-func (reg *registration) def() (journal.PatternDef, error) {
-	var text bytes.Buffer
-	if err := reg.p.Write(&text); err != nil {
-		return journal.PatternDef{}, fmt.Errorf("contq: serializing pattern %q: %w", reg.id, err)
+func (reg *registration) def() journal.PatternDef {
+	return journal.PatternDef{ID: reg.id, Kind: string(reg.kind), Def: reg.text, RegSeq: reg.regSeq}
+}
+
+// info is the registration's listing row.
+func (reg *registration) info() Info {
+	return Info{
+		ID:          reg.id,
+		Kind:        reg.kind,
+		Nodes:       reg.p.NumNodes(),
+		Edges:       reg.p.NumEdges(),
+		Subscribers: reg.subs.len(),
+		ResultSize:  reg.m.Result().Size(),
 	}
-	return journal.PatternDef{ID: reg.id, Kind: string(reg.kind), Def: text.Bytes(), RegSeq: reg.regSeq}, nil
 }
 
 // Registry owns the canonical graph and the set of standing patterns.
@@ -315,6 +324,14 @@ func New(g *graph.Graph, options ...Option) *Registry {
 // graph state; the call is atomic with respect to commits, so the new
 // pattern sees every later batch exactly once.
 func (r *Registry) Register(id string, p *pattern.Pattern, kind Kind) error {
+	var text bytes.Buffer
+	p.Write(&text) //nolint:errcheck // writes to a bytes.Buffer cannot fail
+	return r.register(id, p, text.Bytes(), kind, nil)
+}
+
+// register is Register given p's text form and, for RegisterDef, the
+// registration sequence to record instead of the head.
+func (r *Registry) register(id string, p *pattern.Pattern, text []byte, kind Kind, regSeq *uint64) error {
 	if id == "" {
 		return fmt.Errorf("contq: empty pattern id")
 	}
@@ -349,21 +366,21 @@ func (r *Registry) Register(id string, p *pattern.Pattern, kind Kind) error {
 	// Journal the registration (with the resolved kind) before installing
 	// it, so a pattern is never live without being recoverable. On failure
 	// the handle must give back the network state it acquired.
-	reg := &registration{id: id, p: p, kind: kind, m: h, regSeq: seq}
+	reg := &registration{id: id, p: p, text: text, kind: kind, m: h, regSeq: seq}
 	if r.journal != nil {
-		pd, err := reg.def()
-		if err != nil {
-			h.Release()
-			return err
-		}
-		if err := r.journal.AppendRegister(pd.RegSeq, pd.ID, pd.Kind, pd.Def); err != nil {
+		if err := r.journal.AppendRegister(seq, id, string(kind), text); err != nil {
 			h.Release()
 			return fmt.Errorf("contq: journaling pattern %q: %w", id, err)
 		}
 	}
+	if regSeq != nil {
+		reg.regSeq = *regSeq
+	}
 	r.mu.Lock()
 	r.pats[id] = reg
 	r.mu.Unlock()
+	pd := reg.def()
+	r.csubs.publish(CommitEvent{Seq: seq, Register: &pd})
 	return nil
 }
 
@@ -380,14 +397,21 @@ func (r *Registry) Unregister(id string) bool {
 	if !ok {
 		return false
 	}
+	r.dropLocked(reg, seq)
+	return true
+}
+
+// dropLocked journals, publishes and releases a registration already
+// removed from pats, closing its subscribers. Called under writeMu.
+func (r *Registry) dropLocked(reg *registration, seq uint64) {
 	if r.journal != nil {
 		// Best-effort: an append failure is recorded in the journal's
-		// stats (LastError); the unregistration itself stands.
-		r.journal.AppendUnregister(seq, id) //nolint:errcheck // see above
+		// stats (LastError); the removal itself stands.
+		r.journal.AppendUnregister(seq, reg.id) //nolint:errcheck // see above
 	}
+	r.csubs.publish(CommitEvent{Seq: seq, Unregister: reg.id})
 	reg.m.Release()
 	reg.subs.closeAll()
-	return true
 }
 
 // Apply submits one batch of edge updates and blocks until the commit
@@ -865,21 +889,15 @@ func (r *Registry) evictLocked(reg *registration, seq uint64) {
 	delete(r.pats, reg.id)
 	r.evictions++
 	r.mu.Unlock()
-	if r.journal != nil {
-		r.journal.AppendUnregister(seq, reg.id) //nolint:errcheck // recorded in journal.Stats
-	}
-	reg.m.Release()
-	reg.subs.closeAll()
+	r.dropLocked(reg, seq)
 }
 
-// patternDefs serializes the registered patterns for a journal snapshot.
+// patternDefs is the registered patterns' portable forms.
 func (r *Registry) patternDefs() []journal.PatternDef {
 	regs := r.snapshotRegs()
 	defs := make([]journal.PatternDef, 0, len(regs))
 	for _, reg := range regs {
-		if pd, err := reg.def(); err == nil { // unserializable patterns were rejected at Register
-			defs = append(defs, pd)
-		}
+		defs = append(defs, reg.def())
 	}
 	return defs
 }
@@ -963,18 +981,6 @@ func (r *Registry) SubscribeContext(ctx context.Context, id string, options ...S
 	return r.newSubscription(reg, reg.m.Result(), seq, false), nil
 }
 
-// Kind reports the engine kind backing pattern id — the resolved kind,
-// never KindAuto — and whether the id is registered.
-func (r *Registry) Kind(id string) (Kind, bool) {
-	r.mu.RLock()
-	reg, ok := r.pats[id]
-	r.mu.RUnlock()
-	if !ok {
-		return "", false
-	}
-	return reg.kind, true
-}
-
 // Result returns pattern id's current match relation (a shared immutable
 // snapshot — do not mutate) without blocking behind writers.
 func (r *Registry) Result(id string) (rel.Relation, bool) {
@@ -992,24 +998,29 @@ func (r *Registry) Patterns() []Info {
 	regs := r.snapshotRegs()
 	infos := make([]Info, 0, len(regs))
 	for _, reg := range regs {
-		infos = append(infos, Info{
-			ID:          reg.id,
-			Kind:        reg.kind,
-			Nodes:       reg.p.NumNodes(),
-			Edges:       reg.p.NumEdges(),
-			Subscribers: reg.subs.len(),
-			ResultSize:  reg.m.Result().Size(),
-		})
+		infos = append(infos, reg.info())
 	}
 	return infos
 }
 
-// GraphInfo reports the canonical graph's size and the current commit
-// sequence.
-func (r *Registry) GraphInfo() (nodes, edges int, seq uint64) {
+// Info describes pattern id — its kind is the resolved one, never
+// KindAuto — and reports whether the id is registered.
+func (r *Registry) Info(id string) (Info, bool) {
+	r.mu.RLock()
+	reg, ok := r.pats[id]
+	r.mu.RUnlock()
+	if !ok {
+		return Info{}, false
+	}
+	return reg.info(), true
+}
+
+// GraphInfo reports the canonical graph's size, the number of registered
+// patterns and the current commit sequence.
+func (r *Registry) GraphInfo() (nodes, edges, patterns int, seq uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.g.NumNodes(), r.g.NumEdges(), r.seq
+	return r.g.NumNodes(), r.g.NumEdges(), len(r.pats), r.seq
 }
 
 // Seq returns the current commit sequence number.

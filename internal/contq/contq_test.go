@@ -292,7 +292,7 @@ func TestApplyValidatesEndpoints(t *testing.T) {
 	if !after.Equal(snapshot) {
 		t.Fatal("rejected batch must not change results")
 	}
-	if _, _, seq := func() (int, int, uint64) { return reg.GraphInfo() }(); seq != 0 {
+	if _, _, _, seq := reg.GraphInfo(); seq != 0 {
 		t.Fatalf("rejected batch advanced seq to %d", seq)
 	}
 }

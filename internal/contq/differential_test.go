@@ -105,7 +105,8 @@ func differentialUnderCoalescing(t *testing.T, seed int64) uint64 {
 		if err := reg.Register(s.id, s.p, s.kind); err != nil {
 			t.Fatalf("seed %d: register %s: %v", seed, s.id, err)
 		}
-		s.kind, _ = reg.Kind(s.id)
+		info, _ := reg.Info(s.id)
+		s.kind = info.Kind
 	}
 
 	nonEmpty := 0

@@ -90,7 +90,8 @@ func TestNetworkRegistryEquivalence(t *testing.T) {
 		if err := reg.Register(id, pk.p, pk.kind); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		kind, _ := reg.Kind(id)
+		info, _ := reg.Info(id)
+		kind := info.Kind
 		s, err := reg.Subscribe(id)
 		if err != nil {
 			t.Fatal(err)

@@ -244,7 +244,7 @@ func TestRecoverFromJournal(t *testing.T) {
 	applyInBatches(t, reg, ups[:32], 4)
 	preSeq := reg.Seq()
 	resumeAt := uint64(4) // a subscriber's last-seen seq, resumed below after the restart
-	preNodes, preEdges, _ := reg.GraphInfo()
+	preNodes, preEdges, _, _ := reg.GraphInfo()
 	for id := range pats {
 		res, _ := reg.Result(id)
 		c := res.Clone()
@@ -267,7 +267,7 @@ func TestRecoverFromJournal(t *testing.T) {
 	if got := reg2.Seq(); got != preSeq {
 		t.Fatalf("recovered seq %d, want %d", got, preSeq)
 	}
-	nodes, edges, _ := reg2.GraphInfo()
+	nodes, edges, _, _ := reg2.GraphInfo()
 	if nodes != preNodes || edges != preEdges {
 		t.Fatalf("recovered graph %d/%d, want %d/%d", nodes, edges, preNodes, preEdges)
 	}

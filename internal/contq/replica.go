@@ -61,8 +61,8 @@ func (r *Registry) Export() (*graph.Graph, uint64, []journal.PatternDef) {
 
 // PatternDef returns one registered pattern's portable definition — id,
 // resolved kind, serialized pattern text and registration sequence — the
-// document GET /v1/patterns/{id} serves and a follower's reconciler feeds
-// to RegisterDef. ok is false when id is not registered.
+// document GET /v1/patterns/{id} serves. ok is false when id is not
+// registered.
 func (r *Registry) PatternDef(id string) (journal.PatternDef, bool) {
 	r.mu.RLock()
 	reg, ok := r.pats[id]
@@ -70,25 +70,22 @@ func (r *Registry) PatternDef(id string) (journal.PatternDef, bool) {
 	if !ok {
 		return journal.PatternDef{}, false
 	}
-	pd, err := reg.def()
-	return pd, err == nil // unserializable patterns were rejected at Register
+	return reg.def(), true
 }
 
 // RegisterDef registers a pattern from its portable definition (the
 // PatternDef wire document) at an explicit registration sequence — how
-// NewAt installs a snapshot's patterns and how a follower's reconciler
-// mirrors a leader-side Register it learned about after the fact.
+// NewAt installs a snapshot's patterns and how a follower mirrors a
+// leader-side Register it reads off the commit stream. pd.Def becomes
+// the registration's text form as given.
 func (r *Registry) RegisterDef(pd journal.PatternDef) error {
 	p, err := pattern.Parse(bytes.NewReader(pd.Def))
 	if err != nil {
 		return fmt.Errorf("contq: recovering pattern %q: %w", pd.ID, err)
 	}
-	if err := r.Register(pd.ID, p, Kind(pd.Kind)); err != nil {
+	if err := r.register(pd.ID, p, pd.Def, Kind(pd.Kind), &pd.RegSeq); err != nil {
 		return fmt.Errorf("contq: recovering pattern %q: %w", pd.ID, err)
 	}
-	r.mu.Lock()
-	r.pats[pd.ID].regSeq = pd.RegSeq
-	r.mu.Unlock()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package contq
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -201,5 +202,70 @@ func TestCommitSubCloseOnRegistryClose(t *testing.T) {
 	reg.Close()
 	if _, ok := <-sub.C; ok {
 		t.Fatal("commit subscription channel must close when the registry closes")
+	}
+}
+
+// TestCommitSubOrdersPatternEvents: a commit subscriber gets the pattern
+// set at attach, then every registration and removal as an event in
+// order with the commits — backfilled commits first, pattern events at
+// the head they happened at — and a RegisterDef mirror carries the
+// registration sequence it was given.
+func TestCommitSubOrdersPatternEvents(t *testing.T) {
+	seed := int64(45)
+	g := generator.Synthetic(30, 80, generator.DefaultSchema(3), seed)
+	reg := New(g, WithJournal(journal.New()))
+	defer reg.Close()
+	ups := generator.Updates(g, 3, 0, seed+1)
+	if err := reg.Register("a", testPattern(g, KindSim, seed), KindSim); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(i int) {
+		t.Helper()
+		if _, err := reg.Apply(ups[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(0)
+	sub, err := reg.SubscribeCommitsContext(context.Background(), FromSeq(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	aDef, _ := reg.PatternDef("a")
+	if len(sub.Patterns) != 1 || sub.Patterns[0].ID != "a" || !bytes.Equal(sub.Patterns[0].Def, aDef.Def) {
+		t.Fatalf("attach-time set %+v, want just a", sub.Patterns)
+	}
+
+	if err := reg.Register("b", testPattern(g, KindBSim, seed+2), KindBSim); err != nil {
+		t.Fatal(err)
+	}
+	apply(1)
+	reg.Unregister("a")
+	mirrored := journal.PatternDef{ID: "c", Kind: string(KindSim), Def: aDef.Def, RegSeq: 7}
+	if err := reg.RegisterDef(mirrored); err != nil {
+		t.Fatal(err)
+	}
+	apply(2)
+
+	bDef, _ := reg.PatternDef("b")
+	want := []CommitEvent{
+		{Seq: 1},
+		{Seq: 1, Register: &bDef},
+		{Seq: 2},
+		{Seq: 2, Unregister: "a"},
+		{Seq: 2, Register: &mirrored},
+		{Seq: 3},
+	}
+	for i, w := range want {
+		ev := <-sub.C
+		switch {
+		case ev.Seq != w.Seq || ev.Unregister != w.Unregister || (ev.Register == nil) != (w.Register == nil):
+			t.Fatalf("event %d = %+v, want %+v", i, ev, w)
+		case w.Register != nil && (ev.Register.ID != w.Register.ID || ev.Register.Kind != w.Register.Kind ||
+			ev.Register.RegSeq != w.Register.RegSeq || !bytes.Equal(ev.Register.Def, w.Register.Def)):
+			t.Fatalf("event %d registers %+v, want %+v", i, *ev.Register, *w.Register)
+		case w.Register == nil && w.Unregister == "" && len(ev.Updates) != 1:
+			t.Fatalf("event %d = %+v, want commit %d with one update", i, ev, w.Seq)
+		}
 	}
 }

@@ -10,10 +10,10 @@
 // the snapshot. Every batch applies through the follower's own registry at
 // the leader's own sequence numbers, so everything keyed by sequence —
 // SSE Last-Event-ID resume, Replay tails — works identically against
-// leader or follower. Pattern registrations are
-// mirrored by periodic reconciliation against GET /v1/patterns: engine
-// state is a function of the current graph, so a late-arriving pattern
-// still computes the correct match.
+// leader or follower. The pattern set rides the same stream: each
+// connection's head carries it, to be mirrored, and each later change is
+// an event in commit order. A pattern mirrored late still computes the
+// correct match: engine state is a function of the current graph.
 //
 // Readiness (wired into /v1/readyz through serve.SetReadyCheck) reflects
 // replication health: not ready while bootstrapping, while the commit
@@ -22,6 +22,7 @@
 package follow
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -59,10 +60,6 @@ type Config struct {
 	// reports an error (and /v1/readyz answers 503). 0 means lag alone
 	// never gates readiness — only bootstrap and connectivity do.
 	MaxLag uint64
-	// Reconcile is the pattern-reconciliation poll interval (default 2s):
-	// how often the follower diffs its registered patterns against the
-	// leader's and mirrors the difference.
-	Reconcile time.Duration
 	// Logger receives replication lifecycle events (default slog.Default).
 	Logger *slog.Logger
 	// Metrics receives the follower gauges (default obs.Default()).
@@ -111,9 +108,6 @@ type Follower struct {
 // serve.NewReadOnly server), wiring its readiness and stats hooks.
 // Nothing talks to the leader until Run.
 func New(srv *serve.Server, cfg Config) *Follower {
-	if cfg.Reconcile <= 0 {
-		cfg.Reconcile = 2 * time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -246,10 +240,11 @@ func needsResync(err error) bool {
 }
 
 // Run drives the replication loop until ctx is canceled: bootstrap (when
-// no replica survives), tail the commit stream, reconcile patterns —
-// re-bootstrapping from a snapshot whenever the tail reports the replica
-// can no longer follow. Transient leader failures (unreachable, restarting) are retried
-// with backoff; Run only returns ctx.Err().
+// no replica survives), then tail the commit stream, applying its commits
+// and pattern changes — re-bootstrapping from a snapshot whenever the tail
+// reports the replica can no longer follow. Transient leader failures
+// (unreachable, restarting) are retried with backoff; Run only returns
+// ctx.Err().
 func (f *Follower) Run(ctx context.Context) error {
 	backoff := 200 * time.Millisecond
 	const backoffMax = 3 * time.Second
@@ -316,7 +311,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	}
 	defs := make([]journal.PatternDef, 0, len(snap.Patterns))
 	for _, pd := range snap.Patterns {
-		defs = append(defs, journal.PatternDef{ID: pd.ID, Kind: pd.Kind, Def: []byte(pd.Def), RegSeq: pd.RegSeq})
+		defs = append(defs, journalDef(pd))
 	}
 	jnl := journal.New()
 	opts := make([]contq.Option, 0, len(f.cfg.RegistryOptions)+1)
@@ -339,6 +334,10 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	return nil
 }
 
+// connCheck is how often tail refreshes the connection state while no
+// event flows, so an idle leader outage shows on readiness and the gauge.
+const connCheck = time.Second
+
 // tail applies the leader's live commit stream until ctx ends or the
 // stream reports a terminal condition. Returns errResync when the replica
 // must rebuild from a snapshot.
@@ -356,10 +355,7 @@ func (f *Follower) tail(ctx context.Context) error {
 	defer st.Close()
 	f.setConnected(st.Stats().Connected)
 
-	// The ticker drives pattern reconciliation and keeps the connection
-	// gauge honest while no commits flow (an idle leader outage would
-	// otherwise go unnoticed until the next event).
-	tick := time.NewTicker(f.cfg.Reconcile)
+	tick := time.NewTicker(connCheck)
 	defer tick.Stop()
 	for {
 		select {
@@ -367,9 +363,6 @@ func (f *Follower) tail(ctx context.Context) error {
 			return ctx.Err()
 		case <-tick.C:
 			f.setConnected(st.Stats().Connected)
-			if err := f.reconcile(ctx, reg); err != nil && ctx.Err() == nil {
-				f.setErr(err)
-			}
 		case ev, ok := <-st.C:
 			if !ok {
 				err := st.Err()
@@ -385,6 +378,15 @@ func (f *Follower) tail(ctx context.Context) error {
 			switch ev.Type {
 			case client.EventHead:
 				f.observeLeaderSeq(ev.Seq)
+				if err := f.mirror(reg, ev.Patterns); err != nil {
+					return err
+				}
+			case client.EventRegister:
+				if err := f.put(reg, ev.Pattern); err != nil {
+					return err
+				}
+			case client.EventUnregister:
+				f.drop(reg, ev.Pattern.ID)
 			case client.EventCommit:
 				// The frame's traceparent continues the leader commit's
 				// trace through this replica's apply pipeline.
@@ -400,56 +402,51 @@ func (f *Follower) tail(ctx context.Context) error {
 	}
 }
 
-// reconcile mirrors the leader's standing patterns into the replica:
-// registers the ones the leader has that we lack (by fetching their
-// portable definitions) and unregisters the ones the leader dropped.
-// Correct regardless of when a pattern arrived: engine state is a
-// function of the current graph, which replication keeps identical.
-func (f *Follower) reconcile(ctx context.Context, reg *contq.Registry) error {
-	leaderPats, err := f.cli.Patterns(ctx)
-	if err != nil {
-		return fmt.Errorf("listing leader patterns: %w", err)
+// mirror makes the replica's pattern set the leader's, defs.
+func (f *Follower) mirror(reg *contq.Registry, defs []client.PatternDef) error {
+	want := make(map[string]bool, len(defs))
+	for _, pd := range defs {
+		want[pd.ID] = true
 	}
-	want := make(map[string]bool, len(leaderPats))
-	for _, pi := range leaderPats {
-		want[pi.ID] = true
-	}
-	have := make(map[string]bool)
 	for _, pi := range reg.Patterns() {
-		have[pi.ID] = true
-	}
-	for id := range want {
-		if have[id] {
-			continue
-		}
-		pd, err := f.cli.PatternDef(ctx, id)
-		if err != nil {
-			var apiErr *client.APIError
-			if errors.As(err, &apiErr) && apiErr.Code == client.CodeNotFound {
-				continue // unregistered between the list and the fetch
-			}
-			return fmt.Errorf("fetching pattern %q: %w", id, err)
-		}
-		if err := reg.RegisterDef(journal.PatternDef{
-			ID: pd.ID, Kind: pd.Kind, Def: []byte(pd.Def), RegSeq: pd.RegSeq,
-		}); err != nil {
-			if errors.Is(err, contq.ErrAlreadyRegistered) {
-				continue
-			}
-			return fmt.Errorf("mirroring pattern %q: %w", id, err)
-		}
-		f.cfg.Logger.Info("follower mirrored pattern", "id", id, "kind", pd.Kind)
-	}
-	for id := range have {
-		if !want[id] {
-			reg.Unregister(id)
-			f.cfg.Logger.Info("follower dropped pattern", "id", id)
+		if !want[pi.ID] {
+			f.drop(reg, pi.ID)
 		}
 	}
-	// A reconcile doubles as a leader-head poll, so lag stays fresh even
-	// when the stream is quiet.
-	if info, err := f.cli.GraphInfo(ctx); err == nil {
-		f.observeLeaderSeq(info.Seq)
+	for _, pd := range defs {
+		if err := f.put(reg, pd); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// put installs one leader pattern definition. A pattern the replica holds
+// with the same kind, text and registration sequence stays as it is, its
+// subscribers' streams with it; one that differs is replaced.
+func (f *Follower) put(reg *contq.Registry, wire client.PatternDef) error {
+	pd := journalDef(wire)
+	if have, ok := reg.PatternDef(pd.ID); ok {
+		if have.Kind == pd.Kind && have.RegSeq == pd.RegSeq && bytes.Equal(have.Def, pd.Def) {
+			return nil
+		}
+		reg.Unregister(pd.ID)
+	}
+	if err := reg.RegisterDef(pd); err != nil {
+		return fmt.Errorf("mirroring pattern %q: %w", pd.ID, err)
+	}
+	f.cfg.Logger.Info("follower mirrored pattern", "id", pd.ID, "kind", pd.Kind)
+	return nil
+}
+
+// drop unregisters one pattern the leader no longer has.
+func (f *Follower) drop(reg *contq.Registry, id string) {
+	if reg.Unregister(id) {
+		f.cfg.Logger.Info("follower dropped pattern", "id", id)
+	}
+}
+
+// journalDef is a leader's pattern definition as the registry takes it.
+func journalDef(pd client.PatternDef) journal.PatternDef {
+	return journal.PatternDef{ID: pd.ID, Kind: pd.Kind, Def: []byte(pd.Def), RegSeq: pd.RegSeq}
 }

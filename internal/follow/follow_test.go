@@ -32,11 +32,10 @@ func startFollower(t *testing.T, leaderURL string) (*Follower, *client.Client) {
 	t.Cleanup(fts.Close)
 	t.Cleanup(fsrv.Close)
 	f := New(fsrv, Config{
-		Leader:    leaderURL,
-		MaxLag:    1 << 20, // readiness gates on bootstrap/connectivity here
-		Reconcile: 20 * time.Millisecond,
-		Logger:    quietLogger(),
-		Metrics:   obs.NewRegistry(),
+		Leader:  leaderURL,
+		MaxLag:  1 << 20, // readiness gates on bootstrap/connectivity here
+		Logger:  quietLogger(),
+		Metrics: obs.NewRegistry(),
 		ClientOptions: []client.Option{
 			client.WithBackoff(10*time.Millisecond, 100*time.Millisecond),
 		},
@@ -121,7 +120,7 @@ func requireSameResult(t *testing.T, lc, fc *client.Client, id string, head uint
 // wire: after an update storm with a mid-storm follower restart, the
 // follower's served Result equals the leader's for every engine kind —
 // including a pattern registered only after the follower was already
-// tailing, mirrored by reconciliation.
+// tailing, mirrored off the commit stream.
 func TestFollowerConvergence(t *testing.T) {
 	seed := int64(47)
 	lsrv := serve.New()
@@ -186,7 +185,7 @@ func TestFollowerConvergence(t *testing.T) {
 	}
 
 	// A pattern registered after the follower is already tailing must be
-	// mirrored by reconciliation.
+	// mirrored off the commit stream.
 	late := generator.EmbeddedPattern(g, generator.PatternParams{Nodes: 3, Edges: 3, Preds: 1, K: 1}, seed+9)
 	if _, err := lc.Register(ctx, "p-late", late, gpm.KindSim); err != nil {
 		t.Fatal(err)
@@ -260,4 +259,124 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 		t.Fatalf("compacted catch-up took %d bootstraps, want a snapshot re-sync", f.Stats().Bootstraps)
 	}
 	requireSameResult(t, lc, fc, "p", head)
+}
+
+// leaderWithPattern starts a leader over a synthetic graph with pattern
+// "q" registered, and a follower tailing it until the test ends.
+func leaderWithPattern(t *testing.T, seed int64) (lc *client.Client, g *gpm.Graph, f *Follower, fc *client.Client) {
+	t.Helper()
+	lsrv := serve.New()
+	lts := httptest.NewServer(lsrv)
+	t.Cleanup(lts.Close)
+	t.Cleanup(lsrv.Close)
+	lc = client.New(lts.URL)
+	ctx := context.Background()
+	g = generator.Synthetic(40, 130, generator.DefaultSchema(3), seed)
+	if _, err := lc.LoadGraph(ctx, g); err != nil {
+		t.Fatal(err)
+	}
+	p := generator.EmbeddedPattern(g, generator.PatternParams{Nodes: 3, Edges: 3, Preds: 1, K: 1}, seed)
+	if _, err := lc.Register(ctx, "q", p, gpm.KindSim); err != nil {
+		t.Fatal(err)
+	}
+	f, fc = startFollower(t, lts.URL)
+	return lc, g, f, fc
+}
+
+// run drives f until the returned stop is called.
+func run(f *Follower) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- f.Run(ctx) }()
+	return func() { cancel(); <-done }
+}
+
+// TestFollowerMirrorsPatternSwap: the leader unregisters q and registers
+// a different q back to back; once the follower has applied the next
+// commit it holds the new definition and serves the leader's result.
+func TestFollowerMirrorsPatternSwap(t *testing.T) {
+	seed := int64(71)
+	lc, g, f, fc := leaderWithPattern(t, seed)
+	t.Cleanup(run(f))
+	waitConverged(t, f, lc)
+	ctx := context.Background()
+	before, err := fc.PatternDef(ctx, "q")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := lc.Unregister(ctx, "q"); err != nil {
+		t.Fatal(err)
+	}
+	swapped := generator.EmbeddedPattern(g, generator.PatternParams{Nodes: 4, Edges: 4, Preds: 1, K: 2}, seed+5)
+	if _, err := lc.Register(ctx, "q", swapped, gpm.KindBSim); err != nil {
+		t.Fatal(err)
+	}
+	storm(t, lc, 3, 2, seed+1)
+	head := waitConverged(t, f, lc)
+
+	lpd, err := lc.PatternDef(ctx, "q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lpd == before {
+		t.Fatal("the swap must change q's definition")
+	}
+	if fpd, err := fc.PatternDef(ctx, "q"); err != nil || fpd != lpd {
+		t.Fatalf("follower q = %+v (%v), leader's %+v", fpd, err, lpd)
+	}
+	requireSameResult(t, lc, fc, "q", head)
+}
+
+// TestFollowerRestartKeepsPatterns: restarting the replication loop over
+// an unchanged pattern set registers nothing — a stream on the follower
+// stays open across the restart and the follower's network neither gains
+// nor reuses a pattern.
+func TestFollowerRestartKeepsPatterns(t *testing.T) {
+	seed := int64(73)
+	lc, _, f, fc := leaderWithPattern(t, seed)
+	stop := run(f)
+	waitConverged(t, f, lc)
+	ctx := context.Background()
+	st, err := fc.Stream(ctx, "q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if ev := <-st.C; ev.Type != client.EventSnapshot {
+		t.Fatalf("first follower stream event %+v, want the snapshot", ev)
+	}
+	before, err := fc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop()
+	t.Cleanup(run(f))
+	storm(t, lc, 2, 1, seed+1)
+	head := waitConverged(t, f, lc)
+	for seq := uint64(0); seq < head; {
+		select {
+		case ev, ok := <-st.C:
+			if !ok || ev.Type != client.EventDelta {
+				t.Fatalf("follower stream delivered %+v (open %v) across the restart, want deltas only", ev, ok)
+			}
+			seq = ev.Seq
+		case <-time.After(10 * time.Second):
+			t.Fatalf("follower stream stalled before seq %d", head)
+		}
+	}
+	if s := st.Stats(); s.Connects != 1 || s.Disconnects != 0 {
+		t.Fatalf("follower stream reconnected across the restart: %+v", s)
+	}
+	after, err := fc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Network.Patterns != before.Network.Patterns || after.Network.RegisterReused != before.Network.RegisterReused {
+		t.Fatalf("restart moved the follower's network: %+v → %+v", *before.Network, *after.Network)
+	}
+	if f.Stats().Bootstraps != 1 {
+		t.Fatalf("restart took %d bootstraps, want 1", f.Stats().Bootstraps)
+	}
 }

@@ -51,7 +51,6 @@ func TestReplicationTraceContinuity(t *testing.T) {
 	f := New(fsrv, Config{
 		Leader:          lts.URL,
 		MaxLag:          1 << 20,
-		Reconcile:       20 * time.Millisecond,
 		Logger:          quietLogger(),
 		Metrics:         obs.NewRegistry(),
 		RegistryOptions: []contq.Option{contq.WithTracer(ftr)},

@@ -222,12 +222,9 @@ type Journal struct {
 // only, so replay reaches back at most WithRing commits and nothing
 // survives the process.
 func New(options ...Option) *Journal {
-	j := &Journal{ringCap: 4096, segBytes: 4 << 20, snapEvery: 1024}
+	j := &Journal{ringCap: 4096, segBytes: 4 << 20, snapEvery: 1024, met: newJMetrics(obs.Default())}
 	for _, o := range options {
 		o(j)
-	}
-	if j.met == nil {
-		j.met = newJMetrics(obs.Default())
 	}
 	return j
 }

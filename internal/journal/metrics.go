@@ -6,9 +6,9 @@ import (
 
 // The journal's telemetry: disk latency for the three write paths operators
 // care about — record appends (the commit critical path), fsyncs (Sync and
-// segment seals), and snapshot checkpoints. Instruments live in an
-// obs.Registry (obs.Default() unless WithMetrics injects one), surface on
-// GET /v1/metricz, and snapshot into Stats for GET /v1/stats.
+// segment seals), and snapshot checkpoints. Instruments live in
+// obs.Default(), surface on GET /v1/metricz, and snapshot into Stats for
+// GET /v1/stats.
 
 type jmetrics struct {
 	appendMS *obs.Histogram // writeDurable: frame append incl. rotation
@@ -25,11 +25,4 @@ func newJMetrics(reg *obs.Registry) *jmetrics {
 		snapMS: reg.Histogram("gpm_journal_snapshot_ms",
 			"Snapshot checkpoint wall time in milliseconds (serialize, fsync, compact).", nil),
 	}
-}
-
-// WithMetrics directs the journal's disk-latency instruments into reg
-// instead of the process-wide obs.Default() — for tests that need isolated
-// metrics.
-func WithMetrics(reg *obs.Registry) Option {
-	return func(j *Journal) { j.met = newJMetrics(reg) }
 }

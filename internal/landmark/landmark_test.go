@@ -309,7 +309,7 @@ func TestRebuildEquivalentDistances(t *testing.T) {
 	ix := New(g)
 	ups := generator.Updates(g, 6, 6, 42)
 	ix.Batch(ups)
-	fresh := Rebuild(g)
+	fresh := New(g)
 	for u := 0; u < g.NumNodes(); u++ {
 		for v := 0; v < g.NumNodes(); v++ {
 			if ix.Dist(u, v) != fresh.Dist(u, v) {

@@ -210,10 +210,6 @@ func (ix *Index) Batch(ups []graph.Update) int {
 	return len(net)
 }
 
-// Rebuild recomputes the landmark vector and all distance vectors from
-// scratch (the BatchLM baseline) and returns the fresh index.
-func Rebuild(g *graph.Graph) *Index { return New(g) }
-
 // nodeDist is a priority-queue entry.
 type nodeDist struct {
 	v graph.NodeID

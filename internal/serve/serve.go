@@ -14,7 +14,10 @@
 //	DELETE  /v1/patterns/{id}          —                     unregister, close streams
 //	POST    /v1/updates                update text | JSON    commit batch, fan out deltas
 //	GET     /v1/patterns/{id}/stream   —                     SSE: snapshot, then deltas
+//	GET     /v1/patterns/{id}          —                     portable pattern definition
 //	GET     /v1/commits?from=N         —                     raw ΔG tail after seq N
+//	GET     /v1/commits/stream         —                     SSE: head, then commits and pattern changes
+//	GET     /v1/snapshot               —                     graph + pattern definitions at one seq
 //	GET     /v1/stats                  —                     registry + journal stats
 //	GET     /v1/metricz                —                     Prometheus text exposition
 //	GET     /v1/tracez                 —                     recent commit traces (JSON)
@@ -310,9 +313,8 @@ func (s *Server) loadGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) graphInfo(w http.ResponseWriter, r *http.Request) {
-	reg := s.registry()
-	nodes, edges, seq := reg.GraphInfo()
-	writeJSON(w, http.StatusOK, client.GraphInfo{Nodes: nodes, Edges: edges, Seq: seq, Patterns: len(reg.Patterns())})
+	nodes, edges, patterns, seq := s.registry().GraphInfo()
+	writeJSON(w, http.StatusOK, client.GraphInfo{Nodes: nodes, Edges: edges, Seq: seq, Patterns: patterns})
 }
 
 // stats reports the registry snapshot: pattern count, committed sequence,
@@ -386,14 +388,11 @@ func (s *Server) register(w http.ResponseWriter, r *http.Request) {
 	// Echo the registry's view of the pattern, whose kind is the one it
 	// resolved (auto → sim/bsim), so clients learn the backing engine
 	// without a second round trip.
-	info := client.PatternInfo{ID: id, Kind: kind, Nodes: p.NumNodes(), Edges: p.NumEdges()}
-	for _, in := range reg.Patterns() {
-		if in.ID == id {
-			info = client.PatternInfo(in)
-			break
-		}
+	info := contq.Info{ID: id, Kind: kind, Nodes: p.NumNodes(), Edges: p.NumEdges()}
+	if in, ok := reg.Info(id); ok {
+		info = in
 	}
-	writeJSON(w, http.StatusCreated, info)
+	writeJSON(w, http.StatusCreated, client.PatternInfo(info))
 }
 
 func (s *Server) listPatterns(w http.ResponseWriter, r *http.Request) {
@@ -669,16 +668,11 @@ func (s *Server) commits(w http.ResponseWriter, r *http.Request) {
 // from when the commit tail it needs is already compacted.
 func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
 	g, seq, defs := s.registry().Export()
-	out := client.Snapshot{Seq: seq, Graph: g, Patterns: make([]client.PatternDef, 0, len(defs))}
-	for _, pd := range defs {
-		out.Patterns = append(out.Patterns, wirePatternDef(pd))
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, client.Snapshot{Seq: seq, Graph: g, Patterns: wirePatternDefs(defs)})
 }
 
 // patternDef serves one pattern's portable definition (its text-format
-// source, kind, and registration sequence) — how a follower's reconciler
-// mirrors a pattern it learned about from the leader's /v1/patterns list.
+// source, kind, and registration sequence).
 func (s *Server) patternDef(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	pd, ok := s.registry().PatternDef(id)
@@ -690,9 +684,11 @@ func (s *Server) patternDef(w http.ResponseWriter, r *http.Request) {
 }
 
 // commitStream serves the raw ΔG tail over SSE: one "head" frame naming
-// the sequence the stream starts after, then one "commit" frame per
-// committed batch — empty ones included, so the consumer's sequence stays
-// aligned with the leader's. With Last-Event-ID: N (or ?from=N) the
+// the sequence the stream starts after and the pattern set, then one
+// "commit" frame per committed batch — empty ones included, so the
+// consumer's sequence stays aligned with the leader's — and a "register"
+// or "unregister" frame per pattern change, whose id (the head seq) leaves
+// the resume cursor alone. With Last-Event-ID: N (or ?from=N) the
 // commits in (N, head] are backfilled from the journal ahead of the live
 // feed, one seq-contiguous stream. A range the journal no longer retains
 // answers 410 compacted before any frame is written — the signal to
@@ -717,8 +713,17 @@ func (s *Server) commitStream(w http.ResponseWriter, r *http.Request) {
 	// The head frame tells a fresh consumer where the stream starts: its
 	// id seeds Last-Event-ID, so even an eventless disconnect resumes
 	// correctly.
-	head := &streamFrame{event: string(client.EventHead), seq: sub.Seq, doc: client.HeadFrame{Seq: sub.Seq}}
+	head := &streamFrame{event: string(client.EventHead), seq: sub.Seq,
+		doc: client.HeadFrame{Seq: sub.Seq, Patterns: wirePatternDefs(sub.Patterns)}}
 	deliver(w, r, fl, reg, head, sub.C, func(ev contq.CommitEvent) streamFrame {
+		switch {
+		case ev.Register != nil:
+			return streamFrame{event: string(client.EventRegister), seq: ev.Seq,
+				doc: client.RegisterFrame{Seq: ev.Seq, PatternDef: wirePatternDef(*ev.Register)}}
+		case ev.Unregister != "":
+			return streamFrame{event: string(client.EventUnregister), seq: ev.Seq,
+				doc: client.UnregisterFrame{Seq: ev.Seq, ID: ev.Unregister}}
+		}
 		return streamFrame{event: string(client.EventCommit), seq: ev.Seq, at: ev.At, trace: ev.Trace, span: [2]string{"stream", "commits"},
 			doc: client.CommitFrame{Commit: client.Commit{Seq: ev.Seq, Updates: orEmpty(ev.Updates), Trace: ev.Trace},
 				At: unixNano(ev.At)}}

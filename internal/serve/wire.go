@@ -132,6 +132,15 @@ func wirePatternDef(pd journal.PatternDef) client.PatternDef {
 	return client.PatternDef{ID: pd.ID, Kind: pd.Kind, Def: string(pd.Def), RegSeq: pd.RegSeq}
 }
 
+// wirePatternDefs is a pattern set as its wire list ([] when empty).
+func wirePatternDefs(defs []journal.PatternDef) []client.PatternDef {
+	out := make([]client.PatternDef, 0, len(defs))
+	for _, pd := range defs {
+		out = append(out, wirePatternDef(pd))
+	}
+	return out
+}
+
 // unixNano is a frame's publish time on the wire: 0, which the frame
 // omits, when unset.
 func unixNano(t time.Time) int64 {

@@ -93,6 +93,11 @@ func TestWireDocumentKeys(t *testing.T) {
 	frame("commit frame, traced", commits, "commit")
 	frame("commit frame, empty", commits, "commit")
 	docs["commit frame: updates[0]"] = docs["commit frame"]["updates"].([]any)[0].(map[string]any)
+	docs["head frame: patterns[0]"] = docs["head frame"]["patterns"].([]any)[0].(map[string]any)
+	req("", false, "PUT", "/v1/patterns/extra?kind=sim", "node 0 label=\"c\"\n")
+	req("", false, "DELETE", "/v1/patterns/extra", "")
+	frame("register frame", commits, "register")
+	frame("unregister frame", commits, "unregister")
 
 	// Backfilled frames carry the journaled trace but no publish time.
 	resumed := open("/v1/patterns/ab/stream", "1")
@@ -123,6 +128,12 @@ func TestWireDocumentKeys(t *testing.T) {
 	t.Cleanup(ro.Close)
 	t.Cleanup(follower.Close)
 	_, docs["error envelope, read_only"] = do(t, ro.Client(), "POST", ro.URL+"/v1/updates", "insert 0 1\n")
+	empty, err := ro.Client().Get(ro.URL + "/v1/commits/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { empty.Body.Close() })
+	frame("head frame, no patterns", bufio.NewScanner(empty.Body), "head")
 
 	if err := srv.Journal().Close(); err != nil {
 		t.Fatal(err)
@@ -165,7 +176,11 @@ func TestWireDocumentKeys(t *testing.T) {
 		{"delta frame, traced", "added at id removed seq trace", "added removed", "added"},
 		{"delta frame, backfilled", "added id removed seq", "added removed", "added removed"},
 		{"delta frame, backfilled traced", "added id removed seq trace", "added removed", "added"},
-		{"head frame", "seq", "", ""},
+		{"head frame", "patterns seq", "patterns", ""},
+		{"head frame: patterns[0]", "def id kind reg_seq", "", ""},
+		{"head frame, no patterns", "patterns seq", "patterns", "patterns"},
+		{"register frame", "def id kind reg_seq seq", "", ""},
+		{"unregister frame", "id seq", "", ""},
 		{"commit frame", "at seq updates", "updates", ""},
 		{"commit frame: updates[0]", "from op to", "", ""},
 		{"commit frame, traced", "at seq trace updates", "updates", ""},
