@@ -79,8 +79,8 @@ const (
 	// unset cursor and is delivered once per connection, first (on a
 	// reconnect its seq echoes the cursor).
 	frameStart
-	// framePattern is an event between commits (a pattern registration or
-	// removal): always delivered, the cursor stays.
+	// framePattern is state beside the commits (the pattern set): always
+	// delivered, the cursor stays.
 	framePattern
 )
 
@@ -252,7 +252,7 @@ func (s *sseStream[E]) run(ctx context.Context, resp *http.Response) {
 	defer close(s.ch)
 	backoff := s.c.backoffMin
 	for {
-		delivered := false
+		progressed := false
 		if resp == nil {
 			select {
 			case <-ctx.Done():
@@ -274,7 +274,7 @@ func (s *sseStream[E]) run(ctx context.Context, resp *http.Response) {
 		}
 		if resp != nil {
 			var err error
-			delivered, err = s.consume(ctx, resp.Body)
+			progressed, err = s.consume(ctx, resp.Body)
 			resp.Body.Close()
 			resp = nil
 			if ctx.Err() != nil {
@@ -290,9 +290,11 @@ func (s *sseStream[E]) run(ctx context.Context, resp *http.Response) {
 			s.recordDisconnect(true, "connection dropped")
 		}
 		// Reconnect, resuming after the last delivered sequence. A
-		// connection that delivered something resets the backoff; a failed
-		// attempt or an eventless connection doubles it.
-		if delivered {
+		// connection that moved the cursor resets the backoff; a failed
+		// attempt, or one that delivered only state (its head), doubles it:
+		// a server that drops every connection at once is retried slower and
+		// slower.
+		if progressed {
 			backoff = s.c.backoffMin
 		} else if backoff *= 2; backoff > s.c.backoffMax {
 			backoff = s.c.backoffMax
@@ -310,14 +312,16 @@ func (s *sseStream[E]) setErr(err error) {
 }
 
 // consume reads SSE frames off one connection until it drops, delivering
-// typed events. It reports whether anything was delivered (for backoff
-// reset). A nil error is a plain connection drop.
-func (s *sseStream[E]) consume(ctx context.Context, body io.ReadCloser) (delivered bool, err error) {
+// typed events. It reports whether the connection moved the resume cursor
+// (for backoff reset). A nil error is a plain connection drop.
+func (s *sseStream[E]) consume(ctx context.Context, body io.ReadCloser) (progressed bool, err error) {
 	// A dropped connection must unblock the scanner even between frames:
 	// closing the body on ctx cancellation does that.
 	stop := context.AfterFunc(ctx, func() { body.Close() })
 	defer stop()
 	s.startSeen = false
+	from, had := s.lastSeq, s.haveSeq
+	moved := func() bool { return s.haveSeq && (!had || s.lastSeq != from) }
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	var event, data string
@@ -332,7 +336,7 @@ func (s *sseStream[E]) consume(ctx context.Context, body io.ReadCloser) (deliver
 			f, ok, derr := s.decode(event, data)
 			event, data = "", ""
 			if derr != nil {
-				return delivered, derr
+				return moved(), derr
 			}
 			if !ok || !s.advance(f.kind, f.seq) {
 				continue
@@ -348,18 +352,17 @@ func (s *sseStream[E]) consume(ctx context.Context, body io.ReadCloser) (deliver
 			select {
 			case s.ch <- f.ev:
 				ds.End()
-				delivered = true
 			case <-ctx.Done():
-				return delivered, nil
+				return moved(), nil
 			}
 		}
 	}
 	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
 		// Deterministic: the server would resend the same oversized frame
 		// on every reconnect, so retrying loops forever. Terminal.
-		return delivered, fmt.Errorf("client: SSE frame exceeds the stream buffer: %w", err)
+		return moved(), fmt.Errorf("client: SSE frame exceeds the stream buffer: %w", err)
 	}
-	return delivered, nil // drop (EOF or close); the caller decides retry
+	return moved(), nil // drop (EOF or close); the caller decides retry
 }
 
 // advance moves the resume cursor for one frame and reports whether the

@@ -44,7 +44,7 @@ func consumeAll[E any](wire []byte, chunk int, decode func(event, data string) (
 // FuzzSSEFrames feeds arbitrary bytes through the one SSE frame scanner
 // with both decoders: it must not panic, must ignore unknown event types,
 // and must never deliver a commit-level sequence at or below the cursor;
-// pattern events never move it.
+// pattern sets never move it.
 func FuzzSSEFrames(f *testing.F) {
 	const (
 		snapshot = "event: snapshot\nid: 4\ndata: {\"id\":\"q\",\"seq\":4,\"size\":1,\"pairs\":[[0,1]]}\n\n"
@@ -52,8 +52,8 @@ func FuzzSSEFrames(f *testing.F) {
 		head     = "event: head\nid: 4\ndata: {\"seq\":4}\n\n"
 		commit5  = "event: commit\nid: 5\ndata: {\"seq\":5,\"updates\":[{\"op\":\"insert\",\"from\":1,\"to\":2}],\"trace\":\"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01\"}\n\n"
 		unknown  = "event: keepalive\nid: 9\ndata: {\"seq\":9}\n\n"
-		register = "event: register\nid: 5\ndata: {\"seq\":5,\"id\":\"r\",\"kind\":\"sim\",\"def\":\"node 0\\n\",\"reg_seq\":5}\n\n"
-		unreg    = "event: unregister\nid: 5\ndata: {\"seq\":5,\"id\":\"r\"}\n\n"
+		patterns = "event: patterns\nid: 5\ndata: {\"seq\":5,\"patterns\":[{\"id\":\"r\",\"kind\":\"sim\",\"def\":\"node 0\\n\",\"reg_seq\":5}]}\n\n"
+		none     = "event: patterns\nid: 5\ndata: {\"seq\":5,\"patterns\":[]}\n\n"
 	)
 	f.Add([]byte(snapshot+delta5), uint8(0))
 	f.Add([]byte(head+commit5), uint8(0))
@@ -63,7 +63,7 @@ func FuzzSSEFrames(f *testing.F) {
 	f.Add([]byte("event: delta\ndata: {\"seq\":5}\nevent: delta\ndata: {\"seq\":6}\n\n"), uint8(0)) // missing blank line
 	f.Add([]byte("event: delta\ndata: {not json}\n\n"+delta5), uint8(0))
 	f.Add([]byte("data: {\"seq\":1}\n\n\n: comment\nevent: \n\n"), uint8(1))
-	f.Add([]byte(head+commit5+register+unreg+commit5+register), uint8(5)) // pattern events between commits
+	f.Add([]byte(head+commit5+patterns+none+commit5+patterns), uint8(5)) // pattern sets between commits
 
 	f.Fuzz(func(t *testing.T, wire []byte, chunk uint8) {
 		n := int(chunk) + 1
@@ -96,8 +96,8 @@ func FuzzSSEFrames(f *testing.F) {
 				if have && ev.Seq <= cur {
 					t.Fatalf("commit seq %d delivered at cursor %d", ev.Seq, cur)
 				}
-			case EventRegister, EventUnregister:
-				continue // a pattern event does not move the cursor
+			case EventPatterns:
+				continue // a pattern set does not move the cursor
 			default:
 				t.Fatalf("unknown event type %q delivered", ev.Type)
 			}

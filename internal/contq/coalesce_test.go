@@ -260,12 +260,13 @@ func TestPanickingEngineIsEvicted(t *testing.T) {
 	if err != nil || seq != 1 {
 		t.Fatalf("commit with a panicking engine: seq=%d err=%v", seq, err)
 	}
-	// The commit stream carries the commit, then the eviction at its seq.
-	if ev := <-commits.C; ev.Seq != 1 || ev.Register != nil || ev.Unregister != "" {
+	// The commit stream carries the commit, then the set the eviction left
+	// at its seq.
+	if ev := <-commits.C; ev.Seq != 1 || ev.Patterns != nil {
 		t.Fatalf("first commit-stream event %+v, want commit 1", ev)
 	}
-	if ev := <-commits.C; ev.Seq != 1 || ev.Unregister != "bad" {
-		t.Fatalf("second commit-stream event %+v, want the eviction of bad at seq 1", ev)
+	if ev := <-commits.C; ev.Seq != 1 || len(ev.Patterns) != 1 || ev.Patterns[0].ID != "good" {
+		t.Fatalf("second commit-stream event %+v, want the set without bad at seq 1", ev)
 	}
 	if _, ok := reg.Result("bad"); ok {
 		t.Fatal("panicked pattern must be evicted")

@@ -379,8 +379,7 @@ func (r *Registry) register(id string, p *pattern.Pattern, text []byte, kind Kin
 	r.mu.Lock()
 	r.pats[id] = reg
 	r.mu.Unlock()
-	pd := reg.def()
-	r.csubs.publish(CommitEvent{Seq: seq, Register: &pd})
+	r.publishPatternsLocked(seq)
 	return nil
 }
 
@@ -409,7 +408,7 @@ func (r *Registry) dropLocked(reg *registration, seq uint64) {
 		// stats (LastError); the removal itself stands.
 		r.journal.AppendUnregister(seq, reg.id) //nolint:errcheck // see above
 	}
-	r.csubs.publish(CommitEvent{Seq: seq, Unregister: reg.id})
+	r.publishPatternsLocked(seq)
 	reg.m.Release()
 	reg.subs.closeAll()
 }
@@ -892,7 +891,17 @@ func (r *Registry) evictLocked(reg *registration, seq uint64) {
 	r.dropLocked(reg, seq)
 }
 
-// patternDefs is the registered patterns' portable forms.
+// publishPatternsLocked offers commit subscribers the pattern set as it
+// stands at seq, after a registration or removal. Called under writeMu,
+// which also guards commit-subscriber attach, so no subscriber misses it.
+func (r *Registry) publishPatternsLocked(seq uint64) {
+	if r.csubs.len() > 0 {
+		r.csubs.publish(CommitEvent{Seq: seq, Patterns: r.patternDefs()})
+	}
+}
+
+// patternDefs is the registered patterns' portable forms (non-nil, so a
+// pattern-set CommitEvent with no pattern is still one).
 func (r *Registry) patternDefs() []journal.PatternDef {
 	regs := r.snapshotRegs()
 	defs := make([]journal.PatternDef, 0, len(regs))

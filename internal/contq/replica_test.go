@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sort"
+	"strings"
 	"testing"
 
 	"gpm/internal/generator"
@@ -205,67 +207,89 @@ func TestCommitSubCloseOnRegistryClose(t *testing.T) {
 	}
 }
 
-// TestCommitSubOrdersPatternEvents: a commit subscriber gets the pattern
-// set at attach, then every registration and removal as an event in
-// order with the commits — backfilled commits first, pattern events at
-// the head they happened at — and a RegisterDef mirror carries the
-// registration sequence it was given.
+// TestCommitSubOrdersPatternEvents: a FromSeq commit subscriber gets the
+// pattern set as of the attach head — pattern changes inside the
+// backfilled range are not replayed — then the backfilled commits, then
+// the whole set after every later registration and removal, in order with
+// the commits; a RegisterDef mirror carries the registration sequence it
+// was given.
 func TestCommitSubOrdersPatternEvents(t *testing.T) {
 	seed := int64(45)
 	g := generator.Synthetic(30, 80, generator.DefaultSchema(3), seed)
 	reg := New(g, WithJournal(journal.New()))
 	defer reg.Close()
-	ups := generator.Updates(g, 3, 0, seed+1)
-	if err := reg.Register("a", testPattern(g, KindSim, seed), KindSim); err != nil {
-		t.Fatal(err)
-	}
+	ups := generator.Updates(g, 4, 0, seed+1)
 	apply := func(i int) {
 		t.Helper()
 		if _, err := reg.Apply(ups[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := reg.Register("a", testPattern(g, KindSim, seed), KindSim); err != nil {
+		t.Fatal(err)
+	}
 	apply(0)
+	if err := reg.Register("b", testPattern(g, KindBSim, seed+2), KindBSim); err != nil {
+		t.Fatal(err)
+	}
+	apply(1)
+	aDef, _ := reg.PatternDef("a")
+	reg.Unregister("a")
+	apply(2)
+
 	sub, err := reg.SubscribeCommitsContext(context.Background(), FromSeq(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Cancel()
-	aDef, _ := reg.PatternDef("a")
-	if len(sub.Patterns) != 1 || sub.Patterns[0].ID != "a" || !bytes.Equal(sub.Patterns[0].Def, aDef.Def) {
-		t.Fatalf("attach-time set %+v, want just a", sub.Patterns)
+	bDef, _ := reg.PatternDef("b")
+	ids := func(defs []journal.PatternDef) string {
+		var out []string
+		for _, pd := range defs {
+			out = append(out, pd.ID)
+		}
+		sort.Strings(out)
+		return strings.Join(out, " ")
+	}
+	if sub.Seq != 0 || sub.Head != 3 || ids(sub.Patterns) != "b" || !bytes.Equal(sub.Patterns[0].Def, bDef.Def) {
+		t.Fatalf("attach: seq %d head %d set %+v, want seq 0, head 3, set {b}", sub.Seq, sub.Head, sub.Patterns)
 	}
 
-	if err := reg.Register("b", testPattern(g, KindBSim, seed+2), KindBSim); err != nil {
-		t.Fatal(err)
-	}
-	apply(1)
-	reg.Unregister("a")
 	mirrored := journal.PatternDef{ID: "c", Kind: string(KindSim), Def: aDef.Def, RegSeq: 7}
 	if err := reg.RegisterDef(mirrored); err != nil {
 		t.Fatal(err)
 	}
-	apply(2)
+	apply(3)
+	reg.Unregister("b")
 
-	bDef, _ := reg.PatternDef("b")
-	want := []CommitEvent{
-		{Seq: 1},
-		{Seq: 1, Register: &bDef},
-		{Seq: 2},
-		{Seq: 2, Unregister: "a"},
-		{Seq: 2, Register: &mirrored},
-		{Seq: 3},
+	want := []struct {
+		seq  uint64
+		set  string // "-" for a commit
+		cset bool
+	}{
+		{1, "-", false}, {2, "-", false}, {3, "-", false},
+		{3, "b c", true},
+		{4, "-", false},
+		{4, "c", true},
 	}
+	var published journal.PatternDef
 	for i, w := range want {
 		ev := <-sub.C
-		switch {
-		case ev.Seq != w.Seq || ev.Unregister != w.Unregister || (ev.Register == nil) != (w.Register == nil):
-			t.Fatalf("event %d = %+v, want %+v", i, ev, w)
-		case w.Register != nil && (ev.Register.ID != w.Register.ID || ev.Register.Kind != w.Register.Kind ||
-			ev.Register.RegSeq != w.Register.RegSeq || !bytes.Equal(ev.Register.Def, w.Register.Def)):
-			t.Fatalf("event %d registers %+v, want %+v", i, *ev.Register, *w.Register)
-		case w.Register == nil && w.Unregister == "" && len(ev.Updates) != 1:
-			t.Fatalf("event %d = %+v, want commit %d with one update", i, ev, w.Seq)
+		for _, pd := range ev.Patterns {
+			if pd.ID == "c" {
+				published = pd
+			}
 		}
+		switch {
+		case ev.Seq != w.seq || (ev.Patterns != nil) != w.cset:
+			t.Fatalf("event %d = %+v, want seq %d (pattern set: %v)", i, ev, w.seq, w.cset)
+		case w.cset && ids(ev.Patterns) != w.set:
+			t.Fatalf("event %d sets %q, want %q", i, ids(ev.Patterns), w.set)
+		case !w.cset && len(ev.Updates) != 1:
+			t.Fatalf("event %d = %+v, want commit %d with one update", i, ev, w.seq)
+		}
+	}
+	if published.RegSeq != 7 || !bytes.Equal(published.Def, aDef.Def) {
+		t.Fatalf("published c %+v, want the given definition at reg seq 7", published)
 	}
 }

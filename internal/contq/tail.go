@@ -12,41 +12,46 @@ import (
 // This file is the raw-ΔG tail subscription: the commit-level analogue of
 // the per-pattern Subscription. A CommitSub receives every committed net
 // update batch — not match deltas — in commit order with consecutive
-// sequence numbers, and every pattern (un)registration in the same order:
-// the (Q, ΔG) a follower replica applies through its own registry (GET
-// /v1/commits/stream serves it over SSE).
+// sequence numbers, and the pattern set whenever it changes, in the same
+// order: the (Q, ΔG) a follower replica applies through its own registry
+// (GET /v1/commits/stream serves it over SSE).
 
-// CommitEvent is one committed net update batch ΔG. Updates is shared
-// with the registry's journal — subscribers must not mutate it. At is the
-// publish timestamp (zero for backfilled events, which are historical by
-// definition). Trace is the W3C traceparent of the commit span that
-// produced the batch ("" when unsampled) — the thread a follower's
-// ApplyReplicated continues, so one trace spans the topology. A pattern
-// event instead sets Register (a pattern registered at head Seq) or
-// Unregister (the id of one unregistered or evicted at Seq).
+// CommitEvent is one committed net update batch ΔG, or the pattern set.
+// Updates is shared with the registry's journal — subscribers must not
+// mutate it. At is the publish timestamp (zero for backfilled events,
+// which are historical by definition). Trace is the W3C traceparent of the
+// commit span that produced the batch ("" when unsampled) — the thread a
+// follower's ApplyReplicated continues, so one trace spans the topology.
+//
+// A pattern-set event, published after a registration, unregistration or
+// eviction, has Patterns non-nil (empty when no pattern is left): every
+// registered pattern's definition as of Seq, the commit it follows. Its
+// slice is shared between subscribers.
 type CommitEvent struct {
-	Seq     uint64
-	Updates []graph.Update
-	At      time.Time
-	Trace   string
-
-	Register   *journal.PatternDef
-	Unregister string
+	Seq      uint64
+	Updates  []graph.Update
+	At       time.Time
+	Trace    string
+	Patterns []journal.PatternDef
 }
 
 // CommitSub is one subscriber's view of the commit stream. Every commit
 // with sequence greater than Seq arrives on C exactly once, in order, with
 // consecutive sequence numbers — including commits whose batch cancelled
 // to nothing (Seq still advances, so a follower tracking the stream stays
-// seq-aligned with the leader). Patterns is the pattern set at attach;
-// later changes arrive on C as pattern events, after any backfill. Events
-// queue in an unbounded mailbox, so a slow subscriber never blocks the
-// writer. C closes after Cancel or when the registry closes.
+// seq-aligned with the leader). Patterns is the pattern set as of Head,
+// the registry head at attach; the commits in (Seq, Head] are backfill,
+// and every later registration, unregistration or eviction arrives on C
+// as a pattern-set event, in order with the commits. Pattern changes
+// inside the backfilled range are not replayed: Patterns stands for them.
+// Events queue in an unbounded mailbox, so a slow subscriber never blocks
+// the writer. C closes after Cancel or when the registry closes.
 type CommitSub struct {
 	C <-chan CommitEvent
 	// Seq is the sequence the subscription starts after: the first commit
 	// on C carries Seq+1.
 	Seq      uint64
+	Head     uint64
 	Patterns []journal.PatternDef
 
 	mb *mailbox[CommitEvent]
@@ -66,7 +71,7 @@ func (s *CommitSub) Cancel() { s.mb.cancel() }
 // journal.ErrCompacted when the journal no longer retains the range — the
 // subscriber must re-sync from a snapshot (Export) instead. The journal
 // backfill — the potentially slow part — stops and the call fails with
-// ctx's error as soon as ctx is done. Backfill carries commits only.
+// ctx's error as soon as ctx is done.
 func (r *Registry) SubscribeCommitsContext(ctx context.Context, options ...SubscribeOption) (*CommitSub, error) {
 	var o subscribeOpts
 	for _, opt := range options {
@@ -93,12 +98,12 @@ func (r *Registry) SubscribeCommitsContext(ctx context.Context, options ...Subsc
 		r.writeMu.Unlock()
 		return nil, ErrNoJournal
 	}
-	// Attach under writeMu so the mailbox sees every commit > head; the
-	// backfill below fills (from, head] ahead of it.
+	// Attach under writeMu so the mailbox sees every commit > head and
+	// every pattern change after the set read here; the backfill below
+	// fills (from, head] ahead of it.
 	mb := newMailbox(&r.csubs, r.met.csubsActive, r.met.mailboxHW, from != head)
-	pats := r.patternDefs()
+	s := &CommitSub{C: mb.out, Seq: from, Head: head, Patterns: r.patternDefs(), mb: mb}
 	r.writeMu.Unlock()
-	s := &CommitSub{C: mb.out, Seq: from, Patterns: pats, mb: mb}
 	if from == head {
 		return s, nil
 	}

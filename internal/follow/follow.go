@@ -11,14 +11,19 @@
 // the leader's own sequence numbers, so everything keyed by sequence —
 // SSE Last-Event-ID resume, Replay tails — works identically against
 // leader or follower. The pattern set rides the same stream: each
-// connection's head carries it, to be mirrored, and each later change is
-// an event in commit order. A pattern mirrored late still computes the
-// correct match: engine state is a function of the current graph.
+// connection's head carries it as of the leader's head, mirrored once the
+// backfill has brought the replica there, and every later pattern change
+// brings it again, in commit order. A pattern the leader changed inside a
+// backfilled range therefore changes here at the end of the backfill, not
+// at its own sequence; one mirrored late still computes the correct
+// match, engine state being a function of the current graph.
 //
 // Readiness (wired into /v1/readyz through serve.SetReadyCheck) reflects
 // replication health: not ready while bootstrapping, while the commit
 // stream is disconnected from the leader, or while the applied sequence
-// lags the leader's head beyond the configured bound.
+// lags the leader's head beyond the configured bound. The head and every
+// commit frame name the leader's head as of their sending, which is how
+// the lag is known.
 package follow
 
 import (
@@ -355,6 +360,9 @@ func (f *Follower) tail(ctx context.Context) error {
 	defer st.Close()
 	f.setConnected(st.Stats().Connected)
 
+	// The head's pattern set, held until the replica reaches its seq.
+	var pending []client.PatternDef
+	var pendingAt uint64
 	tick := time.NewTicker(connCheck)
 	defer tick.Stop()
 	for {
@@ -377,16 +385,13 @@ func (f *Follower) tail(ctx context.Context) error {
 			f.setConnected(true)
 			switch ev.Type {
 			case client.EventHead:
-				f.observeLeaderSeq(ev.Seq)
+				f.observeLeaderSeq(ev.Head)
+				pending, pendingAt = ev.Patterns, ev.Head
+			case client.EventPatterns:
+				pending = nil
 				if err := f.mirror(reg, ev.Patterns); err != nil {
 					return err
 				}
-			case client.EventRegister:
-				if err := f.put(reg, ev.Pattern); err != nil {
-					return err
-				}
-			case client.EventUnregister:
-				f.drop(reg, ev.Pattern.ID)
 			case client.EventCommit:
 				// The frame's traceparent continues the leader commit's
 				// trace through this replica's apply pipeline.
@@ -396,54 +401,46 @@ func (f *Follower) tail(ctx context.Context) error {
 					}
 					return fmt.Errorf("applying replicated commit %d: %w", ev.Seq, err)
 				}
-				f.observeLeaderSeq(ev.Seq)
+				f.observeLeaderSeq(max(ev.Seq, ev.Head))
+			}
+			if pending != nil && reg.Seq() >= pendingAt {
+				if err := f.mirror(reg, pending); err != nil {
+					return err
+				}
+				pending = nil
 			}
 		}
 	}
 }
 
-// mirror makes the replica's pattern set the leader's, defs.
+// mirror makes the replica's pattern set the leader's, defs. A pattern the
+// replica holds with the same kind, text and registration sequence stays
+// as it is, its subscribers' streams with it; one that differs is
+// replaced, one the leader no longer has dropped.
 func (f *Follower) mirror(reg *contq.Registry, defs []client.PatternDef) error {
-	want := make(map[string]bool, len(defs))
-	for _, pd := range defs {
-		want[pd.ID] = true
+	want := make(map[string]journal.PatternDef, len(defs))
+	for _, wire := range defs {
+		want[wire.ID] = journalDef(wire)
 	}
 	for _, pi := range reg.Patterns() {
-		if !want[pi.ID] {
-			f.drop(reg, pi.ID)
+		pd, keep := want[pi.ID]
+		have, _ := reg.PatternDef(pi.ID)
+		if keep && have.Kind == pd.Kind && have.RegSeq == pd.RegSeq && bytes.Equal(have.Def, pd.Def) {
+			delete(want, pi.ID)
+			continue
+		}
+		reg.Unregister(pi.ID)
+		if !keep {
+			f.cfg.Logger.Info("follower dropped pattern", "id", pi.ID)
 		}
 	}
-	for _, pd := range defs {
-		if err := f.put(reg, pd); err != nil {
-			return err
+	for _, pd := range want {
+		if err := reg.RegisterDef(pd); err != nil {
+			return fmt.Errorf("mirroring pattern %q: %w", pd.ID, err)
 		}
+		f.cfg.Logger.Info("follower mirrored pattern", "id", pd.ID, "kind", pd.Kind)
 	}
 	return nil
-}
-
-// put installs one leader pattern definition. A pattern the replica holds
-// with the same kind, text and registration sequence stays as it is, its
-// subscribers' streams with it; one that differs is replaced.
-func (f *Follower) put(reg *contq.Registry, wire client.PatternDef) error {
-	pd := journalDef(wire)
-	if have, ok := reg.PatternDef(pd.ID); ok {
-		if have.Kind == pd.Kind && have.RegSeq == pd.RegSeq && bytes.Equal(have.Def, pd.Def) {
-			return nil
-		}
-		reg.Unregister(pd.ID)
-	}
-	if err := reg.RegisterDef(pd); err != nil {
-		return fmt.Errorf("mirroring pattern %q: %w", pd.ID, err)
-	}
-	f.cfg.Logger.Info("follower mirrored pattern", "id", pd.ID, "kind", pd.Kind)
-	return nil
-}
-
-// drop unregisters one pattern the leader no longer has.
-func (f *Follower) drop(reg *contq.Registry, id string) {
-	if reg.Unregister(id) {
-		f.cfg.Logger.Info("follower dropped pattern", "id", id)
-	}
 }
 
 // journalDef is a leader's pattern definition as the registry takes it.

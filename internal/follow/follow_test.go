@@ -283,11 +283,15 @@ func leaderWithPattern(t *testing.T, seed int64) (lc *client.Client, g *gpm.Grap
 	return lc, g, f, fc
 }
 
-// run drives f until the returned stop is called.
+// run drives f until the returned stop is called (more than once is
+// fine).
 func run(f *Follower) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- f.Run(ctx) }()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Run(ctx) //nolint:errcheck // Run only returns ctx.Err()
+	}()
 	return func() { cancel(); <-done }
 }
 

@@ -684,15 +684,17 @@ func (s *Server) patternDef(w http.ResponseWriter, r *http.Request) {
 }
 
 // commitStream serves the raw ΔG tail over SSE: one "head" frame naming
-// the sequence the stream starts after and the pattern set, then one
-// "commit" frame per committed batch — empty ones included, so the
-// consumer's sequence stays aligned with the leader's — and a "register"
-// or "unregister" frame per pattern change, whose id (the head seq) leaves
-// the resume cursor alone. With Last-Event-ID: N (or ?from=N) the
-// commits in (N, head] are backfilled from the journal ahead of the live
-// feed, one seq-contiguous stream. A range the journal no longer retains
-// answers 410 compacted before any frame is written — the signal to
-// re-bootstrap from /v1/snapshot.
+// the sequence the stream starts after, the leader's head and the pattern
+// set as of that head, then one "commit" frame per committed batch — empty
+// ones included, so the consumer's sequence stays aligned with the
+// leader's — and a "patterns" frame with the whole set after every pattern
+// change, whose id (the head seq) leaves the resume cursor alone. Commit
+// frames carry the leader's head as of their write too: a consumer's lag.
+// With Last-Event-ID: N (or ?from=N) the commits in (N, head] are
+// backfilled from the journal ahead of the live feed, one seq-contiguous
+// stream. A range the journal no longer retains answers 410 compacted
+// before any frame is written — the signal to re-bootstrap from
+// /v1/snapshot.
 func (s *Server) commitStream(w http.ResponseWriter, r *http.Request) {
 	fl, from, resume, ok := sseRequest(w, r)
 	if !ok {
@@ -714,18 +716,14 @@ func (s *Server) commitStream(w http.ResponseWriter, r *http.Request) {
 	// id seeds Last-Event-ID, so even an eventless disconnect resumes
 	// correctly.
 	head := &streamFrame{event: string(client.EventHead), seq: sub.Seq,
-		doc: client.HeadFrame{Seq: sub.Seq, Patterns: wirePatternDefs(sub.Patterns)}}
+		doc: client.HeadFrame{Seq: sub.Seq, Head: sub.Head, Patterns: wirePatternDefs(sub.Patterns)}}
 	deliver(w, r, fl, reg, head, sub.C, func(ev contq.CommitEvent) streamFrame {
-		switch {
-		case ev.Register != nil:
-			return streamFrame{event: string(client.EventRegister), seq: ev.Seq,
-				doc: client.RegisterFrame{Seq: ev.Seq, PatternDef: wirePatternDef(*ev.Register)}}
-		case ev.Unregister != "":
-			return streamFrame{event: string(client.EventUnregister), seq: ev.Seq,
-				doc: client.UnregisterFrame{Seq: ev.Seq, ID: ev.Unregister}}
+		if ev.Patterns != nil {
+			return streamFrame{event: string(client.EventPatterns), seq: ev.Seq,
+				doc: client.PatternsFrame{Seq: ev.Seq, Patterns: wirePatternDefs(ev.Patterns)}}
 		}
 		return streamFrame{event: string(client.EventCommit), seq: ev.Seq, at: ev.At, trace: ev.Trace, span: [2]string{"stream", "commits"},
 			doc: client.CommitFrame{Commit: client.Commit{Seq: ev.Seq, Updates: orEmpty(ev.Updates), Trace: ev.Trace},
-				At: unixNano(ev.At)}}
+				Head: reg.Seq(), At: unixNano(ev.At)}}
 	})
 }

@@ -95,9 +95,8 @@ func TestWireDocumentKeys(t *testing.T) {
 	docs["commit frame: updates[0]"] = docs["commit frame"]["updates"].([]any)[0].(map[string]any)
 	docs["head frame: patterns[0]"] = docs["head frame"]["patterns"].([]any)[0].(map[string]any)
 	req("", false, "PUT", "/v1/patterns/extra?kind=sim", "node 0 label=\"c\"\n")
-	req("", false, "DELETE", "/v1/patterns/extra", "")
-	frame("register frame", commits, "register")
-	frame("unregister frame", commits, "unregister")
+	frame("patterns frame", commits, "patterns")
+	docs["patterns frame: patterns[0]"] = docs["patterns frame"]["patterns"].([]any)[0].(map[string]any)
 
 	// Backfilled frames carry the journaled trace but no publish time.
 	resumed := open("/v1/patterns/ab/stream", "1")
@@ -176,17 +175,17 @@ func TestWireDocumentKeys(t *testing.T) {
 		{"delta frame, traced", "added at id removed seq trace", "added removed", "added"},
 		{"delta frame, backfilled", "added id removed seq", "added removed", "added removed"},
 		{"delta frame, backfilled traced", "added id removed seq trace", "added removed", "added"},
-		{"head frame", "patterns seq", "patterns", ""},
+		{"head frame", "head patterns seq", "patterns", ""},
 		{"head frame: patterns[0]", "def id kind reg_seq", "", ""},
-		{"head frame, no patterns", "patterns seq", "patterns", "patterns"},
-		{"register frame", "def id kind reg_seq seq", "", ""},
-		{"unregister frame", "id seq", "", ""},
-		{"commit frame", "at seq updates", "updates", ""},
+		{"head frame, no patterns", "head patterns seq", "patterns", "patterns"},
+		{"patterns frame", "patterns seq", "patterns", ""},
+		{"patterns frame: patterns[0]", "def id kind reg_seq", "", ""},
+		{"commit frame", "at head seq updates", "updates", ""},
 		{"commit frame: updates[0]", "from op to", "", ""},
-		{"commit frame, traced", "at seq trace updates", "updates", ""},
-		{"commit frame, empty", "at seq updates", "updates", "updates"},
-		{"commit frame, backfilled traced", "seq trace updates", "updates", ""},
-		{"commit frame, backfilled empty", "seq updates", "updates", "updates"},
+		{"commit frame, traced", "at head seq trace updates", "updates", ""},
+		{"commit frame, empty", "at head seq updates", "updates", "updates"},
+		{"commit frame, backfilled traced", "head seq trace updates", "updates", ""},
+		{"commit frame, backfilled empty", "head seq updates", "updates", "updates"},
 	} {
 		t.Run(tc.doc, func(t *testing.T) {
 			doc, ok := docs[tc.doc]
